@@ -24,7 +24,7 @@ from .complexity import (
     estimate_k_cond,
     frac_str,
 )
-from .estimators import EstimatorError, get_estimator, make_registry
+from .estimators import EstimatorError, make_registry
 from .experiments import (
     DEFAULT_N,
     SeedSet,
@@ -33,9 +33,10 @@ from .experiments import (
     run_theorem1,
     run_theorem2,
     run_theorem3,
+    write_report,
 )
 from .games import (
-    GameSpec,
+    GAME_KINDS,
     LocalDeterministic,
     LocalityThresholds,
     NoSignalingSampler,
@@ -45,6 +46,7 @@ from .games import (
     load_quadruple,
     locality_verdict,
     ns_report,
+    parse_game,
     play,
     satisfaction_fraction,
     save_quadruple,
@@ -54,10 +56,10 @@ from .oracles import (
     fine_membership,
     game_value_exact,
     marginal_extremes,
-    ns_pr_marginal_extremes,
     replay_witness,
 )
 from .strings import (
+    COMPUTABLE_KINDS,
     FormatError,
     Seed,
     SymbolString,
@@ -67,9 +69,6 @@ from .strings import (
     read_syms,
     write_syms,
 )
-
-COMPUTABLE_KINDS = ("zeros", "alternating", "thue_morse", "counter")
-
 
 class _Parser(argparse.ArgumentParser):
     """argparse, but every usage problem exits with code 1."""
@@ -87,22 +86,19 @@ def _parse_seed(text: str) -> Seed:
         return Seed.from_hex(text)
 
 
-def _parse_frac(text: str) -> Fraction:
-    return Fraction(text)
+def _seed_text(text: str) -> str:
+    """argparse type of --seed/--noise-seed: a decimal integer in
+    [0, 2**256) or at most 64 hex digits. The text itself is kept, so the
+    emitted config and the report header echo it verbatim."""
+    try:
+        _parse_seed(text)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise argparse.ArgumentTypeError(f"bad seed: {text!r}") from exc
+    return text
 
 
 def _parse_table(text: str) -> tuple:
     return tuple(int(v) for v in text.split(","))
-
-
-def _game_from_args(args) -> GameSpec:
-    if args.game == "pr":
-        return GameSpec.pr()
-    if args.game == "chained":
-        return GameSpec.chained(args.m)
-    if args.game == "magic_square":
-        return GameSpec.magic_square()
-    raise FormatError(f"unknown game: {args.game}")
 
 
 def _strategy_from_args(args):
@@ -135,10 +131,6 @@ def _emit(args, payload: dict) -> None:
         sys.stdout.write(text)
 
 
-def _json_frac(v: Fraction) -> str:
-    return frac_str(v)
-
-
 # --- subcommand handlers -------------------------------------------------------
 
 
@@ -161,7 +153,7 @@ def _cmd_gen(args) -> int:
 
 
 def _cmd_play(args) -> int:
-    game = _game_from_args(args)
+    game = parse_game(args.game, args.m)
     strategy = _strategy_from_args(args)
     a = read_syms(args.a)
     b = read_syms(args.b)
@@ -260,21 +252,18 @@ def _read_distribution(path) -> Distribution:
         data = json.loads(Path(path).read_text())
     except json.JSONDecodeError as exc:
         raise FormatError(f"bad distribution JSON: {exc}") from exc
-    kind = data.get("game")
-    if kind == "pr":
-        game = GameSpec.pr()
-    elif kind == "chained":
-        game = GameSpec.chained(int(data.get("m", 2)))
-    elif kind == "magic_square":
-        game = GameSpec.magic_square()
-    else:
-        raise FormatError(f"unknown game kind in distribution: {kind!r}")
+    if not isinstance(data, dict) or not isinstance(data.get("p", {}), dict):
+        raise FormatError('distribution must be a JSON object whose "p" is an object')
+    game = parse_game(data.get("game"), data.get("m", 2))
     table = {}
     for key, val in data.get("p", {}).items():
-        parts = tuple(int(v) for v in key.split(","))
+        try:
+            parts = tuple(int(v) for v in key.split(","))
+            table[parts] = Fraction(val)
+        except (TypeError, ValueError, ArithmeticError) as exc:
+            raise FormatError(f"bad distribution entry {key!r}: {val!r}") from exc
         if len(parts) != 4:
             raise FormatError(f"bad distribution key: {key!r}")
-        table[parts] = Fraction(val)
     try:
         return Distribution(game, table)
     except ValueError as exc:
@@ -283,14 +272,9 @@ def _read_distribution(path) -> Distribution:
 
 def _cmd_oracle(args) -> int:
     if args.marginals:
-        if args.pr_weight is not None or not args.no_signaling:
-            lo, hi = marginal_extremes(
-                args.pr_weight if args.pr_weight is not None else Fraction(1),
-                args.no_signaling,
-            )
-        else:
-            lo, hi = ns_pr_marginal_extremes()
-        _emit(args, {"min": _json_frac(lo), "max": _json_frac(hi)})
+        weight = args.pr_weight if args.pr_weight is not None else Fraction(1)
+        lo, hi = marginal_extremes(weight, args.no_signaling)
+        _emit(args, {"min": frac_str(lo), "max": frac_str(hi)})
         return 0
     if args.fine:
         res = fine_membership(_read_distribution(args.fine))
@@ -298,7 +282,7 @@ def _cmd_oracle(args) -> int:
             payload = {
                 "membership": "Local",
                 "weights": [
-                    {"weight": _json_frac(w), "fa": list(fa), "fb": list(fb)}
+                    {"weight": frac_str(w), "fa": list(fa), "fb": list(fb)}
                     for w, fa, fb in res.weights
                 ],
             }
@@ -306,21 +290,21 @@ def _cmd_oracle(args) -> int:
             payload = {
                 "membership": "NonLocal",
                 "certificate": {
-                    ",".join(map(str, k)): _json_frac(v)
+                    ",".join(map(str, k)): frac_str(v)
                     for k, v in res.certificate.items()
                 },
-                "value_on_dist": _json_frac(res.value_on_dist),
-                "vertex_max": _json_frac(res.vertex_max),
+                "value_on_dist": frac_str(res.value_on_dist),
+                "vertex_max": frac_str(res.vertex_max),
             }
         _emit(args, payload)
         return 0
-    game = _game_from_args(args)
+    game = parse_game(args.game, args.m)
     res = game_value_exact(game, reps=args.reps, jobs=args.jobs)
     payload = {
         "game": res.game_label,
         "reps": res.reps,
-        "value": _json_frac(res.value),
-        "replay": _json_frac(replay_witness(game, res)),
+        "value": frac_str(res.value),
+        "replay": frac_str(replay_witness(game, res)),
         "fa": [list(v) for v in res.fa],
         "fb": [list(v) for v in res.fb],
         "a_blocks": [list(v) for v in res.a_blocks],
@@ -349,9 +333,7 @@ def _cmd_exp(args) -> int:
     else:
         raise FormatError(f"unknown experiment: {args.which}")
     report.config = _effective_config(args)
-    Path(args.out).write_text(report.to_jsonl())
-    if args.csv:
-        Path(args.csv).write_text(report.to_csv())
+    write_report(report, args.out, args.csv)
     sys.stderr.write(f"wrote {args.out} ({report.wall_clock:.1f}s)\n")
     return 0
 
@@ -399,22 +381,22 @@ def build_parser() -> _Parser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--q", type=int, default=2)
     p.add_argument("--m", type=int, default=2)
-    p.add_argument("--seed", default="0")
+    p.add_argument("--seed", type=_seed_text, default="0")
     p.add_argument("--out-b", dest="out_b", help="second output (promise inputs)")
     p.set_defaults(func=_cmd_gen)
 
     p = sub.add_parser("play", help="play a strategy on input files")
     _add_common(p)
-    p.add_argument("--game", required=True, choices=("pr", "chained", "magic_square"))
+    p.add_argument("--game", required=True, choices=GAME_KINDS)
     p.add_argument("--m", type=int, default=2)
     p.add_argument("--strategy", required=True, choices=("nosig", "signaling", "local"))
-    p.add_argument("--eps", type=_parse_frac)
+    p.add_argument("--eps", type=Fraction)
     p.add_argument("--fa", type=_parse_table)
     p.add_argument("--fb", type=_parse_table)
     p.add_argument("--a", required=True)
     p.add_argument("--b", required=True)
-    p.add_argument("--seed", default="0")
-    p.add_argument("--noise-seed", dest="noise_seed")
+    p.add_argument("--seed", type=_seed_text, default="0")
+    p.add_argument("--noise-seed", dest="noise_seed", type=_seed_text)
     p.add_argument("--out-dir", dest="out_dir", default=".")
     p.add_argument("--stem", default="quad")
     p.set_defaults(func=_cmd_play)
@@ -448,13 +430,13 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("oracle", help="exact game values, membership, marginal LPs")
     _add_common(p)
-    p.add_argument("--game", default="pr", choices=("pr", "chained", "magic_square"))
+    p.add_argument("--game", default="pr", choices=GAME_KINDS)
     p.add_argument("--m", type=int, default=2)
     p.add_argument("--reps", type=int, default=1)
     p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--fine", help="distribution JSON for membership testing")
     p.add_argument("--marginals", action="store_true", help="marginal extremes LP")
-    p.add_argument("--pr-weight", dest="pr_weight", type=_parse_frac)
+    p.add_argument("--pr-weight", dest="pr_weight", type=Fraction)
     p.add_argument(
         "--allow-signaling",
         dest="no_signaling",
@@ -472,11 +454,11 @@ def build_parser() -> _Parser:
     )
     p.add_argument("--n", type=int, default=DEFAULT_N)
     p.add_argument("--m", type=int, default=8)
-    p.add_argument("--eps", type=_parse_frac)
+    p.add_argument("--eps", type=Fraction)
     p.add_argument("--strategy", default="nosig", choices=("nosig", "signaling", "local"))
     p.add_argument("--fa", type=_parse_table)
     p.add_argument("--fb", type=_parse_table)
-    p.add_argument("--seed", default="0")
+    p.add_argument("--seed", type=_seed_text, default="0")
     p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--csv", help="also write the CSV projection here")
     _add_estimator_opts(p)
@@ -484,11 +466,9 @@ def build_parser() -> _Parser:
     return top
 
 
-def _apply_config(parser: _Parser, argv: list) -> list:
+def _apply_config(parser: _Parser, argv: list) -> None:
     """Read --config (if present) and inject its values as defaults for the
     chosen subcommand, so explicit flags still win."""
-    if not argv:
-        return argv
     cfg_path = None
     for i, tok in enumerate(argv):
         if tok == "--config" and i + 1 < len(argv):
@@ -496,33 +476,47 @@ def _apply_config(parser: _Parser, argv: list) -> list:
         elif tok.startswith("--config="):
             cfg_path = tok.split("=", 1)[1]
     if cfg_path is None:
-        return argv
+        return
     try:
         cfg = json.loads(Path(cfg_path).read_text())
     except (OSError, json.JSONDecodeError) as exc:
         raise FormatError(f"bad config file: {exc}") from exc
     if not isinstance(cfg, dict):
         raise FormatError("config must be a JSON object")
-    sub = argv[0]
-    for action in parser._subparsers._group_actions[0].choices.items():  # noqa: SLF001
-        name, sp = action
-        if name == sub:
-            cleaned = {}
-            for k, v in cfg.items():
-                if k in ("cmd", "config", "emit_config"):
-                    continue
-                dest = k.replace("-", "_")
-                cleaned[dest] = _coerce_config_value(sp, dest, v)
-            sp.set_defaults(**cleaned)
-            break
-    return argv
+    sp = parser._subparsers._group_actions[0].choices.get(argv[0])  # noqa: SLF001
+    if sp is None:
+        return
+    cleaned = {}
+    for k, v in cfg.items():
+        dest = k.replace("-", "_")
+        if dest not in _SKIP_CONFIG_KEYS:
+            cleaned[dest] = _coerce_config_value(sp, dest, v)
+    sp.set_defaults(**cleaned)
 
 
 def _coerce_config_value(subparser, dest, value):
+    """Parse a config value as its flag would parse it; a value of the
+    wrong type is a format error, never a traceback."""
     for action in subparser._actions:  # noqa: SLF001
-        if action.dest == dest and action.type and value is not None:
-            if isinstance(value, str) or action.type in (int, float):
+        if action.dest != dest or value is None:
+            continue
+        if action.type is None:
+            # untyped flags hold what argparse would store: a switch's
+            # bool, a list of texts for repeatable flags, or else a text
+            if action.nargs == 0:
+                ok = isinstance(value, bool)
+            elif isinstance(action, argparse._AppendAction):  # noqa: SLF001
+                ok = isinstance(value, list) and all(isinstance(v, str) for v in value)
+            else:
+                ok = isinstance(value, str)
+            if not ok:
+                raise FormatError(f"bad config value for {dest}: {value!r}")
+        # numbers go to int/float; a seed must be text, like the echo
+        elif isinstance(value, str) or action.type in (int, float, _seed_text):
+            try:
                 return action.type(value)
+            except (TypeError, ValueError, argparse.ArgumentTypeError) as exc:
+                raise FormatError(f"bad config value for {dest}: {value!r}") from exc
     return value
 
 

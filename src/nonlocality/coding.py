@@ -132,13 +132,14 @@ class ArithmeticEncoder:
             self._low <<= 1
             self._high = (self._high << 1) | 1
 
-    def encode_raw_bit(self, bit: int) -> None:
-        """A bit at fixed probability 1/2 (costs exactly one binary split)."""
+    def write_bit(self, bit: int) -> None:
+        """A bit at fixed probability 1/2 (costs exactly one binary split).
+        Named like BitWriter's, so write_gamma can code into this stream."""
         self.encode(bit, bit + 1, 2)
 
-    def encode_raw_bits(self, value: int, k: int) -> None:
+    def write_bits(self, value: int, k: int) -> None:
         for i in range(k - 1, -1, -1):
-            self.encode_raw_bit((value >> i) & 1)
+            self.write_bit((value >> i) & 1)
 
     def finish(self) -> None:
         self._pending += 1
@@ -182,16 +183,12 @@ class ArithmeticDecoder:
             self._high = (self._high << 1) | 1
             self._code = (self._code << 1) | self._r.read_bit()
 
-    def decode_raw_bit(self) -> int:
+    def read_bit(self) -> int:
+        """Inverse of ArithmeticEncoder.write_bit; named like BitReader's,
+        so read_gamma can decode from this stream."""
         bit = self.decode_target(2)
         self.consume(bit, bit + 1, 2)
         return bit
-
-    def decode_raw_bits(self, k: int) -> int:
-        v = 0
-        for _ in range(k):
-            v = (v << 1) | self.decode_raw_bit()
-        return v
 
 
 class AdaptiveModel:

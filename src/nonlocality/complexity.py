@@ -48,13 +48,6 @@ class ComplexityEstimate:
         return self.bits / (self.n * math.log2(self.q))
 
 
-@dataclass(frozen=True)
-class RateClass:
-    kind: str  # "zero" | "full" | "intermediate"
-    theta_zero: float
-    theta_full: float
-
-
 _CACHE: dict = {}
 
 
@@ -63,8 +56,13 @@ def clear_cache() -> None:
 
 
 def _raw_bits(s: SymbolString, est: Estimator, period: int = 1) -> int:
+    # keyed by value on what decides the bits: one id (external:NAME) may
+    # name different commands in different registries, and a registry is
+    # rebuilt on every get_estimator(name, None) call, so identity would miss
     key = (
+        type(est),
         est.estimator_id,
+        getattr(est, "cmd", None),
         s.q,
         period,
         hashlib.blake2b(s.data, digest_size=16).digest(),
@@ -154,23 +152,6 @@ def cond_mutual_info_est(
     k_a_c = estimate_k_cond(a, c, est).bits
     k_a_bc = estimate_k_cond(a, [b, c], est).bits
     return max(0.0, k_a_c - k_a_bc)
-
-
-def classify_rate(
-    e: ComplexityEstimate,
-    theta_zero: float = THETA_ZERO_DEFAULT,
-    theta_full: float = THETA_FULL_DEFAULT,
-) -> RateClass:
-    if not 0 <= theta_zero < theta_full <= 1:
-        raise ValueError("need 0 <= theta_zero < theta_full <= 1")
-    rate = e.rate
-    if rate <= theta_zero:
-        kind = "zero"
-    elif rate >= theta_full:
-        kind = "full"
-    else:
-        kind = "intermediate"
-    return RateClass(kind, theta_zero, theta_full)
 
 
 def classify_value(

@@ -18,7 +18,9 @@ from .coding import (
     BitReader,
     BitWriter,
     gamma_len,
+    read_gamma,
     read_uint,
+    write_gamma,
     write_uint,
 )
 from .strings import SymbolString, bits_per_symbol, pack_symbols, unpack_symbols
@@ -32,24 +34,20 @@ MODE_LITERAL = 0
 MODE_CODED = 1
 
 
-def _literal_writer(symbols: bytes, q: int, period: int) -> BitWriter:
-    w = BitWriter()
-    write_uint(w, q - 2)
-    write_uint(w, len(symbols))
-    write_uint(w, period - 1)
-    w.write_bit(MODE_LITERAL)
-    bps = bits_per_symbol(q)
-    for s in symbols:
-        w.write_bits(s, bps)
-    return w
-
-
-def _coded_writer(q: int, n: int, period: int) -> BitWriter:
+def _header_writer(q: int, n: int, period: int, mode: int) -> BitWriter:
     w = BitWriter()
     write_uint(w, q - 2)
     write_uint(w, n)
     write_uint(w, period - 1)
-    w.write_bit(MODE_CODED)
+    w.write_bit(mode)
+    return w
+
+
+def _literal_writer(symbols: bytes, q: int, period: int) -> BitWriter:
+    w = _header_writer(q, len(symbols), period, MODE_LITERAL)
+    bps = bits_per_symbol(q)
+    for s in symbols:
+        w.write_bits(s, bps)
     return w
 
 
@@ -100,7 +98,7 @@ class LZ78Estimator(Estimator):
     estimator_id = "lz78"
 
     def encode(self, symbols: bytes, q: int, period: int = 1) -> tuple[int, bytes]:
-        w = _coded_writer(q, len(symbols), period)
+        w = _header_writer(q, len(symbols), period, MODE_CODED)
         data = pack_symbols(symbols, q)
         if data:
             # trie: (node_code, byte) -> code
@@ -157,7 +155,7 @@ class LZ77Estimator(Estimator):
     estimator_id = "lz77"
 
     def encode(self, symbols: bytes, q: int, period: int = 1) -> tuple[int, bytes]:
-        w = _coded_writer(q, len(symbols), period)
+        w = _header_writer(q, len(symbols), period, MODE_CODED)
         enc = ArithmeticEncoder(w)
         flag = AdaptiveModel(2)
         lit = AdaptiveModel(q)
@@ -195,8 +193,8 @@ class LZ77Estimator(Estimator):
                 take = cost < best_len * avg
             if take:
                 flag.encode(enc, 0, 1)
-                _ac_write_gamma(enc, best_dist)
-                _ac_write_gamma(enc, best_len - ANCHOR + 1)
+                write_gamma(enc, best_dist)
+                write_gamma(enc, best_len - ANCHOR + 1)
                 end = i + best_len
                 while i < end:
                     if i + ANCHOR <= n:
@@ -225,8 +223,8 @@ class LZ77Estimator(Estimator):
         ctxspan = qq * qq
         while len(out) < n:
             if flag.decode(dec, 0):
-                dist = _ac_read_gamma(dec)
-                length = _ac_read_gamma(dec) + ANCHOR - 1
+                dist = read_gamma(dec)
+                length = read_gamma(dec) + ANCHOR - 1
                 start = len(out) - dist
                 if start < 0:
                     raise EstimatorError("corrupt LZ77 stream")
@@ -240,25 +238,6 @@ class LZ77Estimator(Estimator):
         return bytes(out)
 
 
-def _ac_write_gamma(enc: ArithmeticEncoder, value: int) -> None:
-    nbits = value.bit_length()
-    for _ in range(nbits - 1):
-        enc.encode_raw_bit(0)
-    enc.encode_raw_bits(value, nbits)
-
-
-def _ac_read_gamma(dec: ArithmeticDecoder) -> int:
-    zeros = 0
-    while dec.decode_raw_bit() == 0:
-        zeros += 1
-        if zeros > 64:
-            raise EstimatorError("corrupt gamma code")
-    value = 1
-    for _ in range(zeros):
-        value = (value << 1) | dec.decode_raw_bit()
-    return value
-
-
 class ContextEstimator(Estimator):
     """Order-k adaptive arithmetic coder: each symbol is predicted from the
     previous k symbols."""
@@ -270,7 +249,7 @@ class ContextEstimator(Estimator):
         self.estimator_id = f"ctx_{order}"
 
     def encode(self, symbols: bytes, q: int, period: int = 1) -> tuple[int, bytes]:
-        w = _coded_writer(q, len(symbols), period)
+        w = _header_writer(q, len(symbols), period, MODE_CODED)
         enc = ArithmeticEncoder(w)
         model = AdaptiveModel(q)
         k = self.order

@@ -19,9 +19,9 @@ import json
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
+from pathlib import Path
 
 from .complexity import (
-    RateClass,
     THETA_FULL_DEFAULT,
     THETA_ZERO_DEFAULT,
     binary_entropy,
@@ -36,7 +36,6 @@ from .games import (
     LocalityThresholds,
     NoSignalingSampler,
     Quadruple,
-    SignalingSampler,
     Strategy,
     locality_verdict,
     play,
@@ -211,6 +210,16 @@ def _strategy_desc(strategy: Strategy) -> dict:
     return {"kind": strategy.kind}
 
 
+def _play_seeded(game: GameSpec, strategy: Strategy, n: int, seed_set: SeedSet):
+    """One seeded run: uniform inputs over the game's alphabets, the
+    strategy's outputs, and the exact fraction of rounds won."""
+    a = gen_seeded_random(n, game.qA, seed_set.inputs.derive("a"))
+    b = gen_seeded_random(n, game.qB, seed_set.inputs.derive("b"))
+    x, y = play(strategy, game, a, b, seed_set.sampler, seed_set.noise)
+    quad = Quadruple(game, a, b, x, y)
+    return quad, satisfaction_fraction(quad)
+
+
 def run_theorem1(
     n: int,
     estimator: str,
@@ -224,12 +233,8 @@ def run_theorem1(
     incompressible: reports the raw and input-conditioned output
     complexities and the chain of inequalities behind the claim."""
     t0 = time.monotonic()
-    game = GameSpec.pr()
-    a = gen_seeded_random(n, 2, seed_set.inputs.derive("a"))
-    b = gen_seeded_random(n, 2, seed_set.inputs.derive("b"))
-    x, y = play(strategy, game, a, b, seed_set.sampler, seed_set.noise)
-    quad = Quadruple(game, a, b, x, y)
-    sat = satisfaction_fraction(quad)
+    quad, sat = _play_seeded(GameSpec.pr(), strategy, n, seed_set)
+    a, b, x, y = quad.a, quad.b, quad.x, quad.y
     ab = pointwise_product(a, b)
 
     kx = estimate_k(x, estimator, registry)
@@ -288,11 +293,8 @@ def run_theorem2(
     input, and given both, compared against the exact classical optimum."""
     t0 = time.monotonic()
     game = GameSpec.pr()
-    a = gen_seeded_random(n, 2, seed_set.inputs.derive("a"))
-    b = gen_seeded_random(n, 2, seed_set.inputs.derive("b"))
-    x, y = play(strategy, game, a, b, seed_set.sampler, seed_set.noise)
-    quad = Quadruple(game, a, b, x, y)
-    sat = satisfaction_fraction(quad)
+    quad, sat = _play_seeded(game, strategy, n, seed_set)
+    a, b, x, y = quad.a, quad.b, quad.x, quad.y
 
     kxa = estimate_k_cond(x, a, estimator, registry)
     kyb = estimate_k_cond(y, b, estimator, registry)
@@ -410,11 +412,8 @@ def run_magic_square(
     pair can (exact optimum 8/9, replayed here for contrast)."""
     t0 = time.monotonic()
     game = GameSpec.magic_square()
-    a = gen_seeded_random(n, 3, seed_set.inputs.derive("a"))
-    b = gen_seeded_random(n, 3, seed_set.inputs.derive("b"))
-    x, y = play(NoSignalingSampler(), game, a, b, seed_set.sampler, seed_set.noise)
-    quad = Quadruple(game, a, b, x, y)
-    sat = satisfaction_fraction(quad)
+    quad, sat = _play_seeded(game, NoSignalingSampler(), n, seed_set)
+    a, b, x = quad.a, quad.b, quad.x
 
     classical = game_value_exact(game)
     best = LocalDeterministic(classical.fa_table(), classical.fb_table())
@@ -539,8 +538,6 @@ def run_locality_suite(
 
 
 def write_report(report: ExperimentReport, jsonl_path, csv_path=None) -> None:
-    from pathlib import Path
-
     Path(jsonl_path).write_text(report.to_jsonl())
     if csv_path is not None:
         Path(csv_path).write_text(report.to_csv())

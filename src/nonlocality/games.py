@@ -7,7 +7,7 @@ All symbols are 0-based internally; chained inputs display as {1..m}
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 
@@ -20,10 +20,8 @@ from .strings import (
     FormatError,
     Seed,
     SymbolString,
-    chi_event,
     concat,
     interleave,
-    pointwise_product,
     promise_ok,
     read_syms,
     round_bits,
@@ -99,12 +97,9 @@ class GameSpec:
         self._check_inputs(a, b)
         if not (0 <= x < self.qX and 0 <= y < self.qY):
             raise ValueError(f"output symbol out of alphabet: x={x}, y={y}")
-        if self.kind == "pr":
-            return (x ^ y) == (a & b)
-        if self.kind == "chained":
-            target = 1 if (a == self.m - 1 and b == 0) else 0
-            return (x ^ y) == target
-        return _alice_cells(x)[b] == _bob_cells(y)[a]
+        if self.kind == "magic_square":
+            return _alice_cells(x)[b] == _bob_cells(y)[a]
+        return (x ^ y) == self.target_bit(a, b)
 
     def target_bit(self, a: int, b: int) -> int:
         """The bit x XOR y must equal (PR and chained games only)."""
@@ -132,12 +127,21 @@ class GameSpec:
         return self.kind
 
 
-def round_wins(game: GameSpec, a: int, b: int, x: int, y: int) -> bool:
-    return game.win(a, b, x, y)
+GAME_KINDS = ("pr", "chained", "magic_square")
 
 
-def promise_holds(game: GameSpec, a: int, b: int) -> bool:
-    return game.promise(a, b)
+def parse_game(kind, m=2) -> GameSpec:
+    """The game a kind string names (CLI flag, manifest or distribution
+    file); m is the chained game's ring size and must be an int >= 2."""
+    if kind == "pr":
+        return GameSpec.pr()
+    if kind == "magic_square":
+        return GameSpec.magic_square()
+    if kind != "chained":
+        raise FormatError(f"unknown game kind: {kind!r}")
+    if isinstance(m, bool) or not isinstance(m, int) or m < 2:
+        raise FormatError(f"ring size must be an integer >= 2, got {m!r}")
+    return GameSpec.chained(m)
 
 
 # --- strategies --------------------------------------------------------------
@@ -284,10 +288,6 @@ class Quadruple:
     @property
     def n(self) -> int:
         return self.a.n
-
-    def promise_violations(self) -> list[int]:
-        g = self.game
-        return [i for i in range(self.n) if not g.promise(self.a[i], self.b[i])]
 
 
 def satisfaction_fraction(quad: Quadruple) -> Fraction:
@@ -465,15 +465,7 @@ def load_quadruple(manifest_path) -> Quadruple:
         raise FormatError(f"missing manifest fields: {sorted(missing)}")
     if manifest["schema"] != 1:
         raise FormatError(f"unsupported manifest schema: {manifest['schema']}")
-    kind = manifest["game"]
-    if kind == "pr":
-        game = GameSpec.pr()
-    elif kind == "chained":
-        game = GameSpec.chained(int(manifest.get("m", 2)))
-    elif kind == "magic_square":
-        game = GameSpec.magic_square()
-    else:
-        raise FormatError(f"unknown game kind: {kind!r}")
+    game = parse_game(manifest["game"], manifest.get("m", 2))
     files = manifest["files"]
     if set(files) != {"a", "b", "x", "y"}:
         raise FormatError("manifest files must name exactly a, b, x, y")

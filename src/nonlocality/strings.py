@@ -150,10 +150,11 @@ class Seed:
 
     @classmethod
     def from_hex(cls, s: str) -> "Seed":
+        """Up to 64 hex digits, zero-padded on the right to 32 bytes."""
         raw = bytes.fromhex(s)
-        if len(raw) < 32:
-            raw = raw + bytes(32 - len(raw))
-        return cls(raw[:32])
+        if len(raw) > 32:
+            raise ValueError(f"seed has {len(raw)} bytes, at most 32 allowed")
+        return cls(raw + bytes(32 - len(raw)))
 
     def derive(self, label: str) -> "Seed":
         return Seed(hashlib.sha256(self.value + label.encode()).digest())

@@ -153,3 +153,58 @@ def test_exp_writes_report_and_echoes_config(capsys, tmp_path):
     assert header["config"]["which"] == "magic_square"
     assert header["config"]["seed"] == "3"
     assert csv_file.read_text().startswith("experiment,quantity,n,value,rate,class")
+
+
+@pytest.mark.parametrize(
+    "dist",
+    [
+        [1, 2],  # not an object
+        {"game": "pr", "p": [1]},  # "p" not an object
+        {"game": "pr", "p": {"a,b,c,d": "1/2"}},  # non-integer key
+        {"game": "chained", "m": "x", "p": {}},  # non-integer ring size
+    ],
+    ids=["array", "p_array", "key", "m"],
+)
+def test_oracle_fine_malformed_distribution_is_data_error(capsys, tmp_path, dist):
+    path = tmp_path / "dist.json"
+    path.write_text(json.dumps(dist))
+    code, _, err = run(capsys, "oracle", "--fine", str(path))
+    assert code == 2
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "cfg",
+    [{"n": [1]}, {"seed": 5}, {"estimator": []}, {"csv": 5}],
+    ids=["n_list", "seed_int", "estimator_list", "csv_int"],
+)
+def test_config_value_of_wrong_type_is_data_error(capsys, tmp_path, cfg):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    out = tmp_path / "r.jsonl"
+    code, _, err = run(
+        capsys, "exp", "--which", "theorem1", "--config", str(path), "--out", str(out)
+    )
+    assert code == 2
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "seed", ["-1", str(2**256), "zz", "ab" * 33], ids=["negative", "too_big", "not_hex", "65_bytes"]
+)
+def test_bad_seed_is_usage_error(capsys, tmp_path, seed):
+    out = tmp_path / "s.syms"
+    argv = ["gen", "--kind", "random", "--n", "8", "--out", str(out)]
+    code, _, err = run(capsys, *argv, "--seed", seed)
+    assert code == 1 and "--seed" in err and not out.exists()
+    code, _, err = run(
+        capsys, "play", "--game", "pr", "--strategy", "nosig",
+        "--a", "a.syms", "--b", "b.syms", "--noise-seed", seed,
+    )
+    assert code == 1 and "--noise-seed" in err
+    # the largest seeds still parse, and the text is echoed as given
+    cfg = tmp_path / "cfg.json"
+    code, _, _ = run(
+        capsys, *argv, "--seed", "ab" * 32, "--emit-config", str(cfg)
+    )
+    assert code == 0 and json.loads(cfg.read_text())["seed"] == "ab" * 32

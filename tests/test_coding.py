@@ -92,10 +92,23 @@ def test_raw_bits_through_arithmetic_coder():
     w = BitWriter()
     enc = ArithmeticEncoder(w)
     for b in bits:
-        enc.encode_raw_bit(b)
+        enc.write_bit(b)
     enc.finish()
     r = BitReader(w.getvalue())
     dec = ArithmeticDecoder(r)
-    assert [dec.decode_raw_bit() for _ in bits] == bits
+    assert [dec.read_bit() for _ in bits] == bits
     # raw bits cost one coded bit each, give or take the flush
     assert abs(w.bit_count - len(bits)) <= 64
+
+
+def test_gamma_codes_through_arithmetic_coder():
+    # the coder exposes the BitWriter/BitReader bit calls, so the same gamma
+    # functions write and read codes inside a coded stream
+    values = [1, 2, 3, 17, 1000, 2**40 + 5]
+    w = BitWriter()
+    enc = ArithmeticEncoder(w)
+    for v in values:
+        write_gamma(enc, v)
+    enc.finish()
+    dec = ArithmeticDecoder(BitReader(w.getvalue()))
+    assert [read_gamma(dec) for _ in values] == values

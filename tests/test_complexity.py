@@ -1,8 +1,10 @@
 import math
+import sys
 from fractions import Fraction
 
 import pytest
 
+from nonlocality import complexity
 from nonlocality.complexity import (
     CANDIDATE_TAG_BITS,
     binary_entropy,
@@ -16,6 +18,7 @@ from nonlocality.complexity import (
     mutual_info_est,
     overhead,
 )
+from nonlocality.estimators import make_registry
 from nonlocality.strings import Seed, SymbolString, gen_computable, gen_seeded_random
 
 
@@ -115,3 +118,17 @@ def test_cache_is_transparent():
     clear_cache()
     third = estimate_k(x, "lz78").bits
     assert first == second == third
+
+
+def test_cache_tells_external_commands_apart():
+    # one id, two commands: an estimate from one registry must never be
+    # served for the other
+    zeros = gen_computable("zeros", 4096)
+    tiny = f"{sys.executable} -c 'import sys;sys.stdin.read();sys.stdout.write(\"ab\")'"
+    cat = f"{sys.executable} -c 'import sys;sys.stdout.buffer.write(sys.stdin.buffer.read())'"
+    clear_cache()
+    assert estimate_k(zeros, "external:z", make_registry({"z": tiny})).bits == 8 * 2 + 32
+    assert estimate_k(zeros, "external:z", make_registry({"z": cat})).bits == 8 * 512 + 32
+    # the key is by value: an equal command in a fresh registry is a hit
+    assert estimate_k(zeros, "external:z", make_registry({"z": tiny})).bits == 8 * 2 + 32
+    assert len(complexity._CACHE) == 2

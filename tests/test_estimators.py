@@ -2,8 +2,10 @@ import sys
 
 import pytest
 
+from nonlocality.coding import AdaptiveModel, ArithmeticEncoder, BitWriter, write_uint
 from nonlocality.estimators import (
     EstimatorError,
+    LZ77Estimator,
     ExternalEstimator,
     default_registry,
     get_estimator,
@@ -87,3 +89,19 @@ def test_external_estimator_bits_formula():
     est = get_estimator("external:tiny", reg)
     bits, _ = est.encode(b"\x00\x01" * 50, 2)
     assert bits == 8 * 2 + 32
+
+
+def test_corrupt_lz77_match_gamma_is_rejected_like_a_header_gamma():
+    # header (q=2, n=64, period=1, coded) then a match flag followed by a
+    # run of zeros longer than any gamma code allows
+    w = BitWriter()
+    for v in (0, 64, 0):
+        write_uint(w, v)
+    w.write_bit(1)
+    enc = ArithmeticEncoder(w)
+    AdaptiveModel(2).encode(enc, 0, 1)
+    for _ in range(80):
+        enc.write_bit(0)
+    enc.finish()
+    with pytest.raises(ValueError, match="malformed gamma code"):
+        LZ77Estimator().decode(w.getvalue())

@@ -14,9 +14,8 @@ from nonlocality.games import (
     load_quadruple,
     locality_verdict,
     ns_report,
+    parse_game,
     play,
-    promise_holds,
-    round_wins,
     satisfaction_fraction,
     save_quadruple,
 )
@@ -37,17 +36,26 @@ def test_pr_win_table():
         for b in range(2):
             for x in range(2):
                 for y in range(2):
-                    assert round_wins(g, a, b, x, y) == ((x ^ y) == (a & b))
-            assert promise_holds(g, a, b)
+                    assert g.win(a, b, x, y) == ((x ^ y) == (a & b))
+            assert g.promise(a, b)
 
 
 def test_chained_promise_and_win():
     g = GameSpec.chained(4)
-    assert promise_holds(g, 1, 1) and promise_holds(g, 1, 2)
-    assert not promise_holds(g, 1, 3)
+    assert g.promise(1, 1) and g.promise(1, 2)
+    assert not g.promise(1, 3)
     # only the wrap-around pair demands a mismatch
-    assert round_wins(g, 3, 0, 0, 1) and not round_wins(g, 3, 0, 0, 0)
-    assert round_wins(g, 2, 2, 1, 1) and not round_wins(g, 2, 3, 1, 0)
+    assert g.win(3, 0, 0, 1) and not g.win(3, 0, 0, 0)
+    assert g.win(2, 2, 1, 1) and not g.win(2, 3, 1, 0)
+
+
+def test_parse_game_is_the_one_kind_parser():
+    assert parse_game("pr") == GameSpec.pr()
+    assert parse_game("chained", 5) == GameSpec.chained(5)
+    assert parse_game("magic_square", "ignored") == GameSpec.magic_square()
+    for kind, m in (("nope", 2), (None, 2), ("chained", 1), ("chained", "5"), ("chained", True)):
+        with pytest.raises(FormatError):
+            parse_game(kind, m)
 
 
 def test_magic_square_win_table_against_hand_decode():
@@ -67,7 +75,7 @@ def test_magic_square_win_table_against_hand_decode():
                     assert sum(alice) % 2 == 0
                     assert sum(bob) % 2 == 1
                     expected = alice[col] == bob[row]
-                    assert round_wins(g, row, col, x, y) == expected
+                    assert g.win(row, col, x, y) == expected
 
 
 def test_nosig_sampler_eps_zero_wins_every_round():

@@ -134,3 +134,10 @@ def test_syms_rejects_trailing_and_bad_header(tmp_path):
     p.write_bytes(b"NOTSYMS\n")
     with pytest.raises(FormatError):
         read_syms(p)
+
+
+def test_seed_from_hex_pads_short_and_rejects_long():
+    assert Seed.from_hex("ab").value == b"\xab" + bytes(31)
+    assert Seed.from_hex("cd" * 32).value == b"\xcd" * 32
+    with pytest.raises(ValueError):
+        Seed.from_hex("cd" * 33)
