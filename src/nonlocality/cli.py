@@ -97,6 +97,32 @@ def _seed_text(text: str) -> str:
     return text
 
 
+def _bounded_int(text, lo: int, hi: int | None = None) -> int:
+    try:
+        value = int(text)
+    except (TypeError, ValueError) as exc:
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from exc
+    if value < lo or (hi is not None and value > hi):
+        bound = f"in {lo}..{hi}" if hi is not None else f">= {lo}"
+        raise argparse.ArgumentTypeError(f"must be {bound}: {text!r}")
+    return value
+
+
+def _length(text) -> int:
+    """argparse type of gen --n: a string length, 0 allowed."""
+    return _bounded_int(text, 0)
+
+
+def _positive(text) -> int:
+    """argparse type of exp --n and oracle --reps."""
+    return _bounded_int(text, 1)
+
+
+def _alphabet(text) -> int:
+    """argparse type of --q: symbols are stored one per byte."""
+    return _bounded_int(text, 2, 256)
+
+
 def _parse_table(text: str) -> tuple:
     return tuple(int(v) for v in text.split(","))
 
@@ -378,8 +404,8 @@ def build_parser() -> _Parser:
     p = sub.add_parser("gen", help="generate symbol strings")
     _add_common(p)
     p.add_argument("--kind", required=True, choices=COMPUTABLE_KINDS + ("random", "promise"))
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--q", type=int, default=2)
+    p.add_argument("--n", type=_length, required=True)
+    p.add_argument("--q", type=_alphabet, default=2)
     p.add_argument("--m", type=int, default=2)
     p.add_argument("--seed", type=_seed_text, default="0")
     p.add_argument("--out-b", dest="out_b", help="second output (promise inputs)")
@@ -432,7 +458,7 @@ def build_parser() -> _Parser:
     _add_common(p)
     p.add_argument("--game", default="pr", choices=GAME_KINDS)
     p.add_argument("--m", type=int, default=2)
-    p.add_argument("--reps", type=int, default=1)
+    p.add_argument("--reps", type=_positive, default=1)
     p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--fine", help="distribution JSON for membership testing")
     p.add_argument("--marginals", action="store_true", help="marginal extremes LP")
@@ -452,7 +478,7 @@ def build_parser() -> _Parser:
         required=True,
         choices=("theorem1", "theorem2", "theorem3", "magic_square", "locality_suite"),
     )
-    p.add_argument("--n", type=int, default=DEFAULT_N)
+    p.add_argument("--n", type=_positive, default=DEFAULT_N)
     p.add_argument("--m", type=int, default=8)
     p.add_argument("--eps", type=Fraction)
     p.add_argument("--strategy", default="nosig", choices=("nosig", "signaling", "local"))
@@ -492,6 +518,16 @@ def _apply_config(parser: _Parser, argv: list) -> None:
         if dest not in _SKIP_CONFIG_KEYS:
             cleaned[dest] = _coerce_config_value(sp, dest, v)
     sp.set_defaults(**cleaned)
+    # argparse checks a required flag on the command line even when it has
+    # a default, so a flag the config supplies stops being required
+    for action in sp._actions:  # noqa: SLF001
+        if cleaned.get(action.dest) is not None:
+            action.required = False
+
+
+# flag types that parse every config value, not only text: a JSON number is
+# read like the flag's text, and a seed that is not text is rejected
+_CHECKED_TYPES = (int, float, _length, _positive, _alphabet, _seed_text)
 
 
 def _coerce_config_value(subparser, dest, value):
@@ -512,7 +548,7 @@ def _coerce_config_value(subparser, dest, value):
             if not ok:
                 raise FormatError(f"bad config value for {dest}: {value!r}")
         # numbers go to int/float; a seed must be text, like the echo
-        elif isinstance(value, str) or action.type in (int, float, _seed_text):
+        elif isinstance(value, str) or action.type in _CHECKED_TYPES:
             try:
                 return action.type(value)
             except (TypeError, ValueError, argparse.ArgumentTypeError) as exc:

@@ -4,49 +4,78 @@ from __future__ import annotations
 
 
 class BitWriter:
+    """Bits in stream order, buffered as ASCII '0'/'1' (one byte per bit) so
+    runs append in one step, and packed once by getvalue: stream bit i is
+    bit i % 8 of byte i // 8."""
+
     def __init__(self) -> None:
-        self._buf = bytearray()
-        self._acc = 0
-        self._nbits = 0
-        self.bit_count = 0
+        self._bits = bytearray()
+
+    @property
+    def bit_count(self) -> int:
+        return len(self._bits)
 
     def write_bit(self, bit: int) -> None:
-        self._acc |= (bit & 1) << self._nbits
-        self._nbits += 1
-        self.bit_count += 1
-        if self._nbits == 8:
-            self._buf.append(self._acc)
-            self._acc = 0
-            self._nbits = 0
+        self._bits.append(49 if bit & 1 else 48)
 
     def write_bits(self, value: int, k: int) -> None:
-        for i in range(k - 1, -1, -1):
-            self.write_bit((value >> i) & 1)
+        """The low k bits of value, most significant first."""
+        if k > 0:
+            self._bits += bin((value & ((1 << k) - 1)) | (1 << k))[3:].encode()
+
+    def write_fields(self, values: bytes, k: int) -> None:
+        """Each of values as write_bits(value, k) would write it, 1 <= k <= 8:
+        one strided slice per bit position, no per-value work."""
+        start = len(self._bits)
+        self._bits += bytes(len(values) * k)
+        for j in range(k):
+            self._bits[start + j :: k] = values.translate(_BIT_ASCII[k - 1 - j])
 
     def getvalue(self) -> bytes:
-        if self._nbits:
-            return bytes(self._buf) + bytes([self._acc])
-        return bytes(self._buf)
+        n = len(self._bits)
+        if not n:
+            return b""
+        return int(self._bits[::-1], 2).to_bytes((n + 7) >> 3, "little")
+
+
+# _BIT_ASCII[j] maps a byte to its bit j as ASCII '0'/'1'; _ASCII_BIT undoes that
+_BIT_ASCII = [bytes(48 + ((v >> j) & 1) for v in range(256)) for j in range(8)]
+_ASCII_BIT = bytes.maketrans(b"01", b"\x00\x01")
 
 
 class BitReader:
     def __init__(self, data: bytes) -> None:
-        self._data = data
+        # stream order, as ASCII '0'/'1'; see BitWriter
+        bits = bytearray(8 * len(data))
+        for j in range(8):
+            bits[j::8] = data.translate(_BIT_ASCII[j])
+        self._bits = bytes(bits)
         self._pos = 0
 
     def read_bit(self) -> int:
-        byte = self._pos >> 3
-        if byte >= len(self._data):
+        pos = self._pos
+        if pos >= len(self._bits):
             return 0  # zero padding past the end
-        bit = (self._data[byte] >> (self._pos & 7)) & 1
-        self._pos += 1
-        return bit
+        self._pos = pos + 1
+        return self._bits[pos] - 48
 
     def read_bits(self, k: int) -> int:
-        v = 0
-        for _ in range(k):
-            v = (v << 1) | self.read_bit()
-        return v
+        """k bits, most significant first; zero padding past the end."""
+        if k <= 0:
+            return 0
+        pos = self._pos
+        chunk = self._bits[pos : pos + k]
+        self._pos = pos + k
+        return int(chunk, 2) << (k - len(chunk)) if chunk else 0
+
+    def read_fields(self, n: int, k: int) -> bytes:
+        """n values of 1 <= k <= 8 bits, as read_bits(k) would read them."""
+        pos = self._pos
+        chunk = self._bits[pos : pos + n * k].ljust(n * k, b"0")
+        self._pos = pos + n * k
+        if k == 1:
+            return chunk.translate(_ASCII_BIT)
+        return bytes(int(chunk[i : i + k], 2) for i in range(0, n * k, k))
 
 
 def gamma_len(value: int) -> int:
@@ -99,38 +128,55 @@ _THREE_Q = 3 << 30
 
 
 class ArithmeticEncoder:
+    """Witten-Neal-Cleary integer arithmetic coder over a 32-bit range.
+
+    Output bits go straight into the writer's buffer. Underflow (pending)
+    bits are held back until the next decided bit and then written with it
+    as one run, so writer.bit_count never counts pending bits.
+    """
+
     def __init__(self, writer: BitWriter) -> None:
-        self._w = writer
+        self._out = writer._bits
         self._low = 0
         self._high = _TOP
         self._pending = 0
 
-    def _emit(self, bit: int) -> None:
-        self._w.write_bit(bit)
-        opp = bit ^ 1
-        while self._pending:
-            self._w.write_bit(opp)
-            self._pending -= 1
-
-    def encode(self, cum_lo: int, cum_hi: int, total: int) -> None:
-        span = self._high - self._low + 1
-        self._high = self._low + span * cum_hi // total - 1
-        self._low = self._low + span * cum_lo // total
+    def encode(self, cum_lo: int, cum_hi: int, total: int) -> int:
+        """Narrow the range to [cum_lo, cum_hi) of total; returns the
+        writer's bit_count after the bits this decided."""
+        low = self._low
+        span = self._high - low + 1
+        high = low + span * cum_hi // total - 1
+        low += span * cum_lo // total
+        pending = self._pending
+        out = self._out
         while True:
-            if self._high < _HALF:
-                self._emit(0)
-            elif self._low >= _HALF:
-                self._emit(1)
-                self._low -= _HALF
-                self._high -= _HALF
-            elif self._low >= _QUARTER and self._high < _THREE_Q:
-                self._pending += 1
-                self._low -= _QUARTER
-                self._high -= _QUARTER
+            if high < _HALF:
+                if pending:
+                    out += b"0" + b"1" * pending
+                    pending = 0
+                else:
+                    out.append(48)
+            elif low >= _HALF:
+                if pending:
+                    out += b"1" + b"0" * pending
+                    pending = 0
+                else:
+                    out.append(49)
+                low -= _HALF
+                high -= _HALF
+            elif low >= _QUARTER and high < _THREE_Q:
+                pending += 1
+                low -= _QUARTER
+                high -= _QUARTER
             else:
                 break
-            self._low <<= 1
-            self._high = (self._high << 1) | 1
+            low <<= 1
+            high = (high << 1) | 1
+        self._low = low
+        self._high = high
+        self._pending = pending
+        return len(out)
 
     def write_bit(self, bit: int) -> None:
         """A bit at fixed probability 1/2 (costs exactly one binary split).
@@ -142,11 +188,9 @@ class ArithmeticEncoder:
             self.write_bit((value >> i) & 1)
 
     def finish(self) -> None:
-        self._pending += 1
-        if self._low < _QUARTER:
-            self._emit(0)
-        else:
-            self._emit(1)
+        run = self._pending + 1
+        self._out += b"0" + b"1" * run if self._low < _QUARTER else b"1" + b"0" * run
+        self._pending = 0
 
 
 class ArithmeticDecoder:
@@ -154,34 +198,41 @@ class ArithmeticDecoder:
         self._r = reader
         self._low = 0
         self._high = _TOP
-        self._code = 0
-        for _ in range(32):
-            self._code = (self._code << 1) | reader.read_bit()
+        self._code = reader.read_bits(32)
 
     def decode_target(self, total: int) -> int:
         span = self._high - self._low + 1
         return ((self._code - self._low + 1) * total - 1) // span
 
     def consume(self, cum_lo: int, cum_hi: int, total: int) -> None:
-        span = self._high - self._low + 1
-        self._high = self._low + span * cum_hi // total - 1
-        self._low = self._low + span * cum_lo // total
+        low = self._low
+        span = self._high - low + 1
+        high = low + span * cum_hi // total - 1
+        low += span * cum_lo // total
+        code = self._code
+        shifts = 0
         while True:
-            if self._high < _HALF:
+            if high < _HALF:
                 pass
-            elif self._low >= _HALF:
-                self._low -= _HALF
-                self._high -= _HALF
-                self._code -= _HALF
-            elif self._low >= _QUARTER and self._high < _THREE_Q:
-                self._low -= _QUARTER
-                self._high -= _QUARTER
-                self._code -= _QUARTER
+            elif low >= _HALF:
+                low -= _HALF
+                high -= _HALF
+                code -= _HALF
+            elif low >= _QUARTER and high < _THREE_Q:
+                low -= _QUARTER
+                high -= _QUARTER
+                code -= _QUARTER
             else:
                 break
-            self._low <<= 1
-            self._high = (self._high << 1) | 1
-            self._code = (self._code << 1) | self._r.read_bit()
+            low <<= 1
+            high = (high << 1) | 1
+            code <<= 1
+            shifts += 1
+        self._low = low
+        self._high = high
+        # the bits shifted in are read as one run: code is only shifted and
+        # offset inside the loop, so adding them afterwards is exact
+        self._code = code | self._r.read_bits(shifts) if shifts else code
 
     def read_bit(self) -> int:
         """Inverse of ArithmeticEncoder.write_bit; named like BitReader's,
@@ -194,47 +245,52 @@ class ArithmeticDecoder:
 class AdaptiveModel:
     """Per-context symbol frequencies with Laplace(1) initialisation.
 
-    Contexts are arbitrary hashable keys; each holds counts over {0..q-1},
-    rescaled when the total grows large so the coder's 32-bit range
-    arithmetic stays exact.
+    Contexts are arbitrary hashable keys; each table holds the counts over
+    {0..q-1} followed by their total, and is rescaled when a count grows
+    large so the coder's 32-bit range arithmetic stays exact. Hot loops may
+    read `tables` directly and apply the same update inline.
     """
 
+    STEP = 32
     RESCALE = 1 << 14
 
     def __init__(self, q: int) -> None:
         self.q = q
-        self._tables: dict = {}
+        self.tables: dict = {}
 
-    def _counts(self, ctx) -> list:
-        t = self._tables.get(ctx)
+    def table(self, ctx) -> list:
+        t = self.tables.get(ctx)
         if t is None:
-            t = [1] * self.q
-            self._tables[ctx] = t
+            t = self.tables[ctx] = [1] * self.q + [self.q]
         return t
 
     def encode(self, enc: ArithmeticEncoder, ctx, symbol: int) -> None:
-        counts = self._counts(ctx)
-        cum = 0
-        for s in range(symbol):
-            cum += counts[s]
-        enc.encode(cum, cum + counts[symbol], sum(counts))
-        self._update(counts, symbol)
+        t = self.table(ctx)
+        cum = sum(t[:symbol])
+        enc.encode(cum, cum + t[symbol], t[self.q])
+        self.update(t, symbol)
 
     def decode(self, dec: ArithmeticDecoder, ctx) -> int:
-        counts = self._counts(ctx)
-        total = sum(counts)
+        t = self.table(ctx)
+        total = t[self.q]
         target = dec.decode_target(total)
         cum = 0
         symbol = 0
-        while cum + counts[symbol] <= target:
-            cum += counts[symbol]
+        while cum + t[symbol] <= target:
+            cum += t[symbol]
             symbol += 1
-        dec.consume(cum, cum + counts[symbol], total)
-        self._update(counts, symbol)
+        dec.consume(cum, cum + t[symbol], total)
+        self.update(t, symbol)
         return symbol
 
-    def _update(self, counts: list, symbol: int) -> None:
-        counts[symbol] += 32
-        if counts[symbol] >= self.RESCALE:
-            for s in range(self.q):
-                counts[s] = (counts[s] + 1) >> 1
+    def update(self, t: list, symbol: int) -> None:
+        t[symbol] += self.STEP
+        t[self.q] += self.STEP
+        if t[symbol] >= self.RESCALE:
+            self.rescale(t)
+
+    def rescale(self, t: list) -> None:
+        q = self.q
+        for s in range(q):
+            t[s] = (t[s] + 1) >> 1
+        t[q] = sum(t[:q])

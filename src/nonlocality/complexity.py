@@ -89,13 +89,18 @@ def _weave(conds: list[SymbolString], n: int, subject: SymbolString | None) -> S
     q = max(c.q for c in conds)
     if subject is not None:
         q = max(q, subject.q)
-    out = bytearray()
+    # position i holds each condition's i-th block of c.n // n symbols, then
+    # the subject's i-th symbol; each offset in that frame is one strided slice
     ratios = [c.n // n for c in conds]
-    for i in range(n):
-        for c, r in zip(conds, ratios):
-            out.extend(c.data[i * r : (i + 1) * r])
-        if subject is not None:
-            out.append(subject.data[i])
+    width = sum(ratios) + (subject is not None)
+    out = bytearray(n * width)
+    offset = 0
+    for c, r in zip(conds, ratios):
+        for k in range(r):
+            out[offset + k :: width] = c.data[k : n * r : r]
+        offset += r
+    if subject is not None:
+        out[offset::width] = subject.data
     return SymbolString(q, bytes(out))
 
 

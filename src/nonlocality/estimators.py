@@ -17,9 +17,9 @@ from .coding import (
     ArithmeticEncoder,
     BitReader,
     BitWriter,
-    gamma_len,
     read_gamma,
     read_uint,
+    uint_len,
     write_gamma,
     write_uint,
 )
@@ -43,12 +43,9 @@ def _header_writer(q: int, n: int, period: int, mode: int) -> BitWriter:
     return w
 
 
-def _literal_writer(symbols: bytes, q: int, period: int) -> BitWriter:
-    w = _header_writer(q, len(symbols), period, MODE_LITERAL)
-    bps = bits_per_symbol(q)
-    for s in symbols:
-        w.write_bits(s, bps)
-    return w
+def _literal_len(q: int, n: int, period: int) -> int:
+    """Bit length of the verbatim mode: header, then bits_per_symbol(q) per symbol."""
+    return uint_len(q - 2) + uint_len(n) + uint_len(period - 1) + 1 + n * bits_per_symbol(q)
 
 
 class Estimator:
@@ -73,8 +70,7 @@ class Estimator:
         period = read_uint(r) + 1
         mode = r.read_bit()
         if mode == MODE_LITERAL:
-            bps = bits_per_symbol(q)
-            return q, bytes(r.read_bits(bps) for _ in range(n))
+            return q, r.read_fields(n, bits_per_symbol(q))
         return q, self._decode_payload(r, q, n, period)
 
     def _decode_payload(self, r: BitReader, q: int, n: int, period: int) -> bytes:
@@ -83,9 +79,12 @@ class Estimator:
     def _pick(
         self, symbols: bytes, q: int, period: int, coded: BitWriter
     ) -> tuple[int, bytes]:
-        literal = _literal_writer(symbols, q, period)
-        best = coded if coded.bit_count < literal.bit_count else literal
-        return best.bit_count, best.getvalue()
+        literal = _literal_len(q, len(symbols), period)
+        if coded.bit_count < literal:
+            return coded.bit_count, coded.getvalue()
+        w = _header_writer(q, len(symbols), period, MODE_LITERAL)
+        w.write_fields(symbols, bits_per_symbol(q))
+        return literal, w.getvalue()
 
 
 class LZ78Estimator(Estimator):
@@ -146,6 +145,33 @@ ANCHOR = 16  # minimum match length; also the hash-key width
 MAX_CHAIN = 16
 
 
+_SCAN = ANCHOR + 32  # match lengths up to here are found symbol by symbol
+
+
+def _extend_match(symbols: bytes, j: int, i: int, n: int, length: int) -> int:
+    """Length of the common prefix of symbols[j:] and symbols[i:n], given
+    that the first `length` symbols agree: compares slices of doubling
+    width, then halves inside the one that differs."""
+    width = 16
+    while True:
+        m = min(width, n - i - length)
+        if not m:
+            return length
+        if symbols[j + length : j + length + m] != symbols[i + length : i + length + m]:
+            break
+        length += m
+        width <<= 1
+    # the first mismatch lies within the next m symbols
+    while m > 1:
+        h = m >> 1
+        if symbols[j + length : j + length + h] == symbols[i + length : i + length + h]:
+            length += h
+            m -= h
+        else:
+            m = h
+    return length
+
+
 class LZ77Estimator(Estimator):
     """Long-range copy detection over the full window, with literals coded
     by an order-2 adaptive context model. Matches shorter than ANCHOR
@@ -157,8 +183,13 @@ class LZ77Estimator(Estimator):
     def encode(self, symbols: bytes, q: int, period: int = 1) -> tuple[int, bytes]:
         w = _header_writer(q, len(symbols), period, MODE_CODED)
         enc = ArithmeticEncoder(w)
-        flag = AdaptiveModel(2)
+        code = enc.encode
+        flag_model = AdaptiveModel(2)
+        flag = flag_model.table(0)
         lit = AdaptiveModel(q)
+        tables = lit.tables
+        step = AdaptiveModel.STEP
+        rescale = AdaptiveModel.RESCALE
         n = len(symbols)
         bps = bits_per_symbol(q)
         table: dict = {}
@@ -172,44 +203,64 @@ class LZ77Estimator(Estimator):
         while i < n:
             best_len = 0
             best_dist = 0
-            if i + ANCHOR <= n:
-                key = symbols[i : i + ANCHOR]
+            key = symbols[i : i + ANCHOR] if i + ANCHOR <= n else None
+            if key is not None:
                 cands = table.get(key)
                 if cands:
+                    # most extensions end within a few symbols, where single
+                    # compares are cheaper than slices; past _SCAN symbols
+                    # _extend_match goes on by slices
+                    stop = min(n - i, _SCAN)
                     for j in cands[-MAX_CHAIN:][::-1]:
                         # overlapping matches are fine: the decoder copies
                         # symbol by symbol, so comparing source positions
                         # beyond i is exactly what it will reproduce
                         length = ANCHOR
-                        while i + length < n and symbols[j + length] == symbols[i + length]:
+                        while length < stop and symbols[j + length] == symbols[i + length]:
                             length += 1
+                        if length == _SCAN:
+                            length = _extend_match(symbols, j, i, n, length)
                         if length > best_len:
                             best_len = length
                             best_dist = i - j
             take = False
             if best_len:
-                cost = gamma_len(best_dist) + gamma_len(best_len - ANCHOR + 1) + 2
+                # gamma_len(best_dist) + gamma_len(best_len - ANCHOR + 1) + 2
+                cost = 2 * (best_dist.bit_length() + (best_len - ANCHOR + 1).bit_length())
                 avg = lit_bits / lit_syms if lit_syms >= 64 else bps
                 take = cost < best_len * avg
             if take:
-                flag.encode(enc, 0, 1)
+                flag_model.encode(enc, 0, 1)
                 write_gamma(enc, best_dist)
                 write_gamma(enc, best_len - ANCHOR + 1)
                 end = i + best_len
-                while i < end:
-                    if i + ANCHOR <= n:
-                        table.setdefault(symbols[i : i + ANCHOR], []).append(i)
-                    i += 1
+                for p in range(i, min(end, n - ANCHOR + 1)):
+                    table.setdefault(symbols[p : p + ANCHOR], []).append(p)
+                i = end
             else:
-                flag.encode(enc, 0, 0)
+                # the flag then the literal, each one coder call with the
+                # model's table update applied inline
+                c0 = flag[0]
+                before = code(0, c0, flag[2])
+                flag[0] = c0 + step
+                flag[2] += step
+                if c0 + step >= rescale:
+                    flag_model.rescale(flag)
+                s = symbols[i]
                 p1 = symbols[i - 1] if i >= 1 else q
                 p2 = symbols[i - 2] if i >= 2 else q
-                before = w.bit_count
-                lit.encode(enc, (i % period) * ctxspan + p2 * qq + p1, symbols[i])
-                lit_bits += w.bit_count - before
+                ctx = (i % period) * ctxspan + p2 * qq + p1
+                t = tables.get(ctx) or lit.table(ctx)
+                cum = sum(t[:s]) if s else 0
+                c = t[s]
+                lit_bits += code(cum, cum + c, t[q]) - before
                 lit_syms += 1
-                if i + ANCHOR <= n:
-                    table.setdefault(symbols[i : i + ANCHOR], []).append(i)
+                t[s] = c + step
+                t[q] += step
+                if c + step >= rescale:
+                    lit.rescale(t)
+                if key is not None:
+                    table.setdefault(key, []).append(i)
                 i += 1
         enc.finish()
         return self._pick(symbols, q, period, w)
@@ -251,15 +302,28 @@ class ContextEstimator(Estimator):
     def encode(self, symbols: bytes, q: int, period: int = 1) -> tuple[int, bytes]:
         w = _header_writer(q, len(symbols), period, MODE_CODED)
         enc = ArithmeticEncoder(w)
+        code = enc.encode
         model = AdaptiveModel(q)
+        tables = model.tables
+        step = AdaptiveModel.STEP
+        rescale = AdaptiveModel.RESCALE
         k = self.order
         qq = q + 1
         mod = qq**k if k else 1
         ctx = 0
         for _ in range(k):
             ctx = ctx * qq + q  # sentinel padding
+        # one coder call per symbol, with the model's table update inline
         for i, s in enumerate(symbols):
-            model.encode(enc, (i % period) * mod + ctx if k else i % period, s)
+            key = (i % period) * mod + ctx if k else i % period
+            t = tables.get(key) or model.table(key)
+            cum = sum(t[:s]) if s else 0
+            c = t[s]
+            code(cum, cum + c, t[q])
+            t[s] = c + step
+            t[q] += step
+            if c + step >= rescale:
+                model.rescale(t)
             if k:
                 ctx = (ctx * qq + s) % mod
         enc.finish()

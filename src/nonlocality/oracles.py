@@ -31,6 +31,19 @@ class Distribution:
     def __post_init__(self):
         g = self.game
         pairs = g.promise_pairs()
+        # an entry the checks below never read would be silently dropped
+        on_promise = set(pairs)
+        for key in self.p:
+            if not (
+                isinstance(key, tuple)
+                and len(key) == 4
+                and key[:2] in on_promise
+                and 0 <= key[2] < g.qX
+                and 0 <= key[3] < g.qY
+            ):
+                raise ValueError(
+                    f"entry {key!r} is outside the game's alphabets or off the promise"
+                )
         for (a, b) in pairs:
             total = ZERO
             for x in range(g.qX):

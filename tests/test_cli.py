@@ -155,6 +155,9 @@ def test_exp_writes_report_and_echoes_config(capsys, tmp_path):
     assert csv_file.read_text().startswith("experiment,quantity,n,value,rate,class")
 
 
+_PR_BOX = {f"{a},{b},{x},{x ^ (a & b)}": "1/2" for a in range(2) for b in range(2) for x in range(2)}
+
+
 @pytest.mark.parametrize(
     "dist",
     [
@@ -162,8 +165,15 @@ def test_exp_writes_report_and_echoes_config(capsys, tmp_path):
         {"game": "pr", "p": [1]},  # "p" not an object
         {"game": "pr", "p": {"a,b,c,d": "1/2"}},  # non-integer key
         {"game": "chained", "m": "x", "p": {}},  # non-integer ring size
+        {"game": "pr", "p": {**_PR_BOX, "5,5,0,0": "1/2"}},  # outside the alphabets
+        {  # (0, 2) is off the chained(3) promise; the rest is a local box
+            "game": "chained",
+            "m": 3,
+            "p": {**{f"{a},{b},0,0": "1" for a in range(3) for b in (a, (a + 1) % 3)},
+                  "0,2,0,0": "0"},
+        },
     ],
-    ids=["array", "p_array", "key", "m"],
+    ids=["array", "p_array", "key", "m", "outside_alphabet", "off_promise"],
 )
 def test_oracle_fine_malformed_distribution_is_data_error(capsys, tmp_path, dist):
     path = tmp_path / "dist.json"
@@ -208,3 +218,42 @@ def test_bad_seed_is_usage_error(capsys, tmp_path, seed):
         capsys, *argv, "--seed", "ab" * 32, "--emit-config", str(cfg)
     )
     assert code == 0 and json.loads(cfg.read_text())["seed"] == "ab" * 32
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["exp", "--which", "theorem1", "--n", "0"],
+        ["exp", "--which", "theorem1", "--n", "-5"],
+        ["exp", "--which", "magic_square", "--n", "x"],
+        ["gen", "--kind", "random", "--n", "-1"],
+        ["gen", "--kind", "random", "--n", "8", "--q", "1"],
+        ["gen", "--kind", "random", "--n", "8", "--q", "257"],
+        ["oracle", "--game", "pr", "--reps", "0"],
+    ],
+    ids=["exp_n_zero", "exp_n_negative", "exp_n_text", "gen_n_negative", "q_1", "q_257", "reps_0"],
+)
+def test_bad_size_is_usage_error(capsys, tmp_path, argv):
+    out = tmp_path / "out"
+    code, _, err = run(capsys, *argv, "--out", str(out))
+    assert code == 1
+    assert "Traceback" not in err and not out.exists()
+
+
+def test_emit_config_round_trip_fills_required_flags(capsys, tmp_path):
+    first = tmp_path / "z.syms"
+    cfg = tmp_path / "gen.json"
+    argv = ["gen", "--kind", "zeros", "--n", "8", "--out", str(first)]
+    assert run(capsys, *argv, "--emit-config", str(cfg))[0] == 0
+    first.unlink()
+    assert run(capsys, "gen", "--config", str(cfg))[0] == 0
+    assert first.read_bytes() == b"SYMS q=2 n=8\n\x00"
+
+    est_cfg = tmp_path / "est.json"
+    code, out, _ = run(
+        capsys, "estimate", "--in", str(first), "--estimator", "ctx_0",
+        "--emit-config", str(est_cfg),
+    )
+    assert code == 0
+    code, again, _ = run(capsys, "estimate", "--config", str(est_cfg))
+    assert code == 0 and again == out

@@ -1,0 +1,155 @@
+"""Byte-identity of every built-in encoder against a recorded fixture, and
+round-trip properties of the estimators.
+
+The fixture pins (bits, sha256(blob)) for each estimator on a fixed corpus,
+so any drift in the coders' output fails here, not only in the reports.
+Regenerate it (only when the output is meant to change) with
+
+    PYTHONPATH=src python tests/test_coder_outputs.py
+"""
+import hashlib
+import json
+import math
+import random
+from pathlib import Path
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from nonlocality.coding import BitReader, read_uint, uint_len
+from nonlocality.estimators import MODE_LITERAL, _extend_match, default_registry
+from nonlocality.strings import (
+    Seed,
+    SymbolString,
+    bits_per_symbol,
+    gen_computable,
+    gen_seeded_random,
+    interleave,
+)
+
+FIXTURE = Path(__file__).with_name("fixtures") / "coder_outputs.json"
+ALL_IDS = ("lz78", "lz77", "ctx_0", "ctx_1", "ctx_2", "ctx_3")
+
+
+def corpus() -> dict:
+    """name -> (symbols, q, period)."""
+    seed = Seed.from_int(2024)
+    out = {
+        "empty": (b"", 2, 1),
+        "one": (b"\x01", 2, 1),
+        "zeros": (gen_computable("zeros", 3000).data, 2, 1),
+        "thue_morse": (gen_computable("thue_morse", 2048).data, 2, 1),
+        "counter": (gen_computable("counter", 1500).data, 2, 1),
+    }
+    for q in (2, 3, 4, 8, 16):
+        for period in (1, 2, 3, 4):
+            s = gen_seeded_random(600, q, seed.derive(f"r{q}.{period}"))
+            out[f"random_q{q}_p{period}"] = (s.data, q, period)
+    # woven (a, b, a xor b): period-3 structure only a phase-keyed model sees
+    a = gen_seeded_random(700, 2, seed.derive("a"))
+    b = gen_seeded_random(700, 2, seed.derive("b"))
+    x = SymbolString(2, bytes(u ^ v for u, v in zip(a.data, b.data)))
+    out["woven_q2_p3"] = (interleave(a, b, x).data, 2, 3)
+    # a block repeated three times: lz77 takes long matches
+    block = gen_seeded_random(400, 4, seed.derive("block")).data
+    out["repeat_q4"] = (block * 3, 4, 1)
+    # skewed binary source: one symbol runs far past the model's rescale
+    # point (512 increments in one context) and coded mode wins
+    rng = random.Random(7)
+    out["skewed_q2"] = (bytes(int(rng.random() < 0.03) for _ in range(4000)), 2, 1)
+    # probabilities near 1/2 keep the interval straddling the midpoint, which
+    # builds long pending-bit (carry) runs
+    rng = random.Random(11)
+    out["near_half_q2_p2"] = (bytes(int(rng.random() < 0.48) for _ in range(3000)), 2, 2)
+    return out
+
+
+def outputs() -> dict:
+    reg = default_registry()
+    table = {}
+    for name, (symbols, q, period) in corpus().items():
+        for est_id in ALL_IDS:
+            bits, blob = reg[est_id].encode(symbols, q, period)
+            table[f"{est_id}/{name}"] = [bits, hashlib.sha256(blob).hexdigest()]
+    return table
+
+
+def test_encoders_match_recorded_outputs():
+    expected = json.loads(FIXTURE.read_text())
+    got = outputs()
+    assert sorted(got) == sorted(expected)
+    drift = {k: (got[k], expected[k]) for k in got if got[k] != expected[k]}
+    assert not drift
+
+
+def test_fixture_corpus_round_trips():
+    reg = default_registry()
+    for symbols, q, period in corpus().values():
+        for est_id in ALL_IDS:
+            _, blob = reg[est_id].encode(symbols, q, period)
+            assert reg[est_id].decode(blob) == (q, symbols)
+
+
+def literal_len(q: int, n: int, period: int) -> int:
+    return uint_len(q - 2) + uint_len(n) + uint_len(period - 1) + 1 + n * bits_per_symbol(q)
+
+
+@st.composite
+def strings(draw):
+    q = draw(st.sampled_from((2, 3, 4, 8, 16)))
+    period = draw(st.integers(1, 4))
+    n = draw(st.integers(0, 300))
+    kind = draw(st.sampled_from(("uniform", "skewed", "repeat")))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    if kind == "uniform":
+        data = bytes(rng.randrange(q) for _ in range(n))
+    elif kind == "skewed":
+        data = bytes(0 if rng.random() < 0.9 else rng.randrange(q) for _ in range(n))
+    else:
+        block = bytes(rng.randrange(q) for _ in range(rng.randint(1, 40)))
+        data = (block * (n // len(block) + 1))[:n]
+    return data, q, period
+
+
+@pytest.mark.parametrize("est_id", ALL_IDS)
+@given(case=strings())
+@settings(max_examples=40, deadline=None)
+def test_encode_properties(est_id, case):
+    symbols, q, period = case
+    est = default_registry()[est_id]
+    bits, blob = est.encode(symbols, q, period)
+    assert est.decode(blob) == (q, symbols)
+    assert len(blob) == math.ceil(bits / 8)
+    literal = literal_len(q, len(symbols), period)
+    assert bits <= literal
+    r = BitReader(blob)
+    for _ in range(3):
+        read_uint(r)
+    if r.read_bit() == MODE_LITERAL:
+        assert bits == literal
+
+
+def test_extend_match_agrees_with_a_symbol_by_symbol_scan():
+    # one period-p string with a single flipped symbol at every distance d
+    # from i: the extension must stop exactly there, wherever it falls in
+    # the doubling and halving windows
+    rng = random.Random(4)
+    for period in (1, 37, 300):
+        block = bytes(rng.randrange(2) for _ in range(period))
+        base = block * (700 // period + 2)
+        i = period
+        for d in range(0, 600):
+            s = bytearray(base)
+            s[i + d] ^= 1
+            s = bytes(s)
+            for start in (0, 16):
+                expect = min(start, d)
+                while i + expect < len(s) and s[expect] == s[i + expect]:
+                    expect += 1
+                got = _extend_match(s, 0, i, len(s), min(start, d))
+                assert got == expect == d, (period, d, start)
+
+
+if __name__ == "__main__":
+    FIXTURE.parent.mkdir(exist_ok=True)
+    FIXTURE.write_text(json.dumps(outputs(), indent=1, sort_keys=True) + "\n")

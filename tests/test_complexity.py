@@ -132,3 +132,30 @@ def test_cache_tells_external_commands_apart():
     # the key is by value: an equal command in a fresh registry is a hit
     assert estimate_k(zeros, "external:z", make_registry({"z": tiny})).bits == 8 * 2 + 32
     assert len(complexity._CACHE) == 2
+
+
+def _weave_reference(conds, n, subject):
+    # the symbol-by-symbol loop _weave replaced, kept as the reference
+    q = max([c.q for c in conds] + ([subject.q] if subject is not None else []))
+    out = bytearray()
+    ratios = [c.n // n for c in conds]
+    for i in range(n):
+        for c, r in zip(conds, ratios):
+            out.extend(c.data[i * r : (i + 1) * r])
+        if subject is not None:
+            out.append(subject.data[i])
+    return SymbolString(q, bytes(out))
+
+
+@pytest.mark.parametrize("with_subject", (False, True))
+def test_weave_matches_reference_loop(with_subject):
+    seed = Seed.from_int(12)
+    n = 37
+    conds = [
+        gen_seeded_random(n * r, q, seed.derive(f"{r}.{q}"))
+        for r, q in ((1, 2), (3, 4), (2, 8))
+    ]
+    subject = gen_seeded_random(n, 3, seed.derive("x")) if with_subject else None
+    for k in range(1, len(conds) + 1):
+        got = complexity._weave(conds[:k], n, subject)
+        assert got == _weave_reference(conds[:k], n, subject)

@@ -123,6 +123,8 @@ def test_distribution_validation():
         Distribution(g, {(0, 0, 0, 0): F(3, 2), (0, 0, 1, 1): F(-1, 2),
                          **{(a, b, 0, 0): F(1) for a in range(2) for b in range(2)
                             if (a, b) != (0, 0)}})
+    with pytest.raises(ValueError, match="outside the game's alphabets"):
+        Distribution(g, {**pr_box_distribution().p, (5, 5, 0, 0): F(0)})
 
 
 def test_marginals_forced_to_half():
