@@ -24,7 +24,7 @@ from .complexity import (
     estimate_k_cond,
     frac_str,
 )
-from .estimators import EstimatorError, make_registry
+from .estimators import EstimatorError, get_estimator, make_registry
 from .experiments import (
     DEFAULT_N,
     SeedSet,
@@ -100,7 +100,7 @@ def _seed_text(text: str) -> str:
 def _bounded_int(text, lo: int, hi: int | None = None) -> int:
     try:
         value = int(text)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from exc
     if value < lo or (hi is not None and value > hi):
         bound = f"in {lo}..{hi}" if hi is not None else f">= {lo}"
@@ -119,12 +119,29 @@ def _positive(text) -> int:
 
 
 def _alphabet(text) -> int:
-    """argparse type of --q: symbols are stored one per byte."""
+    """argparse type of --q and gen --m: symbols are stored one per byte."""
     return _bounded_int(text, 2, 256)
 
 
-def _parse_table(text: str) -> tuple:
-    return tuple(int(v) for v in text.split(","))
+def _ring(text) -> int:
+    """argparse type of exp --m: the ring sizes of the theorem-3 run."""
+    return _bounded_int(text, 2, 64)
+
+
+def _fraction(text) -> Fraction:
+    """argparse type of --eps and --pr-weight: an exact rational."""
+    try:
+        return Fraction(text)
+    except (TypeError, ValueError, ArithmeticError) as exc:
+        raise argparse.ArgumentTypeError(f"not a fraction: {text!r}") from exc
+
+
+def _parse_table(text) -> tuple:
+    """argparse type of --fa/--fb: comma-separated output symbols."""
+    try:
+        return tuple(int(v) for v in text.split(","))
+    except (AttributeError, ValueError) as exc:
+        raise argparse.ArgumentTypeError(f"not a comma-separated table: {text!r}") from exc
 
 
 def _strategy_from_args(args):
@@ -139,14 +156,16 @@ def _strategy_from_args(args):
     raise FormatError(f"unknown strategy: {args.strategy}")
 
 
-def _registry_from_args(args):
+def _estimator_from_args(args):
+    """The one estimator of a run: --estimator names a built-in or an
+    --external compressor."""
     ext = {}
-    for spec in getattr(args, "external", None) or []:
+    for spec in args.external or []:
         name, _, command = spec.partition("=")
         if not command:
             raise FormatError("--external must look like name=command")
         ext[name] = command
-    return make_registry(ext) if ext else None
+    return get_estimator(args.estimator, make_registry(ext) if ext else None)
 
 
 def _emit(args, payload: dict) -> None:
@@ -206,13 +225,13 @@ def _cmd_play(args) -> int:
 
 
 def _cmd_estimate(args) -> int:
-    registry = _registry_from_args(args)
+    estimator = _estimator_from_args(args)
     s = read_syms(args.infile)
     if args.cond:
         conds = [read_syms(p) for p in args.cond]
-        est = estimate_k_cond(s, conds, args.estimator, registry)
+        est = estimate_k_cond(s, conds, estimator)
     else:
-        est = estimate_k(s, args.estimator, registry)
+        est = estimate_k(s, estimator)
     payload = {
         "estimator": est.estimator_id,
         "n": est.n,
@@ -227,9 +246,9 @@ def _cmd_estimate(args) -> int:
 
 
 def _cmd_nosig(args) -> int:
-    registry = _registry_from_args(args)
+    estimator = _estimator_from_args(args)
     quad = load_quadruple(args.quad)
-    rep = ns_report(quad, args.estimator, args.theta_ns, registry)
+    rep = ns_report(quad, estimator, args.theta_ns)
     payload = {
         "estimator": rep.estimator_id,
         "rate_x_given_a": rep.rate_x_given_a,
@@ -248,7 +267,7 @@ def _cmd_nosig(args) -> int:
 
 
 def _cmd_locality(args) -> int:
-    registry = _registry_from_args(args)
+    estimator = _estimator_from_args(args)
     quad = load_quadruple(args.quad)
     if args.witness:
         lam = read_syms(args.witness)
@@ -257,7 +276,7 @@ def _cmd_locality(args) -> int:
     thresholds = LocalityThresholds(
         defect=args.defect_threshold, output=args.output_threshold
     )
-    v = locality_verdict(quad, lam, args.estimator, thresholds, registry)
+    v = locality_verdict(quad, lam, estimator, thresholds)
     payload = {
         "estimator": v.estimator_id,
         "verdict": v.verdict,
@@ -343,19 +362,18 @@ def _cmd_oracle(args) -> int:
 
 
 def _cmd_exp(args) -> int:
-    registry = _registry_from_args(args)
+    estimator = _estimator_from_args(args)
     seed_set = SeedSet.from_master(_parse_seed(args.seed))
-    kwargs = {"registry": registry}
     if args.which == "theorem1":
-        report = run_theorem1(args.n, args.estimator, seed_set, _strategy_from_args(args), **kwargs)
+        report = run_theorem1(args.n, estimator, seed_set, _strategy_from_args(args))
     elif args.which == "theorem2":
-        report = run_theorem2(args.n, args.estimator, seed_set, _strategy_from_args(args), **kwargs)
+        report = run_theorem2(args.n, estimator, seed_set, _strategy_from_args(args))
     elif args.which == "theorem3":
-        report = run_theorem3(args.m, args.n, args.eps, args.estimator, seed_set, **kwargs)
+        report = run_theorem3(args.m, args.n, args.eps, estimator, seed_set)
     elif args.which == "magic_square":
-        report = run_magic_square(args.n, args.estimator, seed_set, **kwargs)
+        report = run_magic_square(args.n, estimator, seed_set)
     elif args.which == "locality_suite":
-        report = run_locality_suite(args.estimator, seed_set, n=args.n, **kwargs)
+        report = run_locality_suite(estimator, seed_set, n=args.n)
     else:
         raise FormatError(f"unknown experiment: {args.which}")
     report.config = _effective_config(args)
@@ -382,10 +400,11 @@ def _effective_config(args) -> dict:
     return cfg
 
 
-def _add_common(p):
+def _add_common(p, out_required=False):
     p.add_argument("--config", help="JSON file with default values for this subcommand")
     p.add_argument("--emit-config", help="write the effective config as JSON to this path")
-    p.add_argument("--out", help="result file (default: stdout)")
+    default = "" if out_required else " (default: stdout)"
+    p.add_argument("--out", required=out_required, help="result file" + default)
 
 
 def _add_estimator_opts(p):
@@ -402,11 +421,11 @@ def build_parser() -> _Parser:
     sub = top.add_subparsers(dest="cmd", required=True)
 
     p = sub.add_parser("gen", help="generate symbol strings")
-    _add_common(p)
+    _add_common(p, out_required=True)
     p.add_argument("--kind", required=True, choices=COMPUTABLE_KINDS + ("random", "promise"))
     p.add_argument("--n", type=_length, required=True)
     p.add_argument("--q", type=_alphabet, default=2)
-    p.add_argument("--m", type=int, default=2)
+    p.add_argument("--m", type=_alphabet, default=2)
     p.add_argument("--seed", type=_seed_text, default="0")
     p.add_argument("--out-b", dest="out_b", help="second output (promise inputs)")
     p.set_defaults(func=_cmd_gen)
@@ -416,7 +435,7 @@ def build_parser() -> _Parser:
     p.add_argument("--game", required=True, choices=GAME_KINDS)
     p.add_argument("--m", type=int, default=2)
     p.add_argument("--strategy", required=True, choices=("nosig", "signaling", "local"))
-    p.add_argument("--eps", type=Fraction)
+    p.add_argument("--eps", type=_fraction)
     p.add_argument("--fa", type=_parse_table)
     p.add_argument("--fb", type=_parse_table)
     p.add_argument("--a", required=True)
@@ -462,7 +481,7 @@ def build_parser() -> _Parser:
     p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--fine", help="distribution JSON for membership testing")
     p.add_argument("--marginals", action="store_true", help="marginal extremes LP")
-    p.add_argument("--pr-weight", dest="pr_weight", type=Fraction)
+    p.add_argument("--pr-weight", dest="pr_weight", type=_fraction)
     p.add_argument(
         "--allow-signaling",
         dest="no_signaling",
@@ -472,15 +491,15 @@ def build_parser() -> _Parser:
     p.set_defaults(func=_cmd_oracle)
 
     p = sub.add_parser("exp", help="experiment harnesses")
-    _add_common(p)
+    _add_common(p, out_required=True)
     p.add_argument(
         "--which",
         required=True,
         choices=("theorem1", "theorem2", "theorem3", "magic_square", "locality_suite"),
     )
     p.add_argument("--n", type=_positive, default=DEFAULT_N)
-    p.add_argument("--m", type=int, default=8)
-    p.add_argument("--eps", type=Fraction)
+    p.add_argument("--m", type=_ring, default=8)
+    p.add_argument("--eps", type=_fraction)
     p.add_argument("--strategy", default="nosig", choices=("nosig", "signaling", "local"))
     p.add_argument("--fa", type=_parse_table)
     p.add_argument("--fb", type=_parse_table)
@@ -512,11 +531,15 @@ def _apply_config(parser: _Parser, argv: list) -> None:
     sp = parser._subparsers._group_actions[0].choices.get(argv[0])  # noqa: SLF001
     if sp is None:
         return
+    dests = {action.dest for action in sp._actions}  # noqa: SLF001
     cleaned = {}
     for k, v in cfg.items():
         dest = k.replace("-", "_")
-        if dest not in _SKIP_CONFIG_KEYS:
-            cleaned[dest] = _coerce_config_value(sp, dest, v)
+        if dest in _SKIP_CONFIG_KEYS:
+            continue
+        if dest not in dests:
+            raise FormatError(f"unknown config key for {argv[0]}: {k!r}")
+        cleaned[dest] = _coerce_config_value(sp, dest, v)
     sp.set_defaults(**cleaned)
     # argparse checks a required flag on the command line even when it has
     # a default, so a flag the config supplies stops being required
@@ -527,7 +550,9 @@ def _apply_config(parser: _Parser, argv: list) -> None:
 
 # flag types that parse every config value, not only text: a JSON number is
 # read like the flag's text, and a seed that is not text is rejected
-_CHECKED_TYPES = (int, float, _length, _positive, _alphabet, _seed_text)
+_CHECKED_TYPES = (
+    int, float, _length, _positive, _alphabet, _ring, _fraction, _parse_table, _seed_text
+)
 
 
 def _coerce_config_value(subparser, dest, value):
@@ -551,7 +576,7 @@ def _coerce_config_value(subparser, dest, value):
         elif isinstance(value, str) or action.type in _CHECKED_TYPES:
             try:
                 return action.type(value)
-            except (TypeError, ValueError, argparse.ArgumentTypeError) as exc:
+            except (TypeError, ValueError, ArithmeticError, argparse.ArgumentTypeError) as exc:
                 raise FormatError(f"bad config value for {dest}: {value!r}") from exc
     return value
 
@@ -575,7 +600,9 @@ def main(argv=None) -> int:
     except FormatError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, json.JSONDecodeError, UnicodeDecodeError) as exc:
+        # a JSON file (config, manifest, distribution) that is not UTF-8 text
+        # is a format error like any other
         sys.stderr.write(f"error: {exc}\n")
         return 2
     except EstimatorError as exc:

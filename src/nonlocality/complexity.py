@@ -74,14 +74,13 @@ def _raw_bits(s: SymbolString, est: Estimator, period: int = 1) -> int:
     return bits
 
 
-def _resolve(estimator, registry) -> Estimator:
-    if isinstance(estimator, Estimator):
-        return estimator
-    return get_estimator(estimator, registry)
+def _resolve(estimator) -> Estimator:
+    """An Estimator is used as given; a string names a built-in one."""
+    return estimator if isinstance(estimator, Estimator) else get_estimator(estimator)
 
 
-def estimate_k(s: SymbolString, estimator, registry=None) -> ComplexityEstimate:
-    est = _resolve(estimator, registry)
+def estimate_k(s: SymbolString, estimator) -> ComplexityEstimate:
+    est = _resolve(estimator)
     return ComplexityEstimate(est.estimator_id, s.n, s.q, float(_raw_bits(s, est)))
 
 
@@ -104,12 +103,10 @@ def _weave(conds: list[SymbolString], n: int, subject: SymbolString | None) -> S
     return SymbolString(q, bytes(out))
 
 
-def estimate_k_cond(
-    x: SymbolString, cond, estimator, registry=None
-) -> ComplexityEstimate:
+def estimate_k_cond(x: SymbolString, cond, estimator) -> ComplexityEstimate:
     """Upper-bound estimate of K(x | cond); cond is a SymbolString or a
     sequence of them."""
-    est = _resolve(estimator, registry)
+    est = _resolve(estimator)
     if isinstance(cond, SymbolString):
         conds = [cond] if cond.n else []
     else:
@@ -137,23 +134,15 @@ def estimate_k_cond(
     return ComplexityEstimate(est.estimator_id, x.n, x.q, bits)
 
 
-def mutual_info_est(
-    x: SymbolString, y: SymbolString, estimator, symmetrized: bool = False, registry=None
-) -> float:
+def mutual_info_est(x: SymbolString, y: SymbolString, estimator) -> float:
     """I_K(x;y) upper-bound style estimate: K(x) - K(x|y), clamped at 0."""
-    est = _resolve(estimator, registry)
-    forward = estimate_k(x, est).bits - estimate_k_cond(x, y, est).bits
-    if not symmetrized:
-        return max(0.0, forward)
-    backward = estimate_k(y, est).bits - estimate_k_cond(y, x, est).bits
-    return max(0.0, (forward + backward) / 2.0)
+    est = _resolve(estimator)
+    return max(0.0, estimate_k(x, est).bits - estimate_k_cond(x, y, est).bits)
 
 
-def cond_mutual_info_est(
-    a: SymbolString, b: SymbolString, c: SymbolString, estimator, registry=None
-) -> float:
+def cond_mutual_info_est(a: SymbolString, b: SymbolString, c: SymbolString, estimator) -> float:
     """I_K(a;b|c) = K(a|c) - K(a|bc), clamped at 0."""
-    est = _resolve(estimator, registry)
+    est = _resolve(estimator)
     k_a_c = estimate_k_cond(a, c, est).bits
     k_a_bc = estimate_k_cond(a, [b, c], est).bits
     return max(0.0, k_a_c - k_a_bc)

@@ -30,6 +30,7 @@ from .complexity import (
     estimate_k_cond,
     frac_str,
 )
+from .estimators import Estimator
 from .games import (
     GameSpec,
     LocalDeterministic,
@@ -41,7 +42,7 @@ from .games import (
     play,
     satisfaction_fraction,
 )
-from .oracles import game_value_exact
+from .oracles import chained_value_upper_bound, game_value_exact
 from .strings import (
     Seed,
     SymbolString,
@@ -184,17 +185,16 @@ class ExperimentReport:
         raise KeyError(name)
 
 
-def _thresholds_dict(theta_zero: float, theta_full: float) -> dict:
-    return {"theta_zero": theta_zero, "theta_full": theta_full}
+_THRESHOLDS = {"theta_zero": THETA_ZERO_DEFAULT, "theta_full": THETA_FULL_DEFAULT}
 
 
-def _krow(name, estimate, theta_zero, theta_full) -> Row:
+def _krow(name, estimate) -> Row:
     bits = estimate.bits
     return Row(
         name=name,
         value=str(int(bits)) if bits == int(bits) else str(bits),
         rate=estimate.rate,
-        rate_class=classify_value(estimate.rate, theta_zero, theta_full),
+        rate_class=classify_value(estimate.rate),
     )
 
 
@@ -221,13 +221,7 @@ def _play_seeded(game: GameSpec, strategy: Strategy, n: int, seed_set: SeedSet):
 
 
 def run_theorem1(
-    n: int,
-    estimator: str,
-    seed_set: SeedSet,
-    strategy: Strategy,
-    theta_zero: float = THETA_ZERO_DEFAULT,
-    theta_full: float = THETA_FULL_DEFAULT,
-    registry=None,
+    n: int, estimator: Estimator | str, seed_set: SeedSet, strategy: Strategy
 ) -> ExperimentReport:
     """XOR-game run checking that unconditionally winning outputs are
     incompressible: reports the raw and input-conditioned output
@@ -237,22 +231,22 @@ def run_theorem1(
     a, b, x, y = quad.a, quad.b, quad.x, quad.y
     ab = pointwise_product(a, b)
 
-    kx = estimate_k(x, estimator, registry)
-    ky = estimate_k(y, estimator, registry)
-    kxb = estimate_k_cond(x, b, estimator, registry)
-    kyb = estimate_k_cond(y, b, estimator, registry)
-    kab_b = estimate_k_cond(ab, b, estimator, registry)
-    kyab = estimate_k_cond(y, [a, b], estimator, registry)
-    kxab = estimate_k_cond(x, [a, b], estimator, registry)
+    kx = estimate_k(x, estimator)
+    ky = estimate_k(y, estimator)
+    kxb = estimate_k_cond(x, b, estimator)
+    kyb = estimate_k_cond(y, b, estimator)
+    kab_b = estimate_k_cond(ab, b, estimator)
+    kyab = estimate_k_cond(y, [a, b], estimator)
+    kxab = estimate_k_cond(x, [a, b], estimator)
 
     rows = [
-        _krow("K(x)", kx, theta_zero, theta_full),
-        _krow("K(y)", ky, theta_zero, theta_full),
-        _krow("K(x|b)", kxb, theta_zero, theta_full),
-        _krow("K(y|b)", kyb, theta_zero, theta_full),
-        _krow("K(a.b|b)", kab_b, theta_zero, theta_full),
-        _krow("K(y|ab)", kyab, theta_zero, theta_full),
-        _krow("K(x|ab)", kxab, theta_zero, theta_full),
+        _krow("K(x)", kx),
+        _krow("K(y)", ky),
+        _krow("K(x|b)", kxb),
+        _krow("K(y|b)", kyb),
+        _krow("K(a.b|b)", kab_b),
+        _krow("K(y|ab)", kyab),
+        _krow("K(x|ab)", kxab),
         _sat_row(sat),
     ]
     diagnostics = [
@@ -270,8 +264,8 @@ def run_theorem1(
         experiment="theorem1",
         params={"game": "pr", "n": n, "strategy": _strategy_desc(strategy)},
         seeds=seed_set.as_dict(),
-        estimator_id=estimator,
-        thresholds=_thresholds_dict(theta_zero, theta_full),
+        estimator_id=kx.estimator_id,
+        thresholds=dict(_THRESHOLDS),
         rows=rows,
         diagnostics=diagnostics,
         verdict=verdict,
@@ -281,13 +275,7 @@ def run_theorem1(
 
 
 def run_theorem2(
-    n: int,
-    estimator: str,
-    seed_set: SeedSet,
-    strategy: Strategy,
-    theta_zero: float = THETA_ZERO_DEFAULT,
-    theta_full: float = THETA_FULL_DEFAULT,
-    registry=None,
+    n: int, estimator: Estimator | str, seed_set: SeedSet, strategy: Strategy
 ) -> ExperimentReport:
     """Conditional view of the same run: each party's output given its own
     input, and given both, compared against the exact classical optimum."""
@@ -296,17 +284,17 @@ def run_theorem2(
     quad, sat = _play_seeded(game, strategy, n, seed_set)
     a, b, x, y = quad.a, quad.b, quad.x, quad.y
 
-    kxa = estimate_k_cond(x, a, estimator, registry)
-    kyb = estimate_k_cond(y, b, estimator, registry)
-    kxab = estimate_k_cond(x, [a, b], estimator, registry)
-    kyab = estimate_k_cond(y, [a, b], estimator, registry)
+    kxa = estimate_k_cond(x, a, estimator)
+    kyb = estimate_k_cond(y, b, estimator)
+    kxab = estimate_k_cond(x, [a, b], estimator)
+    kyab = estimate_k_cond(y, [a, b], estimator)
     classical = game_value_exact(game)
 
     rows = [
-        _krow("K(x|a)", kxa, theta_zero, theta_full),
-        _krow("K(y|b)", kyb, theta_zero, theta_full),
-        _krow("K(x|ab)", kxab, theta_zero, theta_full),
-        _krow("K(y|ab)", kyab, theta_zero, theta_full),
+        _krow("K(x|a)", kxa),
+        _krow("K(y|b)", kyb),
+        _krow("K(x|ab)", kxab),
+        _krow("K(y|ab)", kyab),
         _sat_row(sat),
     ]
     diagnostics = [
@@ -322,8 +310,8 @@ def run_theorem2(
             "classical_value": frac_str(classical.value),
         },
         seeds=seed_set.as_dict(),
-        estimator_id=estimator,
-        thresholds=_thresholds_dict(theta_zero, theta_full),
+        estimator_id=kxa.estimator_id,
+        thresholds=dict(_THRESHOLDS),
         rows=rows,
         diagnostics=diagnostics,
         verdict=rows[0].rate_class,
@@ -333,22 +321,14 @@ def run_theorem2(
 
 
 def run_theorem3(
-    m: int,
-    n: int,
-    eps: Fraction | None = None,
-    estimator: str = "lz78",
-    seed_set: SeedSet | None = None,
-    theta_zero: float = THETA_ZERO_DEFAULT,
-    theta_full: float = THETA_FULL_DEFAULT,
-    registry=None,
+    m: int, n: int, eps: Fraction | None, estimator: Estimator | str, seed_set: SeedSet
 ) -> ExperimentReport:
     """Ring-game run: near-perfect satisfaction beats the exact classical
     bound while the outputs stay incompressible; the rare-event indicator's
-    conditional complexity is compared to its entropy."""
+    conditional complexity is compared to its entropy. eps=None means the
+    noise rate 1/m^2."""
     if not 2 <= m <= 64:
         raise ValueError("ring size out of range")
-    if seed_set is None:
-        raise ValueError("seed_set is required")
     if eps is None:
         eps = Fraction(1, m * m)
     eps = Fraction(eps)
@@ -360,16 +340,16 @@ def run_theorem3(
     sat = satisfaction_fraction(quad)
     chi = chi_event(a, b, m)
 
-    kx = estimate_k(x, estimator, registry)
-    kxa = estimate_k_cond(x, a, estimator, registry)
-    kchib = estimate_k_cond(chi, b, estimator, registry)
-    classical = Fraction(2 * m - 1, 2 * m)
+    kx = estimate_k(x, estimator)
+    kxa = estimate_k_cond(x, a, estimator)
+    kchib = estimate_k_cond(chi, b, estimator)
+    classical = chained_value_upper_bound(m)
     h = binary_entropy(Fraction(1, 2 * m))
 
     rows = [
-        _krow("K(x)", kx, theta_zero, theta_full),
-        _krow("K(x|a)", kxa, theta_zero, theta_full),
-        _krow("K(chi|b)", kchib, theta_zero, theta_full),
+        _krow("K(x)", kx),
+        _krow("K(x|a)", kxa),
+        _krow("K(chi|b)", kchib),
         _sat_row(sat),
     ]
     diagnostics = [
@@ -390,8 +370,8 @@ def run_theorem3(
             "classical_value": frac_str(classical),
         },
         seeds=seed_set.as_dict(),
-        estimator_id=estimator,
-        thresholds=_thresholds_dict(theta_zero, theta_full),
+        estimator_id=kx.estimator_id,
+        thresholds=dict(_THRESHOLDS),
         rows=rows,
         diagnostics=diagnostics,
         verdict=verdict,
@@ -400,14 +380,7 @@ def run_theorem3(
     return report
 
 
-def run_magic_square(
-    n: int,
-    estimator: str,
-    seed_set: SeedSet,
-    theta_zero: float = THETA_ZERO_DEFAULT,
-    theta_full: float = THETA_FULL_DEFAULT,
-    registry=None,
-) -> ExperimentReport:
+def run_magic_square(n: int, estimator: Estimator | str, seed_set: SeedSet) -> ExperimentReport:
     """Grid-game run: the sampler wins every round, which no deterministic
     pair can (exact optimum 8/9, replayed here for contrast)."""
     t0 = time.monotonic()
@@ -420,9 +393,9 @@ def run_magic_square(
     cx, cy = play(best, game, a, b, seed_set.sampler)
     sat_classical = satisfaction_fraction(Quadruple(game, a, b, cx, cy))
 
-    kxa = estimate_k_cond(x, a, estimator, registry)
+    kxa = estimate_k_cond(x, a, estimator)
     rows = [
-        _krow("K(x|a)", kxa, theta_zero, theta_full),
+        _krow("K(x|a)", kxa),
         _sat_row(sat),
         Row(
             name="satisfaction_best_classical",
@@ -439,8 +412,8 @@ def run_magic_square(
         experiment="magic_square",
         params={"game": "magic_square", "n": n, "classical_value": frac_str(classical.value)},
         seeds=seed_set.as_dict(),
-        estimator_id=estimator,
-        thresholds=_thresholds_dict(theta_zero, theta_full),
+        estimator_id=kxa.estimator_id,
+        thresholds=dict(_THRESHOLDS),
         rows=rows,
         diagnostics=diagnostics,
         verdict="wins_always" if sat == 1 else "imperfect",
@@ -463,16 +436,13 @@ def _table_witness(strategy: LocalDeterministic) -> SymbolString:
 
 
 def run_locality_suite(
-    estimator: str,
-    seed_set: SeedSet,
-    n: int = LOCALITY_N,
-    thresholds: LocalityThresholds = LocalityThresholds(),
-    registry=None,
+    estimator: Estimator | str, seed_set: SeedSet, n: int = LOCALITY_N
 ) -> ExperimentReport:
     """Three canonical witness checks: computable inputs with the output
     pair itself as witness; a deterministic strategy with its tables as
     witness; and the winning sampler with no witness at all."""
     t0 = time.monotonic()
+    thresholds = LocalityThresholds()
     game = GameSpec.pr()
     cases = []
 
@@ -481,9 +451,7 @@ def run_locality_suite(
     b1 = gen_computable("thue_morse", n)
     x1, y1 = play(NoSignalingSampler(), game, a1, b1, seed_set.sampler, seed_set.noise)
     lam1 = interleave(x1, y1)
-    v1 = locality_verdict(
-        Quadruple(game, a1, b1, x1, y1), lam1, estimator, thresholds, registry
-    )
+    v1 = locality_verdict(Quadruple(game, a1, b1, x1, y1), lam1, estimator, thresholds)
     cases.append(("computable_inputs_outputs_witness", v1))
 
     # 2: deterministic strategy, lambda = its tables
@@ -492,22 +460,14 @@ def run_locality_suite(
     b2 = gen_seeded_random(n, 2, seed_set.inputs.derive("b"))
     x2, y2 = play(strat, game, a2, b2, seed_set.sampler)
     v2 = locality_verdict(
-        Quadruple(game, a2, b2, x2, y2),
-        _table_witness(strat),
-        estimator,
-        thresholds,
-        registry,
+        Quadruple(game, a2, b2, x2, y2), _table_witness(strat), estimator, thresholds
     )
     cases.append(("deterministic_tables_witness", v2))
 
     # 3: winning sampler, empty witness
     x3, y3 = play(NoSignalingSampler(), game, a2, b2, seed_set.sampler, seed_set.noise)
     v3 = locality_verdict(
-        Quadruple(game, a2, b2, x3, y3),
-        SymbolString(2, b""),
-        estimator,
-        thresholds,
-        registry,
+        Quadruple(game, a2, b2, x3, y3), SymbolString(2, b""), estimator, thresholds
     )
     cases.append(("sampler_no_witness", v3))
 
@@ -527,8 +487,8 @@ def run_locality_suite(
             "output_threshold": thresholds.output,
         },
         seeds=seed_set.as_dict(),
-        estimator_id=estimator,
-        thresholds=_thresholds_dict(THETA_ZERO_DEFAULT, THETA_FULL_DEFAULT),
+        estimator_id=v1.estimator_id,
+        thresholds=dict(_THRESHOLDS),
         rows=rows,
         diagnostics=diagnostics,
         verdict=verdict,

@@ -9,12 +9,13 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from pathlib import Path
+from pathlib import Path, PurePath
 
 from .complexity import (
     THETA_ZERO_DEFAULT,
     estimate_k,
     estimate_k_cond,
+    frac_str,
 )
 from .strings import (
     FormatError,
@@ -334,15 +335,15 @@ THETA_NS_DEFAULT = 0.1
 
 
 def ns_report(
-    quad: Quadruple, estimator, theta_ns: float = THETA_NS_DEFAULT, registry=None
+    quad: Quadruple, estimator, theta_ns: float = THETA_NS_DEFAULT
 ) -> NoSignalingReport:
     """Finite-scale no-signaling check: each party's output should be no
     easier to describe from both inputs than from its own input alone."""
     a, b, x, y = quad.a, quad.b, quad.x, quad.y
-    kxa = estimate_k_cond(x, a, estimator, registry)
-    kxab = estimate_k_cond(x, [a, b], estimator, registry)
-    kyb = estimate_k_cond(y, b, estimator, registry)
-    kyab = estimate_k_cond(y, [a, b], estimator, registry)
+    kxa = estimate_k_cond(x, a, estimator)
+    kxab = estimate_k_cond(x, [a, b], estimator)
+    kyb = estimate_k_cond(y, b, estimator)
+    kyab = estimate_k_cond(y, [a, b], estimator)
     return NoSignalingReport(
         estimator_id=kxa.estimator_id,
         rate_x_given_a=kxa.rate,
@@ -382,7 +383,6 @@ def locality_verdict(
     lam: SymbolString,
     estimator,
     thresholds: LocalityThresholds = LocalityThresholds(),
-    registry=None,
 ) -> LocalityVerdict:
     """Check a supplied witness: lambda must look independent of the input
     pair, and each output must be cheap given its own input plus lambda.
@@ -390,9 +390,9 @@ def locality_verdict(
     a, b, x, y = quad.a, quad.b, quad.x, quad.y
     joint_ab = interleave(a, b)
     if lam.n:
-        k_abl = estimate_k(concat(joint_ab, lam), estimator, registry).bits
-        k_ab = estimate_k(joint_ab, estimator, registry).bits
-        k_l = estimate_k(lam, estimator, registry).bits
+        k_abl = estimate_k(concat(joint_ab, lam), estimator).bits
+        k_ab = estimate_k(joint_ab, estimator).bits
+        k_l = estimate_k(lam, estimator).bits
         defect = abs(k_abl - k_ab - k_l) / lam.n
         conds_x: list = [a, lam]
         conds_y: list = [b, lam]
@@ -400,8 +400,8 @@ def locality_verdict(
         defect = 0.0
         conds_x = [a]
         conds_y = [b]
-    kx = estimate_k_cond(x, conds_x, estimator, registry)
-    ky = estimate_k_cond(y, conds_y, estimator, registry)
+    kx = estimate_k_cond(x, conds_x, estimator)
+    ky = estimate_k_cond(y, conds_y, estimator)
     witnessed = (
         defect <= thresholds.defect
         and kx.rate <= thresholds.output
@@ -440,7 +440,7 @@ def save_quadruple(
         "schema": 1,
         "game": quad.game.kind,
         "m": quad.game.m,
-        "eps": f"{eps.numerator}/{eps.denominator}" if eps is not None else None,
+        "eps": frac_str(eps) if eps is not None else None,
         "seeds": seeds or {},
         "files": files,
     }
@@ -467,7 +467,15 @@ def load_quadruple(manifest_path) -> Quadruple:
         raise FormatError(f"unsupported manifest schema: {manifest['schema']}")
     game = parse_game(manifest["game"], manifest.get("m", 2))
     files = manifest["files"]
-    if set(files) != {"a", "b", "x", "y"}:
-        raise FormatError("manifest files must name exactly a, b, x, y")
+    if not isinstance(files, dict) or set(files) != {"a", "b", "x", "y"}:
+        raise FormatError("manifest files must be an object naming exactly a, b, x, y")
+    for name in files.values():
+        # a manifest names files in its own directory tree, never outside it
+        rel = PurePath(name) if isinstance(name, str) and name and "\0" not in name else None
+        if rel is None or rel.is_absolute() or ".." in rel.parts:
+            raise FormatError(f"manifest file must be a relative name without '..': {name!r}")
     strings = {k: read_syms(path.parent / v) for k, v in files.items()}
-    return Quadruple(game, strings["a"], strings["b"], strings["x"], strings["y"])
+    try:
+        return Quadruple(game, strings["a"], strings["b"], strings["x"], strings["y"])
+    except ValueError as exc:
+        raise FormatError(f"manifest strings do not fit the game: {exc}") from exc

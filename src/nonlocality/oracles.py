@@ -169,8 +169,6 @@ def _search(game, reps, first_choice=None):
     a_blocks, b_blocks, x_blocks, y_blocks, edges = _block_setup(game, reps)
     na, nb = len(a_blocks), len(b_blocks)
     nx, ny = len(x_blocks), len(y_blocks)
-    if nx**na > MAX_ALICE_FUNCTIONS:
-        raise ValueError("strategy space too large to search exactly")
 
     # winmat[ai][bi] is None off the promise, else a nx*ny win table
     winmat = [[None] * nb for _ in range(na)]
@@ -247,10 +245,20 @@ def game_value_exact(game: GameSpec, reps: int = 1, jobs: int = 1) -> GameValueR
     """
     if reps < 1:
         raise ValueError("reps must be >= 1")
+    # Alice has nx**na block functions: nx output blocks, and na input blocks
+    # (every input symbol is on the promise with some b, so all qA**reps
+    # tuples occur). The count is judged from these numbers before any block
+    # list or worker exists. With nx >= 2 a power past `cap` is over the
+    # limit, so reps and na stop there.
+    cap = MAX_ALICE_FUNCTIONS.bit_length()
+    nx = game.qX ** min(reps, cap)
+    na = game.qA ** min(reps, cap)
+    if nx ** min(na, cap) > MAX_ALICE_FUNCTIONS:
+        raise ValueError("strategy space too large to search exactly")
     if jobs > 1:
-        nx = game.qX**reps
         results = []
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        # one task per first choice, so more workers would only sit idle
+        with ProcessPoolExecutor(max_workers=min(jobs, nx)) as pool:
             futs = [
                 pool.submit(_search, game, reps, first) for first in range(nx)
             ]
@@ -380,12 +388,9 @@ def fine_membership(dist: Distribution) -> FineResult:
 
     y = res.certificate
     coeffs = {row: y[i] for i, row in enumerate(rows)}
-
-    def g(d: Distribution) -> Fraction:
-        return sum(coeffs[row] * d.prob(*row) for row in rows)
-
-    value = g(dist)
-    vmax = max(g(deterministic_distribution(game, fa, fb)) for fa, fb in vertices)
+    value = sum(coeffs[row] * dist.prob(*row) for row in rows)
+    # a vertex puts probability 1 on (a, b, fa[a], fb[b]) for each promise pair
+    vmax = max(sum(coeffs[(a, b, fa[a], fb[b])] for a, b in pairs) for fa, fb in vertices)
     if value <= vmax:
         raise AssertionError("certificate does not separate the distribution")
     return FineResult(

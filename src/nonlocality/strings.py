@@ -347,7 +347,7 @@ def read_syms(path) -> SymbolString:
         n = int(parts[2].removeprefix("n="))
     except ValueError as exc:
         raise FormatError(f"bad .syms header: {text!r}") from exc
-    if not parts[1].startswith("q=") or not parts[2].startswith("n="):
+    if not (parts[1].startswith("q=") and parts[2].startswith("n=") and 2 <= q <= 256 and n >= 0):
         raise FormatError(f"bad .syms header: {text!r}")
     expected = packed_len(n, q)
     if len(body) != expected:

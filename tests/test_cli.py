@@ -1,8 +1,10 @@
 import json
+import sys
 
 import pytest
 
 from nonlocality.cli import main
+from nonlocality.strings import SymbolString, write_syms
 
 
 def run(capsys, *argv):
@@ -185,8 +187,14 @@ def test_oracle_fine_malformed_distribution_is_data_error(capsys, tmp_path, dist
 
 @pytest.mark.parametrize(
     "cfg",
-    [{"n": [1]}, {"seed": 5}, {"estimator": []}, {"csv": 5}],
-    ids=["n_list", "seed_int", "estimator_list", "csv_int"],
+    [
+        {"n": [1]}, {"seed": 5}, {"estimator": []}, {"csv": 5}, {"m": 1},
+        {"eps": "1/0"}, {"eps": float("inf")}, {"fa": 5}, {"func": "x"},
+    ],
+    ids=[
+        "n_list", "seed_int", "estimator_list", "csv_int", "m_1",
+        "eps_zero_denominator", "eps_infinite", "fa_int", "unknown_key",
+    ],
 )
 def test_config_value_of_wrong_type_is_data_error(capsys, tmp_path, cfg):
     path = tmp_path / "cfg.json"
@@ -230,8 +238,18 @@ def test_bad_seed_is_usage_error(capsys, tmp_path, seed):
         ["gen", "--kind", "random", "--n", "8", "--q", "1"],
         ["gen", "--kind", "random", "--n", "8", "--q", "257"],
         ["oracle", "--game", "pr", "--reps", "0"],
+        ["gen", "--kind", "promise", "--n", "8", "--m", "1", "--out-b", "b.syms"],
+        ["gen", "--kind", "promise", "--n", "8", "--m", "300", "--out-b", "b.syms"],
+        ["exp", "--which", "theorem3", "--n", "8", "--m", "1"],
+        ["exp", "--which", "theorem3", "--n", "8", "--m", "65"],
+        ["exp", "--which", "theorem3", "--n", "8", "--eps", "1/0"],
+        ["oracle", "--marginals", "--pr-weight", "1/0"],
     ],
-    ids=["exp_n_zero", "exp_n_negative", "exp_n_text", "gen_n_negative", "q_1", "q_257", "reps_0"],
+    ids=[
+        "exp_n_zero", "exp_n_negative", "exp_n_text", "gen_n_negative", "q_1", "q_257",
+        "reps_0", "gen_m_1", "gen_m_300", "exp_m_1", "exp_m_65", "eps_zero_denominator",
+        "pr_weight_zero_denominator",
+    ],
 )
 def test_bad_size_is_usage_error(capsys, tmp_path, argv):
     out = tmp_path / "out"
@@ -257,3 +275,59 @@ def test_emit_config_round_trip_fills_required_flags(capsys, tmp_path):
     assert code == 0
     code, again, _ = run(capsys, "estimate", "--config", str(est_cfg))
     assert code == 0 and again == out
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["gen", "--kind", "zeros", "--n", "8"], ["exp", "--which", "theorem1", "--n", "8"]],
+    ids=["gen", "exp"],
+)
+def test_missing_out_is_usage_error(capsys, argv):
+    code, _, err = run(capsys, *argv)
+    assert code == 1 and "--out" in err and "Traceback" not in err
+
+
+def _quad_files(directory):
+    """The four .syms files of a pr-game quadruple, written without a manifest."""
+    bits = SymbolString(2, bytes([0, 1, 1, 0] * 8))
+    for name in "abxy":
+        write_syms(directory / f"{name}.syms", bits)
+
+
+@pytest.mark.parametrize(
+    "files",
+    [
+        {"a": 5, "b": "b.syms", "x": "x.syms", "y": "y.syms"},
+        ["a", "b", "x", "y"],
+        "ABSOLUTE",
+        {k: f"../{k}.syms" for k in "abxy"},
+    ],
+    ids=["int_name", "list", "absolute", "dotdot"],
+)
+def test_malformed_manifest_is_data_error(capsys, tmp_path, files):
+    _quad_files(tmp_path)  # the targets exist, so only the check can refuse them
+    if files == "ABSOLUTE":
+        files = {k: str(tmp_path / f"{k}.syms") for k in "abxy"}
+    inner = tmp_path / "m"
+    inner.mkdir()
+    manifest = inner / "quad.json"
+    manifest.write_text(json.dumps({"schema": 1, "game": "pr", "files": files}))
+    code, out, err = run(capsys, "nosig", "--quad", str(manifest), "--estimator", "ctx_0")
+    assert code == 2 and out == ""
+    assert "Traceback" not in err
+
+
+def test_external_estimator_through_the_cli(capsys, tmp_path):
+    cat = f"{sys.executable} -c 'import sys;sys.stdout.buffer.write(sys.stdin.buffer.read())'"
+    ext = ["--external", f"z={cat}", "--estimator", "external:z"]
+    _quad_files(tmp_path)
+    manifest = tmp_path / "quad.json"
+    files = {k: f"{k}.syms" for k in "abxy"}
+    manifest.write_text(json.dumps({"schema": 1, "game": "pr", "files": files}))
+    code, out, _ = run(capsys, "estimate", "--in", str(tmp_path / "x.syms"), *ext)
+    assert code == 0
+    payload = json.loads(out)
+    # the payload is 32 bits packed into 4 bytes, echoed by cat
+    assert payload["estimator"] == "external:z" and payload["bits"] == 8 * 4 + 32
+    code, out, _ = run(capsys, "nosig", "--quad", str(manifest), *ext)
+    assert code == 0 and json.loads(out)["estimator"] == "external:z"

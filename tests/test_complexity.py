@@ -18,7 +18,7 @@ from nonlocality.complexity import (
     mutual_info_est,
     overhead,
 )
-from nonlocality.estimators import make_registry
+from nonlocality.estimators import get_estimator, make_registry
 from nonlocality.strings import Seed, SymbolString, gen_computable, gen_seeded_random
 
 
@@ -126,11 +126,14 @@ def test_cache_tells_external_commands_apart():
     zeros = gen_computable("zeros", 4096)
     tiny = f"{sys.executable} -c 'import sys;sys.stdin.read();sys.stdout.write(\"ab\")'"
     cat = f"{sys.executable} -c 'import sys;sys.stdout.buffer.write(sys.stdin.buffer.read())'"
+    def external(cmd):
+        return get_estimator("external:z", make_registry({"z": cmd}))
+
     clear_cache()
-    assert estimate_k(zeros, "external:z", make_registry({"z": tiny})).bits == 8 * 2 + 32
-    assert estimate_k(zeros, "external:z", make_registry({"z": cat})).bits == 8 * 512 + 32
+    assert estimate_k(zeros, external(tiny)).bits == 8 * 2 + 32
+    assert estimate_k(zeros, external(cat)).bits == 8 * 512 + 32
     # the key is by value: an equal command in a fresh registry is a hit
-    assert estimate_k(zeros, "external:z", make_registry({"z": tiny})).bits == 8 * 2 + 32
+    assert estimate_k(zeros, external(tiny)).bits == 8 * 2 + 32
     assert len(complexity._CACHE) == 2
 
 

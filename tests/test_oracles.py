@@ -1,6 +1,9 @@
+from concurrent.futures import Future
 from fractions import Fraction as F
 
 import pytest
+
+from nonlocality import oracles
 
 from nonlocality.games import GameSpec, LocalDeterministic, Quadruple, play, satisfaction_fraction
 from nonlocality.oracles import (
@@ -145,3 +148,48 @@ def test_pr_box_wins_always_and_uniform_marginal():
         for b in range(2):
             px0 = sum(d.prob(a, b, 0, y) for y in range(2))
             assert px0 == F(1, 2)
+
+
+def test_oversized_search_is_refused_before_any_block_list(monkeypatch):
+    # pr reps=10 would build 4**10 promise blocks, chained(10**6) would list
+    # 10**12 input pairs, before a check made on the lists themselves
+    def no_lists(*args):
+        raise AssertionError("block lists built for a refused search")
+
+    monkeypatch.setattr(oracles, "_block_setup", no_lists)
+    monkeypatch.setattr(GameSpec, "promise_pairs", no_lists)
+    for game, reps in ((GameSpec.pr(), 10), (GameSpec.chained(10**6), 1)):
+        with pytest.raises(ValueError, match="too large"):
+            game_value_exact(game, reps=reps)
+
+
+class _InlinePool:
+    """Stands in for ProcessPoolExecutor: records max_workers, runs inline."""
+
+    sizes: list = []
+
+    def __init__(self, max_workers):
+        self.sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def submit(self, fn, *args):
+        fut = Future()
+        fut.set_result(fn(*args))
+        return fut
+
+
+def test_parallel_search_starts_no_more_workers_than_branches(monkeypatch):
+    monkeypatch.setattr(oracles, "ProcessPoolExecutor", _InlinePool)
+    _InlinePool.sizes.clear()
+    g = GameSpec.pr()
+    par = game_value_exact(g, jobs=64)
+    assert _InlinePool.sizes == [2]  # one branch per first output block
+    ser = game_value_exact(g)
+    assert (par.value, par.fa, par.fb, par.a_blocks, par.b_blocks) == (
+        ser.value, ser.fa, ser.fb, ser.a_blocks, ser.b_blocks
+    )

@@ -136,6 +136,14 @@ def test_syms_rejects_trailing_and_bad_header(tmp_path):
         read_syms(p)
 
 
+@pytest.mark.parametrize("header", [b"SYMS q=1 n=0", b"SYMS q=300 n=1", b"SYMS q=2 n=-8"])
+def test_syms_header_out_of_range_is_format_error(tmp_path, header):
+    p = tmp_path / "x.syms"
+    p.write_bytes(header + b"\n\xff")
+    with pytest.raises(FormatError):
+        read_syms(p)
+
+
 def test_seed_from_hex_pads_short_and_rejects_long():
     assert Seed.from_hex("ab").value == b"\xab" + bytes(31)
     assert Seed.from_hex("cd" * 32).value == b"\xcd" * 32
