@@ -128,12 +128,15 @@ def _ring(text) -> int:
     return _bounded_int(text, 2, 64)
 
 
-def _fraction(text) -> Fraction:
-    """argparse type of --eps and --pr-weight: an exact rational."""
+def _probability(text) -> Fraction:
+    """argparse type of --eps and --pr-weight: an exact rational in [0, 1]."""
     try:
-        return Fraction(text)
+        value = Fraction(text)
     except (TypeError, ValueError, ArithmeticError) as exc:
         raise argparse.ArgumentTypeError(f"not a fraction: {text!r}") from exc
+    if not 0 <= value <= 1:
+        raise argparse.ArgumentTypeError(f"must lie in [0, 1]: {text!r}")
+    return value
 
 
 def _parse_table(text) -> tuple:
@@ -435,7 +438,7 @@ def build_parser() -> _Parser:
     p.add_argument("--game", required=True, choices=GAME_KINDS)
     p.add_argument("--m", type=int, default=2)
     p.add_argument("--strategy", required=True, choices=("nosig", "signaling", "local"))
-    p.add_argument("--eps", type=_fraction)
+    p.add_argument("--eps", type=_probability)
     p.add_argument("--fa", type=_parse_table)
     p.add_argument("--fb", type=_parse_table)
     p.add_argument("--a", required=True)
@@ -481,7 +484,7 @@ def build_parser() -> _Parser:
     p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--fine", help="distribution JSON for membership testing")
     p.add_argument("--marginals", action="store_true", help="marginal extremes LP")
-    p.add_argument("--pr-weight", dest="pr_weight", type=_fraction)
+    p.add_argument("--pr-weight", dest="pr_weight", type=_probability)
     p.add_argument(
         "--allow-signaling",
         dest="no_signaling",
@@ -499,7 +502,7 @@ def build_parser() -> _Parser:
     )
     p.add_argument("--n", type=_positive, default=DEFAULT_N)
     p.add_argument("--m", type=_ring, default=8)
-    p.add_argument("--eps", type=_fraction)
+    p.add_argument("--eps", type=_probability)
     p.add_argument("--strategy", default="nosig", choices=("nosig", "signaling", "local"))
     p.add_argument("--fa", type=_parse_table)
     p.add_argument("--fb", type=_parse_table)
@@ -551,7 +554,7 @@ def _apply_config(parser: _Parser, argv: list) -> None:
 # flag types that parse every config value, not only text: a JSON number is
 # read like the flag's text, and a seed that is not text is rejected
 _CHECKED_TYPES = (
-    int, float, _length, _positive, _alphabet, _ring, _fraction, _parse_table, _seed_text
+    int, float, _length, _positive, _alphabet, _ring, _probability, _parse_table, _seed_text
 )
 
 

@@ -111,12 +111,15 @@ class GameSpec:
         raise ValueError("no XOR target for this game")
 
     def promise_pairs(self) -> list[tuple[int, int]]:
-        return [
-            (a, b)
-            for a in range(self.qA)
-            for b in range(self.qB)
-            if self.promise(a, b)
-        ]
+        """The input pairs on the promise, in lexicographic order."""
+        if self.kind == "chained":
+            # b = a or a + 1 (mod m): 2m pairs, listed without an m*m scan
+            return [(a, b) for a in range(self.m) for b in sorted({a, (a + 1) % self.m})]
+        return [(a, b) for a in range(self.qA) for b in range(self.qB)]
+
+    def promise_count(self) -> int:
+        """len(self.promise_pairs()), without listing the pairs."""
+        return 2 * self.m if self.kind == "chained" else self.qA * self.qB
 
     def _check_inputs(self, a: int, b: int) -> None:
         if not (0 <= a < self.qA and 0 <= b < self.qB):

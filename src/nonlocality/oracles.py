@@ -30,6 +30,13 @@ class Distribution:
 
     def __post_init__(self):
         g = self.game
+        # every promise pair needs an entry to sum to 1; checked first, so a
+        # short table for a huge game is refused before any pair is listed
+        if len(self.p) < g.promise_count():
+            raise ValueError(
+                f"{len(self.p)} entries cannot cover the game's "
+                f"{g.promise_count()} promise pairs"
+            )
         pairs = g.promise_pairs()
         # an entry the checks below never read would be silently dropped
         on_promise = set(pairs)
@@ -161,76 +168,98 @@ def _block_win(game: GameSpec, ab, bb, xb, yb) -> bool:
     return all(game.win(a, b, x, y) for a, b, x, y in zip(ab, bb, xb, yb))
 
 
+def _lanes(col: int, w: int, ny: int) -> list:
+    """The ny lanes of a packed column: lane y is bits w*y .. w*y+w-1."""
+    mask = (1 << w) - 1
+    return [(col >> (w * y)) & mask for y in range(ny)]
+
+
 def _search(game, reps, first_choice=None):
     """Depth-first scan over Alice block functions in lexicographic order,
     with a per-column optimistic bound (Bob's best response so far plus one
     win for every still-unassigned row). The first optimum encountered is
-    the lexicographically smallest, and strict improvement keeps it."""
+    the lexicographically smallest, and strict improvement keeps it.
+
+    Bob's tally for column bi is one int W[bi] with a lane per output block.
+    Only the columns of the row being assigned change, so the sum of column
+    maxima is kept as a running total; the bound after row ai is that total
+    plus rest[ai + 1], the number of edges in later rows."""
     a_blocks, b_blocks, x_blocks, y_blocks, edges = _block_setup(game, reps)
     na, nb = len(a_blocks), len(b_blocks)
     nx, ny = len(x_blocks), len(y_blocks)
 
-    # winmat[ai][bi] is None off the promise, else a nx*ny win table
-    winmat = [[None] * nb for _ in range(na)]
     adj = [[] for _ in range(na)]
+    deg = [0] * nb
+    rest = [0] * (na + 1)
     for ai, bi in edges:
-        winmat[ai][bi] = [
+        adj[ai].append(bi)
+        deg[bi] += 1
+        rest[ai] += 1
+    for ai in range(na - 1, -1, -1):
+        rest[ai] += rest[ai + 1]
+    # a lane counts wins on its column's edges, so it never exceeds deg[bi]
+    w = max(deg).bit_length()
+    # addends[ai][xb]: (bi, the packed win row of edge (ai, bi) under xb);
+    # edges are sorted, so each adj[ai] is too
+    addends = [
+        [
             [
-                1
-                if _block_win(game, a_blocks[ai], b_blocks[bi], x_blocks[xb], y_blocks[yb])
-                else 0
-                for yb in range(ny)
+                (bi, sum(
+                    1 << (w * yb)
+                    for yb in range(ny)
+                    if _block_win(game, a_blocks[ai], b_blocks[bi], x_blocks[xb], y_blocks[yb])
+                ))
+                for bi in adj[ai]
             ]
             for xb in range(nx)
         ]
-        adj[ai].append(bi)
-    for lst in adj:
-        lst.sort()
-    deg_after = [
-        [sum(1 for aj, bj in edges if bj == bi and aj > ai) for bi in range(nb)]
-        for ai in range(-1, na)
+        for ai in range(na)
     ]
 
-    W = [[0] * ny for _ in range(nb)]
+    cmax = {0: 0}  # packed column -> its largest lane, filled as columns appear
+    W = [0] * nb
     assign = [0] * na
-    best = {"wins": -1, "fa": None, "fb": None, "nodes": 0, "prunes": 0}
-
-    def column_best(bi):
-        return max(W[bi])
+    total = 0  # sum of cmax[W[bi]] over all columns
+    best_wins, best_fa, best_fb = -1, None, None
+    nodes = prunes = 0
 
     def dfs(ai):
-        best["nodes"] += 1
+        nonlocal total, best_wins, best_fa, best_fb, nodes, prunes
+        nodes += 1
         if ai == na:
-            wins = sum(column_best(bi) for bi in range(nb))
-            if wins > best["wins"]:
+            if total > best_wins:
                 fb = []
-                for bi in range(nb):
-                    top = column_best(bi)
-                    fb.append(next(y for y in range(ny) if W[bi][y] == top))
-                best["wins"] = wins
-                best["fa"] = tuple(assign)
-                best["fb"] = tuple(fb)
+                for col in W:
+                    lanes = _lanes(col, w, ny)
+                    fb.append(lanes.index(max(lanes)))
+                best_wins = total
+                best_fa = tuple(assign)
+                best_fb = tuple(fb)
             return
+        left = rest[ai + 1]
+        rows = addends[ai]
         choices = [first_choice] if (ai == 0 and first_choice is not None) else range(nx)
         for xb in choices:
-            for bi in adj[ai]:
-                row = winmat[ai][bi][xb]
-                for y in range(ny):
-                    W[bi][y] += row[y]
-            bound = sum(
-                column_best(bi) + deg_after[ai + 1][bi] for bi in range(nb)
-            )
-            if bound > best["wins"]:
+            before = total
+            for bi, add in rows[xb]:
+                col = W[bi]
+                new = W[bi] = col + add
+                try:
+                    top = cmax[new]
+                except KeyError:
+                    top = cmax[new] = max(_lanes(new, w, ny))
+                total += top - cmax[col]
+            if total + left > best_wins:
                 assign[ai] = xb
                 dfs(ai + 1)
             else:
-                best["prunes"] += 1
-            for bi in adj[ai]:
-                row = winmat[ai][bi][xb]
-                for y in range(ny):
-                    W[bi][y] -= row[y]
+                prunes += 1
+            for bi, add in rows[xb]:
+                W[bi] -= add
+            total = before
 
     dfs(0)
+    best = {"wins": best_wins, "fa": best_fa, "fb": best_fb, "nodes": nodes, "prunes": prunes}
     return best, a_blocks, b_blocks, x_blocks, y_blocks, len(edges)
 
 

@@ -23,16 +23,20 @@ class LPResult:
 
 
 def _pivot(tab, basis, row, col):
-    piv = tab[row][col]
-    inv = ONE / piv
-    tab[row] = [v * inv for v in tab[row]]
+    """Make column col a unit vector with its 1 in row, in place. Only the
+    pivot row's nonzero columns change in the other rows."""
     prow = tab[row]
-    for r in range(len(tab)):
-        if r == row:
-            continue
-        f = tab[r][col]
-        if f:
-            tab[r] = [v - f * p for v, p in zip(tab[r], prow)]
+    piv = prow[col]
+    nz = [j for j, v in enumerate(prow) if v]
+    if piv != ONE:
+        inv = ONE / piv
+        for j in nz:
+            prow[j] *= inv
+    for r, trow in enumerate(tab):
+        f = trow[col]
+        if f and r != row:
+            for j in nz:
+                trow[j] -= f * prow[j]
     basis[row] = col
 
 
@@ -87,10 +91,10 @@ def solve_lp(A, rhs, c) -> LPResult:
         row = A[i] + [ONE if j == i else ZERO for j in range(m)] + [rhs[i]]
         tab.append(row)
     objrow = [ZERO] * width
-    for i in range(m):
-        for j in range(width):
-            objrow[j] += tab[i][j]
-    objrow = [v for v in objrow]
+    for row in tab:
+        for j, v in enumerate(row):
+            if v:
+                objrow[j] += v
     for i in range(m):
         objrow[n + i] = ZERO  # artificials have zero reduced cost once basic
     tab.append(objrow)

@@ -1,5 +1,6 @@
 import json
 import sys
+import time
 
 import pytest
 
@@ -185,15 +186,36 @@ def test_oracle_fine_malformed_distribution_is_data_error(capsys, tmp_path, dist
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("m", [2000, 10**9])
+def test_oracle_fine_empty_table_of_huge_ring_is_refused_at_once(capsys, tmp_path, m):
+    # the table cannot cover the 2m promise pairs; no pair is listed to see it
+    path = tmp_path / "dist.json"
+    path.write_text(json.dumps({"game": "chained", "m": m, "p": {}}))
+    start = time.perf_counter()
+    code, _, err = run(capsys, "oracle", "--fine", str(path))
+    assert time.perf_counter() - start < 1.0
+    assert code == 2 and "Traceback" not in err
+
+
+def test_oracle_fine_chained7_is_refused_by_the_oracle(capsys, tmp_path):
+    # a valid distribution, but 2**14 deterministic vertices exceed MAX_VERTICES
+    pairs = [(a, b) for a in range(7) for b in sorted({a, (a + 1) % 7})]
+    path = tmp_path / "dist.json"
+    table = {f"{a},{b},0,0": "1" for a, b in pairs}
+    path.write_text(json.dumps({"game": "chained", "m": 7, "p": table}))
+    code, _, err = run(capsys, "oracle", "--fine", str(path))
+    assert code == 3 and "too many deterministic vertices" in err
+
+
 @pytest.mark.parametrize(
     "cfg",
     [
         {"n": [1]}, {"seed": 5}, {"estimator": []}, {"csv": 5}, {"m": 1},
-        {"eps": "1/0"}, {"eps": float("inf")}, {"fa": 5}, {"func": "x"},
+        {"eps": "1/0"}, {"eps": float("inf")}, {"eps": "2"}, {"fa": 5}, {"func": "x"},
     ],
     ids=[
         "n_list", "seed_int", "estimator_list", "csv_int", "m_1",
-        "eps_zero_denominator", "eps_infinite", "fa_int", "unknown_key",
+        "eps_zero_denominator", "eps_infinite", "eps_above_one", "fa_int", "unknown_key",
     ],
 )
 def test_config_value_of_wrong_type_is_data_error(capsys, tmp_path, cfg):
@@ -244,11 +266,17 @@ def test_bad_seed_is_usage_error(capsys, tmp_path, seed):
         ["exp", "--which", "theorem3", "--n", "8", "--m", "65"],
         ["exp", "--which", "theorem3", "--n", "8", "--eps", "1/0"],
         ["oracle", "--marginals", "--pr-weight", "1/0"],
+        ["exp", "--which", "theorem3", "--n", "8", "--eps", "2"],
+        ["play", "--game", "pr", "--strategy", "nosig", "--a", "a.syms", "--b", "b.syms",
+         "--eps", "2"],
+        ["oracle", "--marginals", "--pr-weight", "2"],
+        ["oracle", "--marginals", "--pr-weight=-1/2"],
     ],
     ids=[
         "exp_n_zero", "exp_n_negative", "exp_n_text", "gen_n_negative", "q_1", "q_257",
         "reps_0", "gen_m_1", "gen_m_300", "exp_m_1", "exp_m_65", "eps_zero_denominator",
-        "pr_weight_zero_denominator",
+        "pr_weight_zero_denominator", "exp_eps_above_one", "play_eps_above_one",
+        "pr_weight_above_one", "pr_weight_negative",
     ],
 )
 def test_bad_size_is_usage_error(capsys, tmp_path, argv):

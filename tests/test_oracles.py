@@ -1,5 +1,7 @@
+import json
 from concurrent.futures import Future
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
@@ -193,3 +195,40 @@ def test_parallel_search_starts_no_more_workers_than_branches(monkeypatch):
     assert (par.value, par.fa, par.fb, par.a_blocks, par.b_blocks) == (
         ser.value, ser.fa, ser.fb, ser.a_blocks, ser.b_blocks
     )
+
+
+def _golden(op):
+    """The seed-independent ("*") entry of an oracles op in the benchmark's goldens."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "goldens.json"
+    return json.loads(path.read_text())["oracles"]["ops"][op]["*"]
+
+
+def _as_golden(r):
+    return {
+        "value": f"{r.value.numerator}/{r.value.denominator}",
+        "fa": [list(x) for x in r.fa],
+        "fb": [list(y) for y in r.fb],
+        "nodes": r.nodes,
+        "prunes": r.prunes,
+    }
+
+
+@pytest.mark.parametrize(
+    "game, reps",
+    [(GameSpec.pr(), 2), (GameSpec.chained(3), 2), (GameSpec.pr(), 1), (GameSpec.magic_square(), 1)]
+    + [(GameSpec.chained(m), 1) for m in range(2, 9)],
+    ids=lambda v: v.label() if isinstance(v, GameSpec) else f"reps{v}",
+)
+def test_search_tree_matches_goldens(game, reps):
+    # nodes and prunes pin the visit order and the bound, not only the
+    # optimum; the reps=1 witnesses pin Bob's tie-break (first best lane)
+    key = f"value:{game.label()}" + (f":reps{reps}" if reps > 1 else "")
+    assert _as_golden(game_value_exact(game, reps=reps)) == _golden(key)
+
+
+def test_parallel_search_tree_is_the_sum_of_its_branches(monkeypatch):
+    monkeypatch.setattr(oracles, "ProcessPoolExecutor", _InlinePool)
+    got = _as_golden(game_value_exact(GameSpec.chained(3), reps=2, jobs=2))
+    # each branch searches without the other's incumbent, so the tree is
+    # larger than the serial one (counts recorded with the dense search)
+    assert got == dict(_golden("value:chained(3):reps2"), nodes=2722, prunes=8118)

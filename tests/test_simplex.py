@@ -1,6 +1,11 @@
 import random
 from fractions import Fraction as F
+from unittest import mock
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from nonlocality import simplex
 from nonlocality.simplex import feasible_point, solve_lp
 
 
@@ -79,3 +84,51 @@ def test_fuzz_mixed_always_certified():
             for i in range(m):
                 assert sum(A[i][j] * r.solution[j] for j in range(n)) == rhs[i]
     assert infeasible > 0  # the fuzz actually exercises both branches
+
+
+def _dense_pivot(tab, basis, row, col):
+    """The pivot as first written: every row rebuilt over every column."""
+    piv = tab[row][col]
+    inv = F(1) / piv
+    tab[row] = [v * inv for v in tab[row]]
+    prow = tab[row]
+    for r in range(len(tab)):
+        if r == row:
+            continue
+        f = tab[r][col]
+        if f:
+            tab[r] = [v - f * p for v, p in zip(tab[r], prow)]
+    basis[row] = col
+
+
+# mostly zeros, as in the membership tableaux, plus small signed rationals
+_entry = st.one_of(
+    st.just(F(0)), st.just(F(0)), st.fractions(min_value=-3, max_value=3, max_denominator=4)
+)
+
+
+@st.composite
+def _lps(draw):
+    m, n = draw(st.integers(1, 4)), draw(st.integers(1, 6))
+    A = [[draw(_entry) for _ in range(n)] for _ in range(m)]
+    if draw(st.booleans()):  # feasible by construction
+        x0 = [draw(st.integers(0, 3)) for _ in range(n)]
+        rhs = [sum(A[i][j] * x0[j] for j in range(n)) for i in range(m)]
+    else:
+        rhs = [draw(_entry) for _ in range(m)]
+    c = [draw(_entry) for _ in range(n)]
+    return A, rhs, c
+
+
+def _outcome(r):
+    return (r.status, r.objective, r.solution, r.certificate)
+
+
+@settings(max_examples=100, derandomize=True, deadline=None)
+@given(_lps())
+def test_sparse_pivot_matches_dense_reference(lp):
+    A, rhs, c = lp
+    got = solve_lp(A, rhs, c)
+    with mock.patch.object(simplex, "_pivot", _dense_pivot):
+        want = solve_lp(A, rhs, c)
+    assert _outcome(got) == _outcome(want)
