@@ -11,6 +11,7 @@ import itertools
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 from .games import GameSpec
 from .simplex import feasible_point, solve_lp
@@ -392,11 +393,14 @@ def fine_membership(dist: Distribution) -> FineResult:
     rows = [(a, b, x, y) for (a, b) in pairs for x in range(game.qX) for y in range(game.qY)]
     A = []
     rhs = []
+    zeros = [0] * len(fbs)
     for (a, b, x, y) in rows:
-        A.append([ONE if (fa[a] == x and fb[b] == y) else ZERO for fa, fb in vertices])
+        # 0/1 ints; vertices run over fb fastest, one block per fa
+        bob = [1 if fb[b] == y else 0 for fb in fbs]
+        A.append(list(itertools.chain.from_iterable(bob if fa[a] == x else zeros for fa in fas)))
         rhs.append(dist.prob(a, b, x, y))
-    A.append([ONE] * len(vertices))
-    rhs.append(ONE)
+    A.append([1] * len(vertices))
+    rhs.append(1)
 
     res = feasible_point(A, rhs)
     if res.status == "optimal":
@@ -418,8 +422,13 @@ def fine_membership(dist: Distribution) -> FineResult:
     y = res.certificate
     coeffs = {row: y[i] for i, row in enumerate(rows)}
     value = sum(coeffs[row] * dist.prob(*row) for row in rows)
-    # a vertex puts probability 1 on (a, b, fa[a], fb[b]) for each promise pair
-    vmax = max(sum(coeffs[(a, b, fa[a], fb[b])] for a, b in pairs) for fa, fb in vertices)
+    # a vertex puts probability 1 on (a, b, fa[a], fb[b]) for each promise
+    # pair; summed as ints over the coefficients' common denominator
+    den = lcm(*[v.denominator for v in coeffs.values()])
+    scaled = {row: (v * den).numerator for row, v in coeffs.items()}
+    vmax = Fraction(
+        max(sum(scaled[(a, b, fa[a], fb[b])] for a, b in pairs) for fa, fb in vertices), den
+    )
     if value <= vmax:
         raise AssertionError("certificate does not separate the distribution")
     return FineResult(

@@ -1,3 +1,4 @@
+import hashlib
 import json
 from concurrent.futures import Future
 from fractions import Fraction as F
@@ -5,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from nonlocality import oracles
+from nonlocality import oracles, simplex
 
 from nonlocality.games import GameSpec, LocalDeterministic, Quadruple, play, satisfaction_fraction
 from nonlocality.oracles import (
@@ -232,3 +233,78 @@ def test_parallel_search_tree_is_the_sum_of_its_branches(monkeypatch):
     # each branch searches without the other's incumbent, so the tree is
     # larger than the serial one (counts recorded with the dense search)
     assert got == dict(_golden("value:chained(3):reps2"), nodes=2722, prunes=8118)
+
+
+# --- membership against the Fraction tableau -----------------------------------
+
+
+def _ns_box(game):
+    """Uniform over each promise pair's winning outputs: a no-signaling box
+    that wins every round."""
+    p = {}
+    for a, b in game.promise_pairs():
+        wins = [(x, y) for x in range(game.qX) for y in range(game.qY) if game.win(a, b, x, y)]
+        p.update({(a, b, x, y): F(1, len(wins)) for x, y in wins})
+    return Distribution(game, p)
+
+
+def _membership_with_lp(monkeypatch, dist):
+    """fine_membership's result and the LPResult of its simplex call."""
+    lps = []
+    solve = simplex.solve_lp
+
+    def recording(*args):
+        lps.append(solve(*args))
+        return lps[-1]
+
+    monkeypatch.setattr(simplex, "solve_lp", recording)
+    res = fine_membership(dist)
+    assert len(lps) == 1
+    return res, lps[0]
+
+
+@pytest.mark.parametrize(
+    "dist, local, pivots",
+    [
+        (_ns_box(GameSpec.chained(5)), False, 20),
+        (
+            deterministic_distribution(GameSpec.chained(5), (1, 1, 0, 0, 0), (0, 0, 0, 0, 0)),
+            True,
+            25,
+        ),
+    ],
+    ids=["box", "vertex"],
+)
+def test_chained5_membership_makes_the_fraction_tableau_pivots(monkeypatch, dist, local, pivots):
+    # counts of the Fraction tableau's pivots on the same inputs, drive-out
+    # included: same pivots, not only the same answer
+    res, lp = _membership_with_lp(monkeypatch, dist)
+    assert res.local is local
+    assert lp.pivots == pivots
+
+
+@pytest.mark.parametrize(
+    "game, digest, value, pivots",
+    [
+        (
+            GameSpec.chained(6),
+            "5bbf08b0222f2d89bcc1f84183a360da8ac5955ad784560d1f860120a624e561",
+            12,
+            24,
+        ),
+        (
+            GameSpec.magic_square(),
+            "546b73b1304e47dc1332839ffdd9925436b0ed36a2c5f0490a2a6747e7d092b0",
+            9,
+            86,
+        ),
+    ],
+    ids=["chained6", "magic_square"],
+)
+def test_ns_box_certificate_matches_the_fraction_tableau(monkeypatch, game, digest, value, pivots):
+    # sha256 of the certificate the Fraction tableau returned for the box
+    res, lp = _membership_with_lp(monkeypatch, _ns_box(game))
+    assert not res.local
+    cert = json.dumps(sorted((list(k), str(v)) for k, v in res.certificate.items()))
+    assert hashlib.sha256(cert.encode()).hexdigest() == digest
+    assert (res.value_on_dist, res.vertex_max, lp.pivots) == (value, -1, pivots)

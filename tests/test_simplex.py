@@ -1,12 +1,11 @@
 import random
 from fractions import Fraction as F
-from unittest import mock
 
-from hypothesis import given, settings
+import pytest
+from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
-from nonlocality import simplex
-from nonlocality.simplex import feasible_point, solve_lp
+from nonlocality.simplex import LPResult, feasible_point, solve_lp
 
 
 def _check_farkas(A, rhs, y):
@@ -86,6 +85,13 @@ def test_fuzz_mixed_always_certified():
     assert infeasible > 0  # the fuzz actually exercises both branches
 
 
+# --- the Fraction tableau, as the reference -----------------------------------
+#
+# solve_lp as it was written over Fractions, with the dense pivot it first
+# had, counting its pivots. The integer tableau must make the same pivots and
+# return the same reduced Fractions.
+
+
 def _dense_pivot(tab, basis, row, col):
     """The pivot as first written: every row rebuilt over every column."""
     piv = tab[row][col]
@@ -99,6 +105,74 @@ def _dense_pivot(tab, basis, row, col):
         if f:
             tab[r] = [v - f * p for v, p in zip(tab[r], prow)]
     basis[row] = col
+
+
+def _reference_run_simplex(tab, basis, ncols, count):
+    obj = len(tab) - 1
+    while True:
+        col = next((j for j in range(ncols) if tab[obj][j] > 0), None)
+        if col is None:
+            return "optimal"
+        row = None
+        best = None
+        for r in range(obj):
+            if tab[r][col] > 0:
+                ratio = tab[r][-1] / tab[r][col]
+                if best is None or ratio < best or (ratio == best and basis[r] < basis[row]):
+                    best = ratio
+                    row = r
+        if row is None:
+            return "unbounded"
+        _dense_pivot(tab, basis, row, col)
+        count[0] += 1
+
+
+def _reference_solve_lp(A, rhs, c) -> LPResult:
+    m = len(A)
+    n = len(c)
+    A = [[F(v) for v in row] for row in A]
+    rhs = [F(v) for v in rhs]
+    c = [F(v) for v in c]
+    count = [0]
+    flipped = [False] * m
+    for i in range(m):
+        if rhs[i] < 0:
+            A[i] = [-v for v in A[i]]
+            rhs[i] = -rhs[i]
+            flipped[i] = True
+    tab = [A[i] + [F(int(j == i)) for j in range(m)] + [rhs[i]] for i in range(m)]
+    objrow = [sum((row[j] for row in tab), F(0)) for j in range(n + m + 1)]
+    for i in range(m):
+        objrow[n + i] = F(0)
+    tab.append(objrow)
+    basis = [n + i for i in range(m)]
+    _reference_run_simplex(tab, basis, n + m, count)
+    if tab[-1][-1] != 0:
+        y = [1 + tab[-1][n + i] for i in range(m)]
+        y = [-v if f else v for v, f in zip(y, flipped)]
+        return LPResult(status="infeasible", certificate=y, pivots=count[0])
+    for r in range(m):
+        if basis[r] >= n:
+            col = next((j for j in range(n) if tab[r][j] != 0), None)
+            if col is not None:
+                _dense_pivot(tab, basis, r, col)
+                count[0] += 1
+    keep = [r for r in range(m) if basis[r] < n]
+    tab = [[tab[r][j] for j in range(n)] + [tab[r][-1]] for r in keep]
+    basis = [basis[r] for r in keep]
+    objrow = list(c) + [F(0)]
+    for r, bv in enumerate(basis):
+        f = objrow[bv]
+        if f:
+            objrow = [v - f * t for v, t in zip(objrow, tab[r])]
+    tab.append(objrow)
+    if _reference_run_simplex(tab, basis, n, count) == "unbounded":
+        return LPResult(status="unbounded", pivots=count[0])
+    x = [F(0)] * n
+    for r, bv in enumerate(basis):
+        x[bv] = tab[r][-1]
+    value = sum(ci * xi for ci, xi in zip(c, x))
+    return LPResult(status="optimal", objective=value, solution=x, pivots=count[0])
 
 
 # mostly zeros, as in the membership tableaux, plus small signed rationals
@@ -120,15 +194,100 @@ def _lps(draw):
     return A, rhs, c
 
 
-def _outcome(r):
-    return (r.status, r.objective, r.solution, r.certificate)
+def _same_as_reference(A, rhs, c):
+    # status, objective, solution, certificate and pivot count
+    got = solve_lp(A, rhs, c)
+    assert got == _reference_solve_lp(A, rhs, c)
+    return got
 
 
+# The seed derandomize=True derived from this property's source when it
+# patched the dense pivot into solve_lp; pinned so it draws the same 100 LPs.
+_PROPERTY_SEED = int(
+    "fe884217940077184774b2726b3da4193699090661c2814d"
+    "4d953c7771d8312c90ce16b342c66a3eea913d580df9a11e",
+    16,
+)
+
+
+@seed(_PROPERTY_SEED)
 @settings(max_examples=100, derandomize=True, deadline=None)
 @given(_lps())
 def test_sparse_pivot_matches_dense_reference(lp):
-    A, rhs, c = lp
-    got = solve_lp(A, rhs, c)
-    with mock.patch.object(simplex, "_pivot", _dense_pivot):
-        want = solve_lp(A, rhs, c)
-    assert _outcome(got) == _outcome(want)
+    _same_as_reference(*lp)
+
+
+def test_negative_entry_drive_out_matches_reference():
+    # feasible only at x = 0: phase 1 ends with an artificial basic at 0,
+    # driven out on the entry -1
+    A = [[-1, 1], [1, -1]]
+    r = _same_as_reference(A, [0, 0], [1, 1])
+    assert r.status == "unbounded"
+    r = _same_as_reference(A, [0, 0], [-1, -1])
+    assert r.status == "optimal" and r.objective == 0
+
+
+def test_dropped_redundant_row_matches_reference():
+    # the second row is twice the first: its artificial stays basic at 0 with
+    # no nonzero entry to drive it out on, and the row is dropped
+    r = _same_as_reference([[1, 1, 0], [2, 2, 0], [0, 1, 1]], [1, 2, 1], [1, 2, 3])
+    assert r.status == "optimal" and r.objective == 4 and r.solution == [1, 0, 1]
+
+
+def test_mixed_denominators_match_reference():
+    A = [[F(1, 3), F(2, 7), 1], [F(2, 7), 0, F(1, 3)]]
+    r = _same_as_reference(A, [F(1, 3), F(2, 7)], [F(1, 3), F(2, 7), F(-1, 21)])
+    assert r.status == "optimal"
+    assert [sum(a * x for a, x in zip(row, r.solution)) for row in A] == [F(1, 3), F(2, 7)]
+
+
+def test_negative_rhs_row_matches_reference():
+    r = _same_as_reference([[1, -2, 1], [-1, -1, 0]], [2, -3], [0, 1, -1])
+    assert r.status == "optimal"
+    r = _same_as_reference([[1, 1], [1, 0]], [-1, 0], [0, 0])
+    assert r.status == "infeasible"
+
+
+def test_no_rows_matches_reference():
+    assert _same_as_reference([], [], [1, 0]).status == "unbounded"
+    r = _same_as_reference([], [], [-1, 0])
+    assert r.status == "optimal" and r.objective == 0 and r.solution == [0, 0]
+
+
+def test_dimensions_checked_before_entries():
+    # a short row is a dimension error even when an entry would not convert
+    with pytest.raises(ValueError, match="dimensions"):
+        solve_lp([[float("inf")], [1, 2]], [1, 1], [1, 1])
+    with pytest.raises(ValueError, match="dimensions"):
+        solve_lp([[1, 1]], [1, 2], [1, 1])
+
+
+@pytest.mark.parametrize("bad", [float("inf"), float("-inf"), float("nan"), "inf", "1/0x"])
+def test_non_finite_entry_is_a_value_error(bad):
+    with pytest.raises(ValueError, match="finite rational"):
+        solve_lp([[bad]], [1], [1])
+    with pytest.raises(ValueError, match="finite rational"):
+        solve_lp([[1]], [bad], [1])
+    with pytest.raises(ValueError, match="finite rational"):
+        solve_lp([[1]], [1], [bad])
+
+
+def test_finite_floats_and_strings_are_read_exactly():
+    r = solve_lp([[0.5, "1/4"]], ["3/4"], [1.0, 0])
+    assert r.status == "optimal" and r.objective == F(3, 2)
+    assert r == solve_lp([[F(1, 2), F(1, 4)]], [F(3, 4)], [1, 0])
+
+
+def test_fixed_width_ints_are_read_as_python_ints():
+    # numpy ints have numerator/denominator too, but their products wrap
+    np = pytest.importorskip("numpy")
+    big = 2**40 + 1
+    A = [[big, 3, 1], [7, big, 2]]
+    rhs = [big, big + 5]
+    c = [1, 1, 0]
+    want = solve_lp(A, rhs, c)
+    assert want.status == "optimal"
+    got = solve_lp(
+        [[np.int64(v) for v in row] for row in A], [np.int64(v) for v in rhs], [np.int64(v) for v in c]
+    )
+    assert got == want
