@@ -4,38 +4,38 @@ from __future__ import annotations
 
 
 class BitWriter:
-    """Bits in stream order, buffered as ASCII '0'/'1' (one byte per bit) so
-    runs append in one step, and packed once by getvalue: stream bit i is
-    bit i % 8 of byte i // 8."""
+    """Bits in stream order, buffered in `buf` as ASCII '0'/'1' (one byte per
+    bit) so runs append in one step, and packed once by getvalue: stream
+    bit i is bit i % 8 of byte i // 8."""
 
     def __init__(self) -> None:
-        self._bits = bytearray()
+        self.buf = bytearray()
 
     @property
     def bit_count(self) -> int:
-        return len(self._bits)
+        return len(self.buf)
 
     def write_bit(self, bit: int) -> None:
-        self._bits.append(49 if bit & 1 else 48)
+        self.buf.append(49 if bit & 1 else 48)
 
     def write_bits(self, value: int, k: int) -> None:
         """The low k bits of value, most significant first."""
         if k > 0:
-            self._bits += bin((value & ((1 << k) - 1)) | (1 << k))[3:].encode()
+            self.buf += bin((value & ((1 << k) - 1)) | (1 << k))[3:].encode()
 
     def write_fields(self, values: bytes, k: int) -> None:
         """Each of values as write_bits(value, k) would write it, 1 <= k <= 8:
         one strided slice per bit position, no per-value work."""
-        start = len(self._bits)
-        self._bits += bytes(len(values) * k)
+        start = len(self.buf)
+        self.buf += bytes(len(values) * k)
         for j in range(k):
-            self._bits[start + j :: k] = values.translate(_BIT_ASCII[k - 1 - j])
+            self.buf[start + j :: k] = values.translate(_BIT_ASCII[k - 1 - j])
 
     def getvalue(self) -> bytes:
-        n = len(self._bits)
+        n = len(self.buf)
         if not n:
             return b""
-        return int(self._bits[::-1], 2).to_bytes((n + 7) >> 3, "little")
+        return int(self.buf[::-1], 2).to_bytes((n + 7) >> 3, "little")
 
 
 # _BIT_ASCII[j] maps a byte to its bit j as ASCII '0'/'1'; _ASCII_BIT undoes that
@@ -44,38 +44,46 @@ _ASCII_BIT = bytes.maketrans(b"01", b"\x00\x01")
 
 
 class BitReader:
+    """Reads `buf`, the stream as ASCII '0'/'1' (see BitWriter), from `pos`;
+    zero padding past the end."""
+
     def __init__(self, data: bytes) -> None:
-        # stream order, as ASCII '0'/'1'; see BitWriter
         bits = bytearray(8 * len(data))
         for j in range(8):
             bits[j::8] = data.translate(_BIT_ASCII[j])
-        self._bits = bytes(bits)
-        self._pos = 0
+        self.buf = bytes(bits)
+        self.pos = 0
 
     def read_bit(self) -> int:
-        pos = self._pos
-        if pos >= len(self._bits):
-            return 0  # zero padding past the end
-        self._pos = pos + 1
-        return self._bits[pos] - 48
+        pos = self.pos
+        if pos >= len(self.buf):
+            return 0
+        self.pos = pos + 1
+        return self.buf[pos] - 48
 
     def read_bits(self, k: int) -> int:
-        """k bits, most significant first; zero padding past the end."""
+        """k bits, most significant first."""
         if k <= 0:
             return 0
-        pos = self._pos
-        chunk = self._bits[pos : pos + k]
-        self._pos = pos + k
+        pos = self.pos
+        chunk = self.buf[pos : pos + k]
+        self.pos = pos + k
         return int(chunk, 2) << (k - len(chunk)) if chunk else 0
 
     def read_fields(self, n: int, k: int) -> bytes:
-        """n values of 1 <= k <= 8 bits, as read_bits(k) would read them."""
-        pos = self._pos
-        chunk = self._bits[pos : pos + n * k].ljust(n * k, b"0")
-        self._pos = pos + n * k
-        if k == 1:
+        """n values of 1 <= k <= 8 bits, as read_bits(k) would read them:
+        the fields are spread into 8 ASCII bits per value by one strided
+        slice per bit position and parsed as one integer (the inverse of
+        BitWriter.getvalue)."""
+        pos = self.pos
+        chunk = self.buf[pos : pos + n * k].ljust(n * k, b"0")
+        self.pos = pos + n * k
+        if k == 1 or not n:
             return chunk.translate(_ASCII_BIT)
-        return bytes(int(chunk[i : i + k], 2) for i in range(0, n * k, k))
+        octets = bytearray(b"0" * (8 * n))
+        for j in range(k):
+            octets[8 - k + j :: 8] = chunk[j::k]
+        return int(octets, 2).to_bytes(n, "big")
 
 
 def gamma_len(value: int) -> int:
@@ -121,10 +129,10 @@ def uint_len(value: int) -> int:
 
 # --- arithmetic coder --------------------------------------------------------
 
-_TOP = (1 << 32) - 1
-_HALF = 1 << 31
-_QUARTER = 1 << 30
-_THREE_Q = 3 << 30
+TOP = (1 << 32) - 1
+HALF = 1 << 31
+QUARTER = 1 << 30
+THREE_Q = 3 << 30
 
 
 class ArithmeticEncoder:
@@ -133,50 +141,52 @@ class ArithmeticEncoder:
     Output bits go straight into the writer's buffer. Underflow (pending)
     bits are held back until the next decided bit and then written with it
     as one run, so writer.bit_count never counts pending bits.
+
+    The state (low, high, pending) is public: the estimators' hot loops run
+    this same narrowing inline on local copies and sync them back before
+    coding a rare token through these methods.
     """
 
     def __init__(self, writer: BitWriter) -> None:
-        self._out = writer._bits
-        self._low = 0
-        self._high = _TOP
-        self._pending = 0
+        self.out = writer.buf
+        self.low = 0
+        self.high = TOP
+        self.pending = 0
 
-    def encode(self, cum_lo: int, cum_hi: int, total: int) -> int:
-        """Narrow the range to [cum_lo, cum_hi) of total; returns the
-        writer's bit_count after the bits this decided."""
-        low = self._low
-        span = self._high - low + 1
+    def encode(self, cum_lo: int, cum_hi: int, total: int) -> None:
+        """Narrow the range to [cum_lo, cum_hi) of total."""
+        low = self.low
+        span = self.high - low + 1
         high = low + span * cum_hi // total - 1
         low += span * cum_lo // total
-        pending = self._pending
-        out = self._out
+        pending = self.pending
+        out = self.out
         while True:
-            if high < _HALF:
+            if high < HALF:
                 if pending:
                     out += b"0" + b"1" * pending
                     pending = 0
                 else:
                     out.append(48)
-            elif low >= _HALF:
+            elif low >= HALF:
                 if pending:
                     out += b"1" + b"0" * pending
                     pending = 0
                 else:
                     out.append(49)
-                low -= _HALF
-                high -= _HALF
-            elif low >= _QUARTER and high < _THREE_Q:
+                low -= HALF
+                high -= HALF
+            elif low >= QUARTER and high < THREE_Q:
                 pending += 1
-                low -= _QUARTER
-                high -= _QUARTER
+                low -= QUARTER
+                high -= QUARTER
             else:
                 break
             low <<= 1
             high = (high << 1) | 1
-        self._low = low
-        self._high = high
-        self._pending = pending
-        return len(out)
+        self.low = low
+        self.high = high
+        self.pending = pending
 
     def write_bit(self, bit: int) -> None:
         """A bit at fixed probability 1/2 (costs exactly one binary split).
@@ -188,51 +198,54 @@ class ArithmeticEncoder:
             self.write_bit((value >> i) & 1)
 
     def finish(self) -> None:
-        run = self._pending + 1
-        self._out += b"0" + b"1" * run if self._low < _QUARTER else b"1" + b"0" * run
-        self._pending = 0
+        run = self.pending + 1
+        self.out += b"0" + b"1" * run if self.low < QUARTER else b"1" + b"0" * run
+        self.pending = 0
 
 
 class ArithmeticDecoder:
+    """Inverse of ArithmeticEncoder; its state (low, high, code, and the
+    reader's pos) is public for the same reason."""
+
     def __init__(self, reader: BitReader) -> None:
-        self._r = reader
-        self._low = 0
-        self._high = _TOP
-        self._code = reader.read_bits(32)
+        self.reader = reader
+        self.low = 0
+        self.high = TOP
+        self.code = reader.read_bits(32)
 
     def decode_target(self, total: int) -> int:
-        span = self._high - self._low + 1
-        return ((self._code - self._low + 1) * total - 1) // span
+        span = self.high - self.low + 1
+        return ((self.code - self.low + 1) * total - 1) // span
 
     def consume(self, cum_lo: int, cum_hi: int, total: int) -> None:
-        low = self._low
-        span = self._high - low + 1
+        low = self.low
+        span = self.high - low + 1
         high = low + span * cum_hi // total - 1
         low += span * cum_lo // total
-        code = self._code
+        code = self.code
         shifts = 0
         while True:
-            if high < _HALF:
+            if high < HALF:
                 pass
-            elif low >= _HALF:
-                low -= _HALF
-                high -= _HALF
-                code -= _HALF
-            elif low >= _QUARTER and high < _THREE_Q:
-                low -= _QUARTER
-                high -= _QUARTER
-                code -= _QUARTER
+            elif low >= HALF:
+                low -= HALF
+                high -= HALF
+                code -= HALF
+            elif low >= QUARTER and high < THREE_Q:
+                low -= QUARTER
+                high -= QUARTER
+                code -= QUARTER
             else:
                 break
             low <<= 1
             high = (high << 1) | 1
             code <<= 1
             shifts += 1
-        self._low = low
-        self._high = high
+        self.low = low
+        self.high = high
         # the bits shifted in are read as one run: code is only shifted and
         # offset inside the loop, so adding them afterwards is exact
-        self._code = code | self._r.read_bits(shifts) if shifts else code
+        self.code = code | self.reader.read_bits(shifts) if shifts else code
 
     def read_bit(self) -> int:
         """Inverse of ArithmeticEncoder.write_bit; named like BitReader's,
@@ -246,9 +259,10 @@ class AdaptiveModel:
     """Per-context symbol frequencies with Laplace(1) initialisation.
 
     Contexts are arbitrary hashable keys; each table holds the counts over
-    {0..q-1} followed by their total, and is rescaled when a count grows
-    large so the coder's 32-bit range arithmetic stays exact. Hot loops may
-    read `tables` directly and apply the same update inline.
+    {0..q-1} followed by their total. The estimators' coding loops read
+    `tables` directly: coding symbol s adds STEP to its count and to the
+    total, and rescales the table once the count reaches RESCALE, so the
+    coder's 32-bit range arithmetic stays exact.
     """
 
     STEP = 32
@@ -264,33 +278,9 @@ class AdaptiveModel:
             t = self.tables[ctx] = [1] * self.q + [self.q]
         return t
 
-    def encode(self, enc: ArithmeticEncoder, ctx, symbol: int) -> None:
-        t = self.table(ctx)
-        cum = sum(t[:symbol])
-        enc.encode(cum, cum + t[symbol], t[self.q])
-        self.update(t, symbol)
-
-    def decode(self, dec: ArithmeticDecoder, ctx) -> int:
-        t = self.table(ctx)
-        total = t[self.q]
-        target = dec.decode_target(total)
-        cum = 0
-        symbol = 0
-        while cum + t[symbol] <= target:
-            cum += t[symbol]
-            symbol += 1
-        dec.consume(cum, cum + t[symbol], total)
-        self.update(t, symbol)
-        return symbol
-
-    def update(self, t: list, symbol: int) -> None:
-        t[symbol] += self.STEP
-        t[self.q] += self.STEP
-        if t[symbol] >= self.RESCALE:
-            self.rescale(t)
-
-    def rescale(self, t: list) -> None:
-        q = self.q
+    @staticmethod
+    def rescale(t: list) -> None:
+        q = len(t) - 1
         for s in range(q):
             t[s] = (t[s] + 1) >> 1
         t[q] = sum(t[:q])

@@ -12,6 +12,9 @@ import shlex
 import subprocess
 
 from .coding import (
+    HALF,
+    QUARTER,
+    THREE_Q,
     AdaptiveModel,
     ArithmeticDecoder,
     ArithmeticEncoder,
@@ -172,126 +175,250 @@ def _extend_match(symbols: bytes, j: int, i: int, n: int, length: int) -> int:
     return length
 
 
+def _chain_links(symbols: bytes) -> list:
+    """prev[p]: the last position before p that starts the same ANCHOR
+    symbols, or -1 (always -1 for p > n - ANCHOR)."""
+    last: dict = {}
+    prev = [-1] * len(symbols)
+    for p in range(len(symbols) - ANCHOR + 1):
+        key = symbols[p : p + ANCHOR]
+        prev[p] = last.get(key, -1)
+        last[key] = p
+    return prev
+
+
 class LZ77Estimator(Estimator):
     """Long-range copy detection over the full window, with literals coded
     by an order-2 adaptive context model. Matches shorter than ANCHOR
     symbols are never used; the cost test keeps matches only where they
-    beat literal coding."""
+    beat literal coding.
+
+    Every position p <= n - ANCHOR is a match source once the parse has
+    passed it, so the candidates at i are the earlier positions with i's
+    ANCHOR symbols: at most MAX_CHAIN of them, newest first, along
+    _chain_links. Each token is a coded flag (0 literal, 1 match) followed
+    by the literal, or by the match's two gamma codes (distance, length -
+    ANCHOR + 1), which go through the coder object.
+    """
 
     estimator_id = "lz77"
 
     def encode(self, symbols: bytes, q: int, period: int = 1) -> tuple[int, bytes]:
         w = _header_writer(q, len(symbols), period, MODE_CODED)
         enc = ArithmeticEncoder(w)
-        code = enc.encode
-        flag_model = AdaptiveModel(2)
-        flag = flag_model.table(0)
+        out = w.buf
+        low, high, pending = enc.low, enc.high, enc.pending
+        half, quarter, three_q = HALF, QUARTER, THREE_Q
+        flag = AdaptiveModel(2).table(0)
         lit = AdaptiveModel(q)
         tables = lit.tables
         step = AdaptiveModel.STEP
         rescale = AdaptiveModel.RESCALE
         n = len(symbols)
         bps = bits_per_symbol(q)
-        table: dict = {}
-        i = 0
+        prev = _chain_links(symbols)
         qq = q + 1
         ctxspan = qq * qq
         # running average of actual literal cost: a match only pays off
         # against what the context model currently spends per symbol
         lit_bits = 0
         lit_syms = 0
+        before = 0
+        tab = None
+        sym = 0
+        i = 0
         while i < n:
-            best_len = 0
-            best_dist = 0
-            key = symbols[i : i + ANCHOR] if i + ANCHOR <= n else None
-            if key is not None:
-                cands = table.get(key)
-                if cands:
-                    # most extensions end within a few symbols, where single
-                    # compares are cheaper than slices; past _SCAN symbols
-                    # _extend_match goes on by slices
-                    stop = min(n - i, _SCAN)
-                    for j in cands[-MAX_CHAIN:][::-1]:
-                        # overlapping matches are fine: the decoder copies
-                        # symbol by symbol, so comparing source positions
-                        # beyond i is exactly what it will reproduce
-                        length = ANCHOR
-                        while length < stop and symbols[j + length] == symbols[i + length]:
-                            length += 1
-                        if length == _SCAN:
-                            length = _extend_match(symbols, j, i, n, length)
-                        if length > best_len:
-                            best_len = length
-                            best_dist = i - j
-            take = False
-            if best_len:
-                # gamma_len(best_dist) + gamma_len(best_len - ANCHOR + 1) + 2
-                cost = 2 * (best_dist.bit_length() + (best_len - ANCHOR + 1).bit_length())
-                avg = lit_bits / lit_syms if lit_syms >= 64 else bps
-                take = cost < best_len * avg
-            if take:
-                flag_model.encode(enc, 0, 1)
-                write_gamma(enc, best_dist)
-                write_gamma(enc, best_len - ANCHOR + 1)
-                end = i + best_len
-                for p in range(i, min(end, n - ANCHOR + 1)):
-                    table.setdefault(symbols[p : p + ANCHOR], []).append(p)
-                i = end
-            else:
-                # the flag then the literal, each one coder call with the
-                # model's table update applied inline
-                c0 = flag[0]
-                before = code(0, c0, flag[2])
-                flag[0] = c0 + step
-                flag[2] += step
-                if c0 + step >= rescale:
-                    flag_model.rescale(flag)
-                s = symbols[i]
+            if tab is flag and not sym:
+                # the literal at i, right after its flag
+                sym = symbols[i]
                 p1 = symbols[i - 1] if i >= 1 else q
                 p2 = symbols[i - 2] if i >= 2 else q
                 ctx = (i % period) * ctxspan + p2 * qq + p1
-                t = tables.get(ctx) or lit.table(ctx)
-                cum = sum(t[:s]) if s else 0
-                c = t[s]
-                lit_bits += code(cum, cum + c, t[q]) - before
+                try:
+                    tab = tables[ctx]
+                except KeyError:
+                    tab = lit.table(ctx)
+            else:
+                tab = flag
+                sym = 0
+                j = prev[i]
+                if j >= 0:
+                    avg = lit_bits / lit_syms if lit_syms >= 64 else bps
+                    # Only a candidate that agrees with i up to index
+                    # `mark` can change the parse: a match of length L at
+                    # distance d >= i - j is taken only if L * avg >
+                    # 2 * (d.bit_length() + 1) (the - 2 absorbs float
+                    # rounding), and once a match is found only a longer
+                    # one counts. Overlapping matches are fine, since the
+                    # decoder copies symbol by symbol.
+                    mark = int(2 * ((i - j).bit_length() + 1) / avg) - 2 if avg else n
+                    if mark < n - i:
+                        if mark < ANCHOR:
+                            mark = ANCHOR - 1  # agrees by the chain's key
+                        ahead = symbols[i + ANCHOR : i + mark + 1]
+                        best_len = 0
+                        # most extensions end within a few symbols, where
+                        # single compares are cheaper than slices; past
+                        # _SCAN symbols _extend_match goes on by slices
+                        stop = min(n - i, _SCAN)
+                        chain = MAX_CHAIN
+                        while j >= 0 and chain:
+                            chain -= 1
+                            if symbols.startswith(ahead, j + ANCHOR):
+                                length = mark + 1
+                                while length < stop and symbols[j + length] == symbols[i + length]:
+                                    length += 1
+                                if length >= _SCAN:
+                                    length = _extend_match(symbols, j, i, n, length)
+                                best_len = mark = length
+                                best_dist = i - j
+                                if length == n - i:
+                                    break
+                                ahead = symbols[i + ANCHOR : i + mark + 1]
+                            j = prev[j]
+                        # gamma_len(best_dist) + gamma_len(best_len - ANCHOR + 1) + 2
+                        if best_len and 2 * (
+                            best_dist.bit_length() + (best_len - ANCHOR + 1).bit_length()
+                        ) < best_len * avg:
+                            sym = 1
+            # code sym at tab's counts, then count it
+            total = tab[-1]
+            c = tab[sym]
+            span = high - low + 1
+            if sym:
+                cum = tab[0] if sym == 1 else sum(tab[:sym])
+                high = low + span * (cum + c) // total - 1
+                low += span * cum // total
+            else:
+                high = low + span * c // total - 1
+            while True:
+                if high < half:
+                    if pending:
+                        out += b"0" + b"1" * pending
+                        pending = 0
+                    else:
+                        out.append(48)
+                elif low >= half:
+                    if pending:
+                        out += b"1" + b"0" * pending
+                        pending = 0
+                    else:
+                        out.append(49)
+                    low -= half
+                    high -= half
+                elif low >= quarter and high < three_q:
+                    pending += 1
+                    low -= quarter
+                    high -= quarter
+                else:
+                    break
+                low <<= 1
+                high = (high << 1) | 1
+            c += step
+            tab[sym] = c
+            tab[-1] = total + step
+            if c >= rescale:
+                AdaptiveModel.rescale(tab)
+            if tab is not flag:
+                lit_bits += len(out) - before
                 lit_syms += 1
-                t[s] = c + step
-                t[q] += step
-                if c + step >= rescale:
-                    lit.rescale(t)
-                if key is not None:
-                    table.setdefault(key, []).append(i)
                 i += 1
+            elif sym:
+                enc.low, enc.high, enc.pending = low, high, pending
+                write_gamma(enc, best_dist)
+                write_gamma(enc, best_len - ANCHOR + 1)
+                low, high, pending = enc.low, enc.high, enc.pending
+                i += best_len
+            else:
+                before = len(out)
+        enc.low, enc.high, enc.pending = low, high, pending
         enc.finish()
         return self._pick(symbols, q, period, w)
 
     def _decode_payload(self, r: BitReader, q: int, n: int, period: int) -> bytes:
         dec = ArithmeticDecoder(r)
-        flag = AdaptiveModel(2)
+        low, high, code = dec.low, dec.high, dec.code
+        buf, pos = r.buf, r.pos
+        half, quarter, three_q = HALF, QUARTER, THREE_Q
+        flag = AdaptiveModel(2).table(0)
         lit = AdaptiveModel(q)
+        tables = lit.tables
+        step = AdaptiveModel.STEP
+        rescale = AdaptiveModel.RESCALE
         out = bytearray()
         qq = q + 1
         ctxspan = qq * qq
+        tab = flag
         while len(out) < n:
-            if flag.decode(dec, 0):
+            # decode one symbol at tab's frequencies, then count it
+            total = tab[-1]
+            span = high - low + 1
+            target = ((code - low + 1) * total - 1) // span
+            cum = 0
+            sym = 0
+            c = tab[0]
+            while cum + c <= target:
+                cum += c
+                sym += 1
+                c = tab[sym]
+            high = low + span * (cum + c) // total - 1
+            low += span * cum // total
+            shifts = 0
+            while True:
+                if high < half:
+                    pass
+                elif low >= half:
+                    low -= half
+                    high -= half
+                    code -= half
+                elif low >= quarter and high < three_q:
+                    low -= quarter
+                    high -= quarter
+                    code -= quarter
+                else:
+                    break
+                low <<= 1
+                high = (high << 1) | 1
+                code <<= 1
+                shifts += 1
+            if shifts:
+                code |= int(buf[pos : pos + shifts].ljust(shifts, b"0"), 2)
+                pos += shifts
+            c += step
+            tab[sym] = c
+            tab[-1] = total + step
+            if c >= rescale:
+                AdaptiveModel.rescale(tab)
+            if tab is not flag:
+                out.append(sym)
+                tab = flag
+            elif sym:
+                dec.low, dec.high, dec.code, r.pos = low, high, code, pos
                 dist = read_gamma(dec)
                 length = read_gamma(dec) + ANCHOR - 1
+                low, high, code, pos = dec.low, dec.high, dec.code, r.pos
                 start = len(out) - dist
-                if start < 0:
+                if start < 0 or len(out) + length > n:
                     raise EstimatorError("corrupt LZ77 stream")
-                for k in range(length):
-                    out.append(out[start + k])
+                if dist >= length:
+                    out += out[start : start + length]
+                else:  # the copy overlaps its own output
+                    out += (out[start:] * (length // dist + 1))[:length]
             else:
                 i = len(out)
                 p1 = out[i - 1] if i >= 1 else q
                 p2 = out[i - 2] if i >= 2 else q
-                out.append(lit.decode(dec, (i % period) * ctxspan + p2 * qq + p1))
+                ctx = (i % period) * ctxspan + p2 * qq + p1
+                try:
+                    tab = tables[ctx]
+                except KeyError:
+                    tab = lit.table(ctx)
         return bytes(out)
 
 
 class ContextEstimator(Estimator):
     """Order-k adaptive arithmetic coder: each symbol is predicted from the
-    previous k symbols."""
+    previous k symbols. Both loops run the coder inline on its state."""
 
     def __init__(self, order: int) -> None:
         if not 0 <= order <= 3:
@@ -302,45 +429,128 @@ class ContextEstimator(Estimator):
     def encode(self, symbols: bytes, q: int, period: int = 1) -> tuple[int, bytes]:
         w = _header_writer(q, len(symbols), period, MODE_CODED)
         enc = ArithmeticEncoder(w)
-        code = enc.encode
+        out = w.buf
+        low, high, pending = enc.low, enc.high, enc.pending
+        half, quarter, three_q = HALF, QUARTER, THREE_Q
         model = AdaptiveModel(q)
         tables = model.tables
         step = AdaptiveModel.STEP
         rescale = AdaptiveModel.RESCALE
         k = self.order
         qq = q + 1
-        mod = qq**k if k else 1
+        mod = qq**k
         ctx = 0
         for _ in range(k):
             ctx = ctx * qq + q  # sentinel padding
-        # one coder call per symbol, with the model's table update inline
         for i, s in enumerate(symbols):
-            key = (i % period) * mod + ctx if k else i % period
-            t = tables.get(key) or model.table(key)
-            cum = sum(t[:s]) if s else 0
+            key = (i % period) * mod + ctx
+            try:
+                t = tables[key]
+            except KeyError:
+                t = model.table(key)
+            total = t[q]
             c = t[s]
-            code(cum, cum + c, t[q])
-            t[s] = c + step
-            t[q] += step
-            if c + step >= rescale:
-                model.rescale(t)
+            span = high - low + 1
+            if s:
+                cum = t[0] if s == 1 else sum(t[:s])
+                high = low + span * (cum + c) // total - 1
+                low += span * cum // total
+            else:
+                high = low + span * c // total - 1
+            while True:
+                if high < half:
+                    if pending:
+                        out += b"0" + b"1" * pending
+                        pending = 0
+                    else:
+                        out.append(48)
+                elif low >= half:
+                    if pending:
+                        out += b"1" + b"0" * pending
+                        pending = 0
+                    else:
+                        out.append(49)
+                    low -= half
+                    high -= half
+                elif low >= quarter and high < three_q:
+                    pending += 1
+                    low -= quarter
+                    high -= quarter
+                else:
+                    break
+                low <<= 1
+                high = (high << 1) | 1
+            c += step
+            t[s] = c
+            t[q] = total + step
+            if c >= rescale:
+                AdaptiveModel.rescale(t)
             if k:
                 ctx = (ctx * qq + s) % mod
+        enc.low, enc.high, enc.pending = low, high, pending
         enc.finish()
         return self._pick(symbols, q, period, w)
 
     def _decode_payload(self, r: BitReader, q: int, n: int, period: int) -> bytes:
         dec = ArithmeticDecoder(r)
+        low, high, code = dec.low, dec.high, dec.code
+        buf, pos = r.buf, r.pos
+        half, quarter, three_q = HALF, QUARTER, THREE_Q
         model = AdaptiveModel(q)
+        tables = model.tables
+        step = AdaptiveModel.STEP
+        rescale = AdaptiveModel.RESCALE
         k = self.order
         qq = q + 1
-        mod = qq**k if k else 1
+        mod = qq**k
         ctx = 0
         for _ in range(k):
             ctx = ctx * qq + q
         out = bytearray()
         for i in range(n):
-            s = model.decode(dec, (i % period) * mod + ctx if k else i % period)
+            key = (i % period) * mod + ctx
+            try:
+                t = tables[key]
+            except KeyError:
+                t = model.table(key)
+            total = t[q]
+            span = high - low + 1
+            target = ((code - low + 1) * total - 1) // span
+            cum = 0
+            s = 0
+            c = t[0]
+            while cum + c <= target:
+                cum += c
+                s += 1
+                c = t[s]
+            high = low + span * (cum + c) // total - 1
+            low += span * cum // total
+            shifts = 0
+            while True:
+                if high < half:
+                    pass
+                elif low >= half:
+                    low -= half
+                    high -= half
+                    code -= half
+                elif low >= quarter and high < three_q:
+                    low -= quarter
+                    high -= quarter
+                    code -= quarter
+                else:
+                    break
+                low <<= 1
+                high = (high << 1) | 1
+                code <<= 1
+                shifts += 1
+            if shifts:
+                code |= int(buf[pos : pos + shifts].ljust(shifts, b"0"), 2)
+                pos += shifts
+            c += step
+            t[s] = c
+            t[q] = total + step
+            if c >= rescale:
+                AdaptiveModel.rescale(t)
             out.append(s)
             if k:
                 ctx = (ctx * qq + s) % mod

@@ -213,42 +213,57 @@ def play(
         raise ValueError("input lengths differ")
     if a.q != game.qA or b.q != game.qB:
         raise ValueError("input alphabets do not match the game")
-    for i in range(a.n):
-        if not game.promise(a[i], b[i]):
-            raise PromiseViolation(i)
+    _check_promise(game, a.data, b.data)
 
     n = a.n
     xs = bytearray(n)
     ys = bytearray(n)
+    rounds = enumerate(zip(a.data, b.data))
     if isinstance(strategy, LocalDeterministic):
         strategy.validate(game)
-        for i in range(n):
-            xs[i] = strategy.fa[a[i]]
-            ys[i] = strategy.fb[b[i]]
+        fa, fb = strategy.fa, strategy.fb
+        for i, (u, v) in rounds:
+            xs[i] = fa[u]
+            ys[i] = fb[v]
     elif isinstance(strategy, NoSignalingSampler):
         if noise_seed is None:
             noise_seed = seed.derive("noise")
         if game.kind in ("pr", "chained"):
-            for i in range(n):
+            target = {ab: game.target_bit(*ab) for ab in game.promise_pairs()}
+            eps = strategy.eps
+            for i, ab in rounds:
                 x = round_bits(seed, i, 1)
-                noise = _bernoulli(round_bits(noise_seed, i, 32), strategy.eps)
+                # _bernoulli is 0 for every draw when eps is 0
+                noise = _bernoulli(round_bits(noise_seed, i, 32), eps) if eps else 0
                 xs[i] = x
-                ys[i] = x ^ game.target_bit(a[i], b[i]) ^ noise
+                ys[i] = x ^ target[ab] ^ noise
         else:
-            for i in range(n):
+            for i, (u, v) in rounds:
                 draw = round_bits(seed, i, 3)
                 shared = draw & 1  # intersection cell value
-                xs[i] = _magic_encode_alice(a[i], b[i], shared, (draw >> 1) & 1)
-                ys[i] = _magic_encode_bob(a[i], b[i], shared, (draw >> 2) & 1)
+                xs[i] = _magic_encode_alice(u, v, shared, (draw >> 1) & 1)
+                ys[i] = _magic_encode_bob(u, v, shared, (draw >> 2) & 1)
     elif isinstance(strategy, SignalingSampler):
         if game.qX != 2 or game.qY != 2:
             raise ValueError("signaling control needs binary outputs")
-        for i in range(n):
+        for i, u in enumerate(a.data):
             xs[i] = round_bits(seed, i, 1)
-            ys[i] = a[i] & 1
+            ys[i] = u & 1
     else:
         raise TypeError(f"unknown strategy: {strategy!r}")
     return SymbolString(game.qX, bytes(xs)), SymbolString(game.qY, bytes(ys))
+
+
+def _check_promise(game: GameSpec, a: bytes, b: bytes) -> None:
+    """Raise PromiseViolation at the first round whose input pair is off the
+    game's promise (only the chained game has one)."""
+    if game.kind != "chained":
+        return
+    pairs = set(game.promise_pairs())
+    if not pairs.issuperset(zip(a, b)):
+        for i, ab in enumerate(zip(a, b)):
+            if ab not in pairs:
+                raise PromiseViolation(i)
 
 
 def _magic_encode_alice(row: int, col: int, shared: int, free: int) -> int:
@@ -297,15 +312,18 @@ class Quadruple:
 def satisfaction_fraction(quad: Quadruple) -> Fraction:
     """Exact fraction of winning rounds; raises on a promise violation."""
     g = quad.game
-    wins = 0
-    for i in range(quad.n):
-        if not g.promise(quad.a[i], quad.b[i]):
-            raise PromiseViolation(i)
-        if g.win(quad.a[i], quad.b[i], quad.x[i], quad.y[i]):
-            wins += 1
+    _check_promise(g, quad.a.data, quad.b.data)
     if quad.n == 0:
         return Fraction(1)
-    return Fraction(wins, quad.n)
+    winning = {
+        (a, b, x, y)
+        for a, b in g.promise_pairs()
+        for x in range(g.qX)
+        for y in range(g.qY)
+        if g.win(a, b, x, y)
+    }
+    rounds = zip(quad.a.data, quad.b.data, quad.x.data, quad.y.data)
+    return Fraction(sum(map(winning.__contains__, rounds)), quad.n)
 
 
 # --- no-signaling tester -------------------------------------------------------

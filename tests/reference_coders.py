@@ -1,0 +1,352 @@
+"""The lz77 and ctx_k coding loops as they were before the arithmetic coder
+was fused into them: one coder method call per coded symbol, a dict of
+position lists as lz77's match table, and one int() per value when a
+literal-mode payload is read.
+
+Kept only as the reference the fused loops in src/ must match bit for bit
+(tests/test_coder_outputs.py). The coder and the model are copied here too,
+so that a fault in src/'s coder cannot hide by showing up on both sides.
+"""
+from __future__ import annotations
+
+from nonlocality.coding import BitReader, BitWriter, read_gamma, read_uint, write_gamma
+from nonlocality.estimators import (
+    ANCHOR,
+    MAX_CHAIN,
+    MODE_CODED,
+    MODE_LITERAL,
+    _SCAN,
+    Estimator,
+    EstimatorError,
+    _extend_match,
+    _header_writer,
+)
+from nonlocality.strings import bits_per_symbol
+
+_TOP = (1 << 32) - 1
+_HALF = 1 << 31
+_QUARTER = 1 << 30
+_THREE_Q = 3 << 30
+
+
+class ArithmeticEncoder:
+    def __init__(self, writer: BitWriter) -> None:
+        self._out = writer.buf
+        self._low = 0
+        self._high = _TOP
+        self._pending = 0
+
+    def encode(self, cum_lo: int, cum_hi: int, total: int) -> int:
+        """Narrow the range to [cum_lo, cum_hi) of total; returns the
+        writer's bit_count after the bits this decided."""
+        low = self._low
+        span = self._high - low + 1
+        high = low + span * cum_hi // total - 1
+        low += span * cum_lo // total
+        pending = self._pending
+        out = self._out
+        while True:
+            if high < _HALF:
+                if pending:
+                    out += b"0" + b"1" * pending
+                    pending = 0
+                else:
+                    out.append(48)
+            elif low >= _HALF:
+                if pending:
+                    out += b"1" + b"0" * pending
+                    pending = 0
+                else:
+                    out.append(49)
+                low -= _HALF
+                high -= _HALF
+            elif low >= _QUARTER and high < _THREE_Q:
+                pending += 1
+                low -= _QUARTER
+                high -= _QUARTER
+            else:
+                break
+            low <<= 1
+            high = (high << 1) | 1
+        self._low = low
+        self._high = high
+        self._pending = pending
+        return len(out)
+
+    def write_bit(self, bit: int) -> None:
+        self.encode(bit, bit + 1, 2)
+
+    def write_bits(self, value: int, k: int) -> None:
+        for i in range(k - 1, -1, -1):
+            self.write_bit((value >> i) & 1)
+
+    def finish(self) -> None:
+        run = self._pending + 1
+        self._out += b"0" + b"1" * run if self._low < _QUARTER else b"1" + b"0" * run
+        self._pending = 0
+
+
+class ArithmeticDecoder:
+    def __init__(self, reader: BitReader) -> None:
+        self._r = reader
+        self._low = 0
+        self._high = _TOP
+        self._code = reader.read_bits(32)
+
+    def decode_target(self, total: int) -> int:
+        span = self._high - self._low + 1
+        return ((self._code - self._low + 1) * total - 1) // span
+
+    def consume(self, cum_lo: int, cum_hi: int, total: int) -> None:
+        low = self._low
+        span = self._high - low + 1
+        high = low + span * cum_hi // total - 1
+        low += span * cum_lo // total
+        code = self._code
+        shifts = 0
+        while True:
+            if high < _HALF:
+                pass
+            elif low >= _HALF:
+                low -= _HALF
+                high -= _HALF
+                code -= _HALF
+            elif low >= _QUARTER and high < _THREE_Q:
+                low -= _QUARTER
+                high -= _QUARTER
+                code -= _QUARTER
+            else:
+                break
+            low <<= 1
+            high = (high << 1) | 1
+            code <<= 1
+            shifts += 1
+        self._low = low
+        self._high = high
+        self._code = code | self._r.read_bits(shifts) if shifts else code
+
+    def read_bit(self) -> int:
+        bit = self.decode_target(2)
+        self.consume(bit, bit + 1, 2)
+        return bit
+
+
+class AdaptiveModel:
+    STEP = 32
+    RESCALE = 1 << 14
+
+    def __init__(self, q: int) -> None:
+        self.q = q
+        self.tables: dict = {}
+
+    def table(self, ctx) -> list:
+        t = self.tables.get(ctx)
+        if t is None:
+            t = self.tables[ctx] = [1] * self.q + [self.q]
+        return t
+
+    def encode(self, enc, ctx, symbol: int) -> None:
+        t = self.table(ctx)
+        cum = sum(t[:symbol])
+        enc.encode(cum, cum + t[symbol], t[self.q])
+        self.update(t, symbol)
+
+    def decode(self, dec, ctx) -> int:
+        t = self.table(ctx)
+        total = t[self.q]
+        target = dec.decode_target(total)
+        cum = 0
+        symbol = 0
+        while cum + t[symbol] <= target:
+            cum += t[symbol]
+            symbol += 1
+        dec.consume(cum, cum + t[symbol], total)
+        self.update(t, symbol)
+        return symbol
+
+    def update(self, t: list, symbol: int) -> None:
+        t[symbol] += self.STEP
+        t[self.q] += self.STEP
+        if t[symbol] >= self.RESCALE:
+            self.rescale(t)
+
+    def rescale(self, t: list) -> None:
+        q = self.q
+        for s in range(q):
+            t[s] = (t[s] + 1) >> 1
+        t[q] = sum(t[:q])
+
+
+def lz77_encode(symbols: bytes, q: int, period: int = 1) -> tuple[int, bytes]:
+    w = _header_writer(q, len(symbols), period, MODE_CODED)
+    enc = ArithmeticEncoder(w)
+    code = enc.encode
+    flag_model = AdaptiveModel(2)
+    flag = flag_model.table(0)
+    lit = AdaptiveModel(q)
+    tables = lit.tables
+    step = AdaptiveModel.STEP
+    rescale = AdaptiveModel.RESCALE
+    n = len(symbols)
+    bps = bits_per_symbol(q)
+    table: dict = {}
+    i = 0
+    qq = q + 1
+    ctxspan = qq * qq
+    lit_bits = 0
+    lit_syms = 0
+    while i < n:
+        best_len = 0
+        best_dist = 0
+        key = symbols[i : i + ANCHOR] if i + ANCHOR <= n else None
+        if key is not None:
+            cands = table.get(key)
+            if cands:
+                stop = min(n - i, _SCAN)
+                for j in cands[-MAX_CHAIN:][::-1]:
+                    length = ANCHOR
+                    while length < stop and symbols[j + length] == symbols[i + length]:
+                        length += 1
+                    if length == _SCAN:
+                        length = _extend_match(symbols, j, i, n, length)
+                    if length > best_len:
+                        best_len = length
+                        best_dist = i - j
+        take = False
+        if best_len:
+            cost = 2 * (best_dist.bit_length() + (best_len - ANCHOR + 1).bit_length())
+            avg = lit_bits / lit_syms if lit_syms >= 64 else bps
+            take = cost < best_len * avg
+        if take:
+            flag_model.encode(enc, 0, 1)
+            write_gamma(enc, best_dist)
+            write_gamma(enc, best_len - ANCHOR + 1)
+            end = i + best_len
+            for p in range(i, min(end, n - ANCHOR + 1)):
+                table.setdefault(symbols[p : p + ANCHOR], []).append(p)
+            i = end
+        else:
+            c0 = flag[0]
+            before = code(0, c0, flag[2])
+            flag[0] = c0 + step
+            flag[2] += step
+            if c0 + step >= rescale:
+                flag_model.rescale(flag)
+            s = symbols[i]
+            p1 = symbols[i - 1] if i >= 1 else q
+            p2 = symbols[i - 2] if i >= 2 else q
+            ctx = (i % period) * ctxspan + p2 * qq + p1
+            t = tables.get(ctx) or lit.table(ctx)
+            cum = sum(t[:s]) if s else 0
+            c = t[s]
+            lit_bits += code(cum, cum + c, t[q]) - before
+            lit_syms += 1
+            t[s] = c + step
+            t[q] += step
+            if c + step >= rescale:
+                lit.rescale(t)
+            if key is not None:
+                table.setdefault(key, []).append(i)
+            i += 1
+    enc.finish()
+    return Estimator()._pick(symbols, q, period, w)
+
+
+def lz77_decode_payload(r: BitReader, q: int, n: int, period: int) -> bytes:
+    dec = ArithmeticDecoder(r)
+    flag = AdaptiveModel(2)
+    lit = AdaptiveModel(q)
+    out = bytearray()
+    qq = q + 1
+    ctxspan = qq * qq
+    while len(out) < n:
+        if flag.decode(dec, 0):
+            dist = read_gamma(dec)
+            length = read_gamma(dec) + ANCHOR - 1
+            start = len(out) - dist
+            if start < 0:
+                raise EstimatorError("corrupt LZ77 stream")
+            for k in range(length):
+                out.append(out[start + k])
+        else:
+            i = len(out)
+            p1 = out[i - 1] if i >= 1 else q
+            p2 = out[i - 2] if i >= 2 else q
+            out.append(lit.decode(dec, (i % period) * ctxspan + p2 * qq + p1))
+    return bytes(out)
+
+
+def ctx_encode(order: int, symbols: bytes, q: int, period: int = 1) -> tuple[int, bytes]:
+    w = _header_writer(q, len(symbols), period, MODE_CODED)
+    enc = ArithmeticEncoder(w)
+    code = enc.encode
+    model = AdaptiveModel(q)
+    tables = model.tables
+    step = AdaptiveModel.STEP
+    rescale = AdaptiveModel.RESCALE
+    k = order
+    qq = q + 1
+    mod = qq**k if k else 1
+    ctx = 0
+    for _ in range(k):
+        ctx = ctx * qq + q
+    for i, s in enumerate(symbols):
+        key = (i % period) * mod + ctx if k else i % period
+        t = tables.get(key) or model.table(key)
+        cum = sum(t[:s]) if s else 0
+        c = t[s]
+        code(cum, cum + c, t[q])
+        t[s] = c + step
+        t[q] += step
+        if c + step >= rescale:
+            model.rescale(t)
+        if k:
+            ctx = (ctx * qq + s) % mod
+    enc.finish()
+    return Estimator()._pick(symbols, q, period, w)
+
+
+def ctx_decode_payload(order: int, r: BitReader, q: int, n: int, period: int) -> bytes:
+    dec = ArithmeticDecoder(r)
+    model = AdaptiveModel(q)
+    k = order
+    qq = q + 1
+    mod = qq**k if k else 1
+    ctx = 0
+    for _ in range(k):
+        ctx = ctx * qq + q
+    out = bytearray()
+    for i in range(n):
+        s = model.decode(dec, (i % period) * mod + ctx if k else i % period)
+        out.append(s)
+        if k:
+            ctx = (ctx * qq + s) % mod
+    return bytes(out)
+
+
+def read_fields(r: BitReader, n: int, k: int) -> bytes:
+    pos = r.pos
+    chunk = r.buf[pos : pos + n * k].ljust(n * k, b"0")
+    r.pos = pos + n * k
+    return bytes(int(chunk[i : i + k], 2) for i in range(0, n * k, k))
+
+
+def encode(est_id: str, symbols: bytes, q: int, period: int = 1) -> tuple[int, bytes]:
+    if est_id == "lz77":
+        return lz77_encode(symbols, q, period)
+    return ctx_encode(int(est_id[len("ctx_"):]), symbols, q, period)
+
+
+def decode(est_id: str, blob: bytes) -> tuple[int, bytes]:
+    r = BitReader(blob)
+    q = read_uint(r) + 2
+    n = read_uint(r)
+    period = read_uint(r) + 1
+    if r.read_bit() == MODE_LITERAL:
+        return q, read_fields(r, n, bits_per_symbol(q))
+    if est_id == "lz77":
+        return q, lz77_decode_payload(r, q, n, period)
+    return q, ctx_decode_payload(int(est_id[len("ctx_"):]), r, q, n, period)
+
+
+FUSED_IDS = ("lz77", "ctx_0", "ctx_1", "ctx_2", "ctx_3")

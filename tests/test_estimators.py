@@ -2,7 +2,7 @@ import sys
 
 import pytest
 
-from nonlocality.coding import AdaptiveModel, ArithmeticEncoder, BitWriter, write_uint
+from nonlocality.coding import ArithmeticEncoder, BitReader, BitWriter, read_uint, write_uint
 from nonlocality.estimators import (
     EstimatorError,
     LZ77Estimator,
@@ -99,9 +99,24 @@ def test_corrupt_lz77_match_gamma_is_rejected_like_a_header_gamma():
         write_uint(w, v)
     w.write_bit(1)
     enc = ArithmeticEncoder(w)
-    AdaptiveModel(2).encode(enc, 0, 1)
+    enc.encode(1, 2, 2)  # flag 1 (a match) at the fresh flag model's counts [1, 1]
     for _ in range(80):
         enc.write_bit(0)
     enc.finish()
     with pytest.raises(ValueError, match="malformed gamma code"):
+        LZ77Estimator().decode(w.getvalue())
+
+
+def test_lz77_match_past_the_declared_length_is_rejected():
+    # zeros code as one literal then one match of 99; the same payload under
+    # a header that declares n = 50 asks for a copy past the end
+    _, blob = LZ77Estimator().encode(bytes(100), 2)
+    r = BitReader(blob)
+    assert [read_uint(r) for _ in range(3)] == [0, 100, 0] and r.read_bit() == 1
+    w = BitWriter()
+    for v in (0, 50, 0):
+        write_uint(w, v)
+    w.write_bit(1)
+    w.buf += r.buf[r.pos :]
+    with pytest.raises(EstimatorError, match="corrupt LZ77 stream"):
         LZ77Estimator().decode(w.getvalue())

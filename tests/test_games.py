@@ -1,4 +1,5 @@
 import json
+import random
 from fractions import Fraction
 
 import pytest
@@ -150,6 +151,30 @@ def test_promise_violation_reports_first_index():
     with pytest.raises(PromiseViolation) as exc:
         play(LocalDeterministic((0,) * 4, (0,) * 4), g, a, b, SEED)
     assert exc.value.index == 1
+
+
+def test_satisfaction_promise_violation_reports_first_index():
+    g = GameSpec.chained(4)
+    a = SymbolString(4, b"\x00\x01\x02\x00\x03")
+    b = SymbolString(4, b"\x00\x02\x00\x02\x00")  # indices 2 and 3 violate
+    x = SymbolString(2, bytes(5))
+    with pytest.raises(PromiseViolation) as exc:
+        satisfaction_fraction(Quadruple(g, a, b, x, x))
+    assert exc.value.index == 2
+
+
+@pytest.mark.parametrize("game", [GameSpec.pr(), GameSpec.chained(5), GameSpec.magic_square()])
+def test_satisfaction_matches_a_per_round_count(game):
+    rng = random.Random(game.label())
+    if game.kind == "chained":
+        a, b = gen_promise_inputs(5, 500, SEED.derive("pa"))
+    else:
+        a = gen_seeded_random(500, game.qA, SEED.derive("pa"))
+        b = gen_seeded_random(500, game.qB, SEED.derive("pb"))
+    x = SymbolString(game.qX, bytes(rng.randrange(game.qX) for _ in range(500)))
+    y = SymbolString(game.qY, bytes(rng.randrange(game.qY) for _ in range(500)))
+    wins = sum(game.win(*r) for r in zip(a.data, b.data, x.data, y.data))
+    assert satisfaction_fraction(Quadruple(game, a, b, x, y)) == Fraction(wins, 500)
 
 
 def test_satisfaction_empty_quadruple_is_one():
