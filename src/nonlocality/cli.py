@@ -114,7 +114,7 @@ def _length(text) -> int:
 
 
 def _positive(text) -> int:
-    """argparse type of exp --n and oracle --reps."""
+    """argparse type of exp --n, oracle --reps and oracle --jobs."""
     return _bounded_int(text, 1)
 
 
@@ -481,7 +481,7 @@ def build_parser() -> _Parser:
     p.add_argument("--game", default="pr", choices=GAME_KINDS)
     p.add_argument("--m", type=int, default=2)
     p.add_argument("--reps", type=_positive, default=1)
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=_positive, default=1)
     p.add_argument("--fine", help="distribution JSON for membership testing")
     p.add_argument("--marginals", action="store_true", help="marginal extremes LP")
     p.add_argument("--pr-weight", dest="pr_weight", type=_probability)

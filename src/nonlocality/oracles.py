@@ -169,22 +169,24 @@ def _block_win(game: GameSpec, ab, bb, xb, yb) -> bool:
     return all(game.win(a, b, x, y) for a, b, x, y in zip(ab, bb, xb, yb))
 
 
-def _lanes(col: int, w: int, ny: int) -> list:
-    """The ny lanes of a packed column: lane y is bits w*y .. w*y+w-1."""
-    mask = (1 << w) - 1
-    return [(col >> (w * y)) & mask for y in range(ny)]
-
-
 def _search(game, reps, first_choice=None):
     """Depth-first scan over Alice block functions in lexicographic order,
     with a per-column optimistic bound (Bob's best response so far plus one
     win for every still-unassigned row). The first optimum encountered is
     the lexicographically smallest, and strict improvement keeps it.
 
-    Bob's tally for column bi is one int W[bi] with a lane per output block.
-    Only the columns of the row being assigned change, so the sum of column
-    maxima is kept as a running total; the bound after row ai is that total
-    plus rest[ai + 1], the number of edges in later rows."""
+    All of Bob's tallies are one int T: column bi sits at bit cw*bi, and
+    its lane y, counting the wins of output block y, w*y bits above that.
+    Assigning row ai to xb adds that choice's addend to T and hands the
+    child the new int, so nothing is undone. An edge adds 0 or 1 to each
+    lane, so its column's max rises by one exactly when the edge wins on a
+    lane at the max. Each node packs the argmax masks of row ai's columns
+    into M, one field of ny + 1 bits per edge, and a choice's gain is the
+    number of fields in which M meets the edges' win masks: adding `low`
+    (ny ones per field) carries each non-zero field into its guard bit,
+    and `high` keeps only the guard bits. The bound after row ai is the
+    sum of column maxima plus that gain plus rest[ai + 1], the number of
+    edges in later rows."""
     a_blocks, b_blocks, x_blocks, y_blocks, edges = _block_setup(game, reps)
     na, nb = len(a_blocks), len(b_blocks)
     nx, ny = len(x_blocks), len(y_blocks)
@@ -200,66 +202,68 @@ def _search(game, reps, first_choice=None):
         rest[ai] += rest[ai + 1]
     # a lane counts wins on its column's edges, so it never exceeds deg[bi]
     w = max(deg).bit_length()
-    # addends[ai][xb]: (bi, the packed win row of edge (ai, bi) under xb);
-    # edges are sorted, so each adj[ai] is too
-    addends = [
-        [
-            [
-                (bi, sum(
-                    1 << (w * yb)
-                    for yb in range(ny)
-                    if _block_win(game, a_blocks[ai], b_blocks[bi], x_blocks[xb], y_blocks[yb])
-                ))
-                for bi in adj[ai]
-            ]
-            for xb in range(nx)
-        ]
-        for ai in range(na)
-    ]
+    cw, fw = w * ny, ny + 1
+    cmask, lmask = (1 << cw) - 1, (1 << w) - 1
+    # rows[ai]: where row ai's columns sit in T and their fields in M, the
+    # fields' low and guard bits, and (xb, edge win masks, addend) per choice
+    rows = []
+    for ai in range(na):
+        steps = []
+        for xb in range(nx):
+            wins = add = 0
+            for j, bi in enumerate(adj[ai]):
+                for yb in range(ny):
+                    if _block_win(game, a_blocks[ai], b_blocks[bi], x_blocks[xb], y_blocks[yb]):
+                        wins += 1 << (fw * j + yb)
+                        add += 1 << (cw * bi + w * yb)
+            steps.append((xb, wins, add))
+        if ai == 0 and first_choice is not None:
+            steps = [steps[first_choice]]
+        ones = sum(1 << (fw * j) for j in range(len(adj[ai])))
+        spots = [(cw * bi, fw * j) for j, bi in enumerate(adj[ai])]
+        rows.append((spots, ones * ((1 << ny) - 1), ones << ny, rest[ai + 1], steps))
 
-    cmax = {0: 0}  # packed column -> its largest lane, filled as columns appear
-    W = [0] * nb
+    argmax = {}  # packed column -> mask of the lanes at its max
+
+    def argmax_of(col):
+        lanes = [(col >> s) & lmask for s in range(0, cw, w)]
+        top = max(lanes)
+        m = argmax[col] = sum(1 << y for y, v in enumerate(lanes) if v == top)
+        return m
+
     assign = [0] * na
-    total = 0  # sum of cmax[W[bi]] over all columns
     best_wins, best_fa, best_fb = -1, None, None
     nodes = prunes = 0
 
-    def dfs(ai):
-        nonlocal total, best_wins, best_fa, best_fb, nodes, prunes
+    def dfs(ai, T, total):
+        nonlocal best_wins, best_fa, best_fb, nodes, prunes
         nodes += 1
         if ai == na:
-            if total > best_wins:
-                fb = []
-                for col in W:
-                    lanes = _lanes(col, w, ny)
-                    fb.append(lanes.index(max(lanes)))
-                best_wins = total
-                best_fa = tuple(assign)
-                best_fb = tuple(fb)
+            # the bound let this leaf through only if total beats best_wins;
+            # Bob's witness is the first lane at each column's max
+            tops = [argmax_of((T >> s) & cmask) for s in range(0, cw * nb, cw)]
+            best_wins = total
+            best_fa = tuple(assign)
+            best_fb = tuple((m & -m).bit_length() - 1 for m in tops)
             return
-        left = rest[ai + 1]
-        rows = addends[ai]
-        choices = [first_choice] if (ai == 0 and first_choice is not None) else range(nx)
-        for xb in choices:
-            before = total
-            for bi, add in rows[xb]:
-                col = W[bi]
-                new = W[bi] = col + add
-                try:
-                    top = cmax[new]
-                except KeyError:
-                    top = cmax[new] = max(_lanes(new, w, ny))
-                total += top - cmax[col]
-            if total + left > best_wins:
+        spots, low, high, later, steps = rows[ai]
+        M = 0
+        for s, f in spots:
+            col = (T >> s) & cmask
+            try:
+                M |= argmax[col] << f
+            except KeyError:
+                M |= argmax_of(col) << f
+        left = total + later
+        for xb, wins, add in steps:
+            gain = (((M & wins) + low) & high).bit_count()
+            if left + gain > best_wins:
                 assign[ai] = xb
-                dfs(ai + 1)
+                dfs(ai + 1, T + add, total + gain)
             else:
                 prunes += 1
-            for bi, add in rows[xb]:
-                W[bi] -= add
-            total = before
 
-    dfs(0)
+    dfs(0, 0, 0)
     best = {"wins": best_wins, "fa": best_fa, "fb": best_fb, "nodes": nodes, "prunes": prunes}
     return best, a_blocks, b_blocks, x_blocks, y_blocks, len(edges)
 
@@ -275,6 +279,8 @@ def game_value_exact(game: GameSpec, reps: int = 1, jobs: int = 1) -> GameValueR
     """
     if reps < 1:
         raise ValueError("reps must be >= 1")
+    if jobs < 1:
+        raise ValueError("jobs must be >= 1")
     # Alice has nx**na block functions: nx output blocks, and na input blocks
     # (every input symbol is on the promise with some b, so all qA**reps
     # tuples occur). The count is judged from these numbers before any block

@@ -271,12 +271,14 @@ def test_bad_seed_is_usage_error(capsys, tmp_path, seed):
          "--eps", "2"],
         ["oracle", "--marginals", "--pr-weight", "2"],
         ["oracle", "--marginals", "--pr-weight=-1/2"],
+        ["oracle", "--game", "pr", "--jobs", "0"],
+        ["oracle", "--game", "pr", "--jobs", "-3"],
     ],
     ids=[
         "exp_n_zero", "exp_n_negative", "exp_n_text", "gen_n_negative", "q_1", "q_257",
         "reps_0", "gen_m_1", "gen_m_300", "exp_m_1", "exp_m_65", "eps_zero_denominator",
         "pr_weight_zero_denominator", "exp_eps_above_one", "play_eps_above_one",
-        "pr_weight_above_one", "pr_weight_negative",
+        "pr_weight_above_one", "pr_weight_negative", "jobs_0", "jobs_negative",
     ],
 )
 def test_bad_size_is_usage_error(capsys, tmp_path, argv):

@@ -5,6 +5,9 @@ from fractions import Fraction as F
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from reference_search import search as reference_search
 
 from nonlocality import oracles, simplex
 
@@ -166,6 +169,18 @@ def test_oversized_search_is_refused_before_any_block_list(monkeypatch):
             game_value_exact(game, reps=reps)
 
 
+def test_jobs_below_one_is_refused_before_any_block_list(monkeypatch):
+    def no_lists(*args):
+        raise AssertionError("block lists built for a refused search")
+
+    monkeypatch.setattr(oracles, "_block_setup", no_lists)
+    monkeypatch.setattr(GameSpec, "promise_pairs", no_lists)
+    monkeypatch.setattr(oracles, "ProcessPoolExecutor", no_lists)
+    for jobs in (0, -3):
+        with pytest.raises(ValueError, match="jobs must be >= 1"):
+            game_value_exact(GameSpec.pr(), jobs=jobs)
+
+
 class _InlinePool:
     """Stands in for ProcessPoolExecutor: records max_workers, runs inline."""
 
@@ -216,7 +231,8 @@ def _as_golden(r):
 
 @pytest.mark.parametrize(
     "game, reps",
-    [(GameSpec.pr(), 2), (GameSpec.chained(3), 2), (GameSpec.pr(), 1), (GameSpec.magic_square(), 1)]
+    [(GameSpec.pr(), 2), (GameSpec.chained(3), 2), (GameSpec.chained(4), 2)]
+    + [(GameSpec.pr(), 1), (GameSpec.magic_square(), 1)]
     + [(GameSpec.chained(m), 1) for m in range(2, 9)],
     ids=lambda v: v.label() if isinstance(v, GameSpec) else f"reps{v}",
 )
@@ -233,6 +249,54 @@ def test_parallel_search_tree_is_the_sum_of_its_branches(monkeypatch):
     # each branch searches without the other's incumbent, so the tree is
     # larger than the serial one (counts recorded with the dense search)
     assert got == dict(_golden("value:chained(3):reps2"), nodes=2722, prunes=8118)
+
+
+def test_parallel_chained4_tree_matches_the_jobs2_golden(monkeypatch):
+    monkeypatch.setattr(oracles, "ProcessPoolExecutor", _InlinePool)
+    # the benchmark's costliest op: 126178 nodes and 378470 prunes, against
+    # 125758 and 377259 for the serial search
+    got = _as_golden(game_value_exact(GameSpec.chained(4), reps=2, jobs=2))
+    assert got == _golden("value:chained(4):reps2:jobs2")
+
+
+class _TableGame:
+    """A game given by a promise set and a win table: all _search reads."""
+
+    def __init__(self, qX, qY, promise, wins):
+        self.qX, self.qY = qX, qY
+        self.promise, self.wins = promise, wins
+
+    def promise_pairs(self):
+        return sorted(self.promise)
+
+    def win(self, a, b, x, y):
+        return (a, b, x, y) in self.wins
+
+
+@st.composite
+def _table_games(draw):
+    reps = draw(st.sampled_from([1, 2]))
+    qA = draw(st.integers(2, 4 if reps == 1 else 2))
+    qX = draw(st.integers(2, 3 if reps == 1 else 2))
+    qB, qY = draw(st.integers(2, 4)), draw(st.integers(2, 3))
+    pairs = [(a, b) for a in range(qA) for b in range(qB)]
+    # drawn from a seeded Random: Hypothesis' own small draws would give
+    # mostly one-pair promises and trees of two nodes
+    rnd = draw(st.randoms(use_true_random=False))
+    promise = {p for p in pairs if rnd.random() < 0.7} or {pairs[-1]}
+    cells = [(a, b, x, y) for a, b in sorted(promise) for x in range(qX) for y in range(qY)]
+    return _TableGame(qX, qY, promise, {c for c in cells if rnd.random() < 0.5}), reps
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(_table_games())
+def test_search_matches_the_reference_on_random_tables(game_reps):
+    # lane counts up to 9 and rows of up to 16 edges, which the built-in
+    # games never reach; every first choice too, as the jobs > 1 merge uses
+    game, reps = game_reps
+    nx = game.qX**reps
+    for first in [None, *range(nx)]:
+        assert oracles._search(game, reps, first) == reference_search(game, reps, first)
 
 
 # --- membership against the Fraction tableau -----------------------------------
