@@ -139,6 +139,26 @@ def _probability(text) -> Fraction:
     return value
 
 
+def _threshold(text) -> float:
+    """argparse type of --theta-ns, --defect-threshold and
+    --output-threshold: a finite number >= 0, so reports stay JSON."""
+    try:
+        value = float(text)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise argparse.ArgumentTypeError(f"not a number: {text!r}") from exc
+    if not 0 <= value < float("inf"):  # NaN fails every comparison
+        raise argparse.ArgumentTypeError(f"must be finite and >= 0: {text!r}")
+    return value
+
+
+def _rate_threshold(text) -> float:
+    """argparse type of --theta-zero and --theta-full: a rate in [0, 1]."""
+    value = _threshold(text)
+    if value > 1:
+        raise argparse.ArgumentTypeError(f"must lie in [0, 1]: {text!r}")
+    return value
+
+
 def _parse_table(text) -> tuple:
     """argparse type of --fa/--fb: comma-separated output symbols."""
     try:
@@ -453,15 +473,19 @@ def build_parser() -> _Parser:
     _add_common(p)
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--cond", action="append", help="conditioning string (repeatable)")
-    p.add_argument("--theta-zero", dest="theta_zero", type=float, default=THETA_ZERO_DEFAULT)
-    p.add_argument("--theta-full", dest="theta_full", type=float, default=THETA_FULL_DEFAULT)
+    p.add_argument(
+        "--theta-zero", dest="theta_zero", type=_rate_threshold, default=THETA_ZERO_DEFAULT
+    )
+    p.add_argument(
+        "--theta-full", dest="theta_full", type=_rate_threshold, default=THETA_FULL_DEFAULT
+    )
     _add_estimator_opts(p)
     p.set_defaults(func=_cmd_estimate)
 
     p = sub.add_parser("nosig", help="complexity-based no-signaling test")
     _add_common(p)
     p.add_argument("--quad", required=True, help="quadruple manifest JSON")
-    p.add_argument("--theta-ns", dest="theta_ns", type=float, default=THETA_NS_DEFAULT)
+    p.add_argument("--theta-ns", dest="theta_ns", type=_threshold, default=THETA_NS_DEFAULT)
     _add_estimator_opts(p)
     p.set_defaults(func=_cmd_nosig)
 
@@ -469,9 +493,9 @@ def build_parser() -> _Parser:
     _add_common(p)
     p.add_argument("--quad", required=True)
     p.add_argument("--witness", help="witness .syms file (omit for the empty witness)")
-    p.add_argument("--defect-threshold", dest="defect_threshold", type=float, default=0.25)
+    p.add_argument("--defect-threshold", dest="defect_threshold", type=_threshold, default=0.25)
     p.add_argument(
-        "--output-threshold", dest="output_threshold", type=float, default=THETA_ZERO_DEFAULT
+        "--output-threshold", dest="output_threshold", type=_threshold, default=THETA_ZERO_DEFAULT
     )
     _add_estimator_opts(p)
     p.set_defaults(func=_cmd_locality)
@@ -554,7 +578,8 @@ def _apply_config(parser: _Parser, argv: list) -> None:
 # flag types that parse every config value, not only text: a JSON number is
 # read like the flag's text, and a seed that is not text is rejected
 _CHECKED_TYPES = (
-    int, float, _length, _positive, _alphabet, _ring, _probability, _parse_table, _seed_text
+    int, _length, _positive, _alphabet, _ring, _probability, _threshold, _rate_threshold,
+    _parse_table, _seed_text,
 )
 
 
@@ -591,6 +616,8 @@ def main(argv=None) -> int:
         _apply_config(parser, argv)
         try:
             args = parser.parse_args(argv)
+            if getattr(args, "theta_zero", 0) >= getattr(args, "theta_full", 1):
+                parser.error("--theta-zero must be below --theta-full")
         except SystemExit as exc:
             if exc.code == 0:  # --help
                 raise

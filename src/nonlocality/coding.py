@@ -255,32 +255,24 @@ class ArithmeticDecoder:
         return bit
 
 
-class AdaptiveModel:
-    """Per-context symbol frequencies with Laplace(1) initialisation.
+# --- adaptive frequency tables ------------------------------------------------
 
-    Contexts are arbitrary hashable keys; each table holds the counts over
-    {0..q-1} followed by their total. The estimators' coding loops read
-    `tables` directly: coding symbol s adds STEP to its count and to the
-    total, and rescales the table once the count reaches RESCALE, so the
-    coder's 32-bit range arithmetic stays exact.
-    """
+STEP = 32
+RESCALE = 1 << 14
 
-    STEP = 32
-    RESCALE = 1 << 14
 
-    def __init__(self, q: int) -> None:
-        self.q = q
-        self.tables: dict = {}
+def new_table(q: int) -> list:
+    """Symbol frequencies of one context, with Laplace(1) initialisation:
+    the counts over {0..q-1} followed by their total. The estimators'
+    coding loops keep one table per context in a dict: coding symbol s adds
+    STEP to its count and to the total, and rescales the table once the
+    count reaches RESCALE, so the coder's 32-bit range arithmetic stays
+    exact."""
+    return [1] * q + [q]
 
-    def table(self, ctx) -> list:
-        t = self.tables.get(ctx)
-        if t is None:
-            t = self.tables[ctx] = [1] * self.q + [self.q]
-        return t
 
-    @staticmethod
-    def rescale(t: list) -> None:
-        q = len(t) - 1
-        for s in range(q):
-            t[s] = (t[s] + 1) >> 1
-        t[q] = sum(t[:q])
+def rescale(t: list) -> None:
+    q = len(t) - 1
+    for s in range(q):
+        t[s] = (t[s] + 1) >> 1
+    t[q] = sum(t[:q])

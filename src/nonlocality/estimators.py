@@ -14,14 +14,17 @@ import subprocess
 from .coding import (
     HALF,
     QUARTER,
+    RESCALE,
+    STEP,
     THREE_Q,
-    AdaptiveModel,
     ArithmeticDecoder,
     ArithmeticEncoder,
     BitReader,
     BitWriter,
+    new_table,
     read_gamma,
     read_uint,
+    rescale,
     uint_len,
     write_gamma,
     write_uint,
@@ -72,8 +75,14 @@ class Estimator:
         n = read_uint(r)
         period = read_uint(r) + 1
         mode = r.read_bit()
+        # checked before any table or buffer is sized from the header
+        if q > 256:
+            raise EstimatorError(f"corrupt header: alphabet size {q} > 256")
         if mode == MODE_LITERAL:
-            return q, r.read_fields(n, bits_per_symbol(q))
+            k = bits_per_symbol(q)
+            if n * k > len(r.buf) - r.pos:
+                raise EstimatorError(f"corrupt header: {n} literal symbols overrun the blob")
+            return q, r.read_fields(n, k)
         return q, self._decode_payload(r, q, n, period)
 
     def _decode_payload(self, r: BitReader, q: int, n: int, period: int) -> bytes:
@@ -148,31 +157,23 @@ ANCHOR = 16  # minimum match length; also the hash-key width
 MAX_CHAIN = 16
 
 
-_SCAN = ANCHOR + 32  # match lengths up to here are found symbol by symbol
-
-
 def _extend_match(symbols: bytes, j: int, i: int, n: int, length: int) -> int:
     """Length of the common prefix of symbols[j:] and symbols[i:n], given
-    that the first `length` symbols agree: compares slices of doubling
-    width, then halves inside the one that differs."""
+    that the first `length` symbols agree: compares windows of doubling
+    width; in the first window that differs, the leading nonzero byte of
+    the xor of the two windows (as big-endian integers) is the mismatch."""
     width = 16
     while True:
         m = min(width, n - i - length)
         if not m:
             return length
-        if symbols[j + length : j + length + m] != symbols[i + length : i + length + m]:
-            break
+        a = symbols[j + length : j + length + m]
+        b = symbols[i + length : i + length + m]
+        if a != b:
+            x = int.from_bytes(a, "big") ^ int.from_bytes(b, "big")
+            return length + m - (x.bit_length() + 7) // 8
         length += m
         width <<= 1
-    # the first mismatch lies within the next m symbols
-    while m > 1:
-        h = m >> 1
-        if symbols[j + length : j + length + h] == symbols[i + length : i + length + h]:
-            length += h
-            m -= h
-        else:
-            m = h
-    return length
 
 
 def _chain_links(symbols: bytes) -> list:
@@ -209,11 +210,10 @@ class LZ77Estimator(Estimator):
         out = w.buf
         low, high, pending = enc.low, enc.high, enc.pending
         half, quarter, three_q = HALF, QUARTER, THREE_Q
-        flag = AdaptiveModel(2).table(0)
-        lit = AdaptiveModel(q)
-        tables = lit.tables
-        step = AdaptiveModel.STEP
-        rescale = AdaptiveModel.RESCALE
+        flag = new_table(2)
+        tables: dict = {}
+        step = STEP
+        limit = RESCALE
         n = len(symbols)
         bps = bits_per_symbol(q)
         prev = _chain_links(symbols)
@@ -237,7 +237,7 @@ class LZ77Estimator(Estimator):
                 try:
                     tab = tables[ctx]
                 except KeyError:
-                    tab = lit.table(ctx)
+                    tab = tables[ctx] = new_table(q)
             else:
                 tab = flag
                 sym = 0
@@ -257,19 +257,11 @@ class LZ77Estimator(Estimator):
                             mark = ANCHOR - 1  # agrees by the chain's key
                         ahead = symbols[i + ANCHOR : i + mark + 1]
                         best_len = 0
-                        # most extensions end within a few symbols, where
-                        # single compares are cheaper than slices; past
-                        # _SCAN symbols _extend_match goes on by slices
-                        stop = min(n - i, _SCAN)
                         chain = MAX_CHAIN
                         while j >= 0 and chain:
                             chain -= 1
                             if symbols.startswith(ahead, j + ANCHOR):
-                                length = mark + 1
-                                while length < stop and symbols[j + length] == symbols[i + length]:
-                                    length += 1
-                                if length >= _SCAN:
-                                    length = _extend_match(symbols, j, i, n, length)
+                                length = _extend_match(symbols, j, i, n, mark + 1)
                                 best_len = mark = length
                                 best_dist = i - j
                                 if length == n - i:
@@ -317,8 +309,8 @@ class LZ77Estimator(Estimator):
             c += step
             tab[sym] = c
             tab[-1] = total + step
-            if c >= rescale:
-                AdaptiveModel.rescale(tab)
+            if c >= limit:
+                rescale(tab)
             if tab is not flag:
                 lit_bits += len(out) - before
                 lit_syms += 1
@@ -340,11 +332,10 @@ class LZ77Estimator(Estimator):
         low, high, code = dec.low, dec.high, dec.code
         buf, pos = r.buf, r.pos
         half, quarter, three_q = HALF, QUARTER, THREE_Q
-        flag = AdaptiveModel(2).table(0)
-        lit = AdaptiveModel(q)
-        tables = lit.tables
-        step = AdaptiveModel.STEP
-        rescale = AdaptiveModel.RESCALE
+        flag = new_table(2)
+        tables: dict = {}
+        step = STEP
+        limit = RESCALE
         out = bytearray()
         qq = q + 1
         ctxspan = qq * qq
@@ -387,8 +378,8 @@ class LZ77Estimator(Estimator):
             c += step
             tab[sym] = c
             tab[-1] = total + step
-            if c >= rescale:
-                AdaptiveModel.rescale(tab)
+            if c >= limit:
+                rescale(tab)
             if tab is not flag:
                 out.append(sym)
                 tab = flag
@@ -412,7 +403,7 @@ class LZ77Estimator(Estimator):
                 try:
                     tab = tables[ctx]
                 except KeyError:
-                    tab = lit.table(ctx)
+                    tab = tables[ctx] = new_table(q)
         return bytes(out)
 
 
@@ -432,10 +423,9 @@ class ContextEstimator(Estimator):
         out = w.buf
         low, high, pending = enc.low, enc.high, enc.pending
         half, quarter, three_q = HALF, QUARTER, THREE_Q
-        model = AdaptiveModel(q)
-        tables = model.tables
-        step = AdaptiveModel.STEP
-        rescale = AdaptiveModel.RESCALE
+        tables: dict = {}
+        step = STEP
+        limit = RESCALE
         k = self.order
         qq = q + 1
         mod = qq**k
@@ -447,7 +437,7 @@ class ContextEstimator(Estimator):
             try:
                 t = tables[key]
             except KeyError:
-                t = model.table(key)
+                t = tables[key] = new_table(q)
             total = t[q]
             c = t[s]
             span = high - low + 1
@@ -483,8 +473,8 @@ class ContextEstimator(Estimator):
             c += step
             t[s] = c
             t[q] = total + step
-            if c >= rescale:
-                AdaptiveModel.rescale(t)
+            if c >= limit:
+                rescale(t)
             if k:
                 ctx = (ctx * qq + s) % mod
         enc.low, enc.high, enc.pending = low, high, pending
@@ -496,10 +486,9 @@ class ContextEstimator(Estimator):
         low, high, code = dec.low, dec.high, dec.code
         buf, pos = r.buf, r.pos
         half, quarter, three_q = HALF, QUARTER, THREE_Q
-        model = AdaptiveModel(q)
-        tables = model.tables
-        step = AdaptiveModel.STEP
-        rescale = AdaptiveModel.RESCALE
+        tables: dict = {}
+        step = STEP
+        limit = RESCALE
         k = self.order
         qq = q + 1
         mod = qq**k
@@ -512,7 +501,7 @@ class ContextEstimator(Estimator):
             try:
                 t = tables[key]
             except KeyError:
-                t = model.table(key)
+                t = tables[key] = new_table(q)
             total = t[q]
             span = high - low + 1
             target = ((code - low + 1) * total - 1) // span
@@ -549,8 +538,8 @@ class ContextEstimator(Estimator):
             c += step
             t[s] = c
             t[q] = total + step
-            if c >= rescale:
-                AdaptiveModel.rescale(t)
+            if c >= limit:
+                rescale(t)
             out.append(s)
             if k:
                 ctx = (ctx * qq + s) % mod

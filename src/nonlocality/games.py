@@ -30,7 +30,7 @@ from .strings import (
 )
 
 
-class PromiseViolation(ValueError):
+class PromiseViolation(FormatError):
     def __init__(self, index: int):
         super().__init__(f"promise violated at position {index}")
         self.index = index
@@ -161,11 +161,11 @@ class LocalDeterministic:
 
     def validate(self, game: GameSpec) -> None:
         if len(self.fa) != game.qA or len(self.fb) != game.qB:
-            raise ValueError("table sizes must match the input alphabets")
+            raise FormatError("table sizes must match the input alphabets")
         if any(not 0 <= v < game.qX for v in self.fa):
-            raise ValueError("fa entries out of the output alphabet")
+            raise FormatError("fa entries out of the output alphabet")
         if any(not 0 <= v < game.qY for v in self.fb):
-            raise ValueError("fb entries out of the output alphabet")
+            raise FormatError("fb entries out of the output alphabet")
 
 
 @dataclass(frozen=True)
@@ -208,11 +208,12 @@ def play(
     noise_seed: Seed | None = None,
 ) -> tuple[SymbolString, SymbolString]:
     """Produce the output pair; per-round randomness is PRF(seed, i), so
-    results are independent of evaluation order."""
+    results are independent of evaluation order. Inputs or a strategy that
+    do not fit the game raise FormatError before any round is played."""
     if a.n != b.n:
-        raise ValueError("input lengths differ")
+        raise FormatError("input lengths differ")
     if a.q != game.qA or b.q != game.qB:
-        raise ValueError("input alphabets do not match the game")
+        raise FormatError("input alphabets do not match the game")
     _check_promise(game, a.data, b.data)
 
     n = a.n
@@ -245,7 +246,7 @@ def play(
                 ys[i] = _magic_encode_bob(u, v, shared, (draw >> 2) & 1)
     elif isinstance(strategy, SignalingSampler):
         if game.qX != 2 or game.qY != 2:
-            raise ValueError("signaling control needs binary outputs")
+            raise FormatError("signaling control needs binary outputs")
         for i, u in enumerate(a.data):
             xs[i] = round_bits(seed, i, 1)
             ys[i] = u & 1

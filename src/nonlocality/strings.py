@@ -9,9 +9,12 @@ from __future__ import annotations
 import hashlib
 from typing import Iterator
 
+from .coding import BitReader, BitWriter
+
 
 class FormatError(ValueError):
-    """Raised for malformed .syms files or manifest data."""
+    """Raised for malformed .syms files or manifest data, and for inputs
+    that do not fit their game."""
 
 
 def bits_per_symbol(q: int) -> int:
@@ -24,9 +27,9 @@ def bits_per_symbol(q: int) -> int:
 class SymbolString:
     """Immutable finite string over the alphabet {0..q-1}.
 
-    Symbols are held unpacked (one byte each, so q <= 256); `pack` produces
-    the canonical bit-packed payload: symbol-major, ceil(log2 q) bits per
-    symbol, first symbol in the least-significant bits of byte 0.
+    Symbols are held unpacked (one byte each, so q <= 256); `pack_symbols`
+    produces the canonical bit-packed payload: symbol-major, ceil(log2 q)
+    bits per symbol, first symbol in the least-significant bits of byte 0.
     """
 
     __slots__ = ("q", "data")
@@ -72,61 +75,35 @@ class SymbolString:
         tail = ",..." if self.n > 16 else ""
         return f"SymbolString(q={self.q}, n={self.n}, [{head}{tail}])"
 
-    def pack(self) -> bytes:
-        return pack_symbols(self.data, self.q)
-
-    @classmethod
-    def unpack(cls, q: int, n: int, payload: bytes) -> "SymbolString":
-        return cls(q, unpack_symbols(payload, q, n))
-
-    def packed_len(self) -> int:
-        return packed_len(self.n, self.q)
-
 
 def packed_len(n: int, q: int) -> int:
     return (n * bits_per_symbol(q) + 7) // 8
 
 
+# pack_symbols writes each symbol least significant bit first, the coding
+# module's field packer most significant bit first; the rest of the layout
+# is the same. _REVERSED[k] reverses the low k bits of a byte.
+_REVERSED_8 = bytes(int(f"{v:08b}"[::-1], 2) for v in range(256))
+_REVERSED = [bytes(v >> (8 - k) for v in _REVERSED_8) for k in range(9)]
+
+
 def pack_symbols(symbols: bytes, q: int) -> bytes:
-    bps = bits_per_symbol(q)
-    out = bytearray()
-    acc = 0
-    nbits = 0
-    for s in symbols:
-        acc |= s << nbits
-        nbits += bps
-        while nbits >= 8:
-            out.append(acc & 0xFF)
-            acc >>= 8
-            nbits -= 8
-    if nbits:
-        out.append(acc & 0xFF)
-    return bytes(out)
+    k = bits_per_symbol(q)
+    w = BitWriter()
+    w.write_fields(bytes(symbols).translate(_REVERSED[k]), k)
+    return w.getvalue()
 
 
 def unpack_symbols(payload: bytes, q: int, n: int) -> bytes:
-    bps = bits_per_symbol(q)
+    k = bits_per_symbol(q)
     if len(payload) != packed_len(n, q):
         raise FormatError(
             f"payload length {len(payload)} != expected {packed_len(n, q)}"
         )
-    out = bytearray(n)
-    acc = 0
-    nbits = 0
-    pos = 0
-    mask = (1 << bps) - 1
-    for i in range(n):
-        while nbits < bps:
-            acc |= payload[pos] << nbits
-            pos += 1
-            nbits += 8
-        s = acc & mask
-        if s >= q:
-            raise FormatError(f"packed symbol {s} out of range for q={q}")
-        out[i] = s
-        acc >>= bps
-        nbits -= bps
-    return bytes(out)
+    out = BitReader(payload).read_fields(n, k).translate(_REVERSED[k])
+    if out and max(out) >= q:
+        raise FormatError(f"packed symbol {max(out)} out of range for q={q}")
+    return out
 
 
 # --- seeded randomness -----------------------------------------------------
@@ -173,17 +150,14 @@ class BitStream:
     """Deterministic bit source: SHA-256 of (seed, counter) blocks."""
 
     def __init__(self, seed: Seed) -> None:
-        self._seed = seed.value
+        self._seed = seed
         self._ctr = 0
         self._acc = 0
         self._nbits = 0
 
     def _refill(self) -> None:
-        block = hashlib.sha256(
-            self._seed + self._ctr.to_bytes(8, "little")
-        ).digest()
+        self._acc |= round_bits(self._seed, self._ctr, 256) << self._nbits
         self._ctr += 1
-        self._acc |= int.from_bytes(block, "little") << self._nbits
         self._nbits += 256
 
     def bits(self, k: int) -> int:
@@ -328,7 +302,7 @@ def concat(*strings: SymbolString) -> SymbolString:
 def write_syms(path, s: SymbolString) -> None:
     with open(path, "wb") as fh:
         fh.write(f"SYMS q={s.q} n={s.n}\n".encode("ascii"))
-        fh.write(s.pack())
+        fh.write(pack_symbols(s.data, s.q))
 
 
 def read_syms(path) -> SymbolString:
@@ -349,9 +323,4 @@ def read_syms(path) -> SymbolString:
         raise FormatError(f"bad .syms header: {text!r}") from exc
     if not (parts[1].startswith("q=") and parts[2].startswith("n=") and 2 <= q <= 256 and n >= 0):
         raise FormatError(f"bad .syms header: {text!r}")
-    expected = packed_len(n, q)
-    if len(body) != expected:
-        raise FormatError(
-            f"payload is {len(body)} bytes, expected exactly {expected}"
-        )
-    return SymbolString.unpack(q, n, body)
+    return SymbolString(q, unpack_symbols(body, q, n))

@@ -4,8 +4,9 @@ position lists as lz77's match table, and one int() per value when a
 literal-mode payload is read.
 
 Kept only as the reference the fused loops in src/ must match bit for bit
-(tests/test_coder_outputs.py). The coder and the model are copied here too,
-so that a fault in src/'s coder cannot hide by showing up on both sides.
+(tests/test_coder_outputs.py). The coder, the model and the match
+extension (symbol by symbol) are copied here too, so that a fault in
+src/'s versions cannot hide by showing up on both sides.
 """
 from __future__ import annotations
 
@@ -15,10 +16,8 @@ from nonlocality.estimators import (
     MAX_CHAIN,
     MODE_CODED,
     MODE_LITERAL,
-    _SCAN,
     Estimator,
     EstimatorError,
-    _extend_match,
     _header_writer,
 )
 from nonlocality.strings import bits_per_symbol
@@ -202,13 +201,10 @@ def lz77_encode(symbols: bytes, q: int, period: int = 1) -> tuple[int, bytes]:
         if key is not None:
             cands = table.get(key)
             if cands:
-                stop = min(n - i, _SCAN)
                 for j in cands[-MAX_CHAIN:][::-1]:
                     length = ANCHOR
-                    while length < stop and symbols[j + length] == symbols[i + length]:
+                    while i + length < n and symbols[j + length] == symbols[i + length]:
                         length += 1
-                    if length == _SCAN:
-                        length = _extend_match(symbols, j, i, n, length)
                     if length > best_len:
                         best_len = length
                         best_dist = i - j

@@ -273,12 +273,25 @@ def test_bad_seed_is_usage_error(capsys, tmp_path, seed):
         ["oracle", "--marginals", "--pr-weight=-1/2"],
         ["oracle", "--game", "pr", "--jobs", "0"],
         ["oracle", "--game", "pr", "--jobs", "-3"],
+        ["estimate", "--in", "x.syms", "--theta-zero", "0.9", "--theta-full", "0.1"],
+        ["estimate", "--in", "x.syms", "--theta-zero", "0.5", "--theta-full", "0.5"],
+        ["estimate", "--in", "x.syms", "--theta-zero", "nan"],
+        ["estimate", "--in", "x.syms", "--theta-full", "inf"],
+        ["estimate", "--in", "x.syms", "--theta-full", "1.5"],
+        ["estimate", "--in", "x.syms", "--theta-zero=-1"],
+        ["nosig", "--quad", "q.json", "--theta-ns", "nan"],
+        ["nosig", "--quad", "q.json", "--theta-ns=-0.5"],
+        ["locality", "--quad", "q.json", "--defect-threshold", "nan"],
+        ["locality", "--quad", "q.json", "--output-threshold", "inf"],
     ],
     ids=[
         "exp_n_zero", "exp_n_negative", "exp_n_text", "gen_n_negative", "q_1", "q_257",
         "reps_0", "gen_m_1", "gen_m_300", "exp_m_1", "exp_m_65", "eps_zero_denominator",
         "pr_weight_zero_denominator", "exp_eps_above_one", "play_eps_above_one",
         "pr_weight_above_one", "pr_weight_negative", "jobs_0", "jobs_negative",
+        "theta_zero_above_full", "theta_zero_equals_full", "theta_zero_nan", "theta_full_inf",
+        "theta_full_above_one", "theta_zero_negative", "theta_ns_nan", "theta_ns_negative",
+        "defect_threshold_nan", "output_threshold_inf",
     ],
 )
 def test_bad_size_is_usage_error(capsys, tmp_path, argv):
@@ -305,6 +318,66 @@ def test_emit_config_round_trip_fills_required_flags(capsys, tmp_path):
     assert code == 0
     code, again, _ = run(capsys, "estimate", "--config", str(est_cfg))
     assert code == 0 and again == out
+
+
+@pytest.mark.parametrize(
+    "argv, cfg",
+    [
+        (["estimate", "--in", "x.syms"], {"theta_zero": float("nan")}),
+        (["estimate", "--in", "x.syms"], {"theta_full": 2}),
+        (["nosig", "--quad", "q.json"], {"theta_ns": "inf"}),
+        (["locality", "--quad", "q.json"], {"defect_threshold": -1}),
+    ],
+    ids=["theta_zero_nan", "theta_full_2", "theta_ns_inf", "defect_threshold_negative"],
+)
+def test_bad_threshold_in_config_is_data_error(capsys, tmp_path, argv, cfg):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    code, _, err = run(capsys, *argv, "--config", str(path))
+    assert code == 2 and "bad config value" in err
+
+
+def _fit_files(d):
+    """Input files for play: pr-game bits, a q=3 string, a shorter pr
+    string and a chained(3) pair whose second round is off the promise."""
+    write_syms(d / "a.syms", SymbolString(2, bytes([0, 1, 1, 0] * 2)))
+    write_syms(d / "short.syms", SymbolString(2, bytes([0, 1, 1])))
+    write_syms(d / "q3.syms", SymbolString(3, bytes([0, 1, 2, 0] * 2)))
+    write_syms(d / "ca.syms", SymbolString(3, bytes([0, 0])))
+    write_syms(d / "cb.syms", SymbolString(3, bytes([1, 2])))
+
+
+_PLAY = ["play", "--out-dir", "{d}/quad", "--seed", "1"]
+_LOCAL = ["--game", "pr", "--strategy", "local", "--a", "{d}/a.syms", "--b", "{d}/a.syms"]
+_EXP = ["exp", "--which", "theorem1", "--n", "8", "--strategy", "local", "--out", "{d}/r.jsonl"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        _PLAY + ["--game", "pr", "--strategy", "nosig", "--a", "{d}/q3.syms", "--b", "{d}/q3.syms"],
+        _PLAY + ["--game", "pr", "--strategy", "nosig", "--a", "{d}/a.syms", "--b", "{d}/short.syms"],
+        _PLAY + ["--game", "chained", "--m", "3", "--strategy", "nosig",
+                 "--a", "{d}/ca.syms", "--b", "{d}/cb.syms"],
+        _PLAY + ["--game", "magic_square", "--strategy", "signaling",
+                 "--a", "{d}/q3.syms", "--b", "{d}/q3.syms"],
+        _PLAY + _LOCAL + ["--fa", "0,1,1", "--fb", "1,0"],
+        _PLAY + _LOCAL + ["--fa", "0,5", "--fb", "1,0"],
+        _EXP + ["--fa", "0,1,1", "--fb", "1,0"],
+        _EXP + ["--fa", "0,5", "--fb", "1,0"],
+    ],
+    ids=[
+        "pr_q3_inputs", "unequal_lengths", "chained_promise_violation", "signaling_magic_square",
+        "play_fa_wrong_length", "play_fa_outside_outputs", "exp_fa_wrong_length",
+        "exp_fa_outside_outputs",
+    ],
+)
+def test_inputs_that_do_not_fit_the_game_are_data_errors(capsys, tmp_path, argv):
+    _fit_files(tmp_path)
+    code, out, err = run(capsys, *[a.format(d=tmp_path) for a in argv])
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and "Traceback" not in err
+    assert not (tmp_path / "quad").exists() and not (tmp_path / "r.jsonl").exists()
 
 
 @pytest.mark.parametrize(

@@ -1,5 +1,6 @@
 """Fuzz of the CLI's exit-code contract: whatever the argv and the contents
-of the files it names, `nlbox` exits 0, 1, 2 or 3 and prints no traceback.
+of the files it names, `nlbox` exits 0, 1, 2 or 3 and prints no traceback,
+and a run that exits 0 writes only strict JSON (no NaN or Infinity).
 
 Sizes stay small (n <= 64, reps <= 2, no magic-square repetition) so every
 example runs in well under a second; `--jobs` is never drawn, so no process
@@ -131,12 +132,16 @@ def _argv(draw, d: Path) -> list:
     elif cmd == "estimate":
         argv += ["--in", path("s.syms"), "--estimator", pick(*estimators)]
         opt("--cond", [str(d / "s.syms")], [str(d / "quad.json")])
-        opt("--theta-zero", ["0.1"], ["0.95", "nan"])
+        opt("--theta-zero", ["0.1"], ["0.95", "nan", "inf", "-1"])
+        opt("--theta-full", ["0.9"], ["0.05", "nan", "inf", "1.5"])
     elif cmd in ("nosig", "locality"):
         argv += ["--quad", path("quad.json"), "--estimator", pick(*estimators)]
         if cmd == "locality":
             opt("--witness", [str(d / "s.syms")], [str(d / "missing")])
-            opt("--defect-threshold", ["0.25"], ["x"])
+            opt("--defect-threshold", ["0.25"], ["x", "nan", "inf"])
+            opt("--output-threshold", ["0.1"], ["nan", "inf", "-1"])
+        else:
+            opt("--theta-ns", ["0.1"], ["nan", "inf", "-1"])
     elif cmd == "oracle":
         mode = pick(["value", "fine", "marginals"])
         if mode == "fine":
@@ -198,3 +203,24 @@ def test_cli_exit_code_contract(data):
             code = main(argv)
         assert code in (0, 1, 2, 3), (argv, code)
         assert "Traceback" not in err.getvalue(), argv
+        if code == 0:
+            _assert_strict_json(out.getvalue())
+            written = {flag: argv[argv.index(flag) + 1] for flag in ("--out", "--emit-config")
+                       if flag in argv}
+            # gen writes .syms files there, and play writes under --out-dir
+            if argv[0] not in ("gen", "play") and "--out" in written:
+                text = Path(written["--out"]).read_text()
+                # a report is JSON lines, every other result one JSON document
+                for doc in text.splitlines() if argv[0] == "exp" else [text]:
+                    _assert_strict_json(doc)
+            if "--emit-config" in written:
+                _assert_strict_json(Path(written["--emit-config"]).read_text())
+
+
+def _reject_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+def _assert_strict_json(text: str) -> None:
+    if text:
+        json.loads(text, parse_constant=_reject_constant)

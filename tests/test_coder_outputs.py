@@ -132,7 +132,8 @@ def test_encode_properties(est_id, case):
 
 @st.composite
 def reference_cases(draw):
-    """Longer strings than strings(): rescales, long matches past _SCAN,
+    """Longer strings than strings(): rescales, long matches past the first
+    windows of _extend_match,
     near-miss copies that the match finder must rank, and woven binary
     strings (a, b, a xor b) where about one position in six has more than
     MAX_CHAIN earlier candidates at n = 2500."""
@@ -176,24 +177,27 @@ def test_fused_loops_match_the_method_call_reference(est_id, case):
 
 
 def test_extend_match_agrees_with_a_symbol_by_symbol_scan():
-    # one period-p string with a single flipped symbol at every distance d
+    # one period-p string with a single changed symbol at every distance d
     # from i: the extension must stop exactly there, wherever it falls in
-    # the doubling and halving windows
+    # the doubling windows and whichever bit of the symbol differs (bit 0 of
+    # binary symbols, or any bit of a byte-wide one)
     rng = random.Random(4)
-    for period in (1, 37, 300):
-        block = bytes(rng.randrange(2) for _ in range(period))
-        base = block * (700 // period + 2)
-        i = period
-        for d in range(0, 600):
-            s = bytearray(base)
-            s[i + d] ^= 1
-            s = bytes(s)
-            for start in (0, 16):
-                expect = min(start, d)
-                while i + expect < len(s) and s[expect] == s[i + expect]:
-                    expect += 1
-                got = _extend_match(s, 0, i, len(s), min(start, d))
-                assert got == expect == d, (period, d, start)
+    for q, flips in ((2, (1,)), (256, (1, 0x10, 0x80, 0xFF))):
+        for period in (1, 37, 300):
+            block = bytes(rng.randrange(q) for _ in range(period))
+            base = block * (700 // period + 2)
+            i = period
+            for d in range(0, 600):
+                for flip in flips:
+                    s = bytearray(base)
+                    s[i + d] ^= flip
+                    s = bytes(s)
+                    for start in (0, 16):
+                        expect = min(start, d)
+                        while i + expect < len(s) and s[expect] == s[i + expect]:
+                            expect += 1
+                        got = _extend_match(s, 0, i, len(s), min(start, d))
+                        assert got == expect == d, (q, period, d, flip, start)
 
 
 if __name__ == "__main__":

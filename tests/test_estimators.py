@@ -120,3 +120,30 @@ def test_lz77_match_past_the_declared_length_is_rejected():
     w.buf += r.buf[r.pos :]
     with pytest.raises(EstimatorError, match="corrupt LZ77 stream"):
         LZ77Estimator().decode(w.getvalue())
+
+
+def _header_only_blob(q: int, n: int, mode: int, payload_bits: bytes) -> bytes:
+    w = BitWriter()
+    for v in (q - 2, n, 0):
+        write_uint(w, v)
+    w.write_bit(mode)
+    w.buf += payload_bits
+    return w.getvalue()
+
+
+@pytest.mark.parametrize("est_id", ALL_IDS)
+@pytest.mark.parametrize(
+    "blob",
+    [
+        _header_only_blob(300, 4, 0, b"01" * 18),
+        _header_only_blob(257, 4, 1, b"01" * 40),
+        _header_only_blob(257, 0, 1, b""),
+        # a literal-mode blob with its last 3 bytes cut off
+        _header_only_blob(2, 200, 0, b"0110" * 50)[:-3],
+        _header_only_blob(256, 30, 0, b"01" * 120)[:-3],
+    ],
+    ids=["literal_q300", "coded_q257", "coded_q257_empty", "literal_q2_cut", "literal_q256_cut"],
+)
+def test_decode_rejects_a_header_the_blob_cannot_hold(est_id, blob):
+    with pytest.raises(EstimatorError, match="corrupt header"):
+        default_registry()[est_id].decode(blob)

@@ -1,4 +1,5 @@
 import pytest
+import reference_packing
 from hypothesis import given, settings, strategies as st
 
 from nonlocality.strings import (
@@ -33,6 +34,35 @@ def test_pack_unpack_roundtrip(q, n, data):
     packed = pack_symbols(syms, q)
     assert unpack_symbols(packed, q, n) == syms
     assert len(packed) == (n * bits_per_symbol(q) + 7) // 8
+
+
+def _unpack_verdict(unpack, payload: bytes, q: int, n: int):
+    try:
+        return unpack(payload, q, n)
+    except FormatError:
+        return FormatError
+
+
+@given(q=st.integers(2, 256), data=st.data())
+@settings(max_examples=300, derandomize=True, deadline=None)
+def test_packing_matches_the_accumulator_loop_reference(q, data):
+    # a layout that only round-trips would pass test_pack_unpack_roundtrip;
+    # here every width 1..8 is pinned to the reference's bytes and verdicts
+    n = data.draw(st.integers(0, 200))
+    syms = bytes(data.draw(st.lists(st.integers(0, q - 1), min_size=n, max_size=n)))
+    packed = pack_symbols(syms, q)
+    assert packed == reference_packing.pack_symbols(syms, q)
+    assert unpack_symbols(packed, q, n) == reference_packing.unpack_symbols(packed, q, n)
+    payloads = [(packed + b"\0", n), (packed[:-1], n), (packed, n + 1)]
+    top = 1 << bits_per_symbol(q)
+    if n and q < top:
+        # a symbol in [q, 2**bits) fits the width but not the alphabet
+        bad = bytearray(syms)
+        bad[data.draw(st.integers(0, n - 1))] = data.draw(st.integers(q, top - 1))
+        payloads.append((reference_packing.pack_symbols(bytes(bad), q), n))
+    for payload, m in payloads:
+        expect = _unpack_verdict(reference_packing.unpack_symbols, payload, q, m)
+        assert _unpack_verdict(unpack_symbols, payload, q, m) == expect
 
 
 def test_symbolstring_validation():
