@@ -191,8 +191,8 @@ def _estimator_from_args(args):
     return get_estimator(args.estimator, make_registry(ext) if ext else None)
 
 
-def _emit(args, payload: dict) -> None:
-    text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+def _emit(args, payload: dict, indent: int | None = 2) -> None:
+    text = json.dumps(payload, indent=indent, sort_keys=True) + "\n"
     if getattr(args, "out", None):
         Path(args.out).write_text(text)
     else:
@@ -237,13 +237,9 @@ def _cmd_play(args) -> int:
         seeds={"sampler": seed.hex(), "noise": noise.hex() if noise else None},
     )
     sys.stderr.write(f"wrote {manifest}\n")
-    sys.stdout.write(
-        json.dumps(
-            {"manifest": str(manifest), "satisfaction": frac_str(satisfaction_fraction(quad))},
-            sort_keys=True,
-        )
-        + "\n"
-    )
+    # one line, as play has always printed it
+    summary = {"manifest": str(manifest), "satisfaction": frac_str(satisfaction_fraction(quad))}
+    _emit(args, summary, indent=None)
     return 0
 
 

@@ -8,7 +8,6 @@ no-signaling set.
 from __future__ import annotations
 
 import itertools
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
@@ -150,18 +149,15 @@ class GameValueResult:
 
 
 def _block_setup(game: GameSpec, reps: int):
-    singles = game.promise_pairs()
-    blocks = [
-        (tuple(a for a, _ in combo), tuple(b for _, b in combo))
-        for combo in itertools.product(singles, repeat=reps)
-    ]
+    # each promise block as (its a symbols, its b symbols)
+    blocks = [tuple(zip(*combo)) for combo in itertools.product(game.promise_pairs(), repeat=reps)]
     a_blocks = sorted({ab for ab, _ in blocks})
     b_blocks = sorted({bb for _, bb in blocks})
     x_blocks = list(itertools.product(range(game.qX), repeat=reps))
     y_blocks = list(itertools.product(range(game.qY), repeat=reps))
-    edges = {
-        (a_blocks.index(ab), b_blocks.index(bb)) for ab, bb in blocks
-    }
+    a_index = {ab: i for i, ab in enumerate(a_blocks)}
+    b_index = {bb: i for i, bb in enumerate(b_blocks)}
+    edges = {(a_index[ab], b_index[bb]) for ab, bb in blocks}
     return a_blocks, b_blocks, x_blocks, y_blocks, sorted(edges)
 
 
@@ -180,13 +176,17 @@ def _search(game, reps, first_choice=None):
     Assigning row ai to xb adds that choice's addend to T and hands the
     child the new int, so nothing is undone. An edge adds 0 or 1 to each
     lane, so its column's max rises by one exactly when the edge wins on a
-    lane at the max. Each node packs the argmax masks of row ai's columns
-    into M, one field of ny + 1 bits per edge, and a choice's gain is the
-    number of fields in which M meets the edges' win masks: adding `low`
-    (ny ones per field) carries each non-zero field into its guard bit,
-    and `high` keeps only the guard bits. The bound after row ai is the
-    sum of column maxima plus that gain plus rest[ai + 1], the number of
-    edges in later rows."""
+    lane at the max, and a choice's gain is the number of row ai's edges
+    that do. The bound after row ai is the sum of column maxima plus that
+    gain plus rest[ai + 1], the number of edges in later rows.
+
+    The gains depend only on the tallies of row ai's own columns, and those
+    repeat across the tree. So each row keeps a memo from its slice of T,
+    (T >> lo) & rowmask, to its choices as (xb, gain, add) tuples, which
+    are built once per choice and gain; the states with the same gains
+    share one tuple of choices. On a miss the gains come packed, gw bits
+    per choice, as the sum of the row's edges' packed 0/1 gains, each
+    looked up by its column's tally. The memo lives for one call."""
     a_blocks, b_blocks, x_blocks, y_blocks, edges = _block_setup(game, reps)
     na, nb = len(a_blocks), len(b_blocks)
     nx, ny = len(x_blocks), len(y_blocks)
@@ -202,33 +202,68 @@ def _search(game, reps, first_choice=None):
         rest[ai] += rest[ai + 1]
     # a lane counts wins on its column's edges, so it never exceeds deg[bi]
     w = max(deg).bit_length()
-    cw, fw = w * ny, ny + 1
+    cw = w * ny
     cmask, lmask = (1 << cw) - 1, (1 << w) - 1
-    # rows[ai]: where row ai's columns sit in T and their fields in M, the
-    # fields' low and guard bits, and (xb, edge win masks, addend) per choice
+
+    # wins[a, b, x]: the outputs y that win on (a, b, x), one bit each
+    qY = game.qY
+    wins = {}
+    for a, b in game.promise_pairs():
+        for x in range(game.qX):
+            m = 0
+            for y in range(qY):
+                if game.win(a, b, x, y):
+                    m |= 1 << y
+            wins[a, b, x] = m
+
+    def block_wins(ab, bb, xb):
+        """The output blocks that win on (ab, bb, xb), one bit each: a block
+        wins when every symbol does, and y_blocks list the last symbol
+        fastest, so this is the Kronecker product of the symbols' masks."""
+        keys = zip(ab, bb, xb)
+        m = wins[next(keys)]
+        for key in keys:
+            v, m, i = wins[key], 0, m
+            while i:
+                low = i & -i
+                m |= v << (qY * (low.bit_length() - 1))
+                i ^= low
+        return m
+
+    # rows[ai] holds lo and rowmask, which cut row ai's columns out of T;
+    # the row's memo; rest[ai + 1]; and what a miss reads: per edge, its
+    # column's offset in T, its packed gains by column tally and its (win
+    # mask, field bit) per choice; the mask of one gain field; per choice,
+    # its tuples by gain and its field's offset; the choices by packed gains
     rows = []
     for ai in range(na):
-        steps = []
-        for xb in range(nx):
-            wins = add = 0
-            for j, bi in enumerate(adj[ai]):
+        cols = adj[ai]
+        gw = len(cols).bit_length()  # a gain is at most len(cols)
+        masks, fields = [[] for _ in cols], []
+        for i, xb in enumerate(range(nx) if ai or first_choice is None else (first_choice,)):
+            add = 0
+            for j, bi in enumerate(cols):
+                m = block_wins(a_blocks[ai], b_blocks[bi], x_blocks[xb])
+                masks[j].append((m, 1 << (gw * i)))
                 for yb in range(ny):
-                    if _block_win(game, a_blocks[ai], b_blocks[bi], x_blocks[xb], y_blocks[yb]):
-                        wins += 1 << (fw * j + yb)
+                    if m >> yb & 1:
                         add += 1 << (cw * bi + w * yb)
-            steps.append((xb, wins, add))
-        if ai == 0 and first_choice is not None:
-            steps = [steps[first_choice]]
-        ones = sum(1 << (fw * j) for j in range(len(adj[ai])))
-        spots = [(cw * bi, fw * j) for j, bi in enumerate(adj[ai])]
-        rows.append((spots, ones * ((1 << ny) - 1), ones << ny, rest[ai + 1], steps))
+            fields.append(([(xb, g, add) for g in range(len(cols) + 1)], gw * i))
+        spots, rowmask = [], 0
+        for bi, ms in zip(cols, masks):
+            spots.append((cw * bi, {}, ms))
+            rowmask |= cmask << (cw * bi)
+        lo = cw * cols[0]
+        rows.append((lo, rowmask >> lo, {}, rest[ai + 1], (spots, (1 << gw) - 1, fields, {})))
 
     argmax = {}  # packed column -> mask of the lanes at its max
 
     def argmax_of(col):
-        lanes = [(col >> s) & lmask for s in range(0, cw, w)]
-        top = max(lanes)
-        m = argmax[col] = sum(1 << y for y, v in enumerate(lanes) if v == top)
+        m = argmax.get(col)
+        if m is None:
+            lanes = [(col >> s) & lmask for s in range(0, cw, w)]
+            top = max(lanes)
+            m = argmax[col] = sum(1 << y for y, v in enumerate(lanes) if v == top)
         return m
 
     assign = [0] * na
@@ -246,17 +281,28 @@ def _search(game, reps, first_choice=None):
             best_fa = tuple(assign)
             best_fb = tuple((m & -m).bit_length() - 1 for m in tops)
             return
-        spots, low, high, later, steps = rows[ai]
-        M = 0
-        for s, f in spots:
-            col = (T >> s) & cmask
-            try:
-                M |= argmax[col] << f
-            except KeyError:
-                M |= argmax_of(col) << f
+        lo, rowmask, memo, later, miss = rows[ai]
+        key = (T >> lo) & rowmask
+        choices = memo.get(key)
+        if choices is None:
+            spots, gmask, fields, shared = miss
+            k = 0
+            for s, gains, masks in spots:
+                col = (T >> s) & cmask
+                g = gains.get(col)
+                if g is None:
+                    m, g = argmax_of(col), 0
+                    for v, bit in masks:
+                        if m & v:
+                            g += bit
+                    gains[col] = g
+                k += g
+            choices = shared.get(k)
+            if choices is None:
+                choices = shared[k] = tuple([c[(k >> f) & gmask] for c, f in fields])
+            memo[key] = choices
         left = total + later
-        for xb, wins, add in steps:
-            gain = (((M & wins) + low) & high).bit_count()
+        for xb, gain, add in choices:
             if left + gain > best_wins:
                 assign[ai] = xb
                 dfs(ai + 1, T + add, total + gain)
@@ -292,6 +338,10 @@ def game_value_exact(game: GameSpec, reps: int = 1, jobs: int = 1) -> GameValueR
     if nx ** min(na, cap) > MAX_ALICE_FUNCTIONS:
         raise ValueError("strategy space too large to search exactly")
     if jobs > 1:
+        # imported here: loading the process pool pulls in multiprocessing,
+        # which serial searches and every other command never use
+        from concurrent.futures import ProcessPoolExecutor
+
         results = []
         # one task per first choice, so more workers would only sit idle
         with ProcessPoolExecutor(max_workers=min(jobs, nx)) as pool:

@@ -86,6 +86,21 @@ def test_play_nosig_and_downstream_testers(capsys, tmp_path):
     assert code == 0 and json.loads(out)["verdict"] == "NotWitnessed"
 
 
+def test_play_out_writes_the_summary_line_stdout_gets_without_it(capsys, tmp_path):
+    bits = SymbolString(2, bytes(v & 1 for v in range(64)))
+    write_syms(tmp_path / "a.syms", bits)
+    write_syms(tmp_path / "b.syms", bits)
+    argv = ["play", "--game", "pr", "--strategy", "local", "--fa", "0,1", "--fb", "1,0",
+            "--a", str(tmp_path / "a.syms"), "--b", str(tmp_path / "b.syms"),
+            "--out-dir", str(tmp_path)]
+    code, line, _ = run(capsys, *argv)
+    assert code == 0 and line.endswith("\n") and line.count("\n") == 1
+    summary = tmp_path / "summary.json"
+    code, out, _ = run(capsys, *argv, "--out", str(summary))
+    assert code == 0 and out == ""
+    assert summary.read_text() == line
+
+
 def test_exit_code_usage_error(capsys):
     code, _, _ = run(capsys, "oracle", "--bogus-flag")
     assert code == 1

@@ -207,8 +207,8 @@ def test_cli_exit_code_contract(data):
             _assert_strict_json(out.getvalue())
             written = {flag: argv[argv.index(flag) + 1] for flag in ("--out", "--emit-config")
                        if flag in argv}
-            # gen writes .syms files there, and play writes under --out-dir
-            if argv[0] not in ("gen", "play") and "--out" in written:
+            # gen writes .syms files there
+            if argv[0] != "gen" and "--out" in written:
                 text = Path(written["--out"]).read_text()
                 # a report is JSON lines, every other result one JSON document
                 for doc in text.splitlines() if argv[0] == "exp" else [text]:

@@ -4,6 +4,9 @@ No linter ships with the toolkit, so this AST walk is the check that keeps
 dead imports (and the dead code they point at) from coming back.
 """
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "nonlocality"
@@ -30,3 +33,12 @@ def test_no_unused_imports():
         for name in _unused_imports(path.read_text())
     }
     assert sorted(unused) == []
+
+
+def test_cli_import_loads_no_process_pool():
+    # only game_value_exact(jobs > 1) starts workers, and it imports the pool
+    # itself; a fresh interpreter shows what importing the CLI alone loads
+    code = "import sys, nonlocality.cli; print('concurrent.futures.process' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": str(SRC.parent)}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert (out.returncode, out.stdout) == (0, "False\n"), out.stderr

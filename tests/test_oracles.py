@@ -175,7 +175,7 @@ def test_jobs_below_one_is_refused_before_any_block_list(monkeypatch):
 
     monkeypatch.setattr(oracles, "_block_setup", no_lists)
     monkeypatch.setattr(GameSpec, "promise_pairs", no_lists)
-    monkeypatch.setattr(oracles, "ProcessPoolExecutor", no_lists)
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", no_lists)
     for jobs in (0, -3):
         with pytest.raises(ValueError, match="jobs must be >= 1"):
             game_value_exact(GameSpec.pr(), jobs=jobs)
@@ -202,7 +202,7 @@ class _InlinePool:
 
 
 def test_parallel_search_starts_no_more_workers_than_branches(monkeypatch):
-    monkeypatch.setattr(oracles, "ProcessPoolExecutor", _InlinePool)
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", _InlinePool)
     _InlinePool.sizes.clear()
     g = GameSpec.pr()
     par = game_value_exact(g, jobs=64)
@@ -244,7 +244,7 @@ def test_search_tree_matches_goldens(game, reps):
 
 
 def test_parallel_search_tree_is_the_sum_of_its_branches(monkeypatch):
-    monkeypatch.setattr(oracles, "ProcessPoolExecutor", _InlinePool)
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", _InlinePool)
     got = _as_golden(game_value_exact(GameSpec.chained(3), reps=2, jobs=2))
     # each branch searches without the other's incumbent, so the tree is
     # larger than the serial one (counts recorded with the dense search)
@@ -252,7 +252,7 @@ def test_parallel_search_tree_is_the_sum_of_its_branches(monkeypatch):
 
 
 def test_parallel_chained4_tree_matches_the_jobs2_golden(monkeypatch):
-    monkeypatch.setattr(oracles, "ProcessPoolExecutor", _InlinePool)
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", _InlinePool)
     # the benchmark's costliest op: 126178 nodes and 378470 prunes, against
     # 125758 and 377259 for the serial search
     got = _as_golden(game_value_exact(GameSpec.chained(4), reps=2, jobs=2))
@@ -296,6 +296,44 @@ def test_search_matches_the_reference_on_random_tables(game_reps):
     game, reps = game_reps
     nx = game.qX**reps
     for first in [None, *range(nx)]:
+        assert oracles._search(game, reps, first) == reference_search(game, reps, first)
+
+
+@st.composite
+def _disjoint_row_games(draw):
+    """Table games in which no row shares a column with the row before it.
+    Every choice of a row then leaves the next row's columns as they were,
+    so the next row meets one tally state once per surviving sibling: the
+    search's per-row memo is hit, not only filled."""
+    reps = draw(st.sampled_from([1, 2]))
+    if reps == 1:
+        qA, qB = draw(st.integers(4, 6)), draw(st.integers(3, 5))
+        qX, qY = draw(st.integers(2, 3)), draw(st.integers(2, 3))
+    else:
+        # with reps=2 a block's columns are products of its symbols' columns,
+        # so consecutive blocks stay disjoint; 9 rows, 9 columns at most
+        qA, qB, qX, qY = draw(st.integers(2, 3)), draw(st.integers(2, 3)), 2, 2
+    rnd = draw(st.randoms(use_true_random=False))
+    promise, prev = set(), set()
+    for a in range(qA):
+        free = [b for b in range(qB) if b not in prev]
+        cols = {b for b in free if rnd.random() < 0.6} or {rnd.choice(free)}
+        if len(cols) == qB:  # leave the next row a column
+            cols.remove(rnd.randrange(qB))
+        promise |= {(a, b) for b in cols}
+        prev = cols
+    cells = [(a, b, x, y) for a, b in sorted(promise) for x in range(qX) for y in range(qY)]
+    return _TableGame(qX, qY, promise, {c for c in cells if rnd.random() < 0.5}), reps
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(_disjoint_row_games())
+def test_search_matches_the_reference_where_row_states_repeat(game_reps):
+    # the memo keys on a row's own columns: a key that reads a wrong or a
+    # missing column, or choices that carry another row's addends, change
+    # the tree here
+    game, reps = game_reps
+    for first in [None, *range(game.qX**reps)]:
         assert oracles._search(game, reps, first) == reference_search(game, reps, first)
 
 
