@@ -1,5 +1,6 @@
 """Bit-level plumbing shared by the estimators: bit I/O, Elias gamma codes,
-and a 32-bit adaptive arithmetic coder."""
+and the constants, flush and frequency tables of the 32-bit adaptive
+arithmetic coder that the estimators run inline."""
 from __future__ import annotations
 
 
@@ -93,13 +94,16 @@ def gamma_len(value: int) -> int:
     return 2 * value.bit_length() - 1
 
 
-def write_gamma(w: BitWriter, value: int) -> None:
+def gamma_bits(value: int) -> bytes:
+    """The Elias gamma code of value >= 1 as ASCII '0'/'1': bit_length - 1
+    zeros, then value's bits, most significant first."""
     if value < 1:
         raise ValueError("gamma codes positive integers")
-    nbits = value.bit_length()
-    for _ in range(nbits - 1):
-        w.write_bit(0)
-    w.write_bits(value, nbits)
+    return b"0" * (value.bit_length() - 1) + bin(value)[2:].encode()
+
+
+def write_gamma(w: BitWriter, value: int) -> None:
+    w.buf += gamma_bits(value)
 
 
 def read_gamma(r: BitReader) -> int:
@@ -128,6 +132,12 @@ def uint_len(value: int) -> int:
 
 
 # --- arithmetic coder --------------------------------------------------------
+# The Witten-Neal-Cleary integer coder over a 32-bit range runs inline in the
+# estimators' loops: an encoder starts from (low, high, pending) = (0, TOP, 0)
+# and appends its decided bits to a BitWriter's buffer, a decoder starts from
+# (low, high) = (0, TOP) and the stream's first 32 bits. Underflow (pending)
+# bits are held back until the next decided bit and written with it as one
+# run, so the buffer's length never counts pending bits.
 
 TOP = (1 << 32) - 1
 HALF = 1 << 31
@@ -135,124 +145,11 @@ QUARTER = 1 << 30
 THREE_Q = 3 << 30
 
 
-class ArithmeticEncoder:
-    """Witten-Neal-Cleary integer arithmetic coder over a 32-bit range.
-
-    Output bits go straight into the writer's buffer. Underflow (pending)
-    bits are held back until the next decided bit and then written with it
-    as one run, so writer.bit_count never counts pending bits.
-
-    The state (low, high, pending) is public: the estimators' hot loops run
-    this same narrowing inline on local copies and sync them back before
-    coding a rare token through these methods.
-    """
-
-    def __init__(self, writer: BitWriter) -> None:
-        self.out = writer.buf
-        self.low = 0
-        self.high = TOP
-        self.pending = 0
-
-    def encode(self, cum_lo: int, cum_hi: int, total: int) -> None:
-        """Narrow the range to [cum_lo, cum_hi) of total."""
-        low = self.low
-        span = self.high - low + 1
-        high = low + span * cum_hi // total - 1
-        low += span * cum_lo // total
-        pending = self.pending
-        out = self.out
-        while True:
-            if high < HALF:
-                if pending:
-                    out += b"0" + b"1" * pending
-                    pending = 0
-                else:
-                    out.append(48)
-            elif low >= HALF:
-                if pending:
-                    out += b"1" + b"0" * pending
-                    pending = 0
-                else:
-                    out.append(49)
-                low -= HALF
-                high -= HALF
-            elif low >= QUARTER and high < THREE_Q:
-                pending += 1
-                low -= QUARTER
-                high -= QUARTER
-            else:
-                break
-            low <<= 1
-            high = (high << 1) | 1
-        self.low = low
-        self.high = high
-        self.pending = pending
-
-    def write_bit(self, bit: int) -> None:
-        """A bit at fixed probability 1/2 (costs exactly one binary split).
-        Named like BitWriter's, so write_gamma can code into this stream."""
-        self.encode(bit, bit + 1, 2)
-
-    def write_bits(self, value: int, k: int) -> None:
-        for i in range(k - 1, -1, -1):
-            self.write_bit((value >> i) & 1)
-
-    def finish(self) -> None:
-        run = self.pending + 1
-        self.out += b"0" + b"1" * run if self.low < QUARTER else b"1" + b"0" * run
-        self.pending = 0
-
-
-class ArithmeticDecoder:
-    """Inverse of ArithmeticEncoder; its state (low, high, code, and the
-    reader's pos) is public for the same reason."""
-
-    def __init__(self, reader: BitReader) -> None:
-        self.reader = reader
-        self.low = 0
-        self.high = TOP
-        self.code = reader.read_bits(32)
-
-    def decode_target(self, total: int) -> int:
-        span = self.high - self.low + 1
-        return ((self.code - self.low + 1) * total - 1) // span
-
-    def consume(self, cum_lo: int, cum_hi: int, total: int) -> None:
-        low = self.low
-        span = self.high - low + 1
-        high = low + span * cum_hi // total - 1
-        low += span * cum_lo // total
-        code = self.code
-        shifts = 0
-        while True:
-            if high < HALF:
-                pass
-            elif low >= HALF:
-                low -= HALF
-                high -= HALF
-                code -= HALF
-            elif low >= QUARTER and high < THREE_Q:
-                low -= QUARTER
-                high -= QUARTER
-                code -= QUARTER
-            else:
-                break
-            low <<= 1
-            high = (high << 1) | 1
-            code <<= 1
-            shifts += 1
-        self.low = low
-        self.high = high
-        # the bits shifted in are read as one run: code is only shifted and
-        # offset inside the loop, so adding them afterwards is exact
-        self.code = code | self.reader.read_bits(shifts) if shifts else code
-
-    def read_bit(self) -> int:
-        """Inverse of ArithmeticEncoder.write_bit; named like BitReader's,
-        so read_gamma can decode from this stream."""
-        bit = self.decode_target(2)
-        self.consume(bit, bit + 1, 2)
-        return bit
+def flush_coder(out: bytearray, low: int, pending: int) -> None:
+    """End an encoder's stream: the bits that pin its final range, the
+    pending ones included."""
+    run = pending + 1
+    out += b"0" + b"1" * run if low < QUARTER else b"1" + b"0" * run
 
 
 # --- adaptive frequency tables ------------------------------------------------

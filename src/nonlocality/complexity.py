@@ -28,11 +28,6 @@ THETA_ZERO_DEFAULT = 0.1
 THETA_FULL_DEFAULT = 0.9
 
 
-def overhead(n: int) -> float:
-    """Header slack allowed on top of the literal length."""
-    return 64.0 * math.log2(n + 2)
-
-
 @dataclass(frozen=True)
 class ComplexityEstimate:
     estimator_id: str

@@ -17,19 +17,18 @@ from .coding import (
     RESCALE,
     STEP,
     THREE_Q,
-    ArithmeticDecoder,
-    ArithmeticEncoder,
+    TOP,
     BitReader,
     BitWriter,
+    flush_coder,
+    gamma_bits,
     new_table,
-    read_gamma,
     read_uint,
     rescale,
     uint_len,
-    write_gamma,
     write_uint,
 )
-from .strings import SymbolString, bits_per_symbol, pack_symbols, unpack_symbols
+from .strings import bits_per_symbol, pack_symbols, unpack_symbols
 
 
 class EstimatorError(RuntimeError):
@@ -199,18 +198,19 @@ class LZ77Estimator(Estimator):
     ANCHOR symbols: at most MAX_CHAIN of them, newest first, along
     _chain_links. Each token is a coded flag (0 literal, 1 match) followed
     by the literal, or by the match's two gamma codes (distance, length -
-    ANCHOR + 1), which go through the coder object.
+    ANCHOR + 1), whose bits are coded one by one at the fixed table
+    [1, 1, 2] (probability 1/2), which is never counted.
     """
 
     estimator_id = "lz77"
 
     def encode(self, symbols: bytes, q: int, period: int = 1) -> tuple[int, bytes]:
         w = _header_writer(q, len(symbols), period, MODE_CODED)
-        enc = ArithmeticEncoder(w)
         out = w.buf
-        low, high, pending = enc.low, enc.high, enc.pending
+        low, high, pending = 0, TOP, 0
         half, quarter, three_q = HALF, QUARTER, THREE_Q
         flag = new_table(2)
+        gamma = [1, 1, 2]
         tables: dict = {}
         step = STEP
         limit = RESCALE
@@ -226,8 +226,11 @@ class LZ77Estimator(Estimator):
         before = 0
         tab = None
         sym = 0
+        # the match's gamma codes as ASCII bits; the last k are still to code
+        bits = b""
+        k = 0
         i = 0
-        while i < n:
+        while i < n or k:
             if tab is flag and not sym:
                 # the literal at i, right after its flag
                 sym = symbols[i]
@@ -238,6 +241,10 @@ class LZ77Estimator(Estimator):
                     tab = tables[ctx]
                 except KeyError:
                     tab = tables[ctx] = new_table(q)
+            elif k:
+                tab = gamma
+                sym = bits[-k] - 48
+                k -= 1
             else:
                 tab = flag
                 sym = 0
@@ -306,6 +313,8 @@ class LZ77Estimator(Estimator):
                     break
                 low <<= 1
                 high = (high << 1) | 1
+            if tab is gamma:
+                continue
             c += step
             tab[sym] = c
             tab[-1] = total + step
@@ -316,29 +325,30 @@ class LZ77Estimator(Estimator):
                 lit_syms += 1
                 i += 1
             elif sym:
-                enc.low, enc.high, enc.pending = low, high, pending
-                write_gamma(enc, best_dist)
-                write_gamma(enc, best_len - ANCHOR + 1)
-                low, high, pending = enc.low, enc.high, enc.pending
+                bits = gamma_bits(best_dist) + gamma_bits(best_len - ANCHOR + 1)
+                k = len(bits)
                 i += best_len
             else:
                 before = len(out)
-        enc.low, enc.high, enc.pending = low, high, pending
-        enc.finish()
+        flush_coder(out, low, pending)
         return self._pick(symbols, q, period, w)
 
     def _decode_payload(self, r: BitReader, q: int, n: int, period: int) -> bytes:
-        dec = ArithmeticDecoder(r)
-        low, high, code = dec.low, dec.high, dec.code
+        low, high, code = 0, TOP, r.read_bits(32)
         buf, pos = r.buf, r.pos
         half, quarter, three_q = HALF, QUARTER, THREE_Q
         flag = new_table(2)
+        gamma = [1, 1, 2]
         tables: dict = {}
         step = STEP
         limit = RESCALE
         out = bytearray()
         qq = q + 1
         ctxspan = qq * qq
+        # the gamma code being read: the zeros counted so far, then (once its
+        # 1 has come and value > 0) the bits still to read; dist is the first
+        # code's value once it is read
+        zeros = value = dist = 0
         tab = flag
         while len(out) < n:
             # decode one symbol at tab's frequencies, then count it
@@ -375,6 +385,34 @@ class LZ77Estimator(Estimator):
             if shifts:
                 code |= int(buf[pos : pos + shifts].ljust(shifts, b"0"), 2)
                 pos += shifts
+            if tab is gamma:
+                if value:
+                    value = (value << 1) | sym
+                    zeros -= 1
+                elif sym:
+                    value = 1
+                else:
+                    zeros += 1
+                    if zeros > 64:
+                        raise ValueError("malformed gamma code")
+                    continue
+                if zeros:
+                    continue
+                if not dist:
+                    dist = value
+                    value = 0
+                    continue
+                length = value + ANCHOR - 1
+                start = len(out) - dist
+                if start < 0 or len(out) + length > n:
+                    raise EstimatorError("corrupt LZ77 stream")
+                if dist >= length:
+                    out += out[start : start + length]
+                else:  # the copy overlaps its own output
+                    out += (out[start:] * (length // dist + 1))[:length]
+                value = dist = 0
+                tab = flag
+                continue
             c += step
             tab[sym] = c
             tab[-1] = total + step
@@ -384,17 +422,7 @@ class LZ77Estimator(Estimator):
                 out.append(sym)
                 tab = flag
             elif sym:
-                dec.low, dec.high, dec.code, r.pos = low, high, code, pos
-                dist = read_gamma(dec)
-                length = read_gamma(dec) + ANCHOR - 1
-                low, high, code, pos = dec.low, dec.high, dec.code, r.pos
-                start = len(out) - dist
-                if start < 0 or len(out) + length > n:
-                    raise EstimatorError("corrupt LZ77 stream")
-                if dist >= length:
-                    out += out[start : start + length]
-                else:  # the copy overlaps its own output
-                    out += (out[start:] * (length // dist + 1))[:length]
+                tab = gamma
             else:
                 i = len(out)
                 p1 = out[i - 1] if i >= 1 else q
@@ -419,9 +447,8 @@ class ContextEstimator(Estimator):
 
     def encode(self, symbols: bytes, q: int, period: int = 1) -> tuple[int, bytes]:
         w = _header_writer(q, len(symbols), period, MODE_CODED)
-        enc = ArithmeticEncoder(w)
         out = w.buf
-        low, high, pending = enc.low, enc.high, enc.pending
+        low, high, pending = 0, TOP, 0
         half, quarter, three_q = HALF, QUARTER, THREE_Q
         tables: dict = {}
         step = STEP
@@ -477,13 +504,11 @@ class ContextEstimator(Estimator):
                 rescale(t)
             if k:
                 ctx = (ctx * qq + s) % mod
-        enc.low, enc.high, enc.pending = low, high, pending
-        enc.finish()
+        flush_coder(out, low, pending)
         return self._pick(symbols, q, period, w)
 
     def _decode_payload(self, r: BitReader, q: int, n: int, period: int) -> bytes:
-        dec = ArithmeticDecoder(r)
-        low, high, code = dec.low, dec.high, dec.code
+        low, high, code = 0, TOP, r.read_bits(32)
         buf, pos = r.buf, r.pos
         half, quarter, three_q = HALF, QUARTER, THREE_Q
         tables: dict = {}
@@ -606,8 +631,3 @@ def get_estimator(name: str, registry: dict[str, Estimator] | None = None) -> Es
         raise EstimatorError(f"unknown estimator: {name!r}")
     return est
 
-
-def roundtrip_ok(est: Estimator, s: SymbolString) -> bool:
-    bits, blob = est.encode(s.data, s.q)
-    q, data = est.decode(blob)
-    return q == s.q and data == s.data

@@ -38,19 +38,17 @@ class PromiseViolation(FormatError):
 
 # --- game definitions -------------------------------------------------------
 
-def _alice_cells(symbol: int) -> tuple[int, int, int]:
-    """Even-parity row assignment encoded by an output symbol 0..3: the
-    symbol's two bits are cells 0 and 1, cell 2 completes the parity."""
+def _magic_cells(symbol: int, parity: int) -> tuple[int, int, int]:
+    """The three cells a magic-square output symbol 0..3 encodes: its two
+    bits are cells 0 and 1, cell 2 completes the parity (Alice's rows are
+    even, 0; Bob's columns odd, 1)."""
     c0 = (symbol >> 1) & 1
     c1 = symbol & 1
-    return c0, c1, (c0 + c1) % 2
+    return c0, c1, (c0 + c1 + parity) % 2
 
 
-def _bob_cells(symbol: int) -> tuple[int, int, int]:
-    """Odd-parity column assignment, same bit layout."""
-    c0 = (symbol >> 1) & 1
-    c1 = symbol & 1
-    return c0, c1, (c0 + c1 + 1) % 2
+# (input, output) alphabet sizes per game kind; None: the chained ring size m
+_ALPHABETS = {"pr": (2, 2), "chained": (None, 2), "magic_square": (3, 4)}
 
 
 @dataclass(frozen=True)
@@ -74,19 +72,19 @@ class GameSpec:
 
     @property
     def qA(self) -> int:
-        return {"pr": 2, "chained": self.m, "magic_square": 3}[self.kind]
+        return _ALPHABETS[self.kind][0] or self.m
 
     @property
     def qB(self) -> int:
-        return self.qA
+        return _ALPHABETS[self.kind][0] or self.m
 
     @property
     def qX(self) -> int:
-        return {"pr": 2, "chained": 2, "magic_square": 4}[self.kind]
+        return _ALPHABETS[self.kind][1]
 
     @property
     def qY(self) -> int:
-        return self.qX
+        return _ALPHABETS[self.kind][1]
 
     def promise(self, a: int, b: int) -> bool:
         self._check_inputs(a, b)
@@ -99,7 +97,7 @@ class GameSpec:
         if not (0 <= x < self.qX and 0 <= y < self.qY):
             raise ValueError(f"output symbol out of alphabet: x={x}, y={y}")
         if self.kind == "magic_square":
-            return _alice_cells(x)[b] == _bob_cells(y)[a]
+            return _magic_cells(x, 0)[b] == _magic_cells(y, 1)[a]
         return (x ^ y) == self.target_bit(a, b)
 
     def target_bit(self, a: int, b: int) -> int:
@@ -242,8 +240,8 @@ def play(
             for i, (u, v) in rounds:
                 draw = round_bits(seed, i, 3)
                 shared = draw & 1  # intersection cell value
-                xs[i] = _magic_encode_alice(u, v, shared, (draw >> 1) & 1)
-                ys[i] = _magic_encode_bob(u, v, shared, (draw >> 2) & 1)
+                xs[i] = _magic_encode(v, shared, (draw >> 1) & 1, 0)
+                ys[i] = _magic_encode(u, shared, (draw >> 2) & 1, 1)
     elif isinstance(strategy, SignalingSampler):
         if game.qX != 2 or game.qY != 2:
             raise FormatError("signaling control needs binary outputs")
@@ -267,24 +265,16 @@ def _check_promise(game: GameSpec, a: bytes, b: bytes) -> None:
                 raise PromiseViolation(i)
 
 
-def _magic_encode_alice(row: int, col: int, shared: int, free: int) -> int:
-    """Alice's cells for her row: the intersection column carries the
-    shared bit, the first remaining column a fresh bit, the last is
-    parity-forced (even). Returns the output symbol (cells 0,1)."""
+def _magic_encode(cross: int, shared: int, free: int, parity: int) -> int:
+    """One party's output symbol (cells 0,1; see _magic_cells): the cell at
+    `cross`, where Alice's row meets Bob's column (Alice's cell at Bob's
+    input, Bob's at Alice's), carries the shared bit, the first remaining
+    cell a fresh bit, and the last is forced to the party's parity."""
     cells = [0, 0, 0]
-    others = [c for c in range(3) if c != col]
-    cells[col] = shared
+    others = [c for c in range(3) if c != cross]
+    cells[cross] = shared
     cells[others[0]] = free
-    cells[others[1]] = (cells[col] + cells[others[0]]) % 2  # even parity
-    return (cells[0] << 1) | cells[1]
-
-
-def _magic_encode_bob(row: int, col: int, shared: int, free: int) -> int:
-    cells = [0, 0, 0]
-    others = [r for r in range(3) if r != row]
-    cells[row] = shared
-    cells[others[0]] = free
-    cells[others[1]] = (cells[row] + cells[others[0]] + 1) % 2  # odd parity
+    cells[others[1]] = (shared + free + parity) % 2
     return (cells[0] << 1) | cells[1]
 
 

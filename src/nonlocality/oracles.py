@@ -558,9 +558,3 @@ def marginal_extremes(
     if hi.status != "optimal" or lo.status != "optimal":
         raise ValueError(f"marginal program not solvable: {hi.status}/{lo.status}")
     return -lo.objective, hi.objective
-
-
-def ns_pr_marginal_extremes() -> tuple[Fraction, Fraction]:
-    """Extremes of Alice's marginal under perfect play plus no-signaling;
-    both collapse to 1/2: unbiased outputs are forced, not chosen."""
-    return marginal_extremes(ONE, True)

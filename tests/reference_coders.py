@@ -4,13 +4,14 @@ position lists as lz77's match table, and one int() per value when a
 literal-mode payload is read.
 
 Kept only as the reference the fused loops in src/ must match bit for bit
-(tests/test_coder_outputs.py). The coder, the model and the match
-extension (symbol by symbol) are copied here too, so that a fault in
-src/'s versions cannot hide by showing up on both sides.
+(tests/test_coder_outputs.py). The coder objects, the model, the gamma
+codes of match tokens (written and read bit by bit through the coder) and
+the match extension (symbol by symbol) are copied here too, so that a fault
+in src/'s versions cannot hide by showing up on both sides.
 """
 from __future__ import annotations
 
-from nonlocality.coding import BitReader, BitWriter, read_gamma, read_uint, write_gamma
+from nonlocality.coding import BitReader, BitWriter, read_uint
 from nonlocality.estimators import (
     ANCHOR,
     MAX_CHAIN,
@@ -128,6 +129,25 @@ class ArithmeticDecoder:
         bit = self.decode_target(2)
         self.consume(bit, bit + 1, 2)
         return bit
+
+
+def write_gamma(enc: ArithmeticEncoder, value: int) -> None:
+    nbits = value.bit_length()
+    for _ in range(nbits - 1):
+        enc.write_bit(0)
+    enc.write_bits(value, nbits)
+
+
+def read_gamma(dec: ArithmeticDecoder) -> int:
+    zeros = 0
+    while dec.read_bit() == 0:
+        zeros += 1
+        if zeros > 64:
+            raise ValueError("malformed gamma code")
+    value = 1
+    for _ in range(zeros):
+        value = (value << 1) | dec.read_bit()
+    return value
 
 
 class AdaptiveModel:
@@ -260,7 +280,7 @@ def lz77_decode_payload(r: BitReader, q: int, n: int, period: int) -> bytes:
             dist = read_gamma(dec)
             length = read_gamma(dec) + ANCHOR - 1
             start = len(out) - dist
-            if start < 0:
+            if start < 0 or len(out) + length > n:
                 raise EstimatorError("corrupt LZ77 stream")
             for k in range(length):
                 out.append(out[start + k])

@@ -30,7 +30,7 @@ from nonlocality.oracles import (
     deterministic_distribution,
     fine_membership,
     game_value_exact,
-    ns_pr_marginal_extremes,
+    marginal_extremes,
     pr_box_distribution,
     replay_witness,
     Distribution,
@@ -111,7 +111,7 @@ def test_criterion_02_parallel_repetition():
 
 
 def test_criterion_03_forced_marginals():
-    lo, hi = ns_pr_marginal_extremes()
+    lo, hi = marginal_extremes()
     ok = (lo, hi) == (F(1, 2), F(1, 2))
     _line(3, ok, f"marginal extremes = ({lo}, {hi})")
 

@@ -17,8 +17,8 @@ import pytest
 import reference_coders
 from hypothesis import given, settings, strategies as st
 
-from nonlocality.coding import BitReader, read_uint, uint_len
-from nonlocality.estimators import MODE_LITERAL, _extend_match, default_registry
+from nonlocality.coding import BitReader, gamma_len, read_uint, uint_len
+from nonlocality.estimators import ANCHOR, MODE_LITERAL, _extend_match, default_registry
 from nonlocality.strings import (
     Seed,
     SymbolString,
@@ -174,6 +174,74 @@ def test_fused_loops_match_the_method_call_reference(est_id, case):
     if est_id in reference_coders.FUSED_IDS:
         assert (bits, blob) == reference_coders.encode(est_id, symbols, q, period)
         assert reference_coders.decode(est_id, blob) == (q, symbols)
+
+
+def long_match_cases() -> dict:
+    """name -> (symbols, q, period, unit): one literal run of `unit` symbols,
+    then a single match to the end, whose length code alone is 33 bits, so
+    the match token outruns the coder's 32-bit register."""
+    block = gen_seeded_random(48, 4, Seed.from_int(2024).derive("long")).data
+    repeated = block * ((1 << 16) // len(block) + 3)
+    return {
+        "zeros_2^17": (bytes(1 << 17), 2, 1, 1),
+        "repeat_q4_p1": (repeated, 4, 1, len(block)),
+        "repeat_q4_p3": (repeated, 4, 3, len(block)),
+    }
+
+
+LONG_MATCH = long_match_cases()
+
+
+@pytest.mark.parametrize("name", sorted(LONG_MATCH))
+def test_long_match_codes_match_the_reference(name):
+    symbols, q, period, unit = LONG_MATCH[name]
+    length_code = gamma_len(len(symbols) - unit - ANCHOR + 1)
+    assert length_code > 32
+    est = default_registry()["lz77"]
+    bits, blob = est.encode(symbols, q, period)
+    # the literals, one flag per token and the match code: one match it is
+    assert bits < literal_len(q, unit, period) + 2 * unit + gamma_len(unit) + length_code + 40
+    assert (bits, blob) == reference_coders.encode("lz77", symbols, q, period)
+    assert est.decode(blob) == (q, symbols)
+    assert reference_coders.decode("lz77", blob) == (q, symbols)
+
+
+def _outcome(decode, blob):
+    try:
+        return decode(blob)
+    except Exception as exc:  # the type is the outcome compared
+        return type(exc)
+
+
+def _token_start(monkeypatch, symbols: bytes, q: int, period: int, unit: int) -> int:
+    """The byte of the blob where the match token's bits start: the
+    reference coder's output length when it codes the match flag, the call
+    after the `unit` literals' flag and symbol calls."""
+    starts = []
+
+    class Recording(reference_coders.ArithmeticEncoder):
+        def encode(self, cum_lo, cum_hi, total):
+            starts.append(len(self._out))
+            return super().encode(cum_lo, cum_hi, total)
+
+    monkeypatch.setattr(reference_coders, "ArithmeticEncoder", Recording)
+    reference_coders.encode("lz77", symbols, q, period)
+    return starts[2 * unit] // 8
+
+
+@pytest.mark.parametrize("name", sorted(LONG_MATCH))
+def test_cut_long_match_blobs_decode_like_the_reference(name, monkeypatch):
+    # every cut inside the bytes of the match token (its flag, its two gamma
+    # codes and the flush, to the blob's end): the bits past the cut read
+    # as zeros on both sides
+    symbols, q, period, unit = LONG_MATCH[name]
+    est = default_registry()["lz77"]
+    _, blob = est.encode(symbols, q, period)
+    start = _token_start(monkeypatch, symbols, q, period, unit)
+    assert len(blob) - start > 4
+    for cut in range(start, len(blob)):
+        got = _outcome(est.decode, blob[:cut])
+        assert got == _outcome(lambda b: reference_coders.decode("lz77", b), blob[:cut]), cut
 
 
 def test_extend_match_agrees_with_a_symbol_by_symbol_scan():

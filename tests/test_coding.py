@@ -4,10 +4,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from nonlocality.coding import (
-    ArithmeticDecoder,
-    ArithmeticEncoder,
     BitReader,
     BitWriter,
+    gamma_bits,
     gamma_len,
     read_gamma,
     read_uint,
@@ -15,9 +14,9 @@ from nonlocality.coding import (
     write_gamma,
     write_uint,
 )
-# the per-symbol model calls the estimators no longer make; here they drive
-# the coder classes, which the estimators still use for rare tokens
-from reference_coders import AdaptiveModel
+# src runs the coder inline in the estimators' loops only; the coder objects
+# and per-symbol model calls of the reference check the coding scheme itself
+from reference_coders import AdaptiveModel, ArithmeticDecoder, ArithmeticEncoder
 
 
 def test_bitwriter_reader_roundtrip():
@@ -120,13 +119,14 @@ def test_raw_bits_through_arithmetic_coder():
 
 
 def test_gamma_codes_through_arithmetic_coder():
-    # the coder exposes the BitWriter/BitReader bit calls, so the same gamma
-    # functions write and read codes inside a coded stream
+    # gamma_bits is the layout lz77 codes bit by bit inside its coded stream;
+    # the decoder exposes BitReader's read_bit, so read_gamma reads it back
     values = [1, 2, 3, 17, 1000, 2**40 + 5]
     w = BitWriter()
     enc = ArithmeticEncoder(w)
     for v in values:
-        write_gamma(enc, v)
+        for bit in gamma_bits(v):
+            enc.write_bit(bit - 48)
     enc.finish()
     dec = ArithmeticDecoder(BitReader(w.getvalue()))
     assert [read_gamma(dec) for _ in values] == values

@@ -16,7 +16,6 @@ from nonlocality.complexity import (
     frac_str,
     log_binomial,
     mutual_info_est,
-    overhead,
 )
 from nonlocality.estimators import get_estimator, make_registry
 from nonlocality.strings import Seed, SymbolString, gen_computable, gen_seeded_random
@@ -99,11 +98,6 @@ def test_log_binomial_matches_math_comb_and_entropy_scaling():
     assert log_binomial(n, n // 16) / n == pytest.approx(
         binary_entropy(Fraction(1, 16)), abs=0.01
     )
-
-
-def test_overhead_is_logarithmic():
-    assert overhead(2**15) < 1200
-    assert overhead(2**20) > overhead(2**10)
 
 
 def test_frac_str():

@@ -20,7 +20,6 @@ from nonlocality.oracles import (
     game_value_exact,
     marginal_extremes,
     mix_distributions,
-    ns_pr_marginal_extremes,
     pr_box_distribution,
     replay_witness,
 )
@@ -137,7 +136,8 @@ def test_distribution_validation():
 
 
 def test_marginals_forced_to_half():
-    assert ns_pr_marginal_extremes() == (F(1, 2), F(1, 2))
+    # perfect play plus no-signaling: unbiased outputs are forced, not chosen
+    assert marginal_extremes() == (F(1, 2), F(1, 2))
 
 
 def test_marginals_relaxations():
