@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .estimators import Estimator, get_estimator
-from .strings import SymbolString, concat
+from .strings import SymbolString, concat, interleave
 
 # bits charged for selecting among the conditional candidate encodings
 CANDIDATE_TAG_BITS = 2
@@ -80,22 +80,14 @@ def estimate_k(s: SymbolString, estimator) -> ComplexityEstimate:
 
 
 def _weave(conds: list[SymbolString], n: int, subject: SymbolString | None) -> SymbolString:
-    q = max(c.q for c in conds)
-    if subject is not None:
-        q = max(q, subject.q)
     # position i holds each condition's i-th block of c.n // n symbols, then
-    # the subject's i-th symbol; each offset in that frame is one strided slice
-    ratios = [c.n // n for c in conds]
-    width = sum(ratios) + (subject is not None)
-    out = bytearray(n * width)
-    offset = 0
-    for c, r in zip(conds, ratios):
-        for k in range(r):
-            out[offset + k :: width] = c.data[k : n * r : r]
-        offset += r
+    # the subject's i-th symbol: the interleave of the conditions' phases
+    phases = [
+        SymbolString(c.q, c.data[k :: c.n // n]) for c in conds for k in range(c.n // n)
+    ]
     if subject is not None:
-        out[offset::width] = subject.data
-    return SymbolString(q, bytes(out))
+        phases.append(subject)
+    return interleave(*phases)
 
 
 def estimate_k_cond(x: SymbolString, cond, estimator) -> ComplexityEstimate:

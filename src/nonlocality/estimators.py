@@ -508,6 +508,13 @@ class ContextEstimator(Estimator):
         return self._pick(symbols, q, period, w)
 
     def _decode_payload(self, r: BitReader, q: int, n: int, period: int) -> bytes:
+        # a coded count is below RESCALE and every other count at least 1, so
+        # a symbol keeps at most (RESCALE-1)/d + 2^-30 of the range (d =
+        # RESCALE+q-2; the 2^-30 covers the floor) and, as -log2 r >= 1 - r,
+        # costs at least (q-1)/d - 2^-30 bits: n symbols need n times that
+        d = RESCALE + q - 2
+        if n * (((q - 1) << 30) - d) > (len(r.buf) - r.pos) * (d << 30):
+            raise EstimatorError(f"corrupt header: {n} coded symbols cannot fit the blob")
         low, high, code = 0, TOP, r.read_bits(32)
         buf, pos = r.buf, r.pos
         half, quarter, three_q = HALF, QUARTER, THREE_Q

@@ -46,7 +46,6 @@ from .oracles import chained_value_upper_bound, game_value_exact
 from .strings import (
     Seed,
     SymbolString,
-    chi_event,
     gen_computable,
     gen_promise_inputs,
     gen_seeded_random,
@@ -338,7 +337,9 @@ def run_theorem3(
     x, y = play(NoSignalingSampler(eps), game, a, b, seed_set.sampler, seed_set.noise)
     quad = Quadruple(game, a, b, x, y)
     sat = satisfaction_fraction(quad)
-    chi = chi_event(a, b, m)
+    # chi marks the rounds whose input pair asks for a mismatch
+    target = {ab: game.target_bit(*ab) for ab in game.promise_pairs()}
+    chi = SymbolString(2, bytes(map(target.__getitem__, zip(a.data, b.data))))
 
     kx = estimate_k(x, estimator)
     kxa = estimate_k_cond(x, a, estimator)
@@ -389,7 +390,7 @@ def run_magic_square(n: int, estimator: Estimator | str, seed_set: SeedSet) -> E
     a, b, x = quad.a, quad.b, quad.x
 
     classical = game_value_exact(game)
-    best = LocalDeterministic(classical.fa_table(), classical.fb_table())
+    best = LocalDeterministic(tuple(x for x, in classical.fa), tuple(y for y, in classical.fb))
     cx, cy = play(best, game, a, b, seed_set.sampler)
     sat_classical = satisfaction_fraction(Quadruple(game, a, b, cx, cy))
 

@@ -23,7 +23,6 @@ from .strings import (
     SymbolString,
     concat,
     interleave,
-    promise_ok,
     read_syms,
     round_bits,
     write_syms,
@@ -86,12 +85,6 @@ class GameSpec:
     def qY(self) -> int:
         return _ALPHABETS[self.kind][1]
 
-    def promise(self, a: int, b: int) -> bool:
-        self._check_inputs(a, b)
-        if self.kind == "chained":
-            return promise_ok(self.m, a, b)
-        return True
-
     def win(self, a: int, b: int, x: int, y: int) -> bool:
         self._check_inputs(a, b)
         if not (0 <= x < self.qX and 0 <= y < self.qY):
@@ -101,7 +94,9 @@ class GameSpec:
         return (x ^ y) == self.target_bit(a, b)
 
     def target_bit(self, a: int, b: int) -> int:
-        """The bit x XOR y must equal (PR and chained games only)."""
+        """The bit x XOR y must equal (PR and chained games only). In the
+        chained game only the wrap-around pair, displayed (a=m, b=1), asks
+        for a mismatch: theorem 3's rare event chi."""
         if self.kind == "pr":
             return a & b
         if self.kind == "chained":
@@ -130,6 +125,19 @@ class GameSpec:
 
 
 GAME_KINDS = ("pr", "chained", "magic_square")
+
+
+def winning(game) -> set[tuple[int, int, int, int]]:
+    """The game's win table: every winning (a, b, x, y) over its promise
+    pairs. Scores, distributions and the exact search all read it, so it
+    reads only promise_pairs, qX, qY and win."""
+    return {
+        (a, b, x, y)
+        for a, b in game.promise_pairs()
+        for x in range(game.qX)
+        for y in range(game.qY)
+        if game.win(a, b, x, y)
+    }
 
 
 def parse_game(kind, m=2) -> GameSpec:
@@ -306,15 +314,8 @@ def satisfaction_fraction(quad: Quadruple) -> Fraction:
     _check_promise(g, quad.a.data, quad.b.data)
     if quad.n == 0:
         return Fraction(1)
-    winning = {
-        (a, b, x, y)
-        for a, b in g.promise_pairs()
-        for x in range(g.qX)
-        for y in range(g.qY)
-        if g.win(a, b, x, y)
-    }
     rounds = zip(quad.a.data, quad.b.data, quad.x.data, quad.y.data)
-    return Fraction(sum(map(winning.__contains__, rounds)), quad.n)
+    return Fraction(sum(map(winning(g).__contains__, rounds)), quad.n)
 
 
 # --- no-signaling tester -------------------------------------------------------

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 
-from .games import GameSpec
+from .games import GameSpec, winning
 from .simplex import feasible_point, solve_lp
 
 ZERO = Fraction(0)
@@ -69,26 +69,15 @@ class Distribution:
 
     def win_probability(self) -> Fraction:
         """Success under the uniform distribution over promise pairs."""
-        g = self.game
-        pairs = g.promise_pairs()
-        total = ZERO
-        for (a, b) in pairs:
-            for x in range(g.qX):
-                for y in range(g.qY):
-                    if g.win(a, b, x, y):
-                        total += self.prob(a, b, x, y)
-        return total / len(pairs)
+        total = sum((self.prob(*cell) for cell in winning(self.game)), ZERO)
+        return total / self.game.promise_count()
 
 
 def pr_box_distribution() -> Distribution:
+    """Probability 1/2 on each of the PR game's winning cells: two per input
+    pair, so every input pair wins with certainty."""
     g = GameSpec.pr()
-    p = {}
-    for a in range(2):
-        for b in range(2):
-            for x in range(2):
-                y = x ^ (a & b)
-                p[(a, b, x, y)] = Fraction(1, 2)
-    return Distribution(g, p)
+    return Distribution(g, {cell: Fraction(1, 2) for cell in sorted(winning(g))})
 
 
 def deterministic_distribution(game: GameSpec, fa, fb) -> Distribution:
@@ -135,17 +124,6 @@ class GameValueResult:
     fb: tuple
     nodes: int
     prunes: int
-
-    def fa_table(self) -> tuple:
-        """Single-symbol view of the witness (reps == 1 only)."""
-        if self.reps != 1:
-            raise ValueError("flat tables exist only for reps = 1")
-        return tuple(x[0] for x in self.fa)
-
-    def fb_table(self) -> tuple:
-        if self.reps != 1:
-            raise ValueError("flat tables exist only for reps = 1")
-        return tuple(y[0] for y in self.fb)
 
 
 def _block_setup(game: GameSpec, reps: int):
@@ -207,14 +185,11 @@ def _search(game, reps, first_choice=None):
 
     # wins[a, b, x]: the outputs y that win on (a, b, x), one bit each
     qY = game.qY
-    wins = {}
-    for a, b in game.promise_pairs():
-        for x in range(game.qX):
-            m = 0
-            for y in range(qY):
-                if game.win(a, b, x, y):
-                    m |= 1 << y
-            wins[a, b, x] = m
+    wins = dict.fromkeys(
+        ((a, b, x) for a, b in game.promise_pairs() for x in range(game.qX)), 0
+    )
+    for a, b, x, y in winning(game):
+        wins[a, b, x] |= 1 << y
 
     def block_wins(ab, bb, xb):
         """The output blocks that win on (ab, bb, xb), one bit each: a block
@@ -498,7 +473,8 @@ def _pr_lp_rows(pr_weight: Fraction, no_signaling: bool):
     """Equality system over the 16 variables q(x,y|a,b) of the two-input
     two-output scenario, plus one slack when the winning weight is a lower
     bound rather than an exact value."""
-    pairs = [(a, b) for a in range(2) for b in range(2)]
+    g = GameSpec.pr()
+    pairs = g.promise_pairs()
     cols = [(a, b, x, y) for (a, b) in pairs for x in range(2) for y in range(2)]
     idx = {c: i for i, c in enumerate(cols)}
     nslack = 4 if pr_weight < ONE else 0
@@ -515,12 +491,13 @@ def _pr_lp_rows(pr_weight: Fraction, no_signaling: bool):
 
     for (a, b) in pairs:
         row([(idx[(a, b, x, y)], ONE) for x in range(2) for y in range(2)], ONE)
+    wins = winning(g)
     for k, (a, b) in enumerate(pairs):
         entries = [
             (idx[(a, b, x, y)], ONE)
             for x in range(2)
             for y in range(2)
-            if (x ^ y) == (a & b)
+            if (a, b, x, y) in wins
         ]
         if nslack:
             entries.append((len(cols) + k, -ONE))  # win prob - slack = bound

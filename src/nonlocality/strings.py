@@ -246,11 +246,6 @@ def gen_promise_inputs(m: int, n: int, seed: Seed) -> tuple[SymbolString, Symbol
     return SymbolString(m, bytes(a)), SymbolString(m, bytes(b))
 
 
-def promise_ok(m: int, a_sym: int, b_sym: int) -> bool:
-    """Cyclic promise on 0-based symbols: b = a or a+1 (mod m)."""
-    return b_sym == a_sym or b_sym == (a_sym + 1) % m
-
-
 # --- pointwise operations --------------------------------------------------
 
 def pointwise_product(a: SymbolString, b: SymbolString) -> SymbolString:
@@ -259,19 +254,6 @@ def pointwise_product(a: SymbolString, b: SymbolString) -> SymbolString:
     if a.n != b.n:
         raise ValueError(f"length mismatch: {a.n} != {b.n}")
     return SymbolString(2, bytes(x & y for x, y in zip(a.data, b.data)))
-
-
-def chi_event(a: SymbolString, b: SymbolString, m: int) -> SymbolString:
-    """Indicator of the wrap-around pair: displayed (a=m, b=1), i.e.
-    0-based symbols (m-1, 0)."""
-    if a.q != m or b.q != m:
-        raise ValueError(f"alphabet mismatch: expected q={m}")
-    if a.n != b.n:
-        raise ValueError(f"length mismatch: {a.n} != {b.n}")
-    last = m - 1
-    return SymbolString(
-        2, bytes(1 if (x == last and y == 0) else 0 for x, y in zip(a.data, b.data))
-    )
 
 
 def interleave(*strings: SymbolString) -> SymbolString:

@@ -1,9 +1,13 @@
+import random
 import sys
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from nonlocality.coding import BitReader, BitWriter, read_uint, write_uint
 from nonlocality.estimators import (
+    ContextEstimator,
     EstimatorError,
     LZ77Estimator,
     ExternalEstimator,
@@ -151,19 +155,49 @@ def _header_only_blob(q: int, n: int, mode: int, payload_bits: bytes) -> bytes:
     return w.getvalue()
 
 
-@pytest.mark.parametrize("est_id", ALL_IDS)
+_BAD_HEADERS = {
+    "literal_q300": _header_only_blob(300, 4, 0, b"01" * 18),
+    "coded_q257": _header_only_blob(257, 4, 1, b"01" * 40),
+    "coded_q257_empty": _header_only_blob(257, 0, 1, b""),
+    # a literal-mode blob with its last 3 bytes cut off
+    "literal_q2_cut": _header_only_blob(2, 200, 0, b"0110" * 50)[:-3],
+    "literal_q256_cut": _header_only_blob(256, 30, 0, b"01" * 120)[:-3],
+}
+# 5 bytes whose header asks for 100,000 coded symbols in 4 payload bits;
+# ctx_k's per-symbol cost bound refuses it, lz77 and lz78 have none yet
+_CODED_N100000 = _header_only_blob(2, 100_000, 1, b"")
+
+
 @pytest.mark.parametrize(
-    "blob",
-    [
-        _header_only_blob(300, 4, 0, b"01" * 18),
-        _header_only_blob(257, 4, 1, b"01" * 40),
-        _header_only_blob(257, 0, 1, b""),
-        # a literal-mode blob with its last 3 bytes cut off
-        _header_only_blob(2, 200, 0, b"0110" * 50)[:-3],
-        _header_only_blob(256, 30, 0, b"01" * 120)[:-3],
-    ],
-    ids=["literal_q300", "coded_q257", "coded_q257_empty", "literal_q2_cut", "literal_q256_cut"],
+    "est_id, blob",
+    [pytest.param(e, blob, id=f"{name}-{e}") for name, blob in _BAD_HEADERS.items() for e in ALL_IDS]
+    + [pytest.param(e, _CODED_N100000, id=f"coded_q2_n100000-{e}") for e in ALL_IDS if e.startswith("ctx_")],
 )
 def test_decode_rejects_a_header_the_blob_cannot_hold(est_id, blob):
     with pytest.raises(EstimatorError, match="corrupt header"):
         default_registry()[est_id].decode(blob)
+
+
+@settings(max_examples=60, deadline=None)
+@example(kind="constant", q=2, n=1 << 16, k=0, period=1, seed=0)
+@given(
+    kind=st.sampled_from(["constant", "skewed", "uniform"]),
+    q=st.integers(2, 256),
+    n=st.integers(0, 1 << 14),
+    k=st.integers(0, 3),
+    period=st.integers(1, 4),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_honest_ctx_blobs_pass_the_decode_header_bound(kind, q, n, k, period, seed):
+    # a constant string costs the fewest bits per symbol, so it comes
+    # closest to the bound; 2^16 zeros at q=2 keep about 8 bits of slack
+    rng = random.Random(seed)
+    if kind == "constant":
+        data = bytes([rng.randrange(q)]) * n
+    elif kind == "skewed":
+        data = bytes(0 if rng.random() < 0.9 else rng.randrange(q) for _ in range(n))
+    else:
+        data = bytes(rng.randrange(q) for _ in range(n))
+    est = ContextEstimator(k)
+    _, blob = est.encode(data, q, period)
+    assert est.decode(blob) == (q, data)

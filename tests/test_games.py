@@ -19,6 +19,7 @@ from nonlocality.games import (
     play,
     satisfaction_fraction,
     save_quadruple,
+    winning,
 )
 from nonlocality.strings import (
     FormatError,
@@ -38,16 +39,40 @@ def test_pr_win_table():
             for x in range(2):
                 for y in range(2):
                     assert g.win(a, b, x, y) == ((x ^ y) == (a & b))
-            assert g.promise(a, b)
+            assert (a, b) in g.promise_pairs()
 
 
 def test_chained_promise_and_win():
     g = GameSpec.chained(4)
-    assert g.promise(1, 1) and g.promise(1, 2)
-    assert not g.promise(1, 3)
+    pairs = g.promise_pairs()
+    assert (1, 1) in pairs and (1, 2) in pairs
+    assert (1, 3) not in pairs
     # only the wrap-around pair demands a mismatch
     assert g.win(3, 0, 0, 1) and not g.win(3, 0, 0, 0)
     assert g.win(2, 2, 1, 1) and not g.win(2, 3, 1, 0)
+
+
+@pytest.mark.parametrize(
+    "game", [GameSpec.pr(), GameSpec.magic_square()] + [GameSpec.chained(m) for m in range(2, 10)]
+)
+def test_winning_is_the_win_table_on_the_promise(game):
+    cells = {
+        (a, b, x, y)
+        for a in range(game.qA)
+        for b in range(game.qB)
+        for x in range(game.qX)
+        for y in range(game.qY)
+        if (a, b) in game.promise_pairs() and game.win(a, b, x, y)
+    }
+    assert winning(game) == cells
+
+
+@pytest.mark.parametrize("m", range(2, 10))
+def test_chained_target_asks_for_a_mismatch_only_at_the_wraparound_pair(m):
+    # theorem 3's chi marks exactly the rounds whose pair has target bit 1
+    g = GameSpec.chained(m)
+    marked = [ab for ab in g.promise_pairs() if g.target_bit(*ab)]
+    assert marked == [(m - 1, 0)]
 
 
 def test_parse_game_is_the_one_kind_parser():

@@ -1,5 +1,6 @@
 """Import hygiene: every name a toolkit module imports is used in it, and
-every function the benchmark's tracer wraps still exists where it looks.
+every toolkit name the benchmark reaches, the functions its tracer wraps
+among them, still exists where it looks.
 
 No linter ships with the toolkit, so this AST walk is the check that keeps
 dead imports (and the dead code they point at) from coming back.
@@ -10,6 +11,7 @@ import importlib.util
 import os
 import subprocess
 import sys
+import types
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -67,3 +69,88 @@ def test_perfbench_trace_targets_resolve():
         if not found:
             missing.append(f"{modname}.{attr}")
     assert missing == []
+
+
+def _toolkit_refs(source: str) -> list[tuple[int, tuple[str, ...]]]:
+    """(line, names) for each attribute chain rooted at the benchmark's
+    toolkit namespace: `nl`, `self.nl`, or a one-line alias of a chain on
+    it (`O = nl.oracles`, `st, gm = nl.strings, nl.games`). Calls end a
+    chain; an alias is known from its line on, by name, in the whole file."""
+    tree = ast.parse(source)
+    aliases: dict[str, tuple[str, ...]] = {}
+
+    def chain(node):
+        names = []
+        while isinstance(node, ast.Attribute):
+            names.append(node.attr)
+            node = node.value
+        if not isinstance(node, ast.Name):
+            return None
+        names.reverse()
+        if node.id == "nl":
+            return tuple(names)
+        if node.id == "self" and names[:1] == ["nl"]:
+            return tuple(names[1:])
+        if node.id in aliases:
+            return aliases[node.id] + tuple(names)
+        return None
+
+    # an Attribute that is another's value is a prefix of a longer chain
+    inner = {id(n.value) for n in ast.walk(tree) if isinstance(n, ast.Attribute)}
+    refs = []
+    for node in sorted(
+        (n for n in ast.walk(tree) if isinstance(n, (ast.Assign, ast.Attribute))),
+        key=lambda n: (n.lineno, n.col_offset),
+    ):
+        if isinstance(node, ast.Attribute):
+            if id(node) in inner:
+                continue
+            names = chain(node)
+            if names:
+                refs.append((node.lineno, names))
+            continue
+        pairs = [(node.targets[0], node.value)]
+        if isinstance(node.targets[0], ast.Tuple) and isinstance(node.value, ast.Tuple):
+            pairs = list(zip(node.targets[0].elts, node.value.elts))
+        for target, value in pairs:
+            names = chain(value)
+            if isinstance(target, ast.Name) and names is not None:
+                assert aliases.setdefault(target.id, names) == names, f"{target.id} rebound"
+    return refs
+
+
+def test_perfbench_toolkit_names_resolve():
+    # the benchmark reaches the toolkit through `nl`, the namespace
+    # perfbench/run.py's import_toolkit builds: its MODULES tuple and one
+    # attribute per module. A name a refactor deleted or renamed would fail
+    # only when its op runs, so every reference is resolved here instead.
+    snippet = "O, G = nl.oracles, nl.games.GameSpec\nO.gone()\nG.pr().promise_pairs\nself.nl.cli.main\n"
+    assert _toolkit_refs(snippet) == [
+        (1, ("oracles",)),
+        (1, ("games", "GameSpec")),
+        (2, ("oracles", "gone")),
+        (3, ("games", "GameSpec", "pr")),
+        (4, ("cli", "main")),
+    ]
+    run = ast.parse((ROOT / "perfbench" / "run.py").read_text())
+    modules = next(
+        ast.literal_eval(n.value)
+        for n in run.body
+        if isinstance(n, ast.Assign) and getattr(n.targets[0], "id", None) == "MODULES"
+    )
+    nl = types.SimpleNamespace(
+        MODULES=modules, **{m: importlib.import_module(f"nonlocality.{m}") for m in modules}
+    )
+    absent, seen, missing = object(), set(), []
+    for path in sorted((ROOT / "perfbench").glob("*.py")):
+        for line, names in _toolkit_refs(path.read_text()):
+            seen.add(names)
+            obj = nl
+            for name in names:
+                obj = getattr(obj, name, absent)
+            if obj is absent:
+                missing.append(f"{path.name}:{line}: nl.{'.'.join(names)}")
+    assert missing == []
+    # the walk reaches names through each kind of root
+    assert {("strings", "interleave"), ("oracles", "pr_box_distribution"),
+            ("games", "GameSpec", "pr"), ("cli", "main")} <= seen

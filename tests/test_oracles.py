@@ -56,7 +56,8 @@ def test_witness_replays_through_game_play():
     pairs = g.promise_pairs()
     a = SymbolString(g.qA, bytes(p[0] for p in pairs))
     b = SymbolString(g.qB, bytes(p[1] for p in pairs))
-    x, y = play(LocalDeterministic(r.fa_table(), r.fb_table()), g, a, b, Seed.from_int(0))
+    fa, fb = tuple(x for x, in r.fa), tuple(y for y, in r.fb)
+    x, y = play(LocalDeterministic(fa, fb), g, a, b, Seed.from_int(0))
     assert satisfaction_fraction(Quadruple(g, a, b, x, y)) == r.value
 
 
@@ -150,10 +151,65 @@ def test_marginals_relaxations():
 def test_pr_box_wins_always_and_uniform_marginal():
     d = pr_box_distribution()
     assert d.win_probability() == 1
+    assert list(d.p) == [(a, b, x, x ^ (a & b)) for a in range(2) for b in range(2) for x in range(2)]
     for a in range(2):
         for b in range(2):
             px0 = sum(d.prob(a, b, 0, y) for y in range(2))
             assert px0 == F(1, 2)
+
+
+def _pr_lp_rows_reference(pr_weight, no_signaling):
+    # the body _pr_lp_rows had while it wrote out the PR rule itself
+    pairs = [(a, b) for a in range(2) for b in range(2)]
+    cols = [(a, b, x, y) for (a, b) in pairs for x in range(2) for y in range(2)]
+    idx = {c: i for i, c in enumerate(cols)}
+    nslack = 4 if pr_weight < 1 else 0
+    width = len(cols) + nslack
+    A, rhs = [], []
+
+    def row(entries, value):
+        r = [F(0)] * width
+        for c, v in entries:
+            r[c] += v
+        A.append(r)
+        rhs.append(value)
+
+    for (a, b) in pairs:
+        row([(idx[(a, b, x, y)], F(1)) for x in range(2) for y in range(2)], F(1))
+    for k, (a, b) in enumerate(pairs):
+        entries = [
+            (idx[(a, b, x, y)], F(1)) for x in range(2) for y in range(2) if (x ^ y) == (a & b)
+        ]
+        if nslack:
+            entries.append((len(cols) + k, F(-1)))
+        row(entries, pr_weight)
+    if no_signaling:
+        for a in range(2):
+            for x in range(2):
+                row(
+                    [(idx[(a, 0, x, y)], F(1)) for y in range(2)]
+                    + [(idx[(a, 1, x, y)], F(-1)) for y in range(2)],
+                    F(0),
+                )
+        for b in range(2):
+            for y in range(2):
+                row(
+                    [(idx[(0, b, x, y)], F(1)) for x in range(2)]
+                    + [(idx[(1, b, x, y)], F(-1)) for x in range(2)],
+                    F(0),
+                )
+    objective = [F(0)] * width
+    objective[idx[(0, 0, 0, 0)]] = F(1)
+    objective[idx[(0, 0, 0, 1)]] = F(1)
+    return A, rhs, objective
+
+
+@pytest.mark.parametrize("no_signaling", [True, False])
+@pytest.mark.parametrize("pr_weight", [F(1), F(3, 4)])
+def test_pr_lp_rows_read_the_pr_game_and_match_the_written_out_rule(pr_weight, no_signaling):
+    # same rows in the same order, so the same tableau and the same pivots
+    got = oracles._pr_lp_rows(pr_weight, no_signaling)
+    assert got == _pr_lp_rows_reference(pr_weight, no_signaling)
 
 
 def test_oversized_search_is_refused_before_any_block_list(monkeypatch):

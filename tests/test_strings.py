@@ -2,12 +2,12 @@ import pytest
 import reference_packing
 from hypothesis import given, settings, strategies as st
 
+from nonlocality.games import GameSpec
 from nonlocality.strings import (
     FormatError,
     Seed,
     SymbolString,
     bits_per_symbol,
-    chi_event,
     concat,
     gen_computable,
     gen_promise_inputs,
@@ -15,7 +15,6 @@ from nonlocality.strings import (
     interleave,
     pack_symbols,
     pointwise_product,
-    promise_ok,
     read_syms,
     round_bits,
     unpack_symbols,
@@ -111,25 +110,18 @@ def test_promise_inputs_always_satisfy_promise():
     for m in (2, 3, 8):
         a, b = gen_promise_inputs(m, 2000, Seed.from_int(m))
         assert a.q == b.q == m
-        assert all(promise_ok(m, a[i], b[i]) for i in range(2000))
+        assert set(zip(a.data, b.data)) <= set(GameSpec.chained(m).promise_pairs())
         # both legs of the promise occur
         assert any(a[i] == b[i] for i in range(2000))
         assert any(b[i] == (a[i] + 1) % m for i in range(2000))
 
 
-def test_promise_ok_matches_cyclic_definition():
+def test_chained_promise_pairs_match_cyclic_definition():
     m = 5
+    pairs = GameSpec.chained(m).promise_pairs()
     for a in range(m):
         for b in range(m):
-            assert promise_ok(m, a, b) == (b == a or b == (a + 1) % m)
-
-
-def test_chi_event_marks_only_wraparound_pair():
-    m = 4
-    a, b = gen_promise_inputs(m, 3000, Seed.from_int(9))
-    chi = chi_event(a, b, m)
-    for i in range(3000):
-        assert chi[i] == (1 if (a[i] == m - 1 and b[i] == 0) else 0)
+            assert ((a, b) in pairs) == (b == a or b == (a + 1) % m)
 
 
 def test_pointwise_product_and_interleave_and_concat():
