@@ -8,6 +8,7 @@ code.
 """
 from __future__ import annotations
 
+import math
 import shlex
 import subprocess
 
@@ -28,7 +29,7 @@ from .coding import (
     uint_len,
     write_uint,
 )
-from .strings import bits_per_symbol, pack_symbols, unpack_symbols
+from .strings import _BYTE_VALUES, bits_per_symbol, pack_symbols, unpack_symbols
 
 
 class EstimatorError(RuntimeError):
@@ -51,6 +52,13 @@ def _header_writer(q: int, n: int, period: int, mode: int) -> BitWriter:
 def _literal_len(q: int, n: int, period: int) -> int:
     """Bit length of the verbatim mode: header, then bits_per_symbol(q) per symbol."""
     return uint_len(q - 2) + uint_len(n) + uint_len(period - 1) + 1 + n * bits_per_symbol(q)
+
+
+def _literal(symbols: bytes, q: int, period: int) -> tuple[int, bytes]:
+    """The verbatim mode's bit count and blob."""
+    w = _header_writer(q, len(symbols), period, MODE_LITERAL)
+    w.write_fields(symbols, bits_per_symbol(q))
+    return w.bit_count, w.getvalue()
 
 
 class Estimator:
@@ -90,12 +98,9 @@ class Estimator:
     def _pick(
         self, symbols: bytes, q: int, period: int, coded: BitWriter
     ) -> tuple[int, bytes]:
-        literal = _literal_len(q, len(symbols), period)
-        if coded.bit_count < literal:
+        if coded.bit_count < _literal_len(q, len(symbols), period):
             return coded.bit_count, coded.getvalue()
-        w = _header_writer(q, len(symbols), period, MODE_LITERAL)
-        w.write_fields(symbols, bits_per_symbol(q))
-        return literal, w.getvalue()
+        return _literal(symbols, q, period)
 
 
 class LZ78Estimator(Estimator):
@@ -139,6 +144,9 @@ class LZ78Estimator(Estimator):
                 size = len(entries) + (1 if prev is not None else 0)
                 width = max(1, (size - 1).bit_length())
                 code = r.read_bits(width)
+                # the encoder's codes all lie inside its blob
+                if r.pos > len(r.buf):
+                    raise EstimatorError(f"corrupt header: {n} coded symbols overrun the blob")
                 if code < len(entries):
                     cur = entries[code]
                 elif code == len(entries) and prev is not None:
@@ -336,6 +344,12 @@ class LZ77Estimator(Estimator):
     def _decode_payload(self, r: BitReader, q: int, n: int, period: int) -> bytes:
         low, high, code = 0, TOP, r.read_bits(32)
         buf, pos = r.buf, r.pos
+        # the encoder writes D + 2 payload bits for D doublings, and this
+        # decoder reads 32 bits, then one per doubling: on an honest stream
+        # pos never passes the blob's end by more than 30 bits
+        end = len(buf) + 30
+        if pos > end:
+            raise EstimatorError(f"corrupt header: {n} coded symbols overrun the blob")
         half, quarter, three_q = HALF, QUARTER, THREE_Q
         flag = new_table(2)
         gamma = [1, 1, 2]
@@ -385,6 +399,8 @@ class LZ77Estimator(Estimator):
             if shifts:
                 code |= int(buf[pos : pos + shifts].ljust(shifts, b"0"), 2)
                 pos += shifts
+                if pos > end:
+                    raise EstimatorError(f"corrupt header: {n} coded symbols overrun the blob")
             if tab is gamma:
                 if value:
                     value = (value << 1) | sym
@@ -435,9 +451,75 @@ class LZ77Estimator(Estimator):
         return bytes(out)
 
 
+def _payload_floor(symbols: bytes, q: int, k: int, period: int) -> float | None:
+    """A lower bound, in bits, on the payload of the order-k coder's stream
+    (the coded blob less its header), or None when the byte code below does
+    not fit (period*(q+1)^k*q > 256).
+
+    The coder's span is above 2^30 after renormalising, so a symbol coded at
+    count c of total T keeps less than c/T + 2^-30 of it. The payload is
+    D + 2 bits for D doublings, and the final span is above 2^30, so 2^-(D+2)
+    is below the product of the kept fractions. With c >= 1 and
+    T < q*RESCALE that gives payload > L - n*log2(1 + q*2^-16), L being -log2
+    of the model's probability of the string. Between two rescales a
+    context's model is a Dirichlet-multinomial with alpha = count/STEP, so L
+    is a sum of lgamma ratios, one per segment; a segment ends where a count
+    first reaches RESCALE."""
+    n = len(symbols)
+    qq = q + 1
+    if period * qq**k * q > 256:
+        return None
+    # position i's byte is ((i % period)*qq^k + context)*q + symbol: shifted
+    # views of the sentinel-padded string, added as big-endian digits (each
+    # byte's sum stays below 256, so no digit carries)
+    pad = bytes([q] * k) + symbols
+    acc = int.from_bytes(symbols, "big")
+    w = q
+    for lag in range(1, k + 1):
+        acc += int.from_bytes(pad[k - lag : k - lag + n], "big") * w
+        w *= qq
+    if period > 1:
+        acc += int.from_bytes((_BYTE_VALUES[:period] * (n // period + 1))[:n], "big") * w
+    codes = acc.to_bytes(n, "big")
+    lgamma = math.lgamma
+    terms = [-n * math.log1p(q / (1 << 16))]
+    for key in sorted({c // q for c in set(codes)}):
+        lo = key * q
+        sub = codes.translate(None, _BYTE_VALUES[:lo] + _BYTE_VALUES[lo + q :])
+        t = [1] * q
+        pos, m = 0, len(sub)
+        while pos < m:
+            need = [(RESCALE - c + STEP - 1) // STEP for c in t]
+            # some count reaches its need within sum(need) symbols
+            a, b = pos + min(need) - 1, min(pos + sum(need), m)
+            rescaled = any(sub.count(lo + v, pos, b) >= need[v] for v in range(q))
+            if rescaled:
+                while b - a > 1:
+                    mid = (a + b) >> 1
+                    if any(sub.count(lo + v, pos, mid) >= need[v] for v in range(q)):
+                        b = mid
+                    else:
+                        a = mid
+            counts = [sub.count(lo + v, pos, b) for v in range(q)]
+            total = sum(t) / STEP
+            terms += (lgamma(total + b - pos), -lgamma(total))
+            for c, got in zip(t, counts):
+                if got:
+                    terms += (lgamma(c / STEP), -lgamma(c / STEP + got))
+            if rescaled:
+                t = [(c + STEP * got + 1) >> 1 for c, got in zip(t, counts)]
+            pos = b
+    # fsum rounds once; lgamma is off by a few ulps of each term, or by an
+    # absolute few ulps near its zeros at 1 and 2: the slack is far above both
+    slack = (sum(map(abs, terms)) + len(terms)) * 2**-40
+    return (math.fsum(terms) - slack) / math.log(2)
+
+
 class ContextEstimator(Estimator):
     """Order-k adaptive arithmetic coder: each symbol is predicted from the
-    previous k symbols. Both loops run the coder inline on its state."""
+    previous k symbols. Both loops run the coder inline on its state.
+    encode returns the literal blob without coding when _payload_floor
+    proves that the literal mode wins."""
 
     def __init__(self, order: int) -> None:
         if not 0 <= order <= 3:
@@ -446,6 +528,10 @@ class ContextEstimator(Estimator):
         self.estimator_id = f"ctx_{order}"
 
     def encode(self, symbols: bytes, q: int, period: int = 1) -> tuple[int, bytes]:
+        k = self.order
+        floor = _payload_floor(symbols, q, k, period)
+        if floor is not None and floor >= len(symbols) * bits_per_symbol(q):
+            return _literal(symbols, q, period)
         w = _header_writer(q, len(symbols), period, MODE_CODED)
         out = w.buf
         low, high, pending = 0, TOP, 0
@@ -453,7 +539,6 @@ class ContextEstimator(Estimator):
         tables: dict = {}
         step = STEP
         limit = RESCALE
-        k = self.order
         qq = q + 1
         mod = qq**k
         ctx = 0

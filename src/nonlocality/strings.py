@@ -24,6 +24,9 @@ def bits_per_symbol(q: int) -> int:
     return (q - 1).bit_length()
 
 
+_BYTE_VALUES = bytes(range(256))
+
+
 class SymbolString:
     """Immutable finite string over the alphabet {0..q-1}.
 
@@ -38,9 +41,9 @@ class SymbolString:
         if not 2 <= q <= 256:
             raise ValueError(f"alphabet size out of range: {q}")
         data = bytes(symbols)
-        if data and max(data) >= q:
-            bad = max(data)
-            raise ValueError(f"symbol {bad} out of alphabet range 0..{q - 1}")
+        bad = data.translate(None, _BYTE_VALUES[:q])
+        if bad:
+            raise ValueError(f"symbol {max(bad)} out of alphabet range 0..{q - 1}")
         object.__setattr__(self, "q", q)
         object.__setattr__(self, "data", data)
 

@@ -18,7 +18,13 @@ import reference_coders
 from hypothesis import given, settings, strategies as st
 
 from nonlocality.coding import BitReader, gamma_len, read_uint, uint_len
-from nonlocality.estimators import ANCHOR, MODE_LITERAL, _extend_match, default_registry
+from nonlocality.estimators import (
+    ANCHOR,
+    MODE_LITERAL,
+    EstimatorError,
+    _extend_match,
+    default_registry,
+)
 from nonlocality.strings import (
     Seed,
     SymbolString,
@@ -229,16 +235,29 @@ def _token_start(monkeypatch, symbols: bytes, q: int, period: int, unit: int) ->
     return starts[2 * unit] // 8
 
 
+class _GuardedReader(BitReader):
+    """The reference decoder's reader with the fused lz77 decoder's guard:
+    a read that ends more than 30 bits past the blob is refused, since an
+    honest stream's reads never get that far."""
+
+    def read_bits(self, k: int) -> int:
+        value = super().read_bits(k)
+        if self.pos > len(self.buf) + 30:
+            raise EstimatorError("corrupt header")
+        return value
+
+
 @pytest.mark.parametrize("name", sorted(LONG_MATCH))
 def test_cut_long_match_blobs_decode_like_the_reference(name, monkeypatch):
     # every cut inside the bytes of the match token (its flag, its two gamma
     # codes and the flush, to the blob's end): the bits past the cut read
-    # as zeros on both sides
+    # as zeros on both sides, and both refuse a read too far past the end
     symbols, q, period, unit = LONG_MATCH[name]
     est = default_registry()["lz77"]
     _, blob = est.encode(symbols, q, period)
     start = _token_start(monkeypatch, symbols, q, period, unit)
     assert len(blob) - start > 4
+    monkeypatch.setattr(reference_coders, "BitReader", _GuardedReader)
     for cut in range(start, len(blob)):
         got = _outcome(est.decode, blob[:cut])
         assert got == _outcome(lambda b: reference_coders.decode("lz77", b), blob[:cut]), cut

@@ -1,3 +1,4 @@
+import math
 import random
 import sys
 
@@ -5,17 +6,29 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from nonlocality import estimators
 from nonlocality.coding import BitReader, BitWriter, read_uint, write_uint
 from nonlocality.estimators import (
+    MODE_CODED,
+    MODE_LITERAL,
     ContextEstimator,
+    Estimator,
     EstimatorError,
     LZ77Estimator,
     ExternalEstimator,
+    _header_writer,
+    _payload_floor,
     default_registry,
     get_estimator,
     make_registry,
 )
-from nonlocality.strings import Seed, SymbolString, gen_computable, gen_seeded_random
+from nonlocality.strings import (
+    Seed,
+    SymbolString,
+    bits_per_symbol,
+    gen_computable,
+    gen_seeded_random,
+)
 import reference_coders
 from reference_coders import ArithmeticEncoder, write_gamma
 
@@ -163,19 +176,36 @@ _BAD_HEADERS = {
     "literal_q2_cut": _header_only_blob(2, 200, 0, b"0110" * 50)[:-3],
     "literal_q256_cut": _header_only_blob(256, 30, 0, b"01" * 120)[:-3],
 }
-# 5 bytes whose header asks for 100,000 coded symbols in 4 payload bits;
-# ctx_k's per-symbol cost bound refuses it, lz77 and lz78 have none yet
+# 5 bytes whose header asks for 100,000 coded symbols in 4 payload bits:
+# ctx_k's per-symbol cost bound refuses it, lz77 once its reads pass the
+# blob's end by more than 30 bits, lz78 once a code ends past the blob
 _CODED_N100000 = _header_only_blob(2, 100_000, 1, b"")
 
 
 @pytest.mark.parametrize(
     "est_id, blob",
     [pytest.param(e, blob, id=f"{name}-{e}") for name, blob in _BAD_HEADERS.items() for e in ALL_IDS]
-    + [pytest.param(e, _CODED_N100000, id=f"coded_q2_n100000-{e}") for e in ALL_IDS if e.startswith("ctx_")],
+    + [pytest.param(e, _CODED_N100000, id=f"coded_q2_n100000-{e}") for e in ALL_IDS],
 )
 def test_decode_rejects_a_header_the_blob_cannot_hold(est_id, blob):
     with pytest.raises(EstimatorError, match="corrupt header"):
         default_registry()[est_id].decode(blob)
+
+
+def _draw_symbols(rng: random.Random, kind: str, q: int, n: int) -> bytes:
+    if kind == "constant":
+        return bytes([rng.randrange(q)]) * n
+    if kind == "uniform":
+        return bytes(rng.choices(range(q), k=n))
+    if kind == "skewed":
+        return bytes(0 if rng.random() < 0.9 else rng.randrange(q) for _ in range(n))
+    # non-stationary: runs long enough to rescale a count several times,
+    # with 5% noise, each run favouring another symbol
+    out = bytearray()
+    while len(out) < n:
+        s = rng.randrange(q)
+        out += bytes(s if rng.random() < 0.95 else rng.randrange(q) for _ in range(rng.randint(1, 3000)))
+    return bytes(out[:n])
 
 
 @settings(max_examples=60, deadline=None)
@@ -191,13 +221,112 @@ def test_decode_rejects_a_header_the_blob_cannot_hold(est_id, blob):
 def test_honest_ctx_blobs_pass_the_decode_header_bound(kind, q, n, k, period, seed):
     # a constant string costs the fewest bits per symbol, so it comes
     # closest to the bound; 2^16 zeros at q=2 keep about 8 bits of slack
-    rng = random.Random(seed)
-    if kind == "constant":
-        data = bytes([rng.randrange(q)]) * n
-    elif kind == "skewed":
-        data = bytes(0 if rng.random() < 0.9 else rng.randrange(q) for _ in range(n))
-    else:
-        data = bytes(rng.randrange(q) for _ in range(n))
+    data = _draw_symbols(random.Random(seed), kind, q, n)
     est = ContextEstimator(k)
     _, blob = est.encode(data, q, period)
     assert est.decode(blob) == (q, data)
+
+
+@st.composite
+def _fitting_cases(draw, qs=range(2, 257), kinds=("uniform", "skewed", "runs"), n_min=0):
+    """(symbols, q, k, period) whose byte code period*(q+1)^k*q fits a byte,
+    so _payload_floor gives a bound."""
+    k = draw(st.integers(0, 3))
+    period = draw(st.integers(1, 4))
+    q = draw(st.sampled_from([q for q in qs if period * (q + 1) ** k * q <= 256]))
+    n = draw(st.integers(n_min, 1 << 14))
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    return _draw_symbols(rng, draw(st.sampled_from(kinds)), q, n), q, k, period
+
+
+def _reference_payload(k: int, symbols: bytes, q: int, period: int) -> int:
+    """The payload bits of the reference ctx_k coder's stream: its coded bit
+    count, where it hands the stream to _pick, less the header."""
+    seen = []
+    pick = Estimator._pick
+
+    def spy(self, symbols, q, period, coded):
+        seen.append(coded.bit_count)
+        return pick(self, symbols, q, period, coded)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(Estimator, "_pick", spy)
+        reference_coders.ctx_encode(k, symbols, q, period)
+    return seen[0] - _header_writer(q, len(symbols), period, MODE_CODED).bit_count
+
+
+def _model_bits(k: int, symbols: bytes, q: int, period: int) -> float:
+    """-log2 of the probability that the reference ctx_k model gives the
+    string, summed symbol by symbol."""
+    model = reference_coders.AdaptiveModel(q)
+    qq = q + 1
+    ctx = 0
+    for _ in range(k):
+        ctx = ctx * qq + q
+    bits = []
+    for i, s in enumerate(symbols):
+        t = model.table((i % period) * qq**k + ctx)
+        bits.append(-math.log2(t[s] / t[q]))
+        model.update(t, s)
+        if k:
+            ctx = (ctx * qq + s) % qq**k
+    return math.fsum(bits)
+
+
+@settings(max_examples=80, deadline=None)
+@example(case=(bytes(1 << 16), 2, 0, 1))
+@given(case=_fitting_cases())
+def test_payload_floor_never_exceeds_the_coded_payload(case):
+    # the floor is the model's code length less n*log2(1 + q*2^-16), to
+    # within its float slack; that quantity is below the real payload
+    symbols, q, k, period = case
+    floor = _payload_floor(symbols, q, k, period)
+    bound = _model_bits(k, symbols, q, period) - len(symbols) * math.log2(1 + q / (1 << 16))
+    assert 0 <= bound - floor < 1e-4
+    assert bound < _reference_payload(k, symbols, q, period)
+def test_payload_floor_skips_a_byte_code_that_does_not_fit():
+    assert _payload_floor(bytes(8), 16, 1, 1) is None  # 17 * 16 > 256
+    assert _payload_floor(bytes(8), 2, 3, 4) is not None  # 4 * 27 * 2 = 216
+
+
+@settings(max_examples=30, deadline=None)
+@given(case=_fitting_cases(qs=(2, 4, 8, 16, 32, 64, 128, 256), kinds=("uniform",), n_min=1 << 12))
+def test_certified_encodes_match_the_reference(case):
+    # uniform strings over a power-of-two alphabet: the literal mode wins
+    # by 18 bits or more at these lengths, and the floor proves it
+    symbols, q, k, period = case
+    assert _payload_floor(symbols, q, k, period) >= len(symbols) * bits_per_symbol(q)
+    got = ContextEstimator(k).encode(symbols, q, period)
+    assert got == reference_coders.encode(f"ctx_{k}", symbols, q, period)
+
+
+@pytest.mark.parametrize("k", range(4))
+def test_certified_literal_verdicts_skip_the_coder(k, monkeypatch):
+    def no_flush(*args):
+        raise AssertionError("the coder ran")
+
+    monkeypatch.setattr(estimators, "flush_coder", no_flush)
+    s = gen_seeded_random(1 << 15, 2, Seed.from_int(14))
+    bits, blob = ContextEstimator(k).encode(s.data, 2)
+    r = BitReader(blob)
+    assert [read_uint(r) for _ in range(3)] == [0, 1 << 15, 0]
+    assert r.read_bit() == MODE_LITERAL
+    assert bits == r.pos + (1 << 15) and len(blob) == (bits + 7) // 8
+    assert ContextEstimator(k).decode(blob) == (2, s.data)
+
+
+@pytest.mark.parametrize("est_id", ["lz77", "lz78"])
+@settings(max_examples=30, deadline=None)
+@example(kind="constant", q=2, n=1 << 17, period=1, seed=0)  # LONG_MATCH's zeros
+@given(
+    kind=st.sampled_from(["constant", "uniform", "skewed", "runs"]),
+    q=st.integers(2, 256),
+    n=st.integers(0, 1 << 14),
+    period=st.integers(1, 4),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_honest_lz_blobs_pass_the_overrun_guards(est_id, kind, q, n, period, seed):
+    symbols = _draw_symbols(random.Random(seed), kind, q, n)
+    est = default_registry()[est_id]
+    _, blob = est.encode(symbols, q, period)
+    assert est.decode(blob) == (q, symbols)

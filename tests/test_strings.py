@@ -73,6 +73,20 @@ def test_symbolstring_validation():
     assert s.n == 3 and s[1] == 2 and list(s) == [0, 2, 1]
 
 
+@pytest.mark.parametrize(
+    "q, data, message",
+    [
+        (3, b"\x00\x05\x02\x09\x01\x03", "symbol 9 out of alphabet range 0..2"),
+        (2, b"\x01\x00\xff", "symbol 255 out of alphabet range 0..1"),
+        (255, bytes(range(256)), "symbol 255 out of alphabet range 0..254"),
+    ],
+)
+def test_symbolstring_names_its_largest_bad_symbol(q, data, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        SymbolString(q, data)
+    SymbolString(256, data)  # every byte fits the largest alphabet
+
+
 def test_seed_derivation_is_stable_and_distinct():
     s = Seed.from_int(42)
     assert s.derive("a").hex() == Seed.from_int(42).derive("a").hex()
