@@ -10,11 +10,17 @@ condition, so the minimum is still an upper bound):
   * concat     -- condition followed by subject, minus the condition alone;
   * interleave -- condition symbols woven in at each subject position
                   (only when lengths align), minus the woven condition.
+
+The concat candidate's encode resumes from the coder state that encoding
+the condition already reached (see ResumeStore), so the condition's symbols
+are coded once per estimator, q and period, not once per candidate. The bits
+are those of a fresh encode.
 """
 from __future__ import annotations
 
 import hashlib
 import math
+from collections import OrderedDict
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -43,28 +49,87 @@ class ComplexityEstimate:
         return self.bits / (self.n * math.log2(self.q))
 
 
+def _digest(data: bytes) -> bytes:
+    return hashlib.blake2b(data, digest_size=16).digest()
+
+
+class ResumeStore:
+    """The resume points (estimators.ResumePoint) that encodes reached: the
+    LIMIT most recently used, and fewer if their footprints would pass
+    BUDGET bytes. A point is kept under the string whose encode reached it
+    and is offered to the encode of any string that starts with that
+    string, keyed by value like _CACHE: (estimator type, estimator_id, q,
+    period, prefix length, blake2b of the prefix). One estimate_k_cond
+    keeps at most five points (subject, condition, concat and two woven
+    strings), so a condition's point outlives the next two estimates.
+
+    hits and misses count find() calls; resumed_symbols sums the symbols
+    that the found points let encodes skip."""
+
+    LIMIT = 16
+    BUDGET = 1 << 24
+
+    def __init__(self) -> None:
+        self._points: OrderedDict = OrderedDict()
+        self._bytes = 0
+        self.hits = self.misses = self.resumed_symbols = 0
+
+    def __len__(self) -> int:
+        return len(self._points)
+
+    def clear(self) -> None:
+        self._points.clear()
+        self._bytes = 0
+        self.hits = self.misses = self.resumed_symbols = 0
+
+    def find(self, est: Estimator, symbols: bytes, q: int, period: int):
+        """The point kept for the longest stored prefix of symbols, or None."""
+        base = (type(est), est.estimator_id, q, period)
+        lengths = {key[4] for key in self._points if key[:4] == base and key[4] <= len(symbols)}
+        for n in sorted(lengths, reverse=True):
+            key = (*base, n, _digest(symbols[:n]))
+            point = self._points.get(key)
+            if point is not None:
+                self._points.move_to_end(key)
+                self.hits += 1
+                self.resumed_symbols += point.i
+                return point
+        self.misses += 1
+        return None
+
+    def keep(self, est: Estimator, symbols: bytes, q: int, period: int, point) -> None:
+        if point.footprint > self.BUDGET:
+            return
+        key = (type(est), est.estimator_id, q, period, len(symbols), _digest(symbols))
+        old = self._points.pop(key, None)
+        if old is not None:
+            self._bytes -= old.footprint
+        self._points[key] = point
+        self._bytes += point.footprint
+        while len(self._points) > self.LIMIT or self._bytes > self.BUDGET:
+            self._bytes -= self._points.popitem(last=False)[1].footprint
+
+
 _CACHE: dict = {}
+_RESUME = ResumeStore()
 
 
 def clear_cache() -> None:
     _CACHE.clear()
+    _RESUME.clear()
 
 
 def _raw_bits(s: SymbolString, est: Estimator, period: int = 1) -> int:
     # keyed by value on what decides the bits: one id (external:NAME) may
     # name different commands in different registries, and a registry is
     # rebuilt on every get_estimator(name, None) call, so identity would miss
-    key = (
-        type(est),
-        est.estimator_id,
-        getattr(est, "cmd", None),
-        s.q,
-        period,
-        hashlib.blake2b(s.data, digest_size=16).digest(),
-    )
+    key = (type(est), est.estimator_id, getattr(est, "cmd", None), s.q, period, _digest(s.data))
     bits = _CACHE.get(key)
     if bits is None:
-        bits, _ = est.encode(s.data, s.q, period)
+        if est.resumes:
+            bits, _ = est.encode(s.data, s.q, period, resume=_RESUME)
+        else:
+            bits, _ = est.encode(s.data, s.q, period)
         _CACHE[key] = bits
     return bits
 

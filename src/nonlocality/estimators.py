@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 import shlex
 import subprocess
+from typing import NamedTuple
 
 from .coding import (
     HALF,
@@ -61,6 +62,40 @@ def _literal(symbols: bytes, q: int, period: int) -> tuple[int, bytes]:
     return w.bit_count, w.getvalue()
 
 
+class ResumePoint(NamedTuple):
+    """An encoder's loop state after its first `i` symbols, taken where
+    nothing it holds depends on the input past a prefix of it: any longer
+    input with that prefix reaches the same state, so its encode may start
+    here. The payload is the coded bits after the header (the header holds
+    n, so a resumed encode writes its own), packed into one int."""
+
+    i: int
+    low: int
+    high: int
+    pending: int
+    bits: int
+    packed: int
+    model: tuple  # the estimator's own state: tables, contexts, counters
+    cells: int  # count-table entries in model
+
+    def payload(self) -> bytes:
+        """The payload as ASCII bits, ready to extend a BitWriter's buffer."""
+        return format(self.packed, f"0{self.bits}b").encode() if self.bits else b""
+
+    @property
+    def footprint(self) -> int:
+        """About the bytes the point holds: a list slot and an int object
+        per count-table entry, and the packed payload."""
+        return 36 * self.cells + self.bits // 8
+
+
+def _resume_point(
+    i: int, low: int, high: int, pending: int, out, hdr: int, model: tuple, cells: int
+) -> ResumePoint:
+    bits = len(out) - hdr
+    return ResumePoint(i, low, high, pending, bits, int(out[hdr:], 2) if bits else 0, model, cells)
+
+
 class Estimator:
     """Interface: encode returns (exact bit count, byte blob).
 
@@ -69,9 +104,15 @@ class Estimator:
     position phase so symbols playing different roles never share
     statistics. It is recorded in the header, so decoding stays
     self-contained. Estimators without context models ignore it.
+
+    An estimator with `resumes` set takes an optional `resume` store in
+    encode: it starts from the store's point for the longest stored prefix
+    of its input (`resume.find`), and offers the store its own point
+    (`resume.keep`). The bits and the blob are the same either way.
     """
 
     estimator_id: str
+    resumes = False
 
     def encode(self, symbols: bytes, q: int, period: int = 1) -> tuple[int, bytes]:
         raise NotImplementedError
@@ -208,18 +249,37 @@ class LZ77Estimator(Estimator):
     by the literal, or by the match's two gamma codes (distance, length -
     ANCHOR + 1), whose bits are coded one by one at the fixed table
     [1, 1, 2] (probability 1/2), which is never counted.
+
+    The resume point is the state before the first token whose decision
+    reads the end of the string: at i > n - ANCHOR (prev[i] is -1 because
+    the string ends), or where `mark` reaches n - i, or where a match runs
+    to the end. Every decision before it read only symbols before n.
     """
 
     estimator_id = "lz77"
+    resumes = True
 
-    def encode(self, symbols: bytes, q: int, period: int = 1) -> tuple[int, bytes]:
+    def encode(self, symbols: bytes, q: int, period: int = 1, resume=None) -> tuple[int, bytes]:
         w = _header_writer(q, len(symbols), period, MODE_CODED)
         out = w.buf
-        low, high, pending = 0, TOP, 0
+        hdr = len(out)
+        point = resume.find(self, symbols, q, period) if resume is not None else None
+        if point is None:
+            i, low, high, pending = 0, 0, TOP, 0
+            flag = new_table(2)
+            tables: dict = {}
+            # running average of actual literal cost: a match only pays off
+            # against what the context model currently spends per symbol
+            lit_bits = 0
+            lit_syms = 0
+        else:
+            i, low, high, pending = point.i, point.low, point.high, point.pending
+            out += point.payload()
+            flag, tables, lit_bits, lit_syms = point.model
+            flag = flag[:]
+            tables = {c: t[:] for c, t in tables.items()}
         half, quarter, three_q = HALF, QUARTER, THREE_Q
-        flag = new_table(2)
         gamma = [1, 1, 2]
-        tables: dict = {}
         step = STEP
         limit = RESCALE
         n = len(symbols)
@@ -227,17 +287,15 @@ class LZ77Estimator(Estimator):
         prev = _chain_links(symbols)
         qq = q + 1
         ctxspan = qq * qq
-        # running average of actual literal cost: a match only pays off
-        # against what the context model currently spends per symbol
-        lit_bits = 0
-        lit_syms = 0
+        # past `edge`, prev[i] is -1 because the string ends; no point is
+        # kept when there is no store
+        edge = n - ANCHOR if resume is not None else n
         before = 0
         tab = None
         sym = 0
         # the match's gamma codes as ASCII bits; the last k are still to code
         bits = b""
         k = 0
-        i = 0
         while i < n or k:
             if tab is flag and not sym:
                 # the literal at i, right after its flag
@@ -257,6 +315,7 @@ class LZ77Estimator(Estimator):
                 tab = flag
                 sym = 0
                 j = prev[i]
+                ends = i > edge
                 if j >= 0:
                     avg = lit_bits / lit_syms if lit_syms >= 64 else bps
                     # Only a candidate that agrees with i up to index
@@ -280,6 +339,7 @@ class LZ77Estimator(Estimator):
                                 best_len = mark = length
                                 best_dist = i - j
                                 if length == n - i:
+                                    ends = True
                                     break
                                 ahead = symbols[i + ANCHOR : i + mark + 1]
                             j = prev[j]
@@ -288,6 +348,16 @@ class LZ77Estimator(Estimator):
                             best_dist.bit_length() + (best_len - ANCHOR + 1).bit_length()
                         ) < best_len * avg:
                             sym = 1
+                    else:
+                        ends = True
+                if ends and edge < n:
+                    # this token is the first to read the end: the state
+                    # before it is the resume point
+                    edge = n
+                    if i:
+                        model = (flag[:], {c: t[:] for c, t in tables.items()}, lit_bits, lit_syms)
+                        kept = _resume_point(i, low, high, pending, out, hdr, model, 3 + len(tables) * qq)
+                        resume.keep(self, symbols, q, period, kept)
             # code sym at tab's counts, then count it
             total = tab[-1]
             c = tab[sym]
@@ -451,10 +521,20 @@ class LZ77Estimator(Estimator):
         return bytes(out)
 
 
+def _digit_sum(n: int, terms) -> bytes:
+    """The n bytes of the sum of view * weight over the (view, weight)
+    terms, each view n bytes read as a big-endian integer: callers keep
+    every byte's sum below 256, so no digit carries."""
+    acc = 0
+    for view, weight in terms:
+        acc += int.from_bytes(view, "big") * weight
+    return acc.to_bytes(n, "big")
+
+
 def _payload_floor(symbols: bytes, q: int, k: int, period: int) -> float | None:
     """A lower bound, in bits, on the payload of the order-k coder's stream
-    (the coded blob less its header), or None when the byte code below does
-    not fit (period*(q+1)^k*q > 256).
+    (the coded blob less its header), or None when the contexts cannot be
+    split into at most 256 groups whose codes fit a byte (see below).
 
     The coder's span is above 2^30 after renormalising, so a symbol coded at
     count c of total T keeps less than c/T + 2^-30 of it. The payload is
@@ -464,26 +544,44 @@ def _payload_floor(symbols: bytes, q: int, k: int, period: int) -> float | None:
     of the model's probability of the string. Between two rescales a
     context's model is a Dirichlet-multinomial with alpha = count/STEP, so L
     is a sum of lgamma ratios, one per segment; a segment ends where a count
-    first reaches RESCALE."""
+    first reaches RESCALE.
+
+    Position i's context is its phase i % period and its k previous symbols.
+    Its byte code holds its symbol, the newest j of those (the most with
+    (q+1)^j*q <= 256) and, if it still fits, the phase; the older symbols
+    and otherwise the phase form its group key. Each group's codes are then
+    split by context with bytes.translate."""
     n = len(symbols)
     qq = q + 1
-    if period * qq**k * q > 256:
+    j = k
+    while qq**j * q > 256:
+        j -= 1
+    phase_in_code = period * qq**j * q <= 256
+    if qq ** (k - j) * (1 if phase_in_code else period) > 256:
         return None
-    # position i's byte is ((i % period)*qq^k + context)*q + symbol: shifted
-    # views of the sentinel-padded string, added as big-endian digits (each
-    # byte's sum stays below 256, so no digit carries)
+    # lag m's view holds symbol i - m at i, the sentinel q before the start
     pad = bytes([q] * k) + symbols
-    acc = int.from_bytes(symbols, "big")
-    w = q
-    for lag in range(1, k + 1):
-        acc += int.from_bytes(pad[k - lag : k - lag + n], "big") * w
-        w *= qq
+    lags = [pad[k - m : k - m + n] for m in range(k + 1)]
+    code_terms = [(lags[m], q * qq ** (m - 1) if m else 1) for m in range(j + 1)]
+    key_terms = [(lags[m], qq ** (m - j - 1)) for m in range(j + 1, k + 1)]
     if period > 1:
-        acc += int.from_bytes((_BYTE_VALUES[:period] * (n // period + 1))[:n], "big") * w
-    codes = acc.to_bytes(n, "big")
+        phase = (_BYTE_VALUES[:period] * (n // period + 1))[:n]
+        if phase_in_code:
+            code_terms.append((phase, q * qq**j))
+        else:
+            key_terms.append((phase, qq ** (k - j)))
+    codes = _digit_sum(n, code_terms)
+    if key_terms:
+        groups = [bytearray() for _ in range(256)]
+        add = [g.append for g in groups]
+        for g, c in zip(_digit_sum(n, key_terms), codes):
+            add[g](c)
+    else:
+        groups = [codes]
     lgamma = math.lgamma
+    # the n*log2(1 + q*2^-16) slack counts once, whatever the split
     terms = [-n * math.log1p(q / (1 << 16))]
-    for key in sorted({c // q for c in set(codes)}):
+    for codes, key in [(g, key) for g in groups for key in sorted({c // q for c in set(g)})]:
         lo = key * q
         sub = codes.translate(None, _BYTE_VALUES[:lo] + _BYTE_VALUES[lo + q :])
         t = [1] * q
@@ -519,7 +617,10 @@ class ContextEstimator(Estimator):
     """Order-k adaptive arithmetic coder: each symbol is predicted from the
     previous k symbols. Both loops run the coder inline on its state.
     encode returns the literal blob without coding when _payload_floor
-    proves that the literal mode wins."""
+    proves that the literal mode wins. The model has no lookahead, so the
+    resume point is the state after the last symbol, before the flush."""
+
+    resumes = True
 
     def __init__(self, order: int) -> None:
         if not 0 <= order <= 3:
@@ -527,24 +628,33 @@ class ContextEstimator(Estimator):
         self.order = order
         self.estimator_id = f"ctx_{order}"
 
-    def encode(self, symbols: bytes, q: int, period: int = 1) -> tuple[int, bytes]:
+    def encode(self, symbols: bytes, q: int, period: int = 1, resume=None) -> tuple[int, bytes]:
         k = self.order
+        n = len(symbols)
         floor = _payload_floor(symbols, q, k, period)
-        if floor is not None and floor >= len(symbols) * bits_per_symbol(q):
+        if floor is not None and floor >= n * bits_per_symbol(q):
             return _literal(symbols, q, period)
-        w = _header_writer(q, len(symbols), period, MODE_CODED)
+        w = _header_writer(q, n, period, MODE_CODED)
         out = w.buf
-        low, high, pending = 0, TOP, 0
-        half, quarter, three_q = HALF, QUARTER, THREE_Q
-        tables: dict = {}
-        step = STEP
-        limit = RESCALE
+        hdr = len(out)
         qq = q + 1
         mod = qq**k
-        ctx = 0
-        for _ in range(k):
-            ctx = ctx * qq + q  # sentinel padding
-        for i, s in enumerate(symbols):
+        point = resume.find(self, symbols, q, period) if resume is not None else None
+        if point is None:
+            start, low, high, pending = 0, 0, TOP, 0
+            tables: dict = {}
+            ctx = 0
+            for _ in range(k):
+                ctx = ctx * qq + q  # sentinel padding
+        else:
+            start, low, high, pending = point.i, point.low, point.high, point.pending
+            out += point.payload()
+            tables, ctx = point.model
+            tables = {key: t[:] for key, t in tables.items()}
+        half, quarter, three_q = HALF, QUARTER, THREE_Q
+        step = STEP
+        limit = RESCALE
+        for i, s in enumerate(symbols[start:], start):
             key = (i % period) * mod + ctx
             try:
                 t = tables[key]
@@ -589,6 +699,10 @@ class ContextEstimator(Estimator):
                 rescale(t)
             if k:
                 ctx = (ctx * qq + s) % mod
+        if resume is not None and n:
+            # the tables are no longer written: a resumed encode copies them
+            kept = _resume_point(n, low, high, pending, out, hdr, (tables, ctx), len(tables) * qq)
+            resume.keep(self, symbols, q, period, kept)
         flush_coder(out, low, pending)
         return self._pick(symbols, q, period, w)
 

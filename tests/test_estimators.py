@@ -227,13 +227,22 @@ def test_honest_ctx_blobs_pass_the_decode_header_bound(kind, q, n, k, period, se
     assert est.decode(blob) == (q, data)
 
 
+def _split_fits(q: int, k: int, period: int) -> bool:
+    """Whether _payload_floor can split the contexts into at most 256 groups
+    whose codes fit a byte: the newest j context symbols go in the code, the
+    phase too if it still fits, the rest in the group key."""
+    j = max(j for j in range(k + 1) if (q + 1) ** j * q <= 256)
+    groups = (q + 1) ** (k - j) * (1 if period * (q + 1) ** j * q <= 256 else period)
+    return groups <= 256
+
+
 @st.composite
 def _fitting_cases(draw, qs=range(2, 257), kinds=("uniform", "skewed", "runs"), n_min=0):
-    """(symbols, q, k, period) whose byte code period*(q+1)^k*q fits a byte,
-    so _payload_floor gives a bound."""
+    """(symbols, q, k, period) that _payload_floor splits into byte codes,
+    so it gives a bound."""
     k = draw(st.integers(0, 3))
     period = draw(st.integers(1, 4))
-    q = draw(st.sampled_from([q for q in qs if period * (q + 1) ** k * q <= 256]))
+    q = draw(st.sampled_from([q for q in qs if _split_fits(q, k, period)]))
     n = draw(st.integers(n_min, 1 << 14))
     rng = random.Random(draw(st.integers(0, 2**32 - 1)))
     return _draw_symbols(rng, draw(st.sampled_from(kinds)), q, n), q, k, period
@@ -273,8 +282,21 @@ def _model_bits(k: int, symbols: bytes, q: int, period: int) -> float:
     return math.fsum(bits)
 
 
+def _runs(q: int, n: int, seed: int) -> bytes:
+    return _draw_symbols(random.Random(seed), "runs", q, n)
+
+
 @settings(max_examples=80, deadline=None)
 @example(case=(bytes(1 << 16), 2, 0, 1))
+# contexts split into groups: by the oldest context symbol (q=4, k=3; q=8,
+# k=2), by the two oldest (q=8, k=3), by the phase (q=3, k=3, period 4) and
+# by both (q=4, k=3, period 3; q=8, k=2, period 4)
+@example(case=(_runs(4, 6000, 1), 4, 3, 1))
+@example(case=(_runs(8, 6000, 3), 8, 2, 1))
+@example(case=(_runs(8, 6000, 5), 8, 3, 2))
+@example(case=(_runs(3, 6000, 6), 3, 3, 4))
+@example(case=(_runs(4, 6000, 2), 4, 3, 3))
+@example(case=(_runs(8, 6000, 4), 8, 2, 4))
 @given(case=_fitting_cases())
 def test_payload_floor_never_exceeds_the_coded_payload(case):
     # the floor is the model's code length less n*log2(1 + q*2^-16), to
@@ -285,8 +307,11 @@ def test_payload_floor_never_exceeds_the_coded_payload(case):
     assert 0 <= bound - floor < 1e-4
     assert bound < _reference_payload(k, symbols, q, period)
 def test_payload_floor_skips_a_byte_code_that_does_not_fit():
-    assert _payload_floor(bytes(8), 16, 1, 1) is None  # 17 * 16 > 256
-    assert _payload_floor(bytes(8), 2, 3, 4) is not None  # 4 * 27 * 2 = 216
+    assert _payload_floor(bytes(8), 2, 3, 4) is not None  # 4 * 27 * 2 = 216 codes
+    assert _payload_floor(bytes(8), 16, 1, 1) is not None  # 17 groups of 16 codes
+    assert _payload_floor(bytes(8), 8, 3, 3) is not None  # 81 groups of 3 * 9 * 8 codes
+    assert _payload_floor(bytes(8), 8, 3, 4) is None  # 4 * 81 groups of 9 * 8 codes
+    assert _payload_floor(bytes(8), 256, 1, 1) is None  # 257 groups of 256 codes
 
 
 @settings(max_examples=30, deadline=None)

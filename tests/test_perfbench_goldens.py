@@ -1,10 +1,13 @@
-"""The benchmark's codec records at seed 0 against perfbench/goldens.json.
+"""The benchmark's codec and experiments records at seed 0 against
+perfbench/goldens.json.
 
 perfbench compares every operation's record with goldens.json and refuses a
-change whose outputs drift. This builds its codec workload (every built-in
-estimator on its five strings), runs each operation once and checks the
-same records here, so drift shows up in the test suite first. The
-benchmark's files are only read: nothing is written under perfbench/.
+change whose outputs drift. These tests build its codec workload (every
+built-in estimator on its five strings) and its experiments workload (the
+`nlbox exp` runs and the testers, called as argv through cli.main), run
+each operation once and check the same records here, so drift shows up in
+the test suite first. The benchmark's files are only read: nothing is
+written under perfbench/.
 """
 import importlib
 import json
@@ -21,20 +24,43 @@ def _pinned(entry: dict):
     return entry.get(str(SEED), entry.get("*"))
 
 
-def test_codec_records_match_goldens(tmp_path, monkeypatch):
+def _records(name: str, modules: tuple, tmp_path, monkeypatch) -> tuple[dict, dict]:
+    """Each operation's record from one pass over the workload's cycle, and
+    the workload's section of goldens.json."""
     monkeypatch.setattr(sys, "dont_write_bytecode", True)
     monkeypatch.syspath_prepend(str(PERFBENCH))
     workloads = importlib.import_module("workloads")
-    nl = SimpleNamespace(
-        **{m: importlib.import_module(f"nonlocality.{m}") for m in ("coding", "estimators", "games", "strings")}
-    )
-    goldens = json.loads((PERFBENCH / "goldens.json").read_text())["codec"]
-    ops = workloads.Codec(nl, SEED, tmp_path).ops()
+    nl = SimpleNamespace(**{m: importlib.import_module(f"nonlocality.{m}") for m in modules})
+    goldens = json.loads((PERFBENCH / "goldens.json").read_text())[name]
+    # the relative directory perfbench/run.py works in: reports echo paths
+    monkeypatch.chdir(tmp_path)
+    work = Path(".perfbench_out") / name
+    work.mkdir(parents=True)
+    ops = workloads.WORKLOADS[name](nl, SEED, work).ops()
     assert sorted(op.name for op in ops) == sorted(goldens["ops"])
-    bits = 0
-    for op in ops:
-        # the JSON round trip that perfbench/run.py applies to every record
-        record = json.loads(json.dumps(op.verify(op.run())))
-        assert record == _pinned(goldens["ops"][op.name]), op.name
-        bits += record["bits"]
+    # the JSON round trip that perfbench/run.py applies to every record
+    return {op.name: json.loads(json.dumps(op.verify(op.run()))) for op in ops}, goldens
+
+
+def test_codec_records_match_goldens(tmp_path, monkeypatch):
+    records, goldens = _records(
+        "codec", ("coding", "estimators", "games", "strings"), tmp_path, monkeypatch
+    )
+    for name, record in records.items():
+        assert record == _pinned(goldens["ops"][name]), name
+    bits = sum(r["bits"] for r in records.values())
     assert bits == _pinned(goldens["counts"]["coding.bits_written"])
+
+
+def test_experiments_records_match_goldens(tmp_path, monkeypatch):
+    # every report file's and every stdout's sha256: the conditional
+    # estimates behind them resume from the coder state of their condition
+    modules = (
+        "strings", "coding", "estimators", "complexity", "games",
+        "simplex", "oracles", "experiments", "cli",
+    )
+    records, goldens = _records("experiments", modules, tmp_path, monkeypatch)
+    for name, record in records.items():
+        assert record == _pinned(goldens["ops"][name]), name
+    report_bytes = sum(r["bytes"] for r in records.values())
+    assert report_bytes == _pinned(goldens["counts"]["experiments.report_bytes"])
