@@ -118,6 +118,10 @@ class Estimator:
         raise NotImplementedError
 
     def decode(self, blob: bytes) -> tuple[int, bytes]:
+        """(q, symbols) of an encoded blob. The symbols are as many as the
+        header's n, and lz77 reaches n with one long match token (2^20 zeros
+        take a 12-byte blob), so decoding an untrusted blob can allocate up to
+        n bytes; honest strings make such runs, so no format check refuses it."""
         r = BitReader(blob)
         q = read_uint(r) + 2
         n = read_uint(r)

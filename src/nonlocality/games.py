@@ -24,7 +24,8 @@ from .strings import (
     concat,
     interleave,
     read_syms,
-    round_bits,
+    round_bytes,
+    rounds_below,
     write_syms,
 )
 
@@ -200,9 +201,7 @@ class SignalingSampler:
 Strategy = LocalDeterministic | NoSignalingSampler | SignalingSampler
 
 
-def _bernoulli(u: int, eps: Fraction) -> int:
-    # u is a uniform 32-bit draw; exact comparison against eps
-    return 1 if u * eps.denominator < eps.numerator * (1 << 32) else 0
+_ROUNDS = 1 << 10  # play maps at most this many rounds at once
 
 
 def play(
@@ -222,43 +221,23 @@ def play(
         raise FormatError("input alphabets do not match the game")
     _check_promise(game, a.data, b.data)
 
-    n = a.n
-    xs = bytearray(n)
-    ys = bytearray(n)
-    rounds = enumerate(zip(a.data, b.data))
     if isinstance(strategy, LocalDeterministic):
         strategy.validate(game)
-        fa, fb = strategy.fa, strategy.fb
-        for i, (u, v) in rounds:
-            xs[i] = fa[u]
-            ys[i] = fb[v]
     elif isinstance(strategy, NoSignalingSampler):
         if noise_seed is None:
             noise_seed = seed.derive("noise")
-        if game.kind in ("pr", "chained"):
-            target = {ab: game.target_bit(*ab) for ab in game.promise_pairs()}
-            eps = strategy.eps
-            for i, ab in rounds:
-                x = round_bits(seed, i, 1)
-                # _bernoulli is 0 for every draw when eps is 0
-                noise = _bernoulli(round_bits(noise_seed, i, 32), eps) if eps else 0
-                xs[i] = x
-                ys[i] = x ^ target[ab] ^ noise
-        else:
-            for i, (u, v) in rounds:
-                draw = round_bits(seed, i, 3)
-                shared = draw & 1  # intersection cell value
-                xs[i] = _magic_encode(v, shared, (draw >> 1) & 1, 0)
-                ys[i] = _magic_encode(u, shared, (draw >> 2) & 1, 1)
-    elif isinstance(strategy, SignalingSampler):
-        if game.qX != 2 or game.qY != 2:
-            raise FormatError("signaling control needs binary outputs")
-        for i, u in enumerate(a.data):
-            xs[i] = round_bits(seed, i, 1)
-            ys[i] = u & 1
-    else:
+    elif not isinstance(strategy, SignalingSampler):
         raise TypeError(f"unknown strategy: {strategy!r}")
-    return SymbolString(game.qX, bytes(xs)), SymbolString(game.qY, bytes(ys))
+    elif game.qX != 2 or game.qY != 2:
+        raise FormatError("signaling control needs binary outputs")
+    xs, ys = [], []
+    for i in range(0, a.n, _ROUNDS):
+        x, y = _rounds(strategy, game, a.data, b.data, seed, noise_seed, i)
+        xs.append(x)
+        ys.append(y)
+    x, y = b"".join(xs), b"".join(ys)
+    del xs, ys  # SymbolString's check makes one more copy-sized string
+    return SymbolString(game.qX, x), SymbolString(game.qY, y)
 
 
 def _check_promise(game: GameSpec, a: bytes, b: bytes) -> None:
@@ -273,6 +252,13 @@ def _check_promise(game: GameSpec, a: bytes, b: bytes) -> None:
                 raise PromiseViolation(i)
 
 
+def _int(data: bytes) -> int:
+    return int.from_bytes(data, "little")
+
+
+_LOW_BIT = bytes(c & 1 for c in range(256))
+
+
 def _magic_encode(cross: int, shared: int, free: int, parity: int) -> int:
     """One party's output symbol (cells 0,1; see _magic_cells): the cell at
     `cross`, where Alice's row meets Bob's column (Alice's cell at Bob's
@@ -284,6 +270,45 @@ def _magic_encode(cross: int, shared: int, free: int, parity: int) -> int:
     cells[others[0]] = free
     cells[others[1]] = (shared + free + parity) % 2
     return (cells[0] << 1) | cells[1]
+
+
+# x's code holds Bob's input and draw bits 0 (the shared cell) and 1; y's
+# holds Alice's input and draw bits 0 and 2
+_MAGIC_DRAW = [bytes(d & 1 | d >> j & 2 for d in range(256)) for j in (0, 1)]
+# code 4 * cross + 2 * free + shared -> _magic_encode(cross, shared, free, parity)
+_MAGIC_OUT = [
+    bytes(_magic_encode(c >> 2, c & 1, c >> 1 & 1, p) for c in range(12)).ljust(256, b"\0")
+    for p in (0, 1)
+]
+
+
+def _rounds(strategy, game, a: bytes, b: bytes, seed: Seed, noise_seed, start: int):
+    """The outputs of the _ROUNDS rounds from `start`, by translate tables
+    over their inputs and draws and XOR of byte strings read as integers."""
+    u, v = a[start : start + _ROUNDS], b[start : start + _ROUNDS]
+    if isinstance(strategy, LocalDeterministic):
+        fa, fb = (bytes(f).ljust(256, b"\0") for f in (strategy.fa, strategy.fb))
+        return u.translate(fa), v.translate(fb)
+    n = len(u)
+    draws = round_bytes(seed, start, start + n)
+    if isinstance(strategy, SignalingSampler):
+        return draws.translate(_LOW_BIT), u.translate(_LOW_BIT)
+    if game.kind == "magic_square":
+        codes = (_int(w) << 2 | _int(draws.translate(t)) for w, t in zip((v, u), _MAGIC_DRAW))
+        return tuple(c.to_bytes(n, "little").translate(t) for c, t in zip(codes, _MAGIC_OUT))
+    # with (hot_a, hot_b) the one pair whose target is 1 (pr: (1, 1); chained:
+    # (m-1, 0)), target_bit(a, b) is target_bit(a, hot_b) & target_bit(hot_a, b)
+    hot_a, hot_b = next(ab for ab in game.promise_pairs() if game.target_bit(*ab))
+    on_a = bytes(game.target_bit(c, hot_b) for c in range(game.qA)).ljust(256, b"\0")
+    on_b = bytes(game.target_bit(hot_a, c) for c in range(game.qB)).ljust(256, b"\0")
+    x = draws.translate(_LOW_BIT)
+    y = _int(x) ^ (_int(u.translate(on_a)) & _int(v.translate(on_b)))
+    eps = strategy.eps
+    if eps:
+        # noise where the 32-bit draw w has w * den < num * 2^32, that is w < cut
+        cut = -(-(eps.numerator << 32) // eps.denominator)
+        y ^= _int(rounds_below(noise_seed, start, start + n, cut))
+    return x, y.to_bytes(n, "little")
 
 
 # --- quadruples ---------------------------------------------------------------
@@ -403,8 +428,9 @@ def locality_verdict(
     a, b, x, y = quad.a, quad.b, quad.x, quad.y
     joint_ab = interleave(a, b)
     if lam.n:
-        k_abl = estimate_k(concat(joint_ab, lam), estimator).bits
+        # ab first, so that ab||lambda's encode resumes from ab's coder state
         k_ab = estimate_k(joint_ab, estimator).bits
+        k_abl = estimate_k(concat(joint_ab, lam), estimator).bits
         k_l = estimate_k(lam, estimator).bits
         defect = abs(k_abl - k_ab - k_l) / lam.n
         conds_x: list = [a, lam]

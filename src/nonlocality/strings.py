@@ -2,7 +2,12 @@
 
 All randomness in the toolkit flows through :class:`Seed`, a 32-byte value
 expanded with SHA-256 in counter mode, so every generated string is a pure
-function of (parameters, seed).
+function of (parameters, seed). The stream layout is the spec: block c is
+SHA-256(seed || c as 8 little-endian bytes); the stream is the blocks
+joined, bit j being bit j % 8 of byte j // 8; a k-bit draw takes the next k
+bits, the first least significant; a symbol over q letters takes k =
+bits_per_symbol(q) bits and is drawn again while >= q; round i of
+`games.play` reads block i (`round_bits`).
 """
 from __future__ import annotations
 
@@ -88,6 +93,7 @@ def packed_len(n: int, q: int) -> int:
 # is the same. _REVERSED[k] reverses the low k bits of a byte.
 _REVERSED_8 = bytes(int(f"{v:08b}"[::-1], 2) for v in range(256))
 _REVERSED = [bytes(v >> (8 - k) for v in _REVERSED_8) for k in range(9)]
+_NOT_BIT = bytes.maketrans(b"\0\1", b"\1\0")
 
 
 def pack_symbols(symbols: bytes, q: int) -> bytes:
@@ -149,39 +155,15 @@ class Seed:
         return f"Seed({self.value.hex()[:16]}...)"
 
 
-class BitStream:
-    """Deterministic bit source: SHA-256 of (seed, counter) blocks."""
-
-    def __init__(self, seed: Seed) -> None:
-        self._seed = seed
-        self._ctr = 0
-        self._acc = 0
-        self._nbits = 0
-
-    def _refill(self) -> None:
-        self._acc |= round_bits(self._seed, self._ctr, 256) << self._nbits
-        self._ctr += 1
-        self._nbits += 256
-
-    def bits(self, k: int) -> int:
-        while self._nbits < k:
-            self._refill()
-        v = self._acc & ((1 << k) - 1)
-        self._acc >>= k
-        self._nbits -= k
-        return v
-
-    def symbol(self, q: int) -> int:
-        """Exactly uniform symbol in {0..q-1} by rejection sampling."""
-        k = bits_per_symbol(q)
-        while True:
-            v = self.bits(k)
-            if v < q:
-                return v
+def prf_blocks(seed: Seed, start: int, stop: int) -> bytes:
+    """Blocks start..stop-1 of seed's stream, joined."""
+    v, sha = seed.value, hashlib.sha256
+    return b"".join([sha(v + c.to_bytes(8, "little")).digest() for c in range(start, stop)])
 
 
 def round_bits(seed: Seed, index: int, k: int) -> int:
-    """PRF(seed, index): up to 256 bits tied to one round.
+    """PRF(seed, index): the low k bits of block `index` as a little-endian
+    integer, the one-round reference of the stream layout.
 
     Round draws are indexed, not streamed, so replaying any subset of
     rounds gives identical values regardless of order.
@@ -192,7 +174,27 @@ def round_bits(seed: Seed, index: int, k: int) -> int:
     return int.from_bytes(digest, "little") & ((1 << k) - 1)
 
 
+def round_bytes(seed: Seed, start: int, stop: int) -> bytes:
+    """Byte 0 of the blocks of rounds start..stop-1: for k <= 8, its low k
+    bits are round_bits(seed, i, k)."""
+    return prf_blocks(seed, start, stop)[::32]
+
+
+def rounds_below(seed: Seed, start: int, stop: int, cut: int) -> bytes:
+    """1 for each round i in start..stop-1 with round_bits(seed, i, 32) < cut
+    <= 2^32, else 0. Masked to that draw and added to 2^32 - cut, a block
+    carries into its fifth byte exactly when the draw is >= cut."""
+    count = stop - start
+    mask = int.from_bytes((b"\xff" * 4 + bytes(28)) * count, "little")
+    add = int.from_bytes((2**32 - cut).to_bytes(32, "little") * count, "little")
+    lanes = (int.from_bytes(prf_blocks(seed, start, stop), "little") & mask) + add
+    return lanes.to_bytes(32 * count, "little")[4::32].translate(_NOT_BIT)
+
+
 # --- generators ------------------------------------------------------------
+
+_CHUNK = 64  # the generators hash at most 64k blocks (2^14 k-bit draws) at once
+
 
 def gen_seeded_random(n: int, q: int, seed: Seed) -> SymbolString:
     """Deterministic pseudorandom string; the toolkit's stand-in for an
@@ -200,11 +202,23 @@ def gen_seeded_random(n: int, q: int, seed: Seed) -> SymbolString:
     seed, though the true description length is O(|seed| + log n))."""
     if n < 0:
         raise ValueError("length must be non-negative")
-    stream = BitStream(seed)
-    return SymbolString(q, bytes(stream.symbol(q) for _ in range(n)))
+    k = bits_per_symbol(q)
+    # k blocks hold 256 whole draws; a draw read most significant bit first is
+    # mapped back by _REVERSED[k], its own inverse, and dropped if it is >= q
+    rejected = _REVERSED[k][q : 1 << k]
+    parts, block, left = [], 0, n
+    while left > 0:
+        chunk = k * min(_CHUNK, -(-(left << k) // (256 * q)))  # the draws still needed
+        draws = BitReader(prf_blocks(seed, block, block + chunk)).read_fields(256 * chunk // k, k)
+        parts.append(draws.translate(_REVERSED[k], rejected)[:left])
+        left, block = left - len(parts[-1]), block + chunk
+    data = b"".join(parts)
+    del parts  # SymbolString's check makes one more copy-sized string
+    return SymbolString(q, data)
 
 
 COMPUTABLE_KINDS = ("zeros", "alternating", "thue_morse", "counter")
+_DIGITS = bytes.maketrans(b"01", b"\0\1")
 
 
 def gen_computable(kind: str, n: int) -> SymbolString:
@@ -213,16 +227,19 @@ def gen_computable(kind: str, n: int) -> SymbolString:
     if kind == "zeros":
         return SymbolString(2, bytes(n))
     if kind == "alternating":
-        return SymbolString(2, bytes(i & 1 for i in range(n)))
+        return SymbolString(2, (b"\0\1" * (n // 2 + 1))[:n])
     if kind == "thue_morse":
-        return SymbolString(2, bytes(bin(i).count("1") & 1 for i in range(n)))
-    if kind == "counter":
-        out = bytearray()
-        i = 1
+        out = b"\0"
         while len(out) < n:
-            out.extend(int(c) for c in bin(i)[2:])
-            i += 1
-        return SymbolString(2, bytes(out[:n]))
+            out += out.translate(_NOT_BIT)
+        return SymbolString(2, out[:n])
+    if kind == "counter":
+        # the binary numerals of 1, 2, 3, ..., those of d digits at once
+        text, d = "", 1
+        while len(text) < n:
+            text += "".join(map("{:b}".format, range(1 << d - 1, 1 << d)))
+            d += 1
+        return SymbolString(2, text[:n].encode().translate(_DIGITS))
     raise ValueError(f"unknown computable kind: {kind!r}")
 
 
@@ -232,21 +249,38 @@ def gen_promise_inputs(m: int, n: int, seed: Seed) -> tuple[SymbolString, Symbol
     Symbols are stored 0-based; displayed value is symbol+1. For each
     position, a is uniform and b equals a or its cyclic successor, chosen
     by an independent fair bit, so the pair carries log2(m)+1 bits of
-    description per position.
-    """
+    description per position. One loop walks the stream a chunk at a time,
+    as a round's length depends on its redraws."""
     if m < 2:
         raise ValueError("ring size must be >= 2")
     if n < 0:
         raise ValueError("length must be non-negative")
-    stream = BitStream(seed)
-    a = bytearray(n)
-    b = bytearray(n)
-    for i in range(n):
-        ai = stream.symbol(m)
-        shift = stream.bits(1)
-        a[i] = ai
-        b[i] = (ai + shift) % m
-    return SymbolString(m, bytes(a)), SymbolString(m, bytes(b))
+    k = bits_per_symbol(m)
+    a, b = bytearray(n), bytearray(n)
+    i = block = 0
+    rest = b""  # the stream from round i on, one byte per bit
+    while i < n:
+        # 9/8 of the mean k * 2^k / m + 1 bits a round, at most _CHUNK * k blocks
+        chunk = min(_CHUNK * k, (n - i) * (k * 2**k + m) * 9 // (2048 * m) + 1)
+        bits = rest + BitReader(prf_blocks(seed, block, block + chunk)).read_fields(256 * chunk, 1)
+        block += chunk
+        # draw[p]: the k bits from bit p on, bit p least significant (a draw
+        # cut short by the chunk's end is followed by no shift bit)
+        stream = int.from_bytes(bits, "little")
+        draw, pos = sum(stream >> 8 * j << j for j in range(k)).to_bytes(len(bits), "little"), 0
+        try:
+            for i in range(i, n):
+                start = pos
+                while draw[pos] >= m:
+                    pos += k
+                a[i] = v = draw[pos]
+                b[i] = (v + bits[pos + k]) % m
+                pos += k + 1
+            i = n
+        except IndexError:  # round i runs past the chunk: play it again with the next
+            rest = bits[start:]
+    a, b = bytes(a), bytes(b)
+    return SymbolString(m, a), SymbolString(m, b)
 
 
 # --- pointwise operations --------------------------------------------------

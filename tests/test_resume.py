@@ -9,7 +9,8 @@ from hypothesis import strategies as st
 from nonlocality import complexity
 from nonlocality.complexity import ResumeStore, clear_cache, estimate_k_cond
 from nonlocality.estimators import ContextEstimator, LZ77Estimator, default_registry
-from nonlocality.strings import SymbolString, concat
+from nonlocality.games import GameSpec, Quadruple, locality_verdict
+from nonlocality.strings import SymbolString, concat, interleave
 
 RESUMING = ("lz77", "ctx_0", "ctx_1", "ctx_2", "ctx_3")
 
@@ -193,3 +194,32 @@ def test_concat_estimates_match_fresh_encodes():
         cat = est.encode(concat(c, x).data, 2)[0] - est.encode(c.data, 2)[0]
         separate = est.encode(x.data, 2)[0]
         assert got == max(0.0, min(cat, separate)) + complexity.CANDIDATE_TAG_BITS, est_id
+
+
+def test_locality_verdict_resumes_ab_lambda_from_ab(monkeypatch):
+    # K(ab) is asked for before K(ab||lambda), so the longer encode starts
+    # from the point ab's encode kept, and its bits equal a fresh encode's
+    n = 2048
+    game = GameSpec.pr()
+    a, b = SymbolString(2, _skewed(2, n, 30)), SymbolString(2, _skewed(2, n, 31))
+    x, y = SymbolString(2, a.data), SymbolString(2, b.data)
+    lam = SymbolString(2, _skewed(2, n, 32))
+    ab_lam = concat(interleave(a, b), lam)
+    found = []
+    store = complexity._RESUME
+    find = store.find
+
+    def spy(est, symbols, q, period):
+        point = find(est, symbols, q, period)
+        found.append((len(symbols), point is not None and point.i > 0))
+        return point
+
+    monkeypatch.setattr(store, "find", spy)
+    for est_id in RESUMING:
+        est = default_registry()[est_id]
+        clear_cache()
+        found.clear()
+        verdict = locality_verdict(Quadruple(game, a, b, x, y), lam, est_id)
+        assert found[:2] == [(2 * n, False), (3 * n, True)], est_id
+        fresh = [est.encode(s.data, 2)[0] for s in (ab_lam, interleave(a, b), lam)]
+        assert verdict.independence_defect == abs(fresh[0] - fresh[1] - fresh[2]) / n, est_id
