@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 import shlex
 import subprocess
+from itertools import cycle, islice
 from typing import NamedTuple
 
 from .coding import (
@@ -75,7 +76,7 @@ class ResumePoint(NamedTuple):
     pending: int
     bits: int
     packed: int
-    model: tuple  # the estimator's own state: tables, contexts, counters
+    model: tuple | dict  # the estimator's own state: count tables by context id, counters
     cells: int  # count-table entries in model
 
     def payload(self) -> bytes:
@@ -90,7 +91,7 @@ class ResumePoint(NamedTuple):
 
 
 def _resume_point(
-    i: int, low: int, high: int, pending: int, out, hdr: int, model: tuple, cells: int
+    i: int, low: int, high: int, pending: int, out, hdr: int, model: tuple | dict, cells: int
 ) -> ResumePoint:
     bits = len(out) - hdr
     return ResumePoint(i, low, high, pending, bits, int(out[hdr:], 2) if bits else 0, model, cells)
@@ -161,20 +162,24 @@ class LZ78Estimator(Estimator):
         w = _header_writer(q, len(symbols), period, MODE_CODED)
         data = pack_symbols(symbols, q)
         if data:
-            # trie: (node_code, byte) -> code
+            # trie: (node_code, byte) -> code. A code takes the bits of
+            # code | top after its leading 1, top the least power of 2 >= size
             trie: dict = {}
-            size = 256
+            out = w.buf
+            size = top = 256
             node = data[0]
             for c in data[1:]:
                 nxt = trie.get((node, c))
                 if nxt is not None:
                     node = nxt
                 else:
-                    w.write_bits(node, max(1, (size - 1).bit_length()))
+                    out += bin(node | top)[3:].encode()
                     trie[(node, c)] = size
                     size += 1
+                    if size > top:
+                        top <<= 1
                     node = c
-            w.write_bits(node, max(1, (size - 1).bit_length()))
+            out += bin(node | top)[3:].encode()
         return self._pick(symbols, q, period, w)
 
     def _decode_payload(self, r: BitReader, q: int, n: int, period: int) -> bytes:
@@ -203,6 +208,39 @@ class LZ78Estimator(Estimator):
                     entries.append(prev + cur[:1])
                 prev = cur
         return unpack_symbols(bytes(out[:total]), q, n)
+
+
+def _digit_sum(n: int, terms) -> bytes:
+    """The n bytes of the sum of view * weight over the (view, weight)
+    terms, each view n bytes read as a big-endian integer: callers keep
+    every byte's sum below 256, so no digit carries."""
+    acc = 0
+    for view, weight in terms:
+        acc += int.from_bytes(view, "big") * weight
+    return acc.to_bytes(n, "big")
+
+
+def _context_ids(symbols: bytes, q: int, k: int, period: int) -> tuple:
+    """(ids, tables): an id for the context of each position i, its phase
+    i % period and the k symbols before it (the sentinel q before the
+    start), and a list with a None count table per id. When period *
+    (q+1)^k <= 256 the ids are one byte string from _digit_sum, of
+    (i % period) * (q+1)^k + symbols[i-m] * (q+1)^(m-1) summed over m = 1..k;
+    otherwise the contexts are numbered in the order they first occur.
+    Either way a prefix's ids are those of every longer string, so a resume
+    point's tables stay valid."""
+    n = len(symbols)
+    qq = q + 1
+    mod = qq**k
+    pad = bytes([q] * k) + symbols if q < 256 else [q] * k + list(symbols)
+    terms = [(pad[k - m : k - m + n], qq ** (m - 1)) for m in range(1, k + 1)]
+    if period > 1:
+        terms.append((islice(cycle(range(period)), n), mod))
+    if period * mod <= 256:
+        return _digit_sum(n, terms), [None] * (period * mod)
+    first: dict = {}
+    ids = [first.setdefault(key, len(first)) for key in zip(*(view for view, _ in terms))]
+    return ids, [None] * len(first)
 
 
 ANCHOR = 16  # minimum match length; also the hash-key width
@@ -249,10 +287,12 @@ class LZ77Estimator(Estimator):
     Every position p <= n - ANCHOR is a match source once the parse has
     passed it, so the candidates at i are the earlier positions with i's
     ANCHOR symbols: at most MAX_CHAIN of them, newest first, along
-    _chain_links. Each token is a coded flag (0 literal, 1 match) followed
-    by the literal, or by the match's two gamma codes (distance, length -
-    ANCHOR + 1), whose bits are coded one by one at the fixed table
-    [1, 1, 2] (probability 1/2), which is never counted.
+    _chain_links. Each pass of the loop codes one token: a coded flag (0
+    literal, 1 match), then the literal in its order-2 context (see
+    _context_ids), or the match's two gamma codes (distance, length -
+    ANCHOR + 1), whose bits are coded one by one at the fixed probability
+    1/2, which is never counted. A position without a candidate is a
+    literal with no decision to make.
 
     The resume point is the state before the first token whose decision
     reads the end of the string: at i > n - ANCHOR (prev[i] is -1 because
@@ -267,61 +307,40 @@ class LZ77Estimator(Estimator):
         w = _header_writer(q, len(symbols), period, MODE_CODED)
         out = w.buf
         hdr = len(out)
+        ids, tables = _context_ids(symbols, q, 2, period)
         point = resume.find(self, symbols, q, period) if resume is not None else None
         if point is None:
             i, low, high, pending = 0, 0, TOP, 0
             flag = new_table(2)
-            tables: dict = {}
-            # running average of actual literal cost: a match only pays off
-            # against what the context model currently spends per symbol
-            lit_bits = 0
-            lit_syms = 0
+            # the payload bits that flags and match codes emitted, and the
+            # symbols matched: the rest is what the literals cost
+            spent = matched = 0
         else:
             i, low, high, pending = point.i, point.low, point.high, point.pending
             out += point.payload()
-            flag, tables, lit_bits, lit_syms = point.model
+            flag, used, spent, matched = point.model
             flag = flag[:]
-            tables = {c: t[:] for c, t in tables.items()}
+            for c, t in used.items():
+                tables[c] = t[:]
         half, quarter, three_q = HALF, QUARTER, THREE_Q
-        gamma = [1, 1, 2]
         step = STEP
         limit = RESCALE
         n = len(symbols)
         bps = bits_per_symbol(q)
         prev = _chain_links(symbols)
-        qq = q + 1
-        ctxspan = qq * qq
         # past `edge`, prev[i] is -1 because the string ends; no point is
         # kept when there is no store
         edge = n - ANCHOR if resume is not None else n
-        before = 0
-        tab = None
-        sym = 0
-        # the match's gamma codes as ASCII bits; the last k are still to code
-        bits = b""
-        k = 0
-        while i < n or k:
-            if tab is flag and not sym:
-                # the literal at i, right after its flag
-                sym = symbols[i]
-                p1 = symbols[i - 1] if i >= 1 else q
-                p2 = symbols[i - 2] if i >= 2 else q
-                ctx = (i % period) * ctxspan + p2 * qq + p1
-                try:
-                    tab = tables[ctx]
-                except KeyError:
-                    tab = tables[ctx] = new_table(q)
-            elif k:
-                tab = gamma
-                sym = bits[-k] - 48
-                k -= 1
-            else:
-                tab = flag
-                sym = 0
-                j = prev[i]
-                ends = i > edge
-                if j >= 0:
-                    avg = lit_bits / lit_syms if lit_syms >= 64 else bps
+        while i < n:
+            j = prev[i]
+            sym = 0
+            if j >= 0 or i > edge:
+                ends = j < 0
+                if not ends:
+                    # a match only pays off against what the context model
+                    # currently spends per literal
+                    lits = i - matched
+                    avg = (len(out) - hdr - spent) / lits if lits >= 64 else bps
                     # Only a candidate that agrees with i up to index
                     # `mark` can change the parse: a match of length L at
                     # distance d >= i - j is taken only if L * avg >
@@ -359,15 +378,72 @@ class LZ77Estimator(Estimator):
                     # before it is the resume point
                     edge = n
                     if i:
-                        model = (flag[:], {c: t[:] for c, t in tables.items()}, lit_bits, lit_syms)
-                        kept = _resume_point(i, low, high, pending, out, hdr, model, 3 + len(tables) * qq)
+                        used = {c: t[:] for c, t in enumerate(tables) if t}
+                        model, cells = (flag[:], used, spent, matched), 3 + len(used) * (q + 1)
+                        kept = _resume_point(i, low, high, pending, out, hdr, model, cells)
                         resume.keep(self, symbols, q, period, kept)
-            # code sym at tab's counts, then count it
-            total = tab[-1]
-            c = tab[sym]
+            # the token's flag, then a match's gamma codes, bit by bit at the
+            # fixed probability 1/2
+            before = len(out)
+            total = flag[2]
             span = high - low + 1
             if sym:
-                cum = tab[0] if sym == 1 else sum(tab[:sym])
+                low += span * flag[0] // total
+                bits = gamma_bits(best_dist) + gamma_bits(best_len - ANCHOR + 1)
+                k = 0
+            else:
+                high = low + span * flag[0] // total - 1
+            c = flag[sym] + step
+            flag[sym] = c
+            flag[2] = total + step
+            if c >= limit:
+                rescale(flag)
+            while True:
+                while True:
+                    if high < half:
+                        if pending:
+                            out += b"0" + b"1" * pending
+                            pending = 0
+                        else:
+                            out.append(48)
+                    elif low >= half:
+                        if pending:
+                            out += b"1" + b"0" * pending
+                            pending = 0
+                        else:
+                            out.append(49)
+                        low -= half
+                        high -= half
+                    elif low >= quarter and high < three_q:
+                        pending += 1
+                        low -= quarter
+                        high -= quarter
+                    else:
+                        break
+                    low <<= 1
+                    high = (high << 1) | 1
+                if not sym or k == len(bits):
+                    break
+                if bits[k] == 48:
+                    high = low + ((high - low + 1) >> 1) - 1
+                else:
+                    low += (high - low + 1) >> 1
+                k += 1
+            spent += len(out) - before
+            if sym:
+                matched += best_len
+                i += best_len
+                continue
+            # the literal at i
+            s = symbols[i]
+            t = tables[ids[i]]
+            if t is None:
+                t = tables[ids[i]] = new_table(q)
+            total = t[q]
+            c = t[s]
+            span = high - low + 1
+            if s:
+                cum = t[0] if s == 1 else sum(t[:s])
                 high = low + span * (cum + c) // total - 1
                 low += span * cum // total
             else:
@@ -395,23 +471,12 @@ class LZ77Estimator(Estimator):
                     break
                 low <<= 1
                 high = (high << 1) | 1
-            if tab is gamma:
-                continue
             c += step
-            tab[sym] = c
-            tab[-1] = total + step
+            t[s] = c
+            t[q] = total + step
             if c >= limit:
-                rescale(tab)
-            if tab is not flag:
-                lit_bits += len(out) - before
-                lit_syms += 1
-                i += 1
-            elif sym:
-                bits = gamma_bits(best_dist) + gamma_bits(best_len - ANCHOR + 1)
-                k = len(bits)
-                i += best_len
-            else:
-                before = len(out)
+                rescale(t)
+            i += 1
         flush_coder(out, low, pending)
         return self._pick(symbols, q, period, w)
 
@@ -525,16 +590,6 @@ class LZ77Estimator(Estimator):
         return bytes(out)
 
 
-def _digit_sum(n: int, terms) -> bytes:
-    """The n bytes of the sum of view * weight over the (view, weight)
-    terms, each view n bytes read as a big-endian integer: callers keep
-    every byte's sum below 256, so no digit carries."""
-    acc = 0
-    for view, weight in terms:
-        acc += int.from_bytes(view, "big") * weight
-    return acc.to_bytes(n, "big")
-
-
 def _payload_floor(symbols: bytes, q: int, k: int, period: int) -> float | None:
     """A lower bound, in bits, on the payload of the order-k coder's stream
     (the coded blob less its header), or None when the contexts cannot be
@@ -619,7 +674,8 @@ def _payload_floor(symbols: bytes, q: int, k: int, period: int) -> float | None:
 
 class ContextEstimator(Estimator):
     """Order-k adaptive arithmetic coder: each symbol is predicted from the
-    previous k symbols. Both loops run the coder inline on its state.
+    previous k symbols. Both loops run the coder inline on its state, and
+    encode reads each position's context id from _context_ids.
     encode returns the literal blob without coding when _payload_floor
     proves that the literal mode wins. The model has no lookahead, so the
     resume point is the state after the last symbol, before the flush."""
@@ -641,29 +697,22 @@ class ContextEstimator(Estimator):
         w = _header_writer(q, n, period, MODE_CODED)
         out = w.buf
         hdr = len(out)
-        qq = q + 1
-        mod = qq**k
+        ids, tables = _context_ids(symbols, q, k, period)
         point = resume.find(self, symbols, q, period) if resume is not None else None
         if point is None:
             start, low, high, pending = 0, 0, TOP, 0
-            tables: dict = {}
-            ctx = 0
-            for _ in range(k):
-                ctx = ctx * qq + q  # sentinel padding
         else:
             start, low, high, pending = point.i, point.low, point.high, point.pending
             out += point.payload()
-            tables, ctx = point.model
-            tables = {key: t[:] for key, t in tables.items()}
+            for c, t in point.model.items():
+                tables[c] = t[:]
         half, quarter, three_q = HALF, QUARTER, THREE_Q
         step = STEP
         limit = RESCALE
-        for i, s in enumerate(symbols[start:], start):
-            key = (i % period) * mod + ctx
-            try:
-                t = tables[key]
-            except KeyError:
-                t = tables[key] = new_table(q)
+        for ctx, s in zip(ids[start:], symbols[start:]):
+            t = tables[ctx]
+            if t is None:
+                t = tables[ctx] = new_table(q)
             total = t[q]
             c = t[s]
             span = high - low + 1
@@ -701,11 +750,10 @@ class ContextEstimator(Estimator):
             t[q] = total + step
             if c >= limit:
                 rescale(t)
-            if k:
-                ctx = (ctx * qq + s) % mod
         if resume is not None and n:
             # the tables are no longer written: a resumed encode copies them
-            kept = _resume_point(n, low, high, pending, out, hdr, (tables, ctx), len(tables) * qq)
+            used = {c: t for c, t in enumerate(tables) if t}
+            kept = _resume_point(n, low, high, pending, out, hdr, used, len(used) * (q + 1))
             resume.keep(self, symbols, q, period, kept)
         flush_coder(out, low, pending)
         return self._pick(symbols, q, period, w)

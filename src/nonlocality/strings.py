@@ -30,6 +30,7 @@ def bits_per_symbol(q: int) -> int:
 
 
 _BYTE_VALUES = bytes(range(256))
+_CHECKED = 1 << 14  # bytes per step of SymbolString's alphabet check
 
 
 class SymbolString:
@@ -46,9 +47,10 @@ class SymbolString:
         if not 2 <= q <= 256:
             raise ValueError(f"alphabet size out of range: {q}")
         data = bytes(symbols)
-        bad = data.translate(None, _BYTE_VALUES[:q])
-        if bad:
-            raise ValueError(f"symbol {max(bad)} out of alphabet range 0..{q - 1}")
+        # a chunk at a time, so the check allocates nothing that grows with n
+        keep = _BYTE_VALUES[:q]
+        if any(data[i : i + _CHECKED].translate(None, keep) for i in range(0, len(data), _CHECKED)):
+            raise ValueError(f"symbol {max(data)} out of alphabet range 0..{q - 1}")
         object.__setattr__(self, "q", q)
         object.__setattr__(self, "data", data)
 

@@ -15,7 +15,7 @@ from pathlib import Path
 
 import pytest
 import reference_coders
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from nonlocality.coding import BitReader, gamma_len, read_uint, uint_len
 from nonlocality.estimators import (
@@ -136,15 +136,40 @@ def test_encode_properties(est_id, case):
         assert bits == literal
 
 
+# (q, period) on both sides of 256 context ids, where the encoders read
+# the ids from one byte string or number the contexts in the order they
+# first occur: (q+1)^2 for lz77 at q = 15 and 16, period * 5^3 for ctx_3
+# at q = 4, period * 9^2 for ctx_2 at q = 8
+LAYOUTS = ((15, 1), (16, 1), (4, 2), (4, 3), (8, 3), (8, 4))
+
+
+def layout_case(q: int, period: int, ending_match: bool) -> tuple:
+    """A skewed string, so that every model codes it, or a random block
+    and its repeats, where lz77 codes one match that runs to the end."""
+    rng = random.Random(q * 10 + period)
+    if ending_match:
+        block = bytes(rng.randrange(q) for _ in range(300))
+        return block * 4, q, period
+    return bytes(0 if rng.random() < 0.9 else rng.randrange(q) for _ in range(2000)), q, period
+
+
+def _with_layout_examples(test):
+    for q, period in LAYOUTS:
+        for ending_match in (False, True):
+            test = example(case=layout_case(q, period, ending_match))(test)
+    return test
+
+
 @st.composite
 def reference_cases(draw):
     """Longer strings than strings(): rescales, long matches past the first
     windows of _extend_match,
-    near-miss copies that the match finder must rank, and woven binary
+    near-miss copies that the match finder must rank, woven binary
     strings (a, b, a xor b) where about one position in six has more than
-    MAX_CHAIN earlier candidates at n = 2500."""
-    q = draw(st.sampled_from((2, 3, 4, 8, 16)))
-    period = draw(st.integers(1, 4))
+    MAX_CHAIN earlier candidates at n = 2500, and the LAYOUTS."""
+    q, period = draw(
+        st.sampled_from(LAYOUTS) | st.tuples(st.sampled_from((2, 3, 4, 8, 16)), st.integers(1, 4))
+    )
     kind = draw(st.sampled_from(("uniform", "skewed", "repeat", "near_repeat", "woven")))
     rng = random.Random(draw(st.integers(0, 2**32)))
     n = rng.randint(0, 64) if draw(st.booleans()) else rng.randint(300, 2500)
@@ -170,6 +195,7 @@ def reference_cases(draw):
 
 @pytest.mark.parametrize("est_id", ALL_IDS)
 @given(case=reference_cases())
+@_with_layout_examples
 @settings(max_examples=60, deadline=None)
 def test_fused_loops_match_the_method_call_reference(est_id, case):
     symbols, q, period = case

@@ -53,7 +53,25 @@ def _flip(data: bytes, at: int, q: int) -> bytes:
     return data[:at] + bytes([(data[at] + 1) % q]) + data[at + 1 :]
 
 
+# the context layouts on both sides of 256 ids (see test_coder_outputs.LAYOUTS):
+# lz77 at q = 15 and 16, ctx_3 at q = 4 with periods 2 and 3, ctx_2 at q = 8
+# with periods 3 and 4; a skewed prefix, and a prefix that ends inside a
+# match that runs to its end
+def _with_layout_examples(test):
+    for est_id, q, period in (
+        ("lz77", 15, 1), ("lz77", 16, 1), ("ctx_3", 4, 2), ("ctx_3", 4, 3),
+        ("ctx_2", 8, 3), ("ctx_2", 8, 4),
+    ):
+        rng = random.Random(q * 10 + period)
+        skewed = (q, period, _draw(rng, "skewed", q, 2500), _draw(rng, "skewed", q, 1500))
+        repeats = (q, period, *_cut(_repeating(rng, q, 3000), 2200))
+        for case in (skewed, repeats):
+            test = example(case=case, est_id=est_id, at=0.5)(test)
+    return test
+
+
 @settings(max_examples=40, deadline=None)
+@_with_layout_examples
 @example(case=(2, 1, *_cut(_repeating(random.Random(7), 2, 3000), 1500)), est_id="lz77", at=0.5)
 @example(case=(4, 3, *_cut(_repeating(random.Random(8), 4, 3000), 2000)), est_id="lz77", at=0.0)
 @example(case=(8, 2, *_cut(_repeating(random.Random(9), 8, 3000), 2500)), est_id="ctx_3", at=0.9)

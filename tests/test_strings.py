@@ -1,3 +1,5 @@
+import tracemalloc
+
 import pytest
 import reference_packing
 from hypothesis import given, settings, strategies as st
@@ -85,6 +87,31 @@ def test_symbolstring_names_its_largest_bad_symbol(q, data, message):
     with pytest.raises(ValueError, match=f"^{message}$"):
         SymbolString(q, data)
     SymbolString(256, data)  # every byte fits the largest alphabet
+
+
+@pytest.mark.parametrize("at", [0, (1 << 14) - 1, 1 << 14, (1 << 20) - 1])
+def test_a_bad_symbol_is_found_in_any_chunk(at):
+    data = bytearray(1 << 20)
+    data[at // 2] = 3
+    data[at] = 7
+    with pytest.raises(ValueError, match="^symbol 7 out of alphabet range 0..2$"):
+        SymbolString(3, data)
+
+
+def test_building_a_symbolstring_peaks_below_its_data_and_128_kib():
+    n = 1 << 20
+    source = bytearray(b"\x00\x01\x02" * (n // 3 + 1))[:n]
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        s = SymbolString(3, source)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert s.n == n
+    # the copy of the bytearray is n; the alphabet check adds a bounded chunk
+    assert peak < n + (128 << 10)
 
 
 def test_seed_derivation_is_stable_and_distinct():
