@@ -135,9 +135,19 @@ def uint_len(value: int) -> int:
 # The Witten-Neal-Cleary integer coder over a 32-bit range runs inline in the
 # estimators' loops: an encoder starts from (low, high, pending) = (0, TOP, 0)
 # and appends its decided bits to a BitWriter's buffer, a decoder starts from
-# (low, high) = (0, TOP) and the stream's first 32 bits. Underflow (pending)
-# bits are held back until the next decided bit and written with it as one
-# run, so the buffer's length never counts pending bits.
+# (low, high) = (0, TOP) and v, the stream's first 32 bits. Underflow
+# (pending) bits are held back until the next decided bit and written with it
+# as one run, so the buffer's length never counts pending bits.
+#
+# With span = high - low + 1 and cum_s the counts of the symbols below s,
+# coding s moves low up by span*cum_s // total and high to
+# low + span*cum_{s+1} // total - 1 (the old low). The decoder keeps
+# v = code - low, code being the 32 stream bits it is at, and decodes the
+# symbol s with
+#     span*cum_s // total <= v < span*cum_{s+1} // total,
+# the encoder's own split points, then takes the lower one off v.
+# Renormalising takes the same half or quarter off low, high and code and
+# doubles them, so it doubles v and shifts the next stream bit into it.
 
 TOP = (1 << 32) - 1
 HALF = 1 << 31

@@ -97,6 +97,22 @@ def _resume_point(
     return ResumePoint(i, low, high, pending, bits, int(out[hdr:], 2) if bits else 0, model, cells)
 
 
+def _coder_start(r: BitReader, n: int) -> tuple[int, bytes, int, int]:
+    """An arithmetic decoder's start: its first 32 bits, the reader's bits
+    padded with zeros, the position after those 32 bits, and `end`, past
+    which no read may go. The encoder writes D + 2 payload bits for D
+    doublings and the decoder reads 32, then one per doubling, so on an
+    honest stream pos never passes the blob's end by more than 30 bits;
+    a read that does comes from a cut or corrupt blob. One renormalisation
+    reads at most 32 bits, so 64 bits of padding cover every read that
+    starts at or before `end`."""
+    v = r.read_bits(32)
+    end = len(r.buf) + 30
+    if r.pos > end:
+        raise EstimatorError(f"corrupt header: {n} coded symbols overrun the blob")
+    return v, r.buf + b"0" * 64, r.pos, end
+
+
 class Estimator:
     """Interface: encode returns (exact bit count, byte blob).
 
@@ -311,15 +327,15 @@ class LZ77Estimator(Estimator):
         point = resume.find(self, symbols, q, period) if resume is not None else None
         if point is None:
             i, low, high, pending = 0, 0, TOP, 0
-            flag = new_table(2)
+            # the flag's counts (literal, match), as new_table(2) starts them
+            f0 = f1 = 1
             # the payload bits that flags and match codes emitted, and the
             # symbols matched: the rest is what the literals cost
             spent = matched = 0
         else:
             i, low, high, pending = point.i, point.low, point.high, point.pending
             out += point.payload()
-            flag, used, spent, matched = point.model
-            flag = flag[:]
+            (f0, f1), used, spent, matched = point.model
             for c, t in used.items():
                 tables[c] = t[:]
         half, quarter, three_q = HALF, QUARTER, THREE_Q
@@ -327,6 +343,7 @@ class LZ77Estimator(Estimator):
         limit = RESCALE
         n = len(symbols)
         bps = bits_per_symbol(q)
+        last = q - 1
         prev = _chain_links(symbols)
         # past `edge`, prev[i] is -1 because the string ends; no point is
         # kept when there is no store
@@ -379,26 +396,30 @@ class LZ77Estimator(Estimator):
                     edge = n
                     if i:
                         used = {c: t[:] for c, t in enumerate(tables) if t}
-                        model, cells = (flag[:], used, spent, matched), 3 + len(used) * (q + 1)
+                        model, cells = ((f0, f1), used, spent, matched), 2 + len(used) * (q + 1)
                         kept = _resume_point(i, low, high, pending, out, hdr, model, cells)
                         resume.keep(self, symbols, q, period, kept)
             # the token's flag, then a match's gamma codes, bit by bit at the
             # fixed probability 1/2
             before = len(out)
-            total = flag[2]
-            span = high - low + 1
+            split = (high - low + 1) * f0 // (f0 + f1)
             if sym:
-                low += span * flag[0] // total
+                low += split
                 bits = gamma_bits(best_dist) + gamma_bits(best_len - ANCHOR + 1)
                 k = 0
+                f1 += step
+                c = f1
             else:
-                high = low + span * flag[0] // total - 1
-            c = flag[sym] + step
-            flag[sym] = c
-            flag[2] = total + step
-            if c >= limit:
-                rescale(flag)
-            while True:
+                high = low + split - 1
+                f0 += step
+                c = f0
+            if c >= limit:  # rescale(), on the two counts
+                f0 = (f0 + 1) >> 1
+                f1 = (f1 + 1) >> 1
+            # low < half <= high held before the flag, and a flag 0 keeps
+            # low: it needs a doubling only if high fell below half or the
+            # range now sits inside the middle half
+            while sym or high < half or (low >= quarter and high < three_q):
                 while True:
                     if high < half:
                         if pending:
@@ -444,7 +465,8 @@ class LZ77Estimator(Estimator):
             span = high - low + 1
             if s:
                 cum = t[0] if s == 1 else sum(t[:s])
-                high = low + span * (cum + c) // total - 1
+                if s < last:
+                    high = low + span * (cum + c) // total - 1
                 low += span * cum // total
             else:
                 high = low + span * c // total - 1
@@ -481,82 +503,88 @@ class LZ77Estimator(Estimator):
         return self._pick(symbols, q, period, w)
 
     def _decode_payload(self, r: BitReader, q: int, n: int, period: int) -> bytes:
-        low, high, code = 0, TOP, r.read_bits(32)
-        buf, pos = r.buf, r.pos
-        # the encoder writes D + 2 payload bits for D doublings, and this
-        # decoder reads 32 bits, then one per doubling: on an honest stream
-        # pos never passes the blob's end by more than 30 bits
-        end = len(buf) + 30
-        if pos > end:
-            raise EstimatorError(f"corrupt header: {n} coded symbols overrun the blob")
+        low, high = 0, TOP
+        v, buf, pos, end = _coder_start(r, n)
         half, quarter, three_q = HALF, QUARTER, THREE_Q
-        flag = new_table(2)
-        gamma = [1, 1, 2]
+        f0 = f1 = 1
         tables: dict = {}
         step = STEP
         limit = RESCALE
+        last = q - 1
         out = bytearray()
         qq = q + 1
         ctxspan = qq * qq
-        # the gamma code being read: the zeros counted so far, then (once its
-        # 1 has come and value > 0) the bits still to read; dist is the first
-        # code's value once it is read
-        zeros = value = dist = 0
-        tab = flag
         while len(out) < n:
-            # decode one symbol at tab's frequencies, then count it
-            total = tab[-1]
-            span = high - low + 1
-            target = ((code - low + 1) * total - 1) // span
-            cum = 0
-            sym = 0
-            c = tab[0]
-            while cum + c <= target:
-                cum += c
-                sym += 1
-                c = tab[sym]
-            high = low + span * (cum + c) // total - 1
-            low += span * cum // total
-            shifts = 0
-            while True:
-                if high < half:
-                    pass
-                elif low >= half:
-                    low -= half
-                    high -= half
-                    code -= half
-                elif low >= quarter and high < three_q:
-                    low -= quarter
-                    high -= quarter
-                    code -= quarter
-                else:
+            # the token's flag, split as the encoder splits it
+            split = (high - low + 1) * f0 // (f0 + f1)
+            if v < split:
+                sym = 0
+                high = low + split - 1
+                f0 += step
+                c = f0
+            else:
+                sym = 1
+                low += split
+                v -= split
+                f1 += step
+                c = f1
+                # the match's two gamma codes follow, bit by bit at the
+                # fixed probability 1/2, each bit parsed once its doublings
+                # are read: the zeros counted so far, then (once the code's
+                # 1 has come and value > 0) the bits still to read; dist is
+                # the first code's value
+                bit = -1
+                zeros = value = dist = 0
+            if c >= limit:  # rescale(), on the two counts
+                f0 = (f0 + 1) >> 1
+                f1 = (f1 + 1) >> 1
+            while sym or high < half or (low >= quarter and high < three_q):
+                shifts = 0
+                while True:
+                    if high < half:
+                        pass
+                    elif low >= half:
+                        low -= half
+                        high -= half
+                    elif low >= quarter and high < three_q:
+                        low -= quarter
+                        high -= quarter
+                    else:
+                        break
+                    low <<= 1
+                    high = (high << 1) | 1
+                    shifts += 1
+                if shifts:
+                    v = (v << shifts) | int(buf[pos : pos + shifts], 2)
+                    pos += shifts
+                    if pos > end:
+                        raise EstimatorError(f"corrupt header: {n} coded symbols overrun the blob")
+                if not sym:
                     break
-                low <<= 1
-                high = (high << 1) | 1
-                code <<= 1
-                shifts += 1
-            if shifts:
-                code |= int(buf[pos : pos + shifts].ljust(shifts, b"0"), 2)
-                pos += shifts
-                if pos > end:
-                    raise EstimatorError(f"corrupt header: {n} coded symbols overrun the blob")
-            if tab is gamma:
-                if value:
-                    value = (value << 1) | sym
-                    zeros -= 1
-                elif sym:
-                    value = 1
+                if bit >= 0:
+                    if value:
+                        value = (value << 1) | bit
+                        zeros -= 1
+                    elif bit:
+                        value = 1
+                    else:
+                        zeros += 1
+                        if zeros > 64:
+                            raise ValueError("malformed gamma code")
+                    if value and not zeros:
+                        if dist:
+                            break
+                        dist = value
+                        value = 0
+                split = (high - low + 1) >> 1
+                if v < split:
+                    bit = 0
+                    high = low + split - 1
                 else:
-                    zeros += 1
-                    if zeros > 64:
-                        raise ValueError("malformed gamma code")
-                    continue
-                if zeros:
-                    continue
-                if not dist:
-                    dist = value
-                    value = 0
-                    continue
+                    bit = 1
+                    low += split
+                    v -= split
+            if sym:
                 length = value + ANCHOR - 1
                 start = len(out) - dist
                 if start < 0 or len(out) + length > n:
@@ -565,28 +593,65 @@ class LZ77Estimator(Estimator):
                     out += out[start : start + length]
                 else:  # the copy overlaps its own output
                     out += (out[start:] * (length // dist + 1))[:length]
-                value = dist = 0
-                tab = flag
                 continue
-            c += step
-            tab[sym] = c
-            tab[-1] = total + step
-            if c >= limit:
-                rescale(tab)
-            if tab is not flag:
-                out.append(sym)
-                tab = flag
-            elif sym:
-                tab = gamma
+            # the literal, in its order-2 context
+            i = len(out)
+            p1 = out[i - 1] if i >= 1 else q
+            p2 = out[i - 2] if i >= 2 else q
+            ctx = (i % period) * ctxspan + p2 * qq + p1
+            try:
+                t = tables[ctx]
+            except KeyError:
+                t = tables[ctx] = new_table(q)
+            total = t[q]
+            span = high - low + 1
+            c = t[0]
+            split = span * c // total
+            if v < split:
+                s = 0
+                high = low + split - 1
             else:
-                i = len(out)
-                p1 = out[i - 1] if i >= 1 else q
-                p2 = out[i - 2] if i >= 2 else q
-                ctx = (i % period) * ctxspan + p2 * qq + p1
-                try:
-                    tab = tables[ctx]
-                except KeyError:
-                    tab = tables[ctx] = new_table(q)
+                s = 1
+                cum = c
+                c = t[1]
+                if last > 1:
+                    target = ((v + 1) * total - 1) // span
+                    while cum + c <= target:
+                        cum += c
+                        s += 1
+                        c = t[s]
+                    if s > 1:
+                        split = span * cum // total
+                if s < last:
+                    high = low + span * (cum + c) // total - 1
+                low += split
+                v -= split
+            shifts = 0
+            while True:
+                if high < half:
+                    pass
+                elif low >= half:
+                    low -= half
+                    high -= half
+                elif low >= quarter and high < three_q:
+                    low -= quarter
+                    high -= quarter
+                else:
+                    break
+                low <<= 1
+                high = (high << 1) | 1
+                shifts += 1
+            if shifts:
+                v = (v << shifts) | int(buf[pos : pos + shifts], 2)
+                pos += shifts
+                if pos > end:
+                    raise EstimatorError(f"corrupt header: {n} coded symbols overrun the blob")
+            c += step
+            t[s] = c
+            t[q] = total + step
+            if c >= limit:
+                rescale(t)
+            out.append(s)
         return bytes(out)
 
 
@@ -709,6 +774,7 @@ class ContextEstimator(Estimator):
         half, quarter, three_q = HALF, QUARTER, THREE_Q
         step = STEP
         limit = RESCALE
+        last = q - 1
         for ctx, s in zip(ids[start:], symbols[start:]):
             t = tables[ctx]
             if t is None:
@@ -718,7 +784,9 @@ class ContextEstimator(Estimator):
             span = high - low + 1
             if s:
                 cum = t[0] if s == 1 else sum(t[:s])
-                high = low + span * (cum + c) // total - 1
+                # the last symbol's upper end is the range's: high stays
+                if s < last:
+                    high = low + span * (cum + c) // total - 1
                 low += span * cum // total
             else:
                 high = low + span * c // total - 1
@@ -766,8 +834,8 @@ class ContextEstimator(Estimator):
         d = RESCALE + q - 2
         if n * (((q - 1) << 30) - d) > (len(r.buf) - r.pos) * (d << 30):
             raise EstimatorError(f"corrupt header: {n} coded symbols cannot fit the blob")
-        low, high, code = 0, TOP, r.read_bits(32)
-        buf, pos = r.buf, r.pos
+        low, high = 0, TOP
+        v, buf, pos, end = _coder_start(r, n)
         half, quarter, three_q = HALF, QUARTER, THREE_Q
         tables: dict = {}
         step = STEP
@@ -775,6 +843,7 @@ class ContextEstimator(Estimator):
         k = self.order
         qq = q + 1
         mod = qq**k
+        last = q - 1
         ctx = 0
         for _ in range(k):
             ctx = ctx * qq + q
@@ -787,16 +856,32 @@ class ContextEstimator(Estimator):
                 t = tables[key] = new_table(q)
             total = t[q]
             span = high - low + 1
-            target = ((code - low + 1) * total - 1) // span
-            cum = 0
-            s = 0
+            # symbol 0 ends at the encoder's first split point. Past it,
+            # ((v + 1) * total - 1) // span < cum_s exactly when
+            # v < span * cum_s // total, so the count search finds s; s = 1
+            # starts at that first split, and the last symbol's range ends
+            # at high
             c = t[0]
-            while cum + c <= target:
-                cum += c
-                s += 1
-                c = t[s]
-            high = low + span * (cum + c) // total - 1
-            low += span * cum // total
+            split = span * c // total
+            if v < split:
+                s = 0
+                high = low + split - 1
+            else:
+                s = 1
+                cum = c
+                c = t[1]
+                if last > 1:
+                    target = ((v + 1) * total - 1) // span
+                    while cum + c <= target:
+                        cum += c
+                        s += 1
+                        c = t[s]
+                    if s > 1:
+                        split = span * cum // total
+                if s < last:
+                    high = low + span * (cum + c) // total - 1
+                low += split
+                v -= split
             shifts = 0
             while True:
                 if high < half:
@@ -804,20 +889,19 @@ class ContextEstimator(Estimator):
                 elif low >= half:
                     low -= half
                     high -= half
-                    code -= half
                 elif low >= quarter and high < three_q:
                     low -= quarter
                     high -= quarter
-                    code -= quarter
                 else:
                     break
                 low <<= 1
                 high = (high << 1) | 1
-                code <<= 1
                 shifts += 1
             if shifts:
-                code |= int(buf[pos : pos + shifts].ljust(shifts, b"0"), 2)
+                v = (v << shifts) | int(buf[pos : pos + shifts], 2)
                 pos += shifts
+                if pos > end:
+                    raise EstimatorError(f"corrupt header: {n} coded symbols overrun the blob")
             c += step
             t[s] = c
             t[q] = total + step

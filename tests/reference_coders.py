@@ -4,10 +4,12 @@ position lists as lz77's match table, and one int() per value when a
 literal-mode payload is read.
 
 Kept only as the reference the fused loops in src/ must match bit for bit
-(tests/test_coder_outputs.py). The coder objects, the model, the gamma
-codes of match tokens (written and read bit by bit through the coder) and
-the match extension (symbol by symbol) are copied here too, so that a fault
-in src/'s versions cannot hide by showing up on both sides.
+(tests/test_coder_outputs.py), and on cut or corrupt blobs outcome for
+outcome: `decode` makes src's checks on untrusted input, so both refuse
+the same blobs with the same exception type. The coder objects, the model,
+the gamma codes of match tokens (written and read bit by bit through the
+coder) and the match extension (symbol by symbol) are copied here too, so
+that a fault in src/'s versions cannot hide by showing up on both sides.
 """
 from __future__ import annotations
 
@@ -353,16 +355,50 @@ def encode(est_id: str, symbols: bytes, q: int, period: int = 1) -> tuple[int, b
     return ctx_encode(int(est_id[len("ctx_"):]), symbols, q, period)
 
 
+class GuardedReader(BitReader):
+    """A reader with the fused decoders' guard: a read that ends more than
+    30 bits past the blob is refused, since an honest stream's reads never
+    get that far."""
+
+    def read_bits(self, k: int) -> int:
+        value = super().read_bits(k)
+        if self.pos > len(self.buf) + 30:
+            raise EstimatorError("corrupt header")
+        return value
+
+
 def decode(est_id: str, blob: bytes) -> tuple[int, bytes]:
-    r = BitReader(blob)
+    """(q, symbols) of a blob, under the checks that src makes on untrusted
+    input: an alphabet above 256, a literal payload that overruns the blob,
+    a ctx_k header whose n the blob cannot hold at the least per-symbol cost
+    (see ContextEstimator._decode_payload) and a read more than 30 bits past
+    the blob are refused, before any table is sized from the header."""
+    r = GuardedReader(blob)
     q = read_uint(r) + 2
     n = read_uint(r)
     period = read_uint(r) + 1
-    if r.read_bit() == MODE_LITERAL:
+    mode = r.read_bit()
+    if q > 256:
+        raise EstimatorError("corrupt header")
+    left = len(r.buf) - r.pos
+    if mode == MODE_LITERAL:
+        if n * bits_per_symbol(q) > left:
+            raise EstimatorError("corrupt header")
         return q, read_fields(r, n, bits_per_symbol(q))
     if est_id == "lz77":
         return q, lz77_decode_payload(r, q, n, period)
+    d = AdaptiveModel.RESCALE + q - 2
+    if n * (((q - 1) << 30) - d) > left * (d << 30):
+        raise EstimatorError("corrupt header")
     return q, ctx_decode_payload(int(est_id[len("ctx_"):]), r, q, n, period)
+
+
+def outcome(decode, blob: bytes):
+    """decode(blob), or the type of the exception it raised."""
+    try:
+        return decode(blob)
+    except Exception as exc:  # the type is the outcome compared
+        return type(exc)
 
 
 FUSED_IDS = ("lz77", "ctx_0", "ctx_1", "ctx_2", "ctx_3")

@@ -16,13 +16,16 @@ from pathlib import Path
 import pytest
 import reference_coders
 from hypothesis import example, given, settings, strategies as st
+from reference_coders import outcome
 
 from nonlocality.coding import BitReader, gamma_len, read_uint, uint_len
 from nonlocality.estimators import (
     ANCHOR,
+    MODE_CODED,
     MODE_LITERAL,
     EstimatorError,
     _extend_match,
+    _header_writer,
     default_registry,
 )
 from nonlocality.strings import (
@@ -238,13 +241,6 @@ def test_long_match_codes_match_the_reference(name):
     assert reference_coders.decode("lz77", blob) == (q, symbols)
 
 
-def _outcome(decode, blob):
-    try:
-        return decode(blob)
-    except Exception as exc:  # the type is the outcome compared
-        return type(exc)
-
-
 def _token_start(monkeypatch, symbols: bytes, q: int, period: int, unit: int) -> int:
     """The byte of the blob where the match token's bits start: the
     reference coder's output length when it codes the match flag, the call
@@ -261,18 +257,6 @@ def _token_start(monkeypatch, symbols: bytes, q: int, period: int, unit: int) ->
     return starts[2 * unit] // 8
 
 
-class _GuardedReader(BitReader):
-    """The reference decoder's reader with the fused lz77 decoder's guard:
-    a read that ends more than 30 bits past the blob is refused, since an
-    honest stream's reads never get that far."""
-
-    def read_bits(self, k: int) -> int:
-        value = super().read_bits(k)
-        if self.pos > len(self.buf) + 30:
-            raise EstimatorError("corrupt header")
-        return value
-
-
 @pytest.mark.parametrize("name", sorted(LONG_MATCH))
 def test_cut_long_match_blobs_decode_like_the_reference(name, monkeypatch):
     # every cut inside the bytes of the match token (its flag, its two gamma
@@ -283,10 +267,113 @@ def test_cut_long_match_blobs_decode_like_the_reference(name, monkeypatch):
     _, blob = est.encode(symbols, q, period)
     start = _token_start(monkeypatch, symbols, q, period, unit)
     assert len(blob) - start > 4
-    monkeypatch.setattr(reference_coders, "BitReader", _GuardedReader)
     for cut in range(start, len(blob)):
-        got = _outcome(est.decode, blob[:cut])
-        assert got == _outcome(lambda b: reference_coders.decode("lz77", b), blob[:cut]), cut
+        got = outcome(est.decode, blob[:cut])
+        assert got == outcome(lambda b: reference_coders.decode("lz77", b), blob[:cut]), cut
+
+
+def _mostly_ones(n: int) -> bytes:
+    rng = random.Random(5)
+    return bytes(int(rng.random() < 0.9) for _ in range(n))
+
+
+# (estimator, string, tenths of the blob kept): every ctx_k codes the first
+# string, whose rare symbol 0 is what the zeros read past a cut decode to,
+# at a cost in bits that soon passes the blob's end by more than 30. The
+# second is 2^15 Thue-Morse symbols under ctx_2 (2,741 bytes) cut to 822
+# bytes, which decoded without the guard to 32,768 symbols, wrong from
+# symbol 9,774 on
+CUT_CTX_CASES = [
+    pytest.param(f"ctx_{k}", _mostly_ones(4096), range(1, 10), id=f"ctx_{k}-mostly_ones")
+    for k in range(4)
+] + [
+    pytest.param(
+        "ctx_2", gen_computable("thue_morse", 1 << 15).data, None, id="ctx_2-thue_morse_2^15"
+    )
+]
+
+
+@pytest.mark.parametrize("est_id, symbols, tenths", CUT_CTX_CASES)
+def test_cut_ctx_blobs_are_refused_like_the_reference(est_id, symbols, tenths):
+    est = default_registry()[est_id]
+    bits, blob = est.encode(symbols, 2)
+    assert bits < literal_len(2, len(symbols), 1)  # coded
+    cuts = [len(blob) * t // 10 for t in tenths] if tenths else [822]
+    for cut in cuts:
+        got = outcome(est.decode, blob[:cut])
+        assert got is EstimatorError, cut
+        assert got == outcome(lambda b: reference_coders.decode(est_id, b), blob[:cut]), cut
+
+
+@pytest.mark.parametrize("est_id", reference_coders.FUSED_IDS)
+@pytest.mark.parametrize("q", (2, 3, 5, 16, 256))
+def test_a_value_on_a_split_point_decodes_as_the_symbol_above(est_id, q):
+    # one coded symbol, whose stream's first 32 bits (after lz77's literal
+    # flag, whose split is 2^31) are the fresh table's split point below
+    # symbol s, s * 2^32 // q: the decoder's value sits exactly on it
+    est = default_registry()[est_id]
+    for s in (1, q - 1):
+        w = _header_writer(q, 1, 1, MODE_CODED)
+        w.buf += (b"0" if est_id == "lz77" else b"") + format(s * (1 << 32) // q, "032b").encode()
+        w.buf += b"0" * 64
+        blob = w.getvalue()
+        assert est.decode(blob) == (q, bytes([s]))
+        assert reference_coders.decode(est_id, blob) == (q, bytes([s]))
+    if est_id == "lz77":
+        # a flag on its split is a match, whose gamma codes then read only
+        # zeros: more than a gamma code may hold
+        w = _header_writer(q, 1, 1, MODE_CODED)
+        w.buf += b"1" + b"0" * 95
+        blob = w.getvalue()
+        assert outcome(est.decode, blob) is ValueError
+        assert outcome(lambda b: reference_coders.decode(est_id, b), blob) is ValueError
+
+
+@st.composite
+def damaged_blobs(draw, est_id: str):
+    """(blob, expected): est_id's blob of a drawn string, with expected its
+    (q, symbols); or that blob cut at a drawn bit, or with drawn bytes
+    corrupted, and expected None."""
+    q = draw(st.sampled_from((*range(2, 17), 256)))
+    period = draw(st.integers(1, 4))
+    kind = draw(st.sampled_from(("uniform", "skewed", "repeat", "woven")))
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    n = rng.randint(0, 16) if draw(st.booleans()) else rng.randint(17, 600)
+    if kind == "uniform":
+        data = bytes(rng.randrange(q) for _ in range(n))
+    elif kind == "skewed":
+        data = bytes(0 if rng.random() < 0.9 else rng.randrange(q) for _ in range(n))
+    elif kind == "repeat":
+        block = bytes(rng.randrange(q) for _ in range(rng.randint(1, 100)))
+        data = (block * (n // len(block) + 1))[:n]
+    else:
+        q, period = 2, 3
+        a = [int(rng.random() < 0.3) for _ in range(n // 3)]
+        b = [int(rng.random() < 0.1) for _ in range(n // 3)]
+        data = bytes(v for u, w in zip(a, b) for v in (u, w, u ^ w))
+    _, blob = default_registry()[est_id].encode(data, q, period)
+    damage = draw(st.sampled_from(("none", "cut", "corrupt")))
+    if damage == "none":
+        return blob, (q, data)
+    if damage == "cut":
+        cut = draw(st.integers(0, 8 * len(blob) - 1))
+        kept = bytes([blob[cut // 8] & ((1 << cut % 8) - 1)]) if cut % 8 else b""
+        return blob[: cut // 8] + kept, None
+    damaged = bytearray(blob)
+    for _ in range(draw(st.integers(1, 3))):
+        damaged[draw(st.integers(0, len(blob) - 1))] ^= draw(st.integers(1, 255))
+    return bytes(damaged), None
+
+
+@pytest.mark.parametrize("est_id", reference_coders.FUSED_IDS)
+@given(data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_decoders_match_the_reference_on_honest_cut_and_corrupt_blobs(est_id, data):
+    blob, expected = data.draw(damaged_blobs(est_id))
+    got = outcome(default_registry()[est_id].decode, blob)
+    assert got == outcome(lambda b: reference_coders.decode(est_id, b), blob)
+    if expected is not None:
+        assert got == expected
 
 
 def test_extend_match_agrees_with_a_symbol_by_symbol_scan():

@@ -80,6 +80,7 @@ def test_resumed_encode_equals_a_fresh_one(case, est_id, at):
     q, period, prefix, suffix = case
     est = default_registry()[est_id]
     fresh = est.encode(prefix + suffix, q, period)
+    assert est.decode(fresh[1]) == (q, prefix + suffix)
     store = ResumeStore()
     est.encode(prefix, q, period, resume=store)
     kept = len(store)
