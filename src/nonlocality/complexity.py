@@ -120,10 +120,9 @@ def clear_cache() -> None:
 
 
 def _raw_bits(s: SymbolString, est: Estimator, period: int = 1) -> int:
-    # keyed by value on what decides the bits: one id (external:NAME) may
-    # name different commands in different registries, and a registry is
-    # rebuilt on every get_estimator(name, None) call, so identity would miss
-    key = (type(est), est.estimator_id, getattr(est, "cmd", None), s.q, period, _digest(s.data))
+    # keyed by value, not identity: get_estimator builds a fresh instance on
+    # every call, and equal class and id give equal bits
+    key = (type(est), est.estimator_id, s.q, period, _digest(s.data))
     bits = _CACHE.get(key)
     if bits is None:
         if est.resumes:
@@ -222,13 +221,6 @@ def binary_entropy(p) -> float:
     if p in (0.0, 1.0):
         return 0.0
     return -p * math.log2(p) - (1.0 - p) * math.log2(1.0 - p)
-
-
-def log_binomial(n: int, k: int) -> float:
-    """log2 C(n,k) from the exact big-integer binomial."""
-    if not 0 <= k <= n:
-        raise ValueError("need 0 <= k <= n")
-    return math.log2(math.comb(n, k)) if n else 0.0
 
 
 def frac_str(f: Fraction) -> str:

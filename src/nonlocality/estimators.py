@@ -1,6 +1,6 @@
 """Compression estimators: self-delimiting encoders with matching decoders.
 
-Every built-in estimator emits a bit stream a reference decoder inverts, so
+Every estimator emits a bit stream a reference decoder inverts, so
 the reported bit count is a genuine description length. Each encoding picks
 the cheaper of two modes: a verbatim packed payload (so no estimate ever
 exceeds n*ceil(log2 q) bits by more than the header) or the estimator's own
@@ -9,8 +9,6 @@ code.
 from __future__ import annotations
 
 import math
-import shlex
-import subprocess
 from itertools import cycle, islice
 from typing import NamedTuple
 
@@ -35,7 +33,7 @@ from .strings import _BYTE_VALUES, bits_per_symbol, pack_symbols, unpack_symbols
 
 
 class EstimatorError(RuntimeError):
-    """Estimator failure (unknown name, external adapter error)."""
+    """Estimator failure (unknown name, corrupt blob)."""
 
 
 MODE_LITERAL = 0
@@ -913,40 +911,6 @@ class ContextEstimator(Estimator):
         return bytes(out)
 
 
-class ExternalEstimator(Estimator):
-    """Adapter for an external compressor command.
-
-    The subject's packed payload is piped to stdin; bits are charged as
-    8 * len(stdout) + 32. No reference decoder exists for external tools,
-    so round-trip soundness is the tool's responsibility.
-    """
-
-    def __init__(self, name: str, cmd: str) -> None:
-        self.estimator_id = f"external:{name}"
-        self.cmd = cmd
-
-    def encode(self, symbols: bytes, q: int, period: int = 1) -> tuple[int, bytes]:
-        payload = pack_symbols(symbols, q)
-        try:
-            proc = subprocess.run(
-                shlex.split(self.cmd),
-                input=payload,
-                stdout=subprocess.PIPE,
-                stderr=subprocess.DEVNULL,
-                check=False,
-            )
-        except OSError as exc:
-            raise EstimatorError(f"external compressor failed to start: {exc}") from exc
-        if proc.returncode != 0:
-            raise EstimatorError(
-                f"external compressor exited with status {proc.returncode}"
-            )
-        return 8 * len(proc.stdout) + 32, proc.stdout
-
-    def decode(self, blob: bytes):  # pragma: no cover - by contract
-        raise EstimatorError("external estimators have no reference decoder")
-
-
 def default_registry() -> dict[str, Estimator]:
     reg: dict[str, Estimator] = {
         "lz78": LZ78Estimator(),
@@ -958,17 +922,8 @@ def default_registry() -> dict[str, Estimator]:
     return reg
 
 
-def make_registry(external: dict[str, str] | None = None) -> dict[str, Estimator]:
-    reg = default_registry()
-    for name, cmd in (external or {}).items():
-        est = ExternalEstimator(name, cmd)
-        reg[est.estimator_id] = est
-    return reg
-
-
-def get_estimator(name: str, registry: dict[str, Estimator] | None = None) -> Estimator:
-    reg = registry if registry is not None else default_registry()
-    est = reg.get(name)
+def get_estimator(name: str) -> Estimator:
+    est = default_registry().get(name)
     if est is None:
         raise EstimatorError(f"unknown estimator: {name!r}")
     return est

@@ -1,5 +1,4 @@
 import json
-import sys
 import time
 
 import pytest
@@ -121,8 +120,9 @@ def test_exit_code_data_error(capsys, tmp_path):
 def test_exit_code_estimator_error(capsys, tmp_path):
     f = tmp_path / "x.syms"
     run(capsys, "gen", "--kind", "zeros", "--n", "16", "--out", str(f))
-    code, _, _ = run(capsys, "estimate", "--in", str(f), "--estimator", "nope")
-    assert code == 3
+    for name in ("nope", "external:z"):
+        code, _, _ = run(capsys, "estimate", "--in", str(f), "--estimator", name)
+        assert code == 3
 
 
 def test_help_exits_zero(capsys):
@@ -170,6 +170,7 @@ def test_exp_writes_report_and_echoes_config(capsys, tmp_path):
     header = json.loads(out_file.read_text().splitlines()[0])
     assert header["config"]["which"] == "magic_square"
     assert header["config"]["seed"] == "3"
+    assert header["config"]["external"] is None
     assert csv_file.read_text().startswith("experiment,quantity,n,value,rate,class")
 
 
@@ -435,17 +436,19 @@ def test_malformed_manifest_is_data_error(capsys, tmp_path, files):
     assert "Traceback" not in err
 
 
-def test_external_estimator_through_the_cli(capsys, tmp_path):
-    cat = f"{sys.executable} -c 'import sys;sys.stdout.buffer.write(sys.stdin.buffer.read())'"
-    ext = ["--external", f"z={cat}", "--estimator", "external:z"]
-    _quad_files(tmp_path)
-    manifest = tmp_path / "quad.json"
-    files = {k: f"{k}.syms" for k in "abxy"}
-    manifest.write_text(json.dumps({"schema": 1, "game": "pr", "files": files}))
-    code, out, _ = run(capsys, "estimate", "--in", str(tmp_path / "x.syms"), *ext)
-    assert code == 0
-    payload = json.loads(out)
-    # the payload is 32 bits packed into 4 bytes, echoed by cat
-    assert payload["estimator"] == "external:z" and payload["bits"] == 8 * 4 + 32
-    code, out, _ = run(capsys, "nosig", "--quad", str(manifest), *ext)
-    assert code == 0 and json.loads(out)["estimator"] == "external:z"
+@pytest.mark.parametrize("how", ["flag", "config"])
+def test_removed_external_flag_is_usage_error(capsys, tmp_path, how):
+    # every estimator is a built-in; the parser keeps an unlisted --external
+    # only so that report headers still echo "external": null
+    out = tmp_path / "r.jsonl"
+    if how == "flag":
+        _quad_files(tmp_path)
+        argv = ["estimate", "--in", str(tmp_path / "x.syms"), "--external", "z=cat"]
+    else:
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"external": ["z=cat"]}))
+        argv = ["exp", "--which", "theorem3", "--n", "64", "--config", str(cfg)]
+    code, stdout, err = run(capsys, *argv, "--out", str(out))
+    assert code == 1 and stdout == ""
+    assert "Traceback" not in err and "--external was removed" in err
+    assert not out.exists()

@@ -1,5 +1,3 @@
-import math
-import sys
 from fractions import Fraction
 
 import pytest
@@ -14,10 +12,9 @@ from nonlocality.complexity import (
     estimate_k,
     estimate_k_cond,
     frac_str,
-    log_binomial,
     mutual_info_est,
 )
-from nonlocality.estimators import get_estimator, make_registry
+from nonlocality.estimators import ContextEstimator, get_estimator
 from nonlocality.strings import Seed, SymbolString, gen_computable, gen_seeded_random
 
 
@@ -90,16 +87,6 @@ def test_binary_entropy_values():
     assert binary_entropy(Fraction(1, 16)) == pytest.approx(0.33729, abs=1e-4)
 
 
-def test_log_binomial_matches_math_comb_and_entropy_scaling():
-    for n, k in ((10, 3), (100, 50), (64, 4)):
-        assert log_binomial(n, k) == pytest.approx(math.log2(math.comb(n, k)))
-    # log C(n, pn) ~ n h(p) for large n
-    n = 20000
-    assert log_binomial(n, n // 16) / n == pytest.approx(
-        binary_entropy(Fraction(1, 16)), abs=0.01
-    )
-
-
 def test_frac_str():
     assert frac_str(Fraction(3, 4)) == "3/4"
     assert frac_str(Fraction(1)) == "1/1"
@@ -114,21 +101,27 @@ def test_cache_is_transparent():
     assert first == second == third
 
 
-def test_cache_tells_external_commands_apart():
-    # one id, two commands: an estimate from one registry must never be
-    # served for the other
-    zeros = gen_computable("zeros", 4096)
-    tiny = f"{sys.executable} -c 'import sys;sys.stdin.read();sys.stdout.write(\"ab\")'"
-    cat = f"{sys.executable} -c 'import sys;sys.stdout.buffer.write(sys.stdin.buffer.read())'"
-    def external(cmd):
-        return get_estimator("external:z", make_registry({"z": cmd}))
+def test_cache_never_serves_another_estimators_bits():
+    # a subclass may keep its parent's id and still count differently: the
+    # key holds the class, so neither sees the other's entry
+    class Padded(ContextEstimator):
+        def encode(self, symbols, q, period=1, resume=None):
+            bits, blob = super().encode(symbols, q, period, resume)
+            return bits + 1, blob
 
+    zeros = gen_computable("zeros", 4096)
     clear_cache()
-    assert estimate_k(zeros, external(tiny)).bits == 8 * 2 + 32
-    assert estimate_k(zeros, external(cat)).bits == 8 * 512 + 32
-    # the key is by value: an equal command in a fresh registry is a hit
-    assert estimate_k(zeros, external(tiny)).bits == 8 * 2 + 32
+    base = estimate_k(zeros, get_estimator("ctx_2")).bits
+    padded = Padded(2)
+    assert padded.estimator_id == "ctx_2"
+    assert estimate_k(zeros, padded).bits == base + 1
     assert len(complexity._CACHE) == 2
+    # the key is by value: a fresh instance of a built-in is a hit
+    clear_cache()
+    first, second = get_estimator("ctx_2"), get_estimator("ctx_2")
+    assert first is not second
+    assert estimate_k(zeros, first).bits == estimate_k(zeros, second).bits == base
+    assert len(complexity._CACHE) == 1
 
 
 def _weave_reference(conds, n, subject):

@@ -1,6 +1,5 @@
 import math
 import random
-import sys
 
 import pytest
 from hypothesis import example, given, settings
@@ -15,12 +14,10 @@ from nonlocality.estimators import (
     Estimator,
     EstimatorError,
     LZ77Estimator,
-    ExternalEstimator,
     _header_writer,
     _payload_floor,
     default_registry,
     get_estimator,
-    make_registry,
 )
 from nonlocality.strings import (
     Seed,
@@ -52,7 +49,7 @@ def _corpus():
 
 @pytest.mark.parametrize("name", ALL_IDS)
 def test_roundtrip_on_corpus(name):
-    est = get_estimator(name, default_registry())
+    est = get_estimator(name)
     for s in _corpus():
         _, blob = est.encode(s.data, s.q)
         assert est.decode(blob) == (s.q, s.data), f"{name} failed on q={s.q} n={s.n}"
@@ -60,7 +57,7 @@ def test_roundtrip_on_corpus(name):
 
 @pytest.mark.parametrize("name", ALL_IDS)
 def test_roundtrip_with_periods(name):
-    est = get_estimator(name, default_registry())
+    est = get_estimator(name)
     seed = Seed.from_int(78)
     for q in (2, 3):
         s = gen_seeded_random(300, q, seed.derive(f"{q}"))
@@ -71,11 +68,10 @@ def test_roundtrip_with_periods(name):
 
 
 def test_structured_strings_compress():
-    reg = default_registry()
     zeros = gen_computable("zeros", 4096)
     rand = gen_seeded_random(4096, 2, Seed.from_int(5))
     for name in ALL_IDS:
-        est = get_estimator(name, reg)
+        est = get_estimator(name)
         bz, _ = est.encode(zeros.data, 2)
         br, _ = est.encode(rand.data, 2)
         assert bz / 4096 < 0.2, name
@@ -86,28 +82,7 @@ def test_structured_strings_compress():
 
 def test_unknown_estimator_rejected():
     with pytest.raises(EstimatorError):
-        get_estimator("nope", default_registry())
-
-
-def test_external_estimator_roundtrip_not_claimed():
-    # external compressors report an upper bound but have no reference
-    # decoder, so they must refuse decode rather than pretend
-    py = f"{sys.executable} -c 'import sys;sys.stdout.write(sys.stdin.read())'"
-    reg = make_registry({"cat": py})
-    est = get_estimator("external:cat", reg)
-    s = gen_seeded_random(100, 2, Seed.from_int(6))
-    bits, blob = est.encode(s.data, s.q)
-    assert bits > 0
-    with pytest.raises(EstimatorError):
-        est.decode(blob)
-
-
-def test_external_estimator_bits_formula():
-    py = f"{sys.executable} -c 'import sys;sys.stdin.read();sys.stdout.write(\"ab\")'"
-    reg = make_registry({"tiny": py})
-    est = get_estimator("external:tiny", reg)
-    bits, _ = est.encode(b"\x00\x01" * 50, 2)
-    assert bits == 8 * 2 + 32
+        get_estimator("nope")
 
 
 def test_corrupt_lz77_match_gamma_is_rejected_like_a_header_gamma():

@@ -43,11 +43,13 @@ def test_no_unused_imports():
 
 def test_cli_import_loads_no_process_pool():
     # only game_value_exact(jobs > 1) starts workers, and it imports the pool
-    # itself; a fresh interpreter shows what importing the CLI alone loads
-    code = "import sys, nonlocality.cli; print('concurrent.futures.process' in sys.modules)"
+    # itself; no estimator runs a command, so nothing needs subprocess or
+    # shlex either. A fresh interpreter shows what importing the CLI loads
+    banned = ("concurrent.futures.process", "subprocess", "shlex")
+    code = f"import sys, nonlocality.cli; print([m for m in {banned!r} if m in sys.modules])"
     env = {**os.environ, "PYTHONPATH": str(SRC.parent)}
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
-    assert (out.returncode, out.stdout) == (0, "False\n"), out.stderr
+    assert (out.returncode, out.stdout) == (0, "[]\n"), out.stderr
 
 
 def test_perfbench_trace_targets_resolve():
