@@ -9,6 +9,7 @@ code.
 from __future__ import annotations
 
 import math
+from array import array
 from itertools import cycle, islice
 from typing import NamedTuple
 
@@ -280,15 +281,99 @@ def _extend_match(symbols: bytes, j: int, i: int, n: int, length: int) -> int:
         width <<= 1
 
 
-def _chain_links(symbols: bytes) -> list:
+_ROTATE_3 = bytes((b << 3 | b >> 5) & 255 for b in range(256))
+
+
+def _window_buckets(symbols: bytes, q: int) -> tuple[bytes, bytearray]:
+    """(code, buckets) for the n - ANCHOR + 1 >= 1 windows of ANCHOR
+    symbols, both built from whole shifted views at once, as in _digit_sum.
+
+    code[p], for p <= n - 8, is a byte that stands for symbols p..p+7. For
+    q = 2 it is their bits. For q > 2 it is the xor over the offsets k of a
+    one-to-one byte map of symbol p + k, a different map per offset, so
+    that code[p] and any seven of the eight symbols fix the eighth.
+
+    buckets[2p : 2p + 2] is window p's bucket. For q = 2 it is code[p],
+    code[p + 8]: the window itself. For q > 2 it is code[p] ^ code[p + 4],
+    code[p + 8] ^ rotl3(code[p + 4]), a hash; code[p + 4] enters both
+    bytes, as windows that differ in one half only, common in skewed
+    strings, would otherwise share 256 buckets."""
+    n = len(symbols)
+    w, m = n - 7, n - ANCHOR + 1
+    if q == 2:
+        view = memoryview(symbols)
+        code = _digit_sum(w, ((view[k : k + w], 128 >> k) for k in range(8)))
+        buckets = bytearray(2 * m)
+        buckets[0::2] = code[:m]
+        buckets[1::2] = code[8:]
+        return code, buckets
+    acc = 0
+    for k in range(8):
+        # odd multipliers, so each map is one-to-one on bytes
+        lane = bytes((v * (0x9E3779B1 >> 3 * k | 1) + 59 * k) & 255 for v in range(q))
+        acc ^= int.from_bytes(symbols.translate(lane.ljust(256, b"\0"))[k : k + w], "big")
+    code = acc.to_bytes(w, "big")
+    mid = code[4 : 4 + m]
+    buckets = bytearray(2 * m)
+    buckets[0::2] = (int.from_bytes(code[:m], "big") ^ int.from_bytes(mid, "big")).to_bytes(m, "big")
+    mid = int.from_bytes(mid.translate(_ROTATE_3), "big")
+    buckets[1::2] = (int.from_bytes(code[8:], "big") ^ mid).to_bytes(m, "big")
+    return code, buckets
+
+
+def _chain_links(symbols: bytes, q: int) -> array:
     """prev[p]: the last position before p that starts the same ANCHOR
-    symbols, or -1 (always -1 for p > n - ANCHOR)."""
-    last: dict = {}
-    prev = [-1] * len(symbols)
-    for p in range(len(symbols) - ANCHOR + 1):
-        key = symbols[p : p + ANCHOR]
-        prev[p] = last.get(key, -1)
-        last[key] = p
+    symbols, or -1 (always -1 for p > n - ANCHOR).
+
+    No Python object is kept per position: prev is a typed array, and a
+    head table holds the last position of each of 2^16 buckets (see
+    _window_buckets). For q = 2 a bucket is one window, so every bucket
+    link is exact.
+
+    For q > 2 a bucket link j of p is exact when j - 1 is the exact link
+    of p - 1: the windows then share their first 15 symbols, hence code[p
+    + 4], so the bucket's second byte gives code[p + 8] = code[j + 8],
+    which fixes the last symbol. Any other link is compared, and a false
+    one is mended in a second pass from the end, which follows the bucket
+    links back to the newest position with the same window; every link it
+    reads is an earlier position's, still a bucket link."""
+    n = len(symbols)
+    m = n - ANCHOR + 1
+    prev = array("i", [-1]) * n
+    if m <= 0:
+        return prev
+    code, buckets = _window_buckets(symbols, q)
+    last = array("i", [-1]) * 65536
+    if q == 2:
+        for p, b in enumerate(memoryview(buckets).cast("H")):
+            prev[p] = last[b]
+            last[b] = p
+        return prev
+    mend = array("i")
+    after = -2  # the exact link of p - 1, or -2 if it has none or is unknown
+    for p, b in enumerate(memoryview(buckets).cast("H")):
+        j = last[b]
+        last[b] = p
+        if j < 0:
+            after = -2
+            continue
+        prev[p] = j
+        # code[p + 4], a byte of the window's hash, tells most other
+        # windows of the bucket apart without a slice
+        if j != after + 1 and (
+            code[j + 4] != code[p + 4] or not symbols.startswith(symbols[p : p + ANCHOR], j)
+        ):
+            mend.append(p)
+            j = -2
+        after = j
+    for p in reversed(mend):
+        j = prev[prev[p]]
+        if j >= 0:
+            tag = code[p + 4]
+            key = symbols[p : p + ANCHOR]
+            while j >= 0 and (code[j + 4] != tag or not symbols.startswith(key, j)):
+                j = prev[j]
+        prev[p] = j
     return prev
 
 
@@ -301,7 +386,10 @@ class LZ77Estimator(Estimator):
     Every position p <= n - ANCHOR is a match source once the parse has
     passed it, so the candidates at i are the earlier positions with i's
     ANCHOR symbols: at most MAX_CHAIN of them, newest first, along
-    _chain_links. Each pass of the loop codes one token: a coded flag (0
+    _chain_links. That index is a typed array of exact links, built
+    through a head table of 2^16 buckets: about 9 bytes a symbol and 256
+    KiB at q = 2, where a dict of ANCHOR-symbol slices took 60-130 bytes a
+    symbol. Each pass of the loop codes one token: a coded flag (0
     literal, 1 match), then the literal in its order-2 context (see
     _context_ids), or the match's two gamma codes (distance, length -
     ANCHOR + 1), whose bits are coded one by one at the fixed probability
@@ -342,7 +430,7 @@ class LZ77Estimator(Estimator):
         n = len(symbols)
         bps = bits_per_symbol(q)
         last = q - 1
-        prev = _chain_links(symbols)
+        prev = _chain_links(symbols, q)
         # past `edge`, prev[i] is -1 because the string ends; no point is
         # kept when there is no store
         edge = n - ANCHOR if resume is not None else n

@@ -10,6 +10,10 @@ the same blobs with the same exception type. The coder objects, the model,
 the gamma codes of match tokens (written and read bit by bit through the
 coder) and the match extension (symbol by symbol) are copied here too, so
 that a fault in src/'s versions cannot hide by showing up on both sides.
+
+`_chain_links` is lz77's match index as a dict keyed by each position's
+ANCHOR-symbol slice, the reference for src's bucketed index
+(`estimators._chain_links`), whose links must be the same.
 """
 from __future__ import annotations
 
@@ -196,6 +200,18 @@ class AdaptiveModel:
         for s in range(q):
             t[s] = (t[s] + 1) >> 1
         t[q] = sum(t[:q])
+
+
+def _chain_links(symbols: bytes) -> list:
+    """prev[p]: the last position before p that starts the same ANCHOR
+    symbols, or -1 (always -1 for p > n - ANCHOR)."""
+    last: dict = {}
+    prev = [-1] * len(symbols)
+    for p in range(len(symbols) - ANCHOR + 1):
+        key = symbols[p : p + ANCHOR]
+        prev[p] = last.get(key, -1)
+        last[key] = p
+    return prev
 
 
 def lz77_encode(symbols: bytes, q: int, period: int = 1) -> tuple[int, bytes]:

@@ -24,8 +24,10 @@ from nonlocality.estimators import (
     MODE_CODED,
     MODE_LITERAL,
     EstimatorError,
+    _chain_links,
     _extend_match,
     _header_writer,
+    _window_buckets,
     default_registry,
 )
 from nonlocality.strings import (
@@ -398,6 +400,72 @@ def test_extend_match_agrees_with_a_symbol_by_symbol_scan():
                             expect += 1
                         got = _extend_match(s, 0, i, len(s), min(start, d))
                         assert got == expect == d, (q, period, d, flip, start)
+
+
+LINK_QS = (2, 3, 4, 8, 16, 256)
+
+
+@st.composite
+def link_cases(draw):
+    """Strings around the first windows (n near ANCHOR and 2*ANCHOR) and up
+    to 3000 symbols: uniform, skewed (few distinct windows, many repeats),
+    a repeated block, and woven (a, b, a + b mod q) with skewed a and b."""
+    q = draw(st.sampled_from(LINK_QS))
+    n = draw(st.sampled_from((0, 1, 15, 16, 17, 31, 32)) | st.integers(0, 3000))
+    kind = draw(st.sampled_from(("uniform", "skewed", "repeat", "woven")))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    if kind == "uniform":
+        data = bytes(rng.randrange(q) for _ in range(n))
+    elif kind == "skewed":
+        data = bytes(0 if rng.random() < 0.9 else rng.randrange(q) for _ in range(n))
+    elif kind == "repeat":
+        block = bytes(rng.randrange(q) for _ in range(rng.randint(1, 300)))
+        data = (block * (n // len(block) + 1))[:n]
+    else:
+        a = [0 if rng.random() < 0.7 else rng.randrange(q) for _ in range(n // 3 + 1)]
+        b = [0 if rng.random() < 0.9 else rng.randrange(q) for _ in range(n // 3 + 1)]
+        data = bytes(v for u, w in zip(a, b) for v in (u, w, (u + w) % q))[:n]
+    return data, q
+
+
+@given(case=link_cases())
+@settings(max_examples=200, deadline=None)
+def test_chain_links_equal_the_dict_of_slices(case):
+    symbols, q = case
+    assert list(_chain_links(symbols, q)) == reference_coders._chain_links(symbols)
+
+
+def colliding_windows(q: int) -> tuple:
+    """Two different windows of ANCHOR symbols in one bucket of
+    _chain_links, found among the windows of a random string."""
+    rng = random.Random(q)
+    data = bytes(rng.randrange(q) for _ in range(4000))
+    _, buckets = _window_buckets(data, q)
+    seen: dict = {}
+    for p in range(len(data) - ANCHOR + 1):
+        window = data[p : p + ANCHOR]
+        other = seen.setdefault(tuple(buckets[2 * p : 2 * p + 2]), window)
+        if other != window:
+            return other, window
+    raise AssertionError(f"no two windows share a bucket at q = {q}")
+
+
+@pytest.mark.parametrize("q", LINK_QS[1:])
+def test_chain_links_skip_a_window_of_another_bucket_mate(q):
+    # a, b, a, b: each later window's bucket link is the other window, so
+    # the exact links (32 -> 0, 48 -> 16) skip one bucket mate each
+    a, b = colliding_windows(q)
+    symbols = a + b + a + b
+    _, buckets = _window_buckets(symbols, q)
+    assert a != b and buckets[0:2] == buckets[32:34]
+    prev = list(_chain_links(symbols, q))
+    assert prev == reference_coders._chain_links(symbols)
+    assert (prev[16], prev[32], prev[48]) == (-1, 0, 16)
+    # the two windows again after copies of a block, whose windows link
+    # exactly, each to the copy before
+    block = bytes(random.Random(q + 1).randrange(q) for _ in range(100))
+    symbols = block + a + block + b + block + a + b + a
+    assert list(_chain_links(symbols, q)) == reference_coders._chain_links(symbols)
 
 
 if __name__ == "__main__":

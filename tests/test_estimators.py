@@ -14,6 +14,7 @@ from nonlocality.estimators import (
     Estimator,
     EstimatorError,
     LZ77Estimator,
+    _chain_links,
     _header_writer,
     _payload_floor,
     default_registry,
@@ -28,6 +29,7 @@ from nonlocality.strings import (
 )
 import reference_coders
 from reference_coders import ArithmeticEncoder, write_gamma
+from traced_peak import traced_peak
 
 ALL_IDS = ("lz78", "lz77", "ctx_0", "ctx_1", "ctx_2", "ctx_3")
 
@@ -330,3 +332,17 @@ def test_honest_lz_blobs_pass_the_overrun_guards(est_id, kind, q, n, period, see
     est = default_registry()[est_id]
     _, blob = est.encode(symbols, q, period)
     assert est.decode(blob) == (q, symbols)
+
+
+@pytest.mark.parametrize("n, q", [(1 << 17, 2), (1 << 15, 8)])
+def test_the_lz77_match_index_peaks_below_16_bytes_a_symbol_and_512_kib(n, q):
+    # the index holds no Python object per position: a typed array of
+    # links, a head table of 2^16 positions (256 KiB) and byte strings of
+    # codes and buckets peak at about 9 bytes a symbol for 2^17 binary
+    # symbols and 16 for 2^15 symbols at q = 8, the table included; a dict
+    # of ANCHOR-symbol slices peaked at about 81 and 129
+    rng = random.Random(n + q)
+    symbols = rng.randbytes(n).translate(bytes(v % q for v in range(256)))
+    prev, peak = traced_peak(lambda: _chain_links(symbols, q))
+    assert len(prev) == n
+    assert peak < 16 * n + (512 << 10), peak

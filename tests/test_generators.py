@@ -2,12 +2,12 @@
 blocks; they must equal the per-symbol reference (tests/reference_generators.py)
 byte for byte, and stay within a stated memory bound."""
 import random
-import tracemalloc
 from fractions import Fraction
 
 import reference_generators as ref
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from traced_peak import traced_peak
 
 from nonlocality import games, strings
 from nonlocality.games import (
@@ -168,20 +168,6 @@ def test_play_matches_the_reference_on_every_game_and_noise_rate():
                 assert play(*case) == ref.play(*case), (game, eps, noise_seed)
 
 
-def _peak(fn) -> int:
-    """Peak bytes traced while fn runs, above what was held before."""
-    tracemalloc.start()
-    try:
-        base = tracemalloc.get_traced_memory()[0]
-        tracemalloc.reset_peak()
-        result = fn()
-        peak = tracemalloc.get_traced_memory()[1] - base
-    finally:
-        tracemalloc.stop()
-    del result
-    return peak
-
-
 # Above twice the output, what the last chunk of draws or rounds adds. The
 # sizes below make the output dominate: a chunk of play's 1024 rounds holds
 # about 0.2 MB at its peak, but only while fewer than half the output's parts
@@ -191,10 +177,10 @@ ALLOWANCE = 1 << 16
 
 def test_generation_peaks_below_twice_its_output():
     n = 2**20
-    peak = _peak(lambda: gen_seeded_random(n, 3, Seed.from_int(1)))
+    _, peak = traced_peak(lambda: gen_seeded_random(n, 3, Seed.from_int(1)))
     assert peak < 2 * n + ALLOWANCE, peak
     n = 2**18  # a promise pair is two n-symbol strings
-    peak = _peak(lambda: gen_promise_inputs(3, n, Seed.from_int(2)))
+    _, peak = traced_peak(lambda: gen_promise_inputs(3, n, Seed.from_int(2)))
     assert peak < 2 * (2 * n) + ALLOWANCE, peak
 
 
@@ -207,6 +193,6 @@ def test_play_peaks_below_twice_its_output():
         (NoSignalingSampler(), ms, *_inputs(ms, n, seed)),
     ]
     for strategy, game, a, b in cases:
-        peak = _peak(lambda: play(strategy, game, a, b, seed))
+        _, peak = traced_peak(lambda: play(strategy, game, a, b, seed))
         # the output is two n-symbol strings
         assert peak < 2 * (2 * n) + ALLOWANCE, (game, strategy, peak)

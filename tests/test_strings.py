@@ -1,8 +1,7 @@
-import tracemalloc
-
 import pytest
 import reference_packing
 from hypothesis import given, settings, strategies as st
+from traced_peak import traced_peak
 
 from nonlocality.games import GameSpec
 from nonlocality.strings import (
@@ -101,14 +100,7 @@ def test_a_bad_symbol_is_found_in_any_chunk(at):
 def test_building_a_symbolstring_peaks_below_its_data_and_128_kib():
     n = 1 << 20
     source = bytearray(b"\x00\x01\x02" * (n // 3 + 1))[:n]
-    tracemalloc.start()
-    try:
-        base = tracemalloc.get_traced_memory()[0]
-        tracemalloc.reset_peak()
-        s = SymbolString(3, source)
-        peak = tracemalloc.get_traced_memory()[1] - base
-    finally:
-        tracemalloc.stop()
+    s, peak = traced_peak(lambda: SymbolString(3, source))
     assert s.n == n
     # the copy of the bytearray is n; the alphabet check adds a bounded chunk
     assert peak < n + (128 << 10)
