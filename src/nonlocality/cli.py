@@ -626,6 +626,9 @@ def main(argv=None) -> int:
     except (ValueError, KeyError, AssertionError) as exc:
         sys.stderr.write(f"oracle/estimator failure: {exc}\n")
         return 3
+    except MemoryError:
+        sys.stderr.write("resource failure: out of memory\n")
+        return 3
 
 
 if __name__ == "__main__":

@@ -96,6 +96,12 @@ def _resume_point(
     return ResumePoint(i, low, high, pending, bits, int(out[hdr:], 2) if bits else 0, model, cells)
 
 
+def _overrun(n: int) -> EstimatorError:
+    """The refusal of a coded payload that reads past its blob: either the
+    header's n is more than the payload holds, or the payload was cut."""
+    return EstimatorError(f"corrupt header or cut payload: {n} coded symbols overrun the blob")
+
+
 def _coder_start(r: BitReader, n: int) -> tuple[int, bytes, int, int]:
     """An arithmetic decoder's start: its first 32 bits, the reader's bits
     padded with zeros, the position after those 32 bits, and `end`, past
@@ -108,7 +114,7 @@ def _coder_start(r: BitReader, n: int) -> tuple[int, bytes, int, int]:
     v = r.read_bits(32)
     end = len(r.buf) + 30
     if r.pos > end:
-        raise EstimatorError(f"corrupt header: {n} coded symbols overrun the blob")
+        raise _overrun(n)
     return v, r.buf + b"0" * 64, r.pos, end
 
 
@@ -169,33 +175,51 @@ class LZ78Estimator(Estimator):
 
     Codes are emitted at the smallest width covering the current dictionary,
     which starts with the 256 single bytes.
+
+    The trie keeps no Python object per entry for the children of the 256
+    one-byte nodes: the child of node and byte c has the int key node << 8
+    | c, and those keys index a flat array of 2^16 codes (256 KiB, 0 for no
+    child); a deeper node's children are in a dict under the same keys.
+    Codes only add bits, so the encode returns the literal mode as soon as
+    the coded bits reach its length, which a tie also picks.
     """
 
     estimator_id = "lz78"
 
     def encode(self, symbols: bytes, q: int, period: int = 1) -> tuple[int, bytes]:
-        w = _header_writer(q, len(symbols), period, MODE_CODED)
         data = pack_symbols(symbols, q)
-        if data:
-            # trie: (node_code, byte) -> code. A code takes the bits of
-            # code | top after its leading 1, top the least power of 2 >= size
-            trie: dict = {}
-            out = w.buf
-            size = top = 256
-            node = data[0]
-            for c in data[1:]:
-                nxt = trie.get((node, c))
-                if nxt is not None:
-                    node = nxt
-                else:
-                    out += bin(node | top)[3:].encode()
-                    trie[(node, c)] = size
-                    size += 1
-                    if size > top:
-                        top <<= 1
-                    node = c
+        if not data:  # the header alone, in which the modes tie
+            return _literal(symbols, q, period)
+        lit = _literal_len(q, len(symbols), period)
+        w = _header_writer(q, len(symbols), period, MODE_CODED)
+        out = w.buf
+        # a code takes the bits of code | top after its leading 1, top the
+        # least power of 2 >= size; every new code is at least 256
+        children = array("i", [0]) * 65536
+        deep: dict = {}
+        size = top = 256
+        node = data[0]
+        for c in data[1:]:
+            key = node << 8 | c
+            nxt = children[key] if node < 256 else deep.get(key, 0)
+            if nxt:
+                node = nxt
+                continue
             out += bin(node | top)[3:].encode()
-        return self._pick(symbols, q, period, w)
+            if len(out) >= lit:
+                return _literal(symbols, q, period)
+            if node < 256:
+                children[key] = size
+            else:
+                deep[key] = size
+            size += 1
+            if size > top:
+                top <<= 1
+            node = c
+        out += bin(node | top)[3:].encode()
+        if len(out) >= lit:
+            return _literal(symbols, q, period)
+        return len(out), w.getvalue()
 
     def _decode_payload(self, r: BitReader, q: int, n: int, period: int) -> bytes:
         total = (n * bits_per_symbol(q) + 7) // 8
@@ -211,7 +235,7 @@ class LZ78Estimator(Estimator):
                 code = r.read_bits(width)
                 # the encoder's codes all lie inside its blob
                 if r.pos > len(r.buf):
-                    raise EstimatorError(f"corrupt header: {n} coded symbols overrun the blob")
+                    raise _overrun(n)
                 if code < len(entries):
                     cur = entries[code]
                 elif code == len(entries) and prev is not None:
@@ -436,9 +460,9 @@ class LZ77Estimator(Estimator):
         edge = n - ANCHOR if resume is not None else n
         while i < n:
             j = prev[i]
-            sym = 0
             if j >= 0 or i > edge:
                 ends = j < 0
+                sym = 0
                 if not ends:
                     # a match only pays off against what the context model
                     # currently spends per literal
@@ -485,27 +509,62 @@ class LZ77Estimator(Estimator):
                         model, cells = ((f0, f1), used, spent, matched), 2 + len(used) * (q + 1)
                         kept = _resume_point(i, low, high, pending, out, hdr, model, cells)
                         resume.keep(self, symbols, q, period, kept)
-            # the token's flag, then a match's gamma codes, bit by bit at the
-            # fixed probability 1/2
-            before = len(out)
-            split = (high - low + 1) * f0 // (f0 + f1)
-            if sym:
-                low += split
-                bits = gamma_bits(best_dist) + gamma_bits(best_len - ANCHOR + 1)
-                k = 0
-                f1 += step
-                c = f1
-            else:
-                high = low + split - 1
-                f0 += step
-                c = f0
-            if c >= limit:  # rescale(), on the two counts
+                if sym:
+                    # flag 1, then the match's gamma codes bit by bit at
+                    # the fixed probability 1/2, in one renormalisation loop
+                    before = len(out)
+                    low += (high - low + 1) * f0 // (f0 + f1)
+                    f1 += step
+                    if f1 >= limit:  # rescale(), on the two counts
+                        f0 = (f0 + 1) >> 1
+                        f1 = (f1 + 1) >> 1
+                    bits = gamma_bits(best_dist) + gamma_bits(best_len - ANCHOR + 1)
+                    k = 0
+                    while True:
+                        while True:
+                            if high < half:
+                                if pending:
+                                    out += b"0" + b"1" * pending
+                                    pending = 0
+                                else:
+                                    out.append(48)
+                            elif low >= half:
+                                if pending:
+                                    out += b"1" + b"0" * pending
+                                    pending = 0
+                                else:
+                                    out.append(49)
+                                low -= half
+                                high -= half
+                            elif low >= quarter and high < three_q:
+                                pending += 1
+                                low -= quarter
+                                high -= quarter
+                            else:
+                                break
+                            low <<= 1
+                            high = (high << 1) | 1
+                        if k == len(bits):
+                            break
+                        if bits[k] == 48:
+                            high = low + ((high - low + 1) >> 1) - 1
+                        else:
+                            low += (high - low + 1) >> 1
+                        k += 1
+                    spent += len(out) - before
+                    matched += best_len
+                    i += best_len
+                    continue
+            # flag 0. low < half <= high held before it, and it keeps low:
+            # it needs a doubling only if high fell below half or the range
+            # now sits inside the middle half
+            high = low + (high - low + 1) * f0 // (f0 + f1) - 1
+            f0 += step
+            if f0 >= limit:  # rescale(), on the two counts
                 f0 = (f0 + 1) >> 1
                 f1 = (f1 + 1) >> 1
-            # low < half <= high held before the flag, and a flag 0 keeps
-            # low: it needs a doubling only if high fell below half or the
-            # range now sits inside the middle half
-            while sym or high < half or (low >= quarter and high < three_q):
+            if high < half or (low >= quarter and high < three_q):
+                before = len(out)
                 while True:
                     if high < half:
                         if pending:
@@ -529,18 +588,7 @@ class LZ77Estimator(Estimator):
                         break
                     low <<= 1
                     high = (high << 1) | 1
-                if not sym or k == len(bits):
-                    break
-                if bits[k] == 48:
-                    high = low + ((high - low + 1) >> 1) - 1
-                else:
-                    low += (high - low + 1) >> 1
-                k += 1
-            spent += len(out) - before
-            if sym:
-                matched += best_len
-                i += best_len
-                continue
+                spent += len(out) - before
             # the literal at i
             s = symbols[i]
             t = tables[ids[i]]
@@ -644,7 +692,7 @@ class LZ77Estimator(Estimator):
                     v = (v << shifts) | int(buf[pos : pos + shifts], 2)
                     pos += shifts
                     if pos > end:
-                        raise EstimatorError(f"corrupt header: {n} coded symbols overrun the blob")
+                        raise _overrun(n)
                 if not sym:
                     break
                 if bit >= 0:
@@ -731,7 +779,7 @@ class LZ77Estimator(Estimator):
                 v = (v << shifts) | int(buf[pos : pos + shifts], 2)
                 pos += shifts
                 if pos > end:
-                    raise EstimatorError(f"corrupt header: {n} coded symbols overrun the blob")
+                    raise _overrun(n)
             c += step
             t[s] = c
             t[q] = total + step
@@ -987,7 +1035,7 @@ class ContextEstimator(Estimator):
                 v = (v << shifts) | int(buf[pos : pos + shifts], 2)
                 pos += shifts
                 if pos > end:
-                    raise EstimatorError(f"corrupt header: {n} coded symbols overrun the blob")
+                    raise _overrun(n)
             c += step
             t[s] = c
             t[q] = total + step

@@ -14,6 +14,11 @@ that a fault in src/'s versions cannot hide by showing up on both sides.
 `_chain_links` is lz77's match index as a dict keyed by each position's
 ANCHOR-symbol slice, the reference for src's bucketed index
 (`estimators._chain_links`), whose links must be the same.
+
+`lz78_encode` is the LZW parse with its trie as a dict keyed by `(node,
+byte)` tuples, run to the end of the string and handed to `_pick`: the
+reference for src's flat child table and its early literal exit, whose
+bits and blob must be the same.
 """
 from __future__ import annotations
 
@@ -27,7 +32,7 @@ from nonlocality.estimators import (
     EstimatorError,
     _header_writer,
 )
-from nonlocality.strings import bits_per_symbol
+from nonlocality.strings import bits_per_symbol, pack_symbols
 
 _TOP = (1 << 32) - 1
 _HALF = 1 << 31
@@ -358,6 +363,31 @@ def ctx_decode_payload(order: int, r: BitReader, q: int, n: int, period: int) ->
     return bytes(out)
 
 
+def lz78_encode(symbols: bytes, q: int, period: int = 1) -> tuple[int, bytes]:
+    w = _header_writer(q, len(symbols), period, MODE_CODED)
+    data = pack_symbols(symbols, q)
+    if data:
+        # trie: (node_code, byte) -> code. A code takes the bits of
+        # code | top after its leading 1, top the least power of 2 >= size
+        trie: dict = {}
+        out = w.buf
+        size = top = 256
+        node = data[0]
+        for c in data[1:]:
+            nxt = trie.get((node, c))
+            if nxt is not None:
+                node = nxt
+            else:
+                out += bin(node | top)[3:].encode()
+                trie[(node, c)] = size
+                size += 1
+                if size > top:
+                    top <<= 1
+                node = c
+        out += bin(node | top)[3:].encode()
+    return Estimator()._pick(symbols, q, period, w)
+
+
 def read_fields(r: BitReader, n: int, k: int) -> bytes:
     pos = r.pos
     chunk = r.buf[pos : pos + n * k].ljust(n * k, b"0")
@@ -368,6 +398,8 @@ def read_fields(r: BitReader, n: int, k: int) -> bytes:
 def encode(est_id: str, symbols: bytes, q: int, period: int = 1) -> tuple[int, bytes]:
     if est_id == "lz77":
         return lz77_encode(symbols, q, period)
+    if est_id == "lz78":
+        return lz78_encode(symbols, q, period)
     return ctx_encode(int(est_id[len("ctx_"):]), symbols, q, period)
 
 

@@ -1,8 +1,14 @@
 import json
+import os
+import resource
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
+from nonlocality import cli
 from nonlocality.cli import main
 from nonlocality.strings import SymbolString, write_syms
 
@@ -452,3 +458,25 @@ def test_removed_external_flag_is_usage_error(capsys, tmp_path, how):
     assert code == 1 and stdout == ""
     assert "Traceback" not in err and "--external was removed" in err
     assert not out.exists()
+
+
+def test_out_of_memory_exits_3_with_one_line_and_no_traceback(tmp_path):
+    # 10^11 zeros are one allocation of 100 GB, refused at once under the 1
+    # GiB address-space limit that only the child runs with; never run this
+    # size without the limit
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+    src = str(Path(cli.__file__).parents[1])
+    argv = ["gen", "--kind", "zeros", "--n", str(10**11), "--out", str(tmp_path / "z.syms")]
+    proc = subprocess.run(
+        [sys.executable, "-m", "nonlocality.cli", *argv],
+        env={**os.environ, "PYTHONPATH": src},
+        preexec_fn=cap,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 3, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.splitlines() == ["resource failure: out of memory"]

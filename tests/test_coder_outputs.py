@@ -23,6 +23,7 @@ from nonlocality.estimators import (
     ANCHOR,
     MODE_CODED,
     MODE_LITERAL,
+    Estimator,
     EstimatorError,
     _chain_links,
     _extend_match,
@@ -37,6 +38,7 @@ from nonlocality.strings import (
     gen_computable,
     gen_seeded_random,
     interleave,
+    pack_symbols,
 )
 
 FIXTURE = Path(__file__).with_name("fixtures") / "coder_outputs.json"
@@ -162,7 +164,39 @@ def _with_layout_examples(test):
     for q, period in LAYOUTS:
         for ending_match in (False, True):
             test = example(case=layout_case(q, period, ending_match))(test)
+    for seed in SPENT_SEEDS:
+        test = example(case=literal_heavy_case(seed))(test)
     return test
+
+
+def literal_heavy(rng: random.Random, q: int, n: int) -> bytes:
+    """Mostly literals (uniform, or half or 80 % zeros), with 3-20 copies of
+    16-40 earlier symbols from at most 64, 512 or 4096 back: many matches
+    sit near lz77's cost test, where the bits that literal flags emit,
+    counted in `spent`, move the running literal cost and so the parse."""
+    skew = rng.choice((0, 0.5, 0.8))
+    rate = rng.randint(3, 20) / max(n, 1)
+    out = bytearray()
+    while len(out) < n:
+        if len(out) > 100 and rng.random() < rate:
+            length = rng.randint(16, 40)
+            start = len(out) - rng.randint(length, min(len(out), rng.choice((64, 512, 4096))))
+            for k in range(length):
+                out.append(out[start + k])
+        else:
+            out.append(0 if rng.random() < skew else rng.randrange(q))
+    return bytes(out[:n])
+
+
+def literal_heavy_case(seed: int) -> tuple:
+    rng = random.Random(seed)
+    q = rng.choice((2, 3, 4))
+    return literal_heavy(rng, q, rng.randint(300, 2500)), q, rng.randint(1, 4)
+
+
+# literal-heavy strings (15-20 % of their symbols matched) whose lz77
+# parse changes if the literal flags' bits are left out of `spent`
+SPENT_SEEDS = (8, 90, 170)
 
 
 @st.composite
@@ -171,14 +205,19 @@ def reference_cases(draw):
     windows of _extend_match,
     near-miss copies that the match finder must rank, woven binary
     strings (a, b, a xor b) where about one position in six has more than
-    MAX_CHAIN earlier candidates at n = 2500, and the LAYOUTS."""
+    MAX_CHAIN earlier candidates at n = 2500, literal-heavy strings with
+    copies near the cost test, and the LAYOUTS."""
     q, period = draw(
         st.sampled_from(LAYOUTS) | st.tuples(st.sampled_from((2, 3, 4, 8, 16)), st.integers(1, 4))
     )
-    kind = draw(st.sampled_from(("uniform", "skewed", "repeat", "near_repeat", "woven")))
+    kind = draw(
+        st.sampled_from(("uniform", "skewed", "repeat", "near_repeat", "woven", "literal_heavy"))
+    )
     rng = random.Random(draw(st.integers(0, 2**32)))
     n = rng.randint(0, 64) if draw(st.booleans()) else rng.randint(300, 2500)
-    if kind == "uniform":
+    if kind == "literal_heavy":
+        data = literal_heavy(rng, q, n)
+    elif kind == "uniform":
         data = bytes(rng.randrange(q) for _ in range(n))
     elif kind == "skewed":
         data = bytes(0 if rng.random() < 0.97 else rng.randrange(q) for _ in range(n))
@@ -207,10 +246,126 @@ def test_fused_loops_match_the_method_call_reference(est_id, case):
     est = default_registry()[est_id]
     bits, blob = est.encode(symbols, q, period)
     assert est.decode(blob) == (q, symbols)
-    # lz78 has no fused loop, so only its round trip is checked
+    assert (bits, blob) == reference_coders.encode(est_id, symbols, q, period)
+    # lz78's decoder has no reference
     if est_id in reference_coders.FUSED_IDS:
-        assert (bits, blob) == reference_coders.encode(est_id, symbols, q, period)
         assert reference_coders.decode(est_id, blob) == (q, symbols)
+
+
+LZ78_QS = (2, 3, 4, 8, 16, 256)
+
+
+def lz78_string(kind: str, q: int, n: int, seed: int) -> bytes:
+    rng = random.Random(seed)
+    if kind == "uniform":
+        return rng.randbytes(n).translate(bytes(v % q for v in range(256)))
+    if kind == "skewed":
+        return bytes(0 if rng.random() < 0.9 else rng.randrange(q) for _ in range(n))
+    if kind == "repeat":
+        block = bytes(rng.randrange(q) for _ in range(rng.randint(1, 300)))
+        return (block * (n // len(block) + 1))[:n]
+    # Thue-Morse over q symbols: the digit sum of i in base q, mod q
+    out = bytearray(n)
+    for i in range(n):
+        v, s = i, 0
+        while v:
+            v, d = divmod(v, q)
+            s += d
+        out[i] = s % q
+    return bytes(out)
+
+
+def _lz78_entries(symbols: bytes, q: int) -> tuple[int, int]:
+    """(entries under one-byte nodes, deeper entries) of the LZW parse."""
+    data = pack_symbols(symbols, q)
+    trie: dict = {}
+    node = data[0] if data else 0
+    for c in data[1:]:
+        nxt = trie.get((node, c))
+        if nxt is None:
+            trie[(node, c)] = 256 + len(trie)
+            node = c
+        else:
+            node = nxt
+    shallow = sum(parent < 256 for parent, _ in trie)
+    return shallow, len(trie) - shallow
+
+
+# name -> (kind, q, n, seed). The packed bytes of uniform q = 8 and q = 256
+# strings hold no structure, so the coded bits reach the literal length
+# inside the parse and the encode leaves early; a q = 256 symbol or 8
+# binary symbols pack to one byte, whose one 8-bit code ties with the
+# literal, which the encode must then pick, as _pick does (an exit on `>`
+# returns the coded blob there; inside the parse `>` and `>=` agree, since
+# later codes add bits); a repeated block and Thue-Morse code below the literal length,
+# the block with most entries under nodes deeper than one byte
+LZ78_CASES = {
+    "exit_q8": ("uniform", 8, 3 << 14, 1),
+    "exit_q256": ("uniform", 256, 5000, 2),
+    "tie_q256": ("uniform", 256, 1, 3),
+    "tie_q2": ("uniform", 2, 8, 4),
+    "deep_q4": ("repeat", 4, 3 << 14, 5),
+    "coded_thue_morse_q3": ("thue_morse", 3, 3 << 14, 0),
+}
+
+
+def _reference_lz78_coded_bits(symbols: bytes, q: int) -> int:
+    """The bit count of the tuple trie's whole coded stream, header
+    included: what it hands to _pick."""
+    seen = []
+    pick = Estimator._pick
+
+    def spy(self, symbols, q, period, coded):
+        seen.append(coded.bit_count)
+        return pick(self, symbols, q, period, coded)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(Estimator, "_pick", spy)
+        reference_coders.lz78_encode(symbols, q)
+    return seen[0]
+
+
+def test_lz78_cases_reach_each_regime():
+    for name, (kind, q, n, seed) in LZ78_CASES.items():
+        symbols = lz78_string(kind, q, n, seed)
+        coded = _reference_lz78_coded_bits(symbols, q)
+        literal = literal_len(q, n, 1)
+        if name.startswith("exit"):
+            # past the literal length by more than the last code's 16 bits:
+            # the exit fires inside the parse
+            assert coded > literal + 16, name
+        elif name.startswith("tie"):
+            assert coded == literal, name
+        else:
+            assert coded < literal, name
+        shallow, deeper = _lz78_entries(symbols, q)
+        if name.startswith("deep"):
+            assert deeper > 10 * shallow, (shallow, deeper)
+
+
+@st.composite
+def lz78_cases(draw):
+    q = draw(st.sampled_from(LZ78_QS))
+    n = draw(st.integers(0, 3) | st.integers(4, 3 << 14))
+    kind = draw(st.sampled_from(("uniform", "skewed", "repeat", "thue_morse")))
+    return lz78_string(kind, q, n, draw(st.integers(0, 2**32))), q, draw(st.integers(1, 4))
+
+
+def _with_lz78_examples(test):
+    for kind, q, n, seed in LZ78_CASES.values():
+        test = example(case=(lz78_string(kind, q, n, seed), q, 1))(test)
+    return test
+
+
+@given(case=lz78_cases())
+@_with_lz78_examples
+@settings(max_examples=60, deadline=None)
+def test_lz78_encode_equals_the_tuple_trie(case):
+    # the flat child table and the early literal exit give the bits and
+    # the blob of the tuple-keyed trie run to the end of the string
+    symbols, q, period = case
+    got = default_registry()["lz78"].encode(symbols, q, period)
+    assert got == reference_coders.lz78_encode(symbols, q, period)
 
 
 def long_match_cases() -> dict:

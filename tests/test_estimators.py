@@ -14,6 +14,7 @@ from nonlocality.estimators import (
     Estimator,
     EstimatorError,
     LZ77Estimator,
+    LZ78Estimator,
     _chain_links,
     _header_writer,
     _payload_floor,
@@ -167,6 +168,18 @@ _CODED_N100000 = _header_only_blob(2, 100_000, 1, b"")
 def test_decode_rejects_a_header_the_blob_cannot_hold(est_id, blob):
     with pytest.raises(EstimatorError, match="corrupt header"):
         default_registry()[est_id].decode(blob)
+
+
+@pytest.mark.parametrize("est_id", ["lz78", "lz77", "ctx_2"])
+def test_a_cut_payload_is_named_as_a_cause_of_the_overrun(est_id):
+    # the header of a cut blob is intact: the refusal names both causes
+    s = gen_computable("thue_morse", 1 << 15).data
+    est = default_registry()[est_id]
+    _, blob = est.encode(s, 2)
+    r = BitReader(blob)
+    assert [read_uint(r) for _ in range(3)] == [0, 1 << 15, 0] and r.read_bit() == MODE_CODED
+    with pytest.raises(EstimatorError, match="^corrupt header or cut payload: 32768 coded symbols"):
+        est.decode(blob[: len(blob) * 3 // 10])
 
 
 def _draw_symbols(rng: random.Random, kind: str, q: int, n: int) -> bytes:
@@ -346,3 +359,18 @@ def test_the_lz77_match_index_peaks_below_16_bytes_a_symbol_and_512_kib(n, q):
     prev, peak = traced_peak(lambda: _chain_links(symbols, q))
     assert len(prev) == n
     assert peak < 16 * n + (512 << 10), peak
+
+
+@pytest.mark.parametrize("n", [1 << 16, 1 << 15])
+def test_the_lz78_encode_peaks_below_16_bytes_a_symbol_and_256_kib(n):
+    # random q = 8 symbols, theorem3's shape, whose literal mode wins: the
+    # flat child table (256 KiB), int keys for deeper nodes and the early
+    # literal exit, which stops the parse and its bit buffer at the literal
+    # length, peak at about 13 and 12 bytes a symbol above the table; a trie
+    # keyed by (node, byte) tuples and run to the end peaked at 49 and 58
+    # bytes a symbol (3.22 and 1.90 MB)
+    rng = random.Random(n)
+    symbols = rng.randbytes(n).translate(bytes(v % 8 for v in range(256)))
+    (bits, _), peak = traced_peak(lambda: LZ78Estimator().encode(symbols, 8))
+    assert bits == estimators._literal_len(8, n, 1)
+    assert peak < 16 * n + (256 << 10), peak
