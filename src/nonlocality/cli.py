@@ -4,9 +4,12 @@ Subcommands: gen, play, estimate, nosig, locality, oracle, exp.
 Exit codes: 0 success, 1 usage error, 2 data/format error, 3 estimator or
 oracle failure. Results go to stdout or --out; logs go to stderr.
 
-A JSON config file (--config) supplies defaults for any flag of the chosen
-subcommand; explicit flags win. --emit-config writes the effective
-configuration, which reproduces the run when fed back via --config.
+A JSON config file (--config) stands for the flags it names, read before
+the command line, so explicit flags win. Its keys are flag dests, as
+--emit-config writes them; each value is read as its flag's text, a JSON
+number only by a numeric flag, and null leaves the flag unset. No flag can
+be abbreviated. --emit-config writes the effective configuration, which
+reproduces the run when fed back via --config.
 """
 from __future__ import annotations
 
@@ -71,7 +74,10 @@ from .strings import (
 )
 
 class _Parser(argparse.ArgumentParser):
-    """argparse, but every usage problem exits with code 1."""
+    """argparse, but every usage problem exits with code 1 and no flag is abbreviated."""
+
+    def __init__(self, **kwargs):
+        super().__init__(allow_abbrev=False, **kwargs)
 
     def exit(self, status=0, message=None):
         if message:
@@ -172,11 +178,9 @@ def _strategy_from_args(args):
         return NoSignalingSampler(args.eps if args.eps is not None else Fraction(0))
     if args.strategy == "signaling":
         return SignalingSampler()
-    if args.strategy == "local":
-        if args.fa is None or args.fb is None:
-            raise FormatError("local strategy requires --fa and --fb")
-        return LocalDeterministic(args.fa, args.fb)
-    raise FormatError(f"unknown strategy: {args.strategy}")
+    if args.fa is None or args.fb is None:
+        raise FormatError("local strategy requires --fa and --fb")
+    return LocalDeterministic(args.fa, args.fb)
 
 
 def _emit(args, payload: dict, indent: int | None = 2) -> None:
@@ -196,15 +200,13 @@ def _cmd_gen(args) -> int:
         s = gen_seeded_random(args.n, args.q, seed)
         write_syms(args.out, s)
     elif args.kind == "promise":
-        a, b = gen_promise_inputs(args.m, args.n, seed)
         if not args.out_b:
             raise FormatError("promise generation needs --out and --out-b")
+        a, b = gen_promise_inputs(args.m, args.n, seed)
         write_syms(args.out, a)
         write_syms(args.out_b, b)
-    elif args.kind in COMPUTABLE_KINDS:
-        write_syms(args.out, gen_computable(args.kind, args.n))
     else:
-        raise FormatError(f"unknown kind: {args.kind}")
+        write_syms(args.out, gen_computable(args.kind, args.n))
     return 0
 
 
@@ -379,10 +381,8 @@ def _cmd_exp(args) -> int:
         report = run_theorem3(args.m, args.n, args.eps, estimator, seed_set)
     elif args.which == "magic_square":
         report = run_magic_square(args.n, estimator, seed_set)
-    elif args.which == "locality_suite":
-        report = run_locality_suite(estimator, seed_set, n=args.n)
     else:
-        raise FormatError(f"unknown experiment: {args.which}")
+        report = run_locality_suite(estimator, seed_set, n=args.n)
     report.config = _effective_config(args)
     write_report(report, args.out, args.csv)
     sys.stderr.write(f"wrote {args.out} ({report.wall_clock:.1f}s)\n")
@@ -425,6 +425,7 @@ def _add_estimator_opts(p):
 def build_parser() -> _Parser:
     top = _Parser(prog="nlbox", description=__doc__)
     sub = top.add_subparsers(dest="cmd", required=True)
+    top.commands = sub.choices  # subcommand -> its parser, for _config_argv
 
     p = sub.add_parser("gen", help="generate symbol strings")
     _add_common(p, out_required=True)
@@ -521,82 +522,78 @@ def build_parser() -> _Parser:
     return top
 
 
-def _apply_config(parser: _Parser, argv: list) -> None:
-    """Read --config (if present) and inject its values as defaults for the
-    chosen subcommand, so explicit flags still win."""
+class _JSONNumber(str):
+    """A number of a config file, kept as its JSON text."""
+    __repr__ = str.__str__
+
+
+# flag types that read text only: a JSON number is refused by them
+_TEXT_TYPES = (None, _seed_text, _parse_table)
+
+
+def _config_argv(parser: _Parser, argv: list) -> list:
+    """argv with the flags that its --config file stands for put right after
+    the subcommand, so explicit flags, coming later, still win."""
     cfg_path = None
-    for i, tok in enumerate(argv):
+    for i, tok in enumerate(argv[1:], 1):
         if tok == "--config" and i + 1 < len(argv):
             cfg_path = argv[i + 1]
         elif tok.startswith("--config="):
             cfg_path = tok.split("=", 1)[1]
-    if cfg_path is None:
-        return
+    sp = parser.commands.get(argv[0]) if argv else None
+    if cfg_path is None or sp is None:
+        return argv
     try:
-        cfg = json.loads(Path(cfg_path).read_text())
+        cfg = json.loads(
+            Path(cfg_path).read_text(),
+            parse_int=_JSONNumber, parse_float=_JSONNumber, parse_constant=_JSONNumber,
+        )
     except (OSError, json.JSONDecodeError) as exc:
         raise FormatError(f"bad config file: {exc}") from exc
     if not isinstance(cfg, dict):
         raise FormatError("config must be a JSON object")
-    sp = parser._subparsers._group_actions[0].choices.get(argv[0])  # noqa: SLF001
-    if sp is None:
-        return
-    dests = {action.dest for action in sp._actions}  # noqa: SLF001
-    cleaned = {}
-    for k, v in cfg.items():
-        dest = k.replace("-", "_")
-        if dest in _SKIP_CONFIG_KEYS:
+    actions = {a.dest: a for a in sp._actions if a.dest != "help"}  # noqa: SLF001
+    flags = []
+    for dest, value in cfg.items():
+        if dest in _SKIP_CONFIG_KEYS or value is None:
             continue
-        if dest not in dests:
-            raise FormatError(f"unknown config key for {argv[0]}: {k!r}")
-        cleaned[dest] = _coerce_config_value(sp, dest, v)
-    sp.set_defaults(**cleaned)
-    # argparse checks a required flag on the command line even when it has
-    # a default, so a flag the config supplies stops being required
-    for action in sp._actions:  # noqa: SLF001
-        if cleaned.get(action.dest) is not None:
-            action.required = False
+        if dest not in actions:
+            raise FormatError(f"unknown config key for {argv[0]}: {dest!r}")
+        flags += _config_flags(actions[dest], value)
+    return [argv[0], *flags, *argv[1:]]
 
 
-# flag types that parse every config value, not only text: a JSON number is
-# read like the flag's text, and a seed that is not text is rejected
-_CHECKED_TYPES = (
-    int, _length, _positive, _alphabet, _ring, _probability, _threshold, _rate_threshold,
-    _parse_table, _seed_text,
-)
-
-
-def _coerce_config_value(subparser, dest, value):
-    """Parse a config value as its flag would parse it; a value of the
-    wrong type is a format error, never a traceback."""
-    for action in subparser._actions:  # noqa: SLF001
-        if action.dest != dest or value is None:
-            continue
-        if action.type is None:
-            # untyped flags hold what argparse would store: a switch's
-            # bool, a list of texts for repeatable flags, or else a text
-            if action.nargs == 0:
-                ok = isinstance(value, bool)
-            elif isinstance(action, argparse._AppendAction):  # noqa: SLF001
-                ok = isinstance(value, list) and all(isinstance(v, str) for v in value)
-            else:
-                ok = isinstance(value, str)
-            if not ok:
-                raise FormatError(f"bad config value for {dest}: {value!r}")
-        # numbers go to int/float; a seed must be text, like the echo
-        elif isinstance(value, str) or action.type in _CHECKED_TYPES:
-            try:
-                return action.type(value)
-            except (TypeError, ValueError, ArithmeticError, argparse.ArgumentTypeError) as exc:
-                raise FormatError(f"bad config value for {dest}: {value!r}") from exc
-    return value
+def _config_flags(action, value) -> list:
+    """The flags one config value stands for, each checked with its flag's
+    own type and choices first, so a bad value is a data error."""
+    bad = FormatError(f"bad config value for {action.dest}: {value!r}")
+    flag = action.option_strings[0]
+    if action.nargs == 0:  # a switch
+        if not isinstance(value, bool):
+            raise bad
+        return [flag] if value != action.default else []
+    repeatable = isinstance(action, argparse._AppendAction)  # noqa: SLF001
+    if repeatable != isinstance(value, list):
+        raise bad
+    items = value if repeatable else [value]
+    text_only = action.type in _TEXT_TYPES
+    for item in items:
+        if not isinstance(item, str) or text_only and isinstance(item, _JSONNumber):
+            raise bad
+        try:
+            parsed = action.type(item) if action.type else item
+        except (argparse.ArgumentTypeError, TypeError, ValueError) as exc:
+            raise bad from exc
+        if action.choices is not None and parsed not in action.choices:
+            raise bad
+    return [f"{flag}={item}" for item in items]
 
 
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     parser = build_parser()
     try:
-        _apply_config(parser, argv)
+        argv = _config_argv(parser, argv)
         try:
             args = parser.parse_args(argv)
             if getattr(args, "theta_zero", 0) >= getattr(args, "theta_full", 1):

@@ -1,12 +1,18 @@
+import argparse
+import io
 import json
 import os
 import resource
 import subprocess
 import sys
+import tempfile
 import time
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from nonlocality import cli
 from nonlocality.cli import main
@@ -480,3 +486,183 @@ def test_out_of_memory_exits_3_with_one_line_and_no_traceback(tmp_path):
     assert proc.returncode == 3, proc.stderr
     assert "Traceback" not in proc.stderr
     assert proc.stderr.splitlines() == ["resource failure: out of memory"]
+
+
+def test_abbreviated_flag_is_usage_error(capsys, tmp_path):
+    # argparse took --conf for --config while the config scan did not, so
+    # the file was never read; no flag has a second spelling now
+    _quad_files(tmp_path)
+    cfg = tmp_path / "f.json"
+    cfg.write_text(json.dumps({"estimator": "lz78"}))
+    out = tmp_path / "o.json"
+    argv = ["estimate", "--in", str(tmp_path / "x.syms"), "--out", str(out)]
+    for extra in (["--conf", str(cfg)], ["--est", "lz78"]):
+        code, stdout, err = run(capsys, *argv, *extra)
+        assert code == 1 and stdout == "" and "Traceback" not in err
+        assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv, cfg",
+    [
+        (["exp", "--which", "magic_square", "--out", "{d}/r.jsonl"], {"n": None}),
+        (["gen", "--kind", "random", "--n", "8", "--out", "{d}/g.syms"], {"q": None}),
+        (["estimate", "--in", "{d}/x.syms"], {"theta_zero": None}),
+        (["oracle"], {"reps": None}),
+        (["play", "--game", "pr", "--strategy", "nosig", "--a", "{d}/a.syms",
+          "--b", "{d}/b.syms", "--out-dir", "{d}"], {"stem": None}),
+    ],
+    ids=["exp_n", "gen_q", "estimate_theta_zero", "oracle_reps", "play_stem"],
+)
+def test_config_null_leaves_the_flag_at_its_default(capsys, tmp_path, monkeypatch, argv, cfg):
+    monkeypatch.setattr(cli, "DEFAULT_N", 64)  # exp's default n, kept small here
+    _quad_files(tmp_path)
+    (tmp_path / "cfg.json").write_text(json.dumps(cfg))
+    argv = [a.format(d=tmp_path) for a in argv]
+    runs = []
+    for extra in ([], ["--config", str(tmp_path / "cfg.json")]):
+        emitted = tmp_path / "emitted" / "cfg.json"
+        emitted.parent.mkdir(exist_ok=True)
+        code, out, err = run(capsys, *argv, *extra, "--emit-config", str(emitted))
+        assert code == 0, err
+        files = {p.name: p.read_bytes() for p in tmp_path.iterdir() if p.is_file()}
+        runs.append((out, emitted.read_bytes(), files))
+    # the same stdout, config echo and files: play writes no None.json
+    assert runs[0] == runs[1]
+
+
+@pytest.mark.parametrize(
+    "argv, cfg",
+    [
+        (["exp", "--which", "theorem3", "--m", "2", "--out", "{d}/r.jsonl"], {"n": 64.9}),
+        (["exp", "--which", "theorem3", "--m", "2", "--out", "{d}/r.jsonl"], {"n": True}),
+        (["gen", "--kind", "random", "--n", "8", "--out", "{d}/r.jsonl"], {"q": 2.5}),
+        (["oracle", "--out", "{d}/r.jsonl"], {"help": True}),
+    ],
+    ids=["n_float", "n_true", "q_float", "help_key"],
+)
+def test_config_number_its_flag_text_would_refuse_is_data_error(capsys, tmp_path, argv, cfg):
+    # --n 64.9 is refused, so {"n": 64.9} is too: it once ran n = 64
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    code, out, err = run(capsys, *[a.format(d=tmp_path) for a in argv], "--config", str(path))
+    assert code == 2 and out == "" and "Traceback" not in err
+    assert not (tmp_path / "r.jsonl").exists()
+
+
+def test_config_number_is_read_as_its_json_text(capsys, tmp_path):
+    # {"eps": 0.1} is the fraction 1/10, as --eps 0.1 is, not the float's value
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"eps": 0.1, "n": 64}))
+    emitted = tmp_path / "emitted.json"
+    code, _, err = run(
+        capsys, "exp", "--which", "theorem3", "--m", "2", "--config", str(path),
+        "--out", str(tmp_path / "r.jsonl"), "--emit-config", str(emitted),
+    )
+    assert code == 0, err
+    echo = json.loads(emitted.read_text())
+    assert echo["eps"] == "1/10" and echo["n"] == 64
+
+
+def test_promise_gen_without_out_b_is_refused_before_it_generates(capsys, tmp_path, monkeypatch):
+    def never(*args):
+        pytest.fail("the promise inputs were generated before --out-b was checked")
+
+    monkeypatch.setattr(cli, "gen_promise_inputs", never)
+    out = tmp_path / "a.syms"
+    code, _, err = run(capsys, "gen", "--kind", "promise", "--n", "8", "--out", str(out))
+    assert code == 2 and "--out-b" in err and not out.exists()
+
+
+# the flags that read numbers; seeds, tables and paths are strings, and a
+# JSON number for one of them is refused
+NUMERIC_DESTS = {
+    "n", "q", "m", "reps", "jobs", "eps", "pr_weight", "theta_zero", "theta_full", "theta_ns",
+    "defect_threshold", "output_threshold",
+}
+# each subcommand's required flags, so that any one flag can be drawn
+REQUIRED = {
+    "gen": {"--kind": "zeros", "--n": "8", "--out": "o.syms"},
+    "play": {"--game": "pr", "--strategy": "nosig", "--a": "a.syms", "--b": "b.syms"},
+    "estimate": {"--in": "x.syms"},
+    "nosig": {"--quad": "q.json"},
+    "locality": {"--quad": "q.json"},
+    "oracle": {},
+    "exp": {"--which": "theorem1", "--out": "r.jsonl"},
+}
+TEXTS = st.one_of(
+    st.sampled_from(
+        ["0", "1", "2", "8", "64", "257", "-1", "0.1", "1e3", "1/2", "1/0", "nan", "inf",
+         "ab", "zz", "0,1", "1,0", "pr", "lz77", ""]
+    ),
+    st.text(max_size=5),
+)
+NUMBERS = st.one_of(
+    st.integers(-3, 300), st.floats(), st.sampled_from([0.1, 0.25, 64.9, 2.5, 1e300])
+)
+
+
+def _config_flags():
+    """(subcommand, action) for every flag a config can set."""
+    parser = cli.build_parser()
+    (commands,) = (a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return [
+        (cmd, action)
+        for cmd, sp in commands.choices.items()
+        for action in sp._actions
+        if action.dest not in ("help", "config", "emit_config")
+    ]
+
+
+def _quiet_main(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(argv)
+    return code, err.getvalue()
+
+
+@settings(
+    max_examples=200,
+    derandomize=True,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(st.data())
+def test_config_value_is_read_as_its_flag_text(monkeypatch, data):
+    # the handlers are not run: this is about what the parser hands them
+    for name in ("gen", "play", "estimate", "nosig", "locality", "oracle", "exp"):
+        monkeypatch.setattr(cli, f"_cmd_{name}", lambda args: 0)
+    cmd, action = data.draw(st.sampled_from(_config_flags()), label="flag")
+    flag = action.option_strings[0]
+    if action.nargs == 0:  # a switch: the bare flag unless the value is the default
+        value = data.draw(st.booleans(), label="value")
+        flags = [flag] if value != action.default else []
+    else:
+        texts = st.sampled_from(action.choices) | TEXTS if action.choices else TEXTS
+        if isinstance(action, argparse._AppendAction):
+            value = data.draw(st.lists(texts, min_size=1, max_size=2), label="value")
+        else:
+            value = data.draw(texts | NUMBERS, label="value")
+        items = value if isinstance(value, list) else [value]
+        flags = [f"{flag}={v if isinstance(v, str) else json.dumps(v)}" for v in items]
+    base = [t for opt, v in REQUIRED[cmd].items() if opt != flag for t in (opt, v)]
+    with tempfile.TemporaryDirectory() as tmp:
+        d = Path(tmp)
+        (d / "cfg.json").write_text(json.dumps({action.dest: value}))
+        code_flag, err_flag = _quiet_main([cmd, *base, *flags, "--emit-config", str(d / "a")])
+        code_cfg, err_cfg = _quiet_main(
+            [cmd, *base, "--config", str(d / "cfg.json"), "--emit-config", str(d / "b")]
+        )
+        if type(value) in (int, float) and action.dest not in NUMERIC_DESTS:
+            assert code_cfg == 2 and not (d / "b").exists(), err_cfg
+            return
+        assert code_flag in (0, 1), err_flag
+        if code_flag == 0:
+            assert code_cfg == 0, err_cfg
+            assert (d / "b").read_bytes() == (d / "a").read_bytes()
+        else:
+            # a value its flag's type or choices refuse is a data error in a
+            # config; the checks across flags are usage errors either way
+            expected = 2 if f"argument {flag}" in err_flag else 1
+            assert code_cfg == expected, (err_flag, err_cfg)
+            assert not (d / "b").exists()

@@ -4,7 +4,9 @@ and a run that exits 0 writes only strict JSON (no NaN or Infinity).
 
 Sizes stay small (n <= 64, reps <= 2, no magic-square repetition) so every
 example runs in well under a second; `--jobs` is never drawn, so no process
-is started.
+is started. Some examples move one flag into the config file, as its text
+or as any JSON value, so nulls, floats and booleans that only a config can
+give reach the handlers too.
 """
 import io
 import json
@@ -12,7 +14,7 @@ import tempfile
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from nonlocality.cli import main
@@ -39,6 +41,17 @@ CONFIG_KEYS = [
 ]
 FILES = ["s.syms", "a.syms", "b.syms", "quad.json", "dist.json", "cfg.json", "missing", "."]
 VALID_QUAD = {"schema": 1, "game": "pr", "files": dict(zip("abxy", ["a.syms", "b.syms"] * 2))}
+# the example's directory, filled in when it runs
+D = Path("{d}")
+# value flags a config may take over; the output paths stay in argv, where
+# the checks below read them, and so does --reps, whose size is drawn with
+# its game's (magic_square at reps=2 runs for seconds)
+MOVABLE = [
+    "--kind", "--n", "--out-b", "--q", "--m", "--seed", "--game", "--strategy", "--a", "--b",
+    "--eps", "--fa", "--fb", "--noise-seed", "--in", "--estimator", "--cond", "--theta-zero",
+    "--theta-full", "--quad", "--witness", "--defect-threshold", "--output-threshold",
+    "--theta-ns", "--fine", "--pr-weight", "--which", "--csv",
+]
 
 
 def _syms_bytes(draw) -> bytes:
@@ -95,6 +108,41 @@ def _config(draw):
 def _rare(draw) -> bool:
     # Hypothesis leans towards the ends of a range, so test a middle value
     return draw(st.integers(0, 7)) == 5
+
+
+def _move_to_config(draw, argv: list, movable: list) -> dict:
+    """Take one value flag out of argv and return the config that stands
+    for it: its text, or a drawn JSON value, under the flag's dest."""
+    i = draw(st.sampled_from(movable))
+    flag, text = argv.pop(i), argv.pop(i)
+    dest = "infile" if flag == "--in" else flag[2:].replace("-", "_")
+    if draw(st.booleans()):
+        value = [text] if flag == "--cond" else text
+    elif argv[0] == "exp" and flag == "--n":  # exp's default n runs for seconds
+        value = draw(JSON_SCALARS.filter(lambda v: v is not None))
+    else:
+        value = draw(JSON_SCALARS)
+    argv += ["--config", str(D / "cfg.json")]
+    return {dest: value}
+
+
+@st.composite
+def cases(draw) -> dict:
+    """The files of one example and its argv; their paths start with {d}."""
+    case = {
+        "s.syms": _syms_bytes(draw),
+        "pr_n": draw(st.integers(0, 64)),
+        "quad.json": _manifest(draw),
+        "dist.json": _distribution(draw),
+        "cfg.json": _config(draw),
+    }
+    case["argv"] = argv = _argv(draw, D)
+    movable = [i for i, tok in enumerate(argv[:-1]) if tok in MOVABLE]
+    if movable and draw(st.booleans()):
+        case["cfg.json"] = _move_to_config(draw, argv, movable)
+    if _rare(draw):
+        argv.insert(draw(st.integers(0, len(argv))), draw(st.sampled_from(["--bogus", "x", "--"])))
+    return case
 
 
 def _argv(draw, d: Path) -> list:
@@ -174,8 +222,6 @@ def _argv(draw, d: Path) -> list:
     if _rare(draw):
         argv += ["--config", path("cfg.json")]
     opt("--emit-config", [str(d / "emitted.json")])
-    if _rare(draw):
-        argv.insert(draw(st.integers(0, len(argv))), pick(["--bogus", "x", "--"]))
     return argv
 
 
@@ -185,19 +231,29 @@ def _argv(draw, d: Path) -> list:
     deadline=None,
     suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large],
 )
-@given(st.data())
-def test_cli_exit_code_contract(data):
-    draw = data.draw
+@given(cases())
+# a null for a flag with a default once reached the handler as None
+@example(
+    {
+        "s.syms": b"SYMS q=2 n=0\n",
+        "pr_n": 8,
+        "quad.json": VALID_QUAD,
+        "dist.json": {},
+        "cfg.json": {"q": None},
+        "argv": ["gen", "--kind", "random", "--n", "8", "--out", "{d}/out",
+                 "--config", "{d}/cfg.json"],
+    }
+)
+def test_cli_exit_code_contract(case):
     with tempfile.TemporaryDirectory() as tmp:
         d = Path(tmp)
-        (d / "s.syms").write_bytes(_syms_bytes(draw))
-        pr_inputs = SymbolString(2, bytes(v & 1 for v in range(draw(st.integers(0, 64)))))
+        (d / "s.syms").write_bytes(case["s.syms"])
+        pr_inputs = SymbolString(2, bytes(v & 1 for v in range(case["pr_n"])))
         write_syms(d / "a.syms", pr_inputs)
         write_syms(d / "b.syms", pr_inputs)
-        (d / "quad.json").write_text(json.dumps(_manifest(draw)))
-        (d / "dist.json").write_text(json.dumps(_distribution(draw)))
-        (d / "cfg.json").write_text(json.dumps(_config(draw)))
-        argv = _argv(draw, d)
+        for name in ("quad.json", "dist.json", "cfg.json"):
+            (d / name).write_text(json.dumps(case[name]).replace("{d}", tmp))
+        argv = [tok.replace("{d}", tmp) for tok in case["argv"]]
         out, err = io.StringIO(), io.StringIO()
         with redirect_stdout(out), redirect_stderr(err):
             code = main(argv)

@@ -8,12 +8,22 @@ built-in estimator on its five strings) and its experiments workload (the
 each operation once and check the same records here, so drift shows up in
 the test suite first. The benchmark's files are only read: nothing is
 written under perfbench/.
+
+The experiments cycle is run once per session, by `experiments_cycle`,
+which also records what test_roundtrip_audit.py audits.
 """
+import functools
 import importlib
 import json
 import sys
+import tempfile
 from pathlib import Path
 from types import SimpleNamespace
+
+import pytest
+
+from nonlocality.complexity import ResumeStore
+from nonlocality.estimators import ContextEstimator, LZ77Estimator, LZ78Estimator
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 SEED = 0
@@ -42,6 +52,38 @@ def _records(name: str, modules: tuple, tmp_path, monkeypatch) -> tuple[dict, di
     return {op.name: json.loads(json.dumps(op.verify(op.run()))) for op in ops}, goldens
 
 
+@functools.cache
+def experiments_cycle() -> SimpleNamespace:
+    """One pass over the experiments cycle: its records and goldens, every
+    encode call as (estimator, symbols, q, period, bits, blob), and the
+    resume points kept as estimator id -> (count, sum of positions)."""
+    calls, kept = [], {}
+    keep = ResumeStore.keep
+
+    def counted(self, est, symbols, q, period, point):
+        count, total = kept.get(est.estimator_id, (0, 0))
+        kept[est.estimator_id] = (count + 1, total + point.i)
+        assert 0 < point.i <= len(symbols)
+        keep(self, est, symbols, q, period, point)
+
+    modules = (
+        "strings", "coding", "estimators", "complexity", "games",
+        "simplex", "oracles", "experiments", "cli",
+    )
+    with pytest.MonkeyPatch.context() as mp, tempfile.TemporaryDirectory() as tmp:
+        for cls in (LZ78Estimator, LZ77Estimator, ContextEstimator):
+
+            def audited(self, symbols, q, period=1, _encode=cls.encode, **kwargs):
+                bits, blob = _encode(self, symbols, q, period, **kwargs)
+                calls.append((self, bytes(symbols), q, period, bits, blob))
+                return bits, blob
+
+            mp.setattr(cls, "encode", audited)
+        mp.setattr(ResumeStore, "keep", counted)
+        records, goldens = _records("experiments", modules, Path(tmp), mp)
+    return SimpleNamespace(records=records, goldens=goldens, calls=calls, kept=kept)
+
+
 def test_codec_records_match_goldens(tmp_path, monkeypatch):
     records, goldens = _records(
         "codec", ("coding", "estimators", "games", "strings"), tmp_path, monkeypatch
@@ -52,14 +94,11 @@ def test_codec_records_match_goldens(tmp_path, monkeypatch):
     assert bits == _pinned(goldens["counts"]["coding.bits_written"])
 
 
-def test_experiments_records_match_goldens(tmp_path, monkeypatch):
+def test_experiments_records_match_goldens():
     # every report file's and every stdout's sha256: the conditional
     # estimates behind them resume from the coder state of their condition
-    modules = (
-        "strings", "coding", "estimators", "complexity", "games",
-        "simplex", "oracles", "experiments", "cli",
-    )
-    records, goldens = _records("experiments", modules, tmp_path, monkeypatch)
+    cycle = experiments_cycle()
+    records, goldens = cycle.records, cycle.goldens
     for name, record in records.items():
         assert record == _pinned(goldens["ops"][name]), name
     report_bytes = sum(r["bytes"] for r in records.values())
