@@ -85,6 +85,11 @@ class _Parser(argparse.ArgumentParser):
         sys.exit(1 if status else 0)
 
 
+class _MissingFlag(Exception):
+    """A flag that only some values of another flag require, found missing
+    by a handler: a usage error, exit 1, like the flags argparse requires."""
+
+
 def _parse_seed(text: str) -> Seed:
     try:
         return Seed.from_int(int(text, 10))
@@ -179,7 +184,7 @@ def _strategy_from_args(args):
     if args.strategy == "signaling":
         return SignalingSampler()
     if args.fa is None or args.fb is None:
-        raise FormatError("local strategy requires --fa and --fb")
+        raise _MissingFlag("local strategy requires --fa and --fb")
     return LocalDeterministic(args.fa, args.fb)
 
 
@@ -201,7 +206,7 @@ def _cmd_gen(args) -> int:
         write_syms(args.out, s)
     elif args.kind == "promise":
         if not args.out_b:
-            raise FormatError("promise generation needs --out and --out-b")
+            raise _MissingFlag("promise generation needs --out and --out-b")
         a, b = gen_promise_inputs(args.m, args.n, seed)
         write_syms(args.out, a)
         write_syms(args.out_b, b)
@@ -609,6 +614,9 @@ def main(argv=None) -> int:
                 json.dumps(_effective_config(args), indent=2, sort_keys=True) + "\n"
             )
         return args.func(args)
+    except _MissingFlag as exc:
+        sys.stderr.write(f"usage error: {exc}\n")
+        return 1
     except FormatError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2

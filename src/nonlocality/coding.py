@@ -19,13 +19,8 @@ class BitWriter:
     def write_bit(self, bit: int) -> None:
         self.buf.append(49 if bit & 1 else 48)
 
-    def write_bits(self, value: int, k: int) -> None:
-        """The low k bits of value, most significant first."""
-        if k > 0:
-            self.buf += bin((value & ((1 << k) - 1)) | (1 << k))[3:].encode()
-
     def write_fields(self, values: bytes, k: int) -> None:
-        """Each of values as write_bits(value, k) would write it, 1 <= k <= 8:
+        """Each of values as its k bits, most significant first, 1 <= k <= 8:
         one strided slice per bit position, no per-value work."""
         start = len(self.buf)
         self.buf += bytes(len(values) * k)

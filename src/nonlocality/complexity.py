@@ -125,10 +125,7 @@ def _raw_bits(s: SymbolString, est: Estimator, period: int = 1) -> int:
     key = (type(est), est.estimator_id, s.q, period, _digest(s.data))
     bits = _CACHE.get(key)
     if bits is None:
-        if est.resumes:
-            bits, _ = est.encode(s.data, s.q, period, resume=_RESUME)
-        else:
-            bits, _ = est.encode(s.data, s.q, period)
+        bits, _ = est.encode(s.data, s.q, period, resume=_RESUME)
         _CACHE[key] = bits
     return bits
 
@@ -183,20 +180,6 @@ def estimate_k_cond(x: SymbolString, cond, estimator) -> ComplexityEstimate:
             )
     bits = max(0.0, min(candidates)) + CANDIDATE_TAG_BITS
     return ComplexityEstimate(est.estimator_id, x.n, x.q, bits)
-
-
-def mutual_info_est(x: SymbolString, y: SymbolString, estimator) -> float:
-    """I_K(x;y) upper-bound style estimate: K(x) - K(x|y), clamped at 0."""
-    est = _resolve(estimator)
-    return max(0.0, estimate_k(x, est).bits - estimate_k_cond(x, y, est).bits)
-
-
-def cond_mutual_info_est(a: SymbolString, b: SymbolString, c: SymbolString, estimator) -> float:
-    """I_K(a;b|c) = K(a|c) - K(a|bc), clamped at 0."""
-    est = _resolve(estimator)
-    k_a_c = estimate_k_cond(a, c, est).bits
-    k_a_bc = estimate_k_cond(a, [b, c], est).bits
-    return max(0.0, k_a_c - k_a_bc)
 
 
 def classify_value(

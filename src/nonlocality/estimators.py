@@ -30,7 +30,7 @@ from .coding import (
     uint_len,
     write_uint,
 )
-from .strings import _BYTE_VALUES, bits_per_symbol, pack_symbols, unpack_symbols
+from .strings import _BYTE_VALUES, bits_per_symbol, pack_symbols, packed_len, unpack_symbols
 
 
 class EstimatorError(RuntimeError):
@@ -127,16 +127,16 @@ class Estimator:
     statistics. It is recorded in the header, so decoding stays
     self-contained. Estimators without context models ignore it.
 
-    An estimator with `resumes` set takes an optional `resume` store in
-    encode: it starts from the store's point for the longest stored prefix
-    of its input (`resume.find`), and offers the store its own point
-    (`resume.keep`). The bits and the blob are the same either way.
+    encode takes an optional `resume` store (complexity.ResumeStore). An
+    estimator that resumes starts from the store's point for the longest
+    stored prefix of its input (`resume.find`) and offers the store its own
+    point (`resume.keep`); lz78 keeps no point and ignores the store. The
+    bits and the blob are the same either way.
     """
 
     estimator_id: str
-    resumes = False
 
-    def encode(self, symbols: bytes, q: int, period: int = 1) -> tuple[int, bytes]:
+    def encode(self, symbols: bytes, q: int, period: int = 1, resume=None) -> tuple[int, bytes]:
         raise NotImplementedError
 
     def decode(self, blob: bytes) -> tuple[int, bytes]:
@@ -186,7 +186,7 @@ class LZ78Estimator(Estimator):
 
     estimator_id = "lz78"
 
-    def encode(self, symbols: bytes, q: int, period: int = 1) -> tuple[int, bytes]:
+    def encode(self, symbols: bytes, q: int, period: int = 1, resume=None) -> tuple[int, bytes]:
         data = pack_symbols(symbols, q)
         if not data:  # the header alone, in which the modes tie
             return _literal(symbols, q, period)
@@ -222,7 +222,7 @@ class LZ78Estimator(Estimator):
         return len(out), w.getvalue()
 
     def _decode_payload(self, r: BitReader, q: int, n: int, period: int) -> bytes:
-        total = (n * bits_per_symbol(q) + 7) // 8
+        total = packed_len(n, q)
         out = bytearray()
         if total:
             entries: list[bytes] = [bytes([i]) for i in range(256)]
@@ -259,6 +259,14 @@ def _digit_sum(n: int, terms) -> bytes:
     return acc.to_bytes(n, "big")
 
 
+def _phase_view(n: int, period: int):
+    """The phase i % period of each position i < n: one byte string when
+    period <= 256, else an iterator."""
+    if period <= 256:
+        return (_BYTE_VALUES[:period] * (n // period + 1))[:n]
+    return islice(cycle(range(period)), n)
+
+
 def _context_ids(symbols: bytes, q: int, k: int, period: int) -> tuple:
     """(ids, tables): an id for the context of each position i, its phase
     i % period and the k symbols before it (the sentinel q before the
@@ -274,7 +282,7 @@ def _context_ids(symbols: bytes, q: int, k: int, period: int) -> tuple:
     pad = bytes([q] * k) + symbols if q < 256 else [q] * k + list(symbols)
     terms = [(pad[k - m : k - m + n], qq ** (m - 1)) for m in range(1, k + 1)]
     if period > 1:
-        terms.append((islice(cycle(range(period)), n), mod))
+        terms.append((_phase_view(n, period), mod))
     if period * mod <= 256:
         return _digit_sum(n, terms), [None] * (period * mod)
     first: dict = {}
@@ -427,7 +435,6 @@ class LZ77Estimator(Estimator):
     """
 
     estimator_id = "lz77"
-    resumes = True
 
     def encode(self, symbols: bytes, q: int, period: int = 1, resume=None) -> tuple[int, bytes]:
         w = _header_writer(q, len(symbols), period, MODE_CODED)
@@ -823,7 +830,7 @@ def _payload_floor(symbols: bytes, q: int, k: int, period: int) -> float | None:
     code_terms = [(lags[m], q * qq ** (m - 1) if m else 1) for m in range(j + 1)]
     key_terms = [(lags[m], qq ** (m - j - 1)) for m in range(j + 1, k + 1)]
     if period > 1:
-        phase = (_BYTE_VALUES[:period] * (n // period + 1))[:n]
+        phase = _phase_view(n, period)
         if phase_in_code:
             code_terms.append((phase, q * qq**j))
         else:
@@ -878,8 +885,6 @@ class ContextEstimator(Estimator):
     encode returns the literal blob without coding when _payload_floor
     proves that the literal mode wins. The model has no lookahead, so the
     resume point is the state after the last symbol, before the flush."""
-
-    resumes = True
 
     def __init__(self, order: int) -> None:
         if not 0 <= order <= 3:

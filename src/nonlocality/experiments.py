@@ -105,18 +105,20 @@ class ExperimentReport:
     params: dict
     seeds: dict
     estimator_id: str
-    thresholds: dict
     rows: list
     diagnostics: list
     verdict: str
     config: dict = field(default_factory=dict)
     wall_clock: float = 0.0  # informational only; never serialized
+    # every runner's rate thresholds, echoed in each header (not a field)
+    thresholds = {"theta_zero": THETA_ZERO_DEFAULT, "theta_full": THETA_FULL_DEFAULT}
 
     def jsonl_lines(self) -> list[str]:
+        def line(kind: str, fields: dict) -> str:
+            obj = {"schema": 1, "kind": kind, "experiment": self.experiment, **fields}
+            return json.dumps(obj, sort_keys=True)
+
         header = {
-            "schema": 1,
-            "kind": "header",
-            "experiment": self.experiment,
             "params": self.params,
             "seeds": self.seeds,
             "estimator_id": self.estimator_id,
@@ -124,38 +126,16 @@ class ExperimentReport:
             "verdict": self.verdict,
             "config": self.config,
         }
-        lines = [json.dumps(header, sort_keys=True)]
+        lines = [line("header", header)]
+        n = self.params.get("n")
         for r in sorted(self.rows, key=lambda r: r.name):
-            lines.append(
-                json.dumps(
-                    {
-                        "schema": 1,
-                        "kind": "row",
-                        "experiment": self.experiment,
-                        "quantity": r.name,
-                        "n": self.params.get("n"),
-                        "value": r.value,
-                        "rate": r.rate,
-                        "class": r.rate_class,
-                    },
-                    sort_keys=True,
-                )
-            )
+            row = {
+                "quantity": r.name, "n": n, "value": r.value, "rate": r.rate, "class": r.rate_class
+            }
+            lines.append(line("row", row))
         for d in sorted(self.diagnostics, key=lambda d: d.name):
-            lines.append(
-                json.dumps(
-                    {
-                        "schema": 1,
-                        "kind": "diagnostic",
-                        "experiment": self.experiment,
-                        "name": d.name,
-                        "lhs": d.lhs,
-                        "rhs": d.rhs,
-                        "slack": d.slack,
-                    },
-                    sort_keys=True,
-                )
-            )
+            diag = {"name": d.name, "lhs": d.lhs, "rhs": d.rhs, "slack": d.slack}
+            lines.append(line("diagnostic", diag))
         return lines
 
     def to_jsonl(self) -> str:
@@ -182,9 +162,6 @@ class ExperimentReport:
             if d.name == name:
                 return d
         raise KeyError(name)
-
-
-_THRESHOLDS = {"theta_zero": THETA_ZERO_DEFAULT, "theta_full": THETA_FULL_DEFAULT}
 
 
 def _krow(name, estimate) -> Row:
@@ -264,7 +241,6 @@ def run_theorem1(
         params={"game": "pr", "n": n, "strategy": _strategy_desc(strategy)},
         seeds=seed_set.as_dict(),
         estimator_id=kx.estimator_id,
-        thresholds=dict(_THRESHOLDS),
         rows=rows,
         diagnostics=diagnostics,
         verdict=verdict,
@@ -310,7 +286,6 @@ def run_theorem2(
         },
         seeds=seed_set.as_dict(),
         estimator_id=kxa.estimator_id,
-        thresholds=dict(_THRESHOLDS),
         rows=rows,
         diagnostics=diagnostics,
         verdict=rows[0].rate_class,
@@ -372,7 +347,6 @@ def run_theorem3(
         },
         seeds=seed_set.as_dict(),
         estimator_id=kx.estimator_id,
-        thresholds=dict(_THRESHOLDS),
         rows=rows,
         diagnostics=diagnostics,
         verdict=verdict,
@@ -414,7 +388,6 @@ def run_magic_square(n: int, estimator: Estimator | str, seed_set: SeedSet) -> E
         params={"game": "magic_square", "n": n, "classical_value": frac_str(classical.value)},
         seeds=seed_set.as_dict(),
         estimator_id=kxa.estimator_id,
-        thresholds=dict(_THRESHOLDS),
         rows=rows,
         diagnostics=diagnostics,
         verdict="wins_always" if sat == 1 else "imperfect",
@@ -489,7 +462,6 @@ def run_locality_suite(
         },
         seeds=seed_set.as_dict(),
         estimator_id=v1.estimator_id,
-        thresholds=dict(_THRESHOLDS),
         rows=rows,
         diagnostics=diagnostics,
         verdict=verdict,

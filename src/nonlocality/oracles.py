@@ -67,11 +67,6 @@ class Distribution:
     def prob(self, a: int, b: int, x: int, y: int) -> Fraction:
         return Fraction(self.p.get((a, b, x, y), ZERO))
 
-    def win_probability(self) -> Fraction:
-        """Success under the uniform distribution over promise pairs."""
-        total = sum((self.prob(*cell) for cell in winning(self.game)), ZERO)
-        return total / self.game.promise_count()
-
 
 def pr_box_distribution() -> Distribution:
     """Probability 1/2 on each of the PR game's winning cells: two per input
@@ -85,21 +80,6 @@ def deterministic_distribution(game: GameSpec, fa, fb) -> Distribution:
     for (a, b) in game.promise_pairs():
         p[(a, b, fa[a], fb[b])] = ONE
     return Distribution(game, p)
-
-
-def mix_distributions(parts) -> Distribution:
-    """parts: iterable of (weight, Distribution) with rational weights."""
-    parts = [(Fraction(w), d) for w, d in parts]
-    if sum(w for w, _ in parts) != ONE:
-        raise ValueError("mixture weights must sum to 1")
-    game = parts[0][1].game
-    p: dict = {}
-    for w, d in parts:
-        if d.game != game:
-            raise ValueError("all mixture parts must share a game")
-        for key, v in d.p.items():
-            p[key] = p.get(key, ZERO) + w * Fraction(v)
-    return Distribution(game, {k: v for k, v in p.items() if v})
 
 
 # --- optimal classical value ----------------------------------------------------
@@ -317,31 +297,17 @@ def game_value_exact(game: GameSpec, reps: int = 1, jobs: int = 1) -> GameValueR
         # which serial searches and every other command never use
         from concurrent.futures import ProcessPoolExecutor
 
-        results = []
         # one task per first choice, so more workers would only sit idle
         with ProcessPoolExecutor(max_workers=min(jobs, nx)) as pool:
-            futs = [
-                pool.submit(_search, game, reps, first) for first in range(nx)
-            ]
-            for f in futs:
-                results.append(f.result())
-        merged = None
-        nodes = prunes = 0
-        for best, *rest in results:
-            nodes += best["nodes"]
-            prunes += best["prunes"]
-            if best["fa"] is None:
-                continue
-            key = (-best["wins"], best["fa"])
-            if merged is None or key < merged[0]:
-                merged = (key, best, rest)
-        best, (a_blocks, b_blocks, x_blocks, y_blocks, nedges) = (
-            merged[1],
-            tuple(merged[2]),
-        )
-        best = dict(best, nodes=nodes, prunes=prunes)
+            futs = [pool.submit(_search, game, reps, first) for first in range(nx)]
+            results = [f.result() for f in futs]
     else:
-        best, a_blocks, b_blocks, x_blocks, y_blocks, nedges = _search(game, reps)
+        results = [_search(game, reps)]
+    # the most wins, ties to the least fa (min keeps the first); every branch
+    # reaches a leaf, since its bound starts at -1
+    best, a_blocks, b_blocks, x_blocks, y_blocks, nedges = min(
+        results, key=lambda r: (-r[0]["wins"], r[0]["fa"])
+    )
     return GameValueResult(
         game_label=game.label(),
         reps=reps,
@@ -350,8 +316,8 @@ def game_value_exact(game: GameSpec, reps: int = 1, jobs: int = 1) -> GameValueR
         b_blocks=tuple(b_blocks),
         fa=tuple(x_blocks[i] for i in best["fa"]),
         fb=tuple(y_blocks[i] for i in best["fb"]),
-        nodes=best["nodes"],
-        prunes=best["prunes"],
+        nodes=sum(r[0]["nodes"] for r in results),
+        prunes=sum(r[0]["prunes"] for r in results),
     )
 
 

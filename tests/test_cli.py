@@ -409,13 +409,23 @@ def test_inputs_that_do_not_fit_the_game_are_data_errors(capsys, tmp_path, argv)
 
 
 @pytest.mark.parametrize(
-    "argv",
-    [["gen", "--kind", "zeros", "--n", "8"], ["exp", "--which", "theorem1", "--n", "8"]],
-    ids=["gen", "exp"],
+    "argv, flag",
+    [
+        (["gen", "--kind", "zeros", "--n", "8"], "--out"),
+        (["exp", "--which", "theorem1", "--n", "8"], "--out"),
+        (["gen", "--kind", "promise", "--n", "8", "--out", "{d}/p.syms"], "--out-b"),
+        (_PLAY + _LOCAL, "--fa"),
+        (_EXP, "--fa"),
+        ([*_EXP[:2], "theorem2", *_EXP[3:]], "--fa"),
+    ],
+    ids=["gen", "exp", "promise_out_b", "play_local", "theorem1_local", "theorem2_local"],
 )
-def test_missing_out_is_usage_error(capsys, argv):
-    code, _, err = run(capsys, *argv)
-    assert code == 1 and "--out" in err and "Traceback" not in err
+def test_missing_out_is_usage_error(capsys, tmp_path, argv, flag):
+    # a flag missing from the command line is a usage error, whether argparse
+    # requires it or only another flag's value does
+    _fit_files(tmp_path)
+    code, _, err = run(capsys, *[a.format(d=tmp_path) for a in argv])
+    assert code == 1 and flag in err and "Traceback" not in err
 
 
 def _quad_files(directory):
@@ -571,7 +581,7 @@ def test_promise_gen_without_out_b_is_refused_before_it_generates(capsys, tmp_pa
     monkeypatch.setattr(cli, "gen_promise_inputs", never)
     out = tmp_path / "a.syms"
     code, _, err = run(capsys, "gen", "--kind", "promise", "--n", "8", "--out", str(out))
-    assert code == 2 and "--out-b" in err and not out.exists()
+    assert code == 1 and "--out-b" in err and not out.exists()
 
 
 # the flags that read numbers; seeds, tables and paths are strings, and a

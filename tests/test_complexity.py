@@ -8,11 +8,9 @@ from nonlocality.complexity import (
     binary_entropy,
     classify_value,
     clear_cache,
-    cond_mutual_info_est,
     estimate_k,
     estimate_k_cond,
     frac_str,
-    mutual_info_est,
 )
 from nonlocality.estimators import ContextEstimator, get_estimator
 from nonlocality.strings import Seed, SymbolString, gen_computable, gen_seeded_random
@@ -61,23 +59,6 @@ def test_conditioning_on_independent_string_changes_nothing_much():
     c = gen_seeded_random(4096, 2, seed.derive("c"))
     for est in ("lz77", "ctx_2"):
         assert estimate_k_cond(x, c, est).rate > 0.8, est
-
-
-def test_mutual_info_positive_for_copies_near_zero_for_independent():
-    seed = Seed.from_int(15)
-    x = gen_seeded_random(4096, 2, seed.derive("x"))
-    c = gen_seeded_random(4096, 2, seed.derive("c"))
-    assert mutual_info_est(x, x, "ctx_2") > 0.8 * 4096
-    assert abs(mutual_info_est(x, c, "ctx_2")) < 0.15 * 4096
-
-
-def test_cond_mutual_info_runs_and_is_bounded():
-    seed = Seed.from_int(16)
-    a = gen_seeded_random(1024, 2, seed.derive("a"))
-    b = gen_seeded_random(1024, 2, seed.derive("b"))
-    c = gen_seeded_random(1024, 2, seed.derive("c"))
-    v = cond_mutual_info_est(a, b, c, "ctx_1")
-    assert -1024 <= v <= 2 * 1024
 
 
 def test_binary_entropy_values():

@@ -9,9 +9,11 @@ import ast
 import importlib
 import importlib.util
 import os
+import re
 import subprocess
 import sys
 import types
+from collections import Counter
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -156,3 +158,65 @@ def test_perfbench_toolkit_names_resolve():
     # the walk reaches names through each kind of root
     assert {("strings", "interleave"), ("oracles", "pr_box_distribution"),
             ("games", "GameSpec", "pr"), ("cli", "main")} <= seen
+
+
+def _names(node) -> Counter:
+    """Each identifier that node reads, by count: names and attributes."""
+    return Counter(
+        n.id if isinstance(n, ast.Name) else n.attr
+        for n in ast.walk(node)
+        if isinstance(n, (ast.Name, ast.Attribute))
+    )
+
+
+def _public_defs(tree) -> list[tuple[str, str, ast.AST]]:
+    """(qualified name, name, node) of each public top-level function and
+    class, and each public method of a top-level class."""
+    defs = []
+    kinds = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+    for node in tree.body:
+        if isinstance(node, kinds) and not node.name.startswith("_"):
+            defs.append((node.name, node.name, node))
+            if isinstance(node, ast.ClassDef):
+                defs += [
+                    (f"{node.name}.{m.name}", m.name, m)
+                    for m in node.body
+                    if isinstance(m, kinds[:2]) and not m.name.startswith("_")
+                ]
+    return defs
+
+
+def _unnamed_defs(modules: dict, others: list[str], documented: set) -> list[str]:
+    """The public definitions in modules (file name -> source) that no other
+    part of them, none of the sources in others and no documented name
+    reads: each name's count over everything, less its count inside its own
+    definition."""
+    trees = {name: ast.parse(source) for name, source in modules.items()}
+    counts = sum((_names(t) for t in trees.values()), Counter())
+    counts += sum((_names(ast.parse(source)) for source in others), Counter())
+    return sorted(
+        f"{name}:{qual}"
+        for name, tree in trees.items()
+        for qual, short, node in _public_defs(tree)
+        if counts[short] - _names(node)[short] == 0 and short not in documented
+    )
+
+
+def _library_overview_names() -> set:
+    """The identifiers in backticks in the README's "Library overview"."""
+    text = (ROOT / "README.md").read_text()
+    section = text.split("## Library overview", 1)[1].split("\n## ", 1)[0]
+    return {w for span in re.findall(r"`([^`]+)`", section) for w in re.findall(r"\w+", span)}
+
+
+def test_every_public_name_has_a_caller():
+    # a public function, class or method that nothing in src/ or perfbench
+    # reads, and that the README does not list, is dead surface
+    snippet = {
+        "m.py": "def used(): pass\ndef dead(): dead()\ndef doc(): pass\n"
+        "class C:\n    def meth(self): pass\n    def _private(self): pass\nused()\n"
+    }
+    assert _unnamed_defs(snippet, ["C().x"], {"doc"}) == ["m.py:C.meth", "m.py:dead"]
+    modules = {path.name: path.read_text() for path in sorted(SRC.glob("*.py"))}
+    bench = [path.read_text() for path in sorted((ROOT / "perfbench").glob("*.py"))]
+    assert _unnamed_defs(modules, bench, _library_overview_names()) == []

@@ -11,7 +11,14 @@ from reference_search import search as reference_search
 
 from nonlocality import oracles, simplex
 
-from nonlocality.games import GameSpec, LocalDeterministic, Quadruple, play, satisfaction_fraction
+from nonlocality.games import (
+    GameSpec,
+    LocalDeterministic,
+    Quadruple,
+    play,
+    satisfaction_fraction,
+    winning,
+)
 from nonlocality.oracles import (
     Distribution,
     chained_value_upper_bound,
@@ -19,7 +26,6 @@ from nonlocality.oracles import (
     fine_membership,
     game_value_exact,
     marginal_extremes,
-    mix_distributions,
     pr_box_distribution,
     replay_witness,
 )
@@ -106,12 +112,12 @@ def test_fair_coins_distribution_is_local():
 
 def test_local_mixture_weights_reconstruct():
     g = GameSpec.pr()
-    d = mix_distributions(
-        [
-            (F(1, 2), deterministic_distribution(g, (0, 0), (0, 0))),
-            (F(1, 2), deterministic_distribution(g, (1, 0), (0, 1))),
-        ]
-    )
+    # half and half of two deterministic points
+    p = {}
+    for fa, fb in [((0, 0), (0, 0)), ((1, 0), (0, 1))]:
+        for key in deterministic_distribution(g, fa, fb).p:
+            p[key] = p.get(key, F(0)) + F(1, 2)
+    d = Distribution(g, p)
     res = fine_membership(d)
     assert res.local
     recon = {}
@@ -150,7 +156,7 @@ def test_marginals_relaxations():
 
 def test_pr_box_wins_always_and_uniform_marginal():
     d = pr_box_distribution()
-    assert d.win_probability() == 1
+    assert sum(d.prob(*cell) for cell in winning(d.game)) == d.game.promise_count()
     assert list(d.p) == [(a, b, x, x ^ (a & b)) for a in range(2) for b in range(2) for x in range(2)]
     for a in range(2):
         for b in range(2):
