@@ -14,8 +14,10 @@ reproduces the run when fed back via --config.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -23,6 +25,7 @@ from .complexity import (
     THETA_FULL_DEFAULT,
     THETA_ZERO_DEFAULT,
     classify_value,
+    clear_cache,
     estimate_k,
     estimate_k_cond,
     frac_str,
@@ -46,6 +49,7 @@ from .games import (
     Quadruple,
     SignalingSampler,
     THETA_NS_DEFAULT,
+    file_stem,
     load_quadruple,
     locality_verdict,
     ns_report,
@@ -378,6 +382,7 @@ def _cmd_oracle(args) -> int:
 def _cmd_exp(args) -> int:
     estimator = get_estimator(args.estimator)
     seed_set = SeedSet.from_master(_parse_seed(args.seed))
+    t0 = time.monotonic()
     if args.which == "theorem1":
         report = run_theorem1(args.n, estimator, seed_set, _strategy_from_args(args))
     elif args.which == "theorem2":
@@ -388,9 +393,10 @@ def _cmd_exp(args) -> int:
         report = run_magic_square(args.n, estimator, seed_set)
     else:
         report = run_locality_suite(estimator, seed_set, n=args.n)
-    report.config = _effective_config(args)
+    seconds = time.monotonic() - t0
+    report = dataclasses.replace(report, config=_effective_config(args))
     write_report(report, args.out, args.csv)
-    sys.stderr.write(f"wrote {args.out} ({report.wall_clock:.1f}s)\n")
+    sys.stderr.write(f"wrote {args.out} ({seconds:.1f}s)\n")
     return 0
 
 
@@ -455,7 +461,7 @@ def build_parser() -> _Parser:
     p.add_argument("--seed", type=_seed_text, default="0")
     p.add_argument("--noise-seed", dest="noise_seed", type=_seed_text)
     p.add_argument("--out-dir", dest="out_dir", default=".")
-    p.add_argument("--stem", default="quad")
+    p.add_argument("--stem", type=file_stem, default="quad")
     p.set_defaults(func=_cmd_play)
 
     p = sub.add_parser("estimate", help="complexity estimates")
@@ -482,10 +488,8 @@ def build_parser() -> _Parser:
     _add_common(p)
     p.add_argument("--quad", required=True)
     p.add_argument("--witness", help="witness .syms file (omit for the empty witness)")
-    p.add_argument("--defect-threshold", dest="defect_threshold", type=_threshold, default=0.25)
-    p.add_argument(
-        "--output-threshold", dest="output_threshold", type=_threshold, default=THETA_ZERO_DEFAULT
-    )
+    p.add_argument("--defect-threshold", type=_threshold, default=LocalityThresholds.defect)
+    p.add_argument("--output-threshold", type=_threshold, default=LocalityThresholds.output)
     _add_estimator_opts(p)
     p.set_defaults(func=_cmd_locality)
 
@@ -533,7 +537,7 @@ class _JSONNumber(str):
 
 
 # flag types that read text only: a JSON number is refused by them
-_TEXT_TYPES = (None, _seed_text, _parse_table)
+_TEXT_TYPES = (None, _seed_text, file_stem, _parse_table)
 
 
 def _config_argv(parser: _Parser, argv: list) -> list:
@@ -613,6 +617,7 @@ def main(argv=None) -> int:
             Path(args.emit_config).write_text(
                 json.dumps(_effective_config(args), indent=2, sort_keys=True) + "\n"
             )
+        clear_cache()  # a run sees what a fresh nlbox process sees
         return args.func(args)
     except _MissingFlag as exc:
         sys.stderr.write(f"usage error: {exc}\n")

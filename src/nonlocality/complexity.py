@@ -11,10 +11,12 @@ condition, so the minimum is still an upper bound):
   * interleave -- condition symbols woven in at each subject position
                   (only when lengths align), minus the woven condition.
 
+One EstimateStore holds every bit count and coder resume point, keyed by
+estimator, q, period and the symbols; the CLI empties it before each run.
 The concat candidate's encode resumes from the coder state that encoding
-the condition already reached (see ResumeStore), so the condition's symbols
-are coded once per estimator, q and period, not once per candidate. The bits
-are those of a fresh encode.
+the condition reached, so the condition's symbols are coded once per
+estimator, q and period, not once per candidate. The bits are those of a
+fresh encode.
 """
 from __future__ import annotations
 
@@ -53,15 +55,21 @@ def _digest(data: bytes) -> bytes:
     return hashlib.blake2b(data, digest_size=16).digest()
 
 
-class ResumeStore:
-    """The resume points (estimators.ResumePoint) that encodes reached: the
-    LIMIT most recently used, and fewer if their footprints would pass
-    BUDGET bytes. A point is kept under the string whose encode reached it
-    and is offered to the encode of any string that starts with that
-    string, keyed by value like _CACHE: (estimator type, estimator_id, q,
-    period, prefix length, blake2b of the prefix). One estimate_k_cond
-    keeps at most five points (subject, condition, concat and two woven
-    strings), so a condition's point outlives the next two estimates.
+def _key(est: Estimator, symbols: bytes, q: int, period: int) -> tuple:
+    """The store's key for symbols coded by est: by value, not identity
+    (get_estimator builds a fresh instance on every call, and equal class
+    and id give equal bits)."""
+    return (type(est), est.estimator_id, q, period, len(symbols), _digest(symbols))
+
+
+class EstimateStore:
+    """Under one key (_key): each coded string's bits, and the resume points
+    (estimators.ResumePoint) that encodes reached, the LIMIT most recently
+    used and fewer if their footprints would pass BUDGET bytes. A point is
+    kept under the string whose encode reached it and offered to the encode
+    of any string that starts with that string. One estimate_k_cond keeps at
+    most five points (subject, condition, concat and two woven strings), so
+    a condition's point outlives the next two estimates.
 
     hits and misses count find() calls; resumed_symbols sums the symbols
     that the found points let encodes skip."""
@@ -70,27 +78,23 @@ class ResumeStore:
     BUDGET = 1 << 24
 
     def __init__(self) -> None:
-        self._points: OrderedDict = OrderedDict()
+        self.bits: dict = {}
+        self.points: OrderedDict = OrderedDict()
         self._bytes = 0
         self.hits = self.misses = self.resumed_symbols = 0
-
-    def __len__(self) -> int:
-        return len(self._points)
 
     def clear(self) -> None:
-        self._points.clear()
-        self._bytes = 0
-        self.hits = self.misses = self.resumed_symbols = 0
+        self.__init__()
 
     def find(self, est: Estimator, symbols: bytes, q: int, period: int):
         """The point kept for the longest stored prefix of symbols, or None."""
-        base = (type(est), est.estimator_id, q, period)
-        lengths = {key[4] for key in self._points if key[:4] == base and key[4] <= len(symbols)}
+        base = _key(est, b"", q, period)[:4]  # the estimator, q and period
+        lengths = {key[4] for key in self.points if key[:4] == base and key[4] <= len(symbols)}
         for n in sorted(lengths, reverse=True):
-            key = (*base, n, _digest(symbols[:n]))
-            point = self._points.get(key)
+            key = _key(est, symbols[:n], q, period)
+            point = self.points.get(key)
             if point is not None:
-                self._points.move_to_end(key)
+                self.points.move_to_end(key)
                 self.hits += 1
                 self.resumed_symbols += point.i
                 return point
@@ -100,33 +104,30 @@ class ResumeStore:
     def keep(self, est: Estimator, symbols: bytes, q: int, period: int, point) -> None:
         if point.footprint > self.BUDGET:
             return
-        key = (type(est), est.estimator_id, q, period, len(symbols), _digest(symbols))
-        old = self._points.pop(key, None)
+        key = _key(est, symbols, q, period)
+        old = self.points.pop(key, None)
         if old is not None:
             self._bytes -= old.footprint
-        self._points[key] = point
+        self.points[key] = point
         self._bytes += point.footprint
-        while len(self._points) > self.LIMIT or self._bytes > self.BUDGET:
-            self._bytes -= self._points.popitem(last=False)[1].footprint
+        while len(self.points) > self.LIMIT or self._bytes > self.BUDGET:
+            self._bytes -= self.points.popitem(last=False)[1].footprint
 
 
-_CACHE: dict = {}
-_RESUME = ResumeStore()
+# the one store of the process; every CLI run starts with it empty
+_STORE = EstimateStore()
 
 
 def clear_cache() -> None:
-    _CACHE.clear()
-    _RESUME.clear()
+    _STORE.clear()
 
 
 def _raw_bits(s: SymbolString, est: Estimator, period: int = 1) -> int:
-    # keyed by value, not identity: get_estimator builds a fresh instance on
-    # every call, and equal class and id give equal bits
-    key = (type(est), est.estimator_id, s.q, period, _digest(s.data))
-    bits = _CACHE.get(key)
+    key = _key(est, s.data, s.q, period)
+    bits = _STORE.bits.get(key)
     if bits is None:
-        bits, _ = est.encode(s.data, s.q, period, resume=_RESUME)
-        _CACHE[key] = bits
+        bits, _ = est.encode(s.data, s.q, period, resume=_STORE)
+        _STORE.bits[key] = bits
     return bits
 
 

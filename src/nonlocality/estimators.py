@@ -127,11 +127,11 @@ class Estimator:
     statistics. It is recorded in the header, so decoding stays
     self-contained. Estimators without context models ignore it.
 
-    encode takes an optional `resume` store (complexity.ResumeStore). An
-    estimator that resumes starts from the store's point for the longest
-    stored prefix of its input (`resume.find`) and offers the store its own
-    point (`resume.keep`); lz78 keeps no point and ignores the store. The
-    bits and the blob are the same either way.
+    encode takes an optional `resume` store (complexity.EstimateStore, keyed
+    by estimator, q, period and the symbols; each CLI run starts it empty).
+    A resuming estimator starts from the store's point for the longest stored
+    prefix of its input (`resume.find`) and offers the store its own point
+    (`resume.keep`); lz78 ignores the store. The bits and blob do not change.
     """
 
     estimator_id: str
@@ -580,11 +580,9 @@ class LZ77Estimator(Estimator):
                         else:
                             out.append(48)
                     elif low >= half:
-                        if pending:
-                            out += b"1" + b"0" * pending
-                            pending = 0
-                        else:
-                            out.append(49)
+                        # nothing is pending: only a high < half step, which
+                        # writes the pending bits, lifts low past half
+                        out.append(49)
                         low -= half
                         high -= half
                     elif low >= quarter and high < three_q:

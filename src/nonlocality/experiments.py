@@ -2,10 +2,12 @@
 complexity quantities the finite-scale claims are about, and emit a
 structured, deterministic report.
 
-Reports serialize to JSONL (one object per line: a header, then quantity
-rows, then diagnostics) and to a CSV projection. Wall-clock time is kept on
-the in-memory object only, never serialized, so identical configurations
-produce byte-identical files.
+Reports are values: a frozen ExperimentReport holds no timing, so two runs
+of one configuration from an empty estimate store return equal reports.
+They serialize to JSONL (one object per line: a header, then quantity
+rows, then diagnostics) and to a CSV projection, byte-identical for
+identical configurations. The CLI times a run and reports its seconds on
+stderr, outside every file.
 
 Diagnostic slack convention: for a claimed inequality lhs >= rhs the slack
 is lhs - rhs (nonnegative means satisfied); for a claimed approximation
@@ -16,7 +18,6 @@ from __future__ import annotations
 import csv
 import io
 import json
-import time
 from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
@@ -99,7 +100,7 @@ class Diagnostic:
         return self.lhs - self.rhs
 
 
-@dataclass
+@dataclass(frozen=True)
 class ExperimentReport:
     experiment: str
     params: dict
@@ -109,7 +110,6 @@ class ExperimentReport:
     diagnostics: list
     verdict: str
     config: dict = field(default_factory=dict)
-    wall_clock: float = 0.0  # informational only; never serialized
     # every runner's rate thresholds, echoed in each header (not a field)
     thresholds = {"theta_zero": THETA_ZERO_DEFAULT, "theta_full": THETA_FULL_DEFAULT}
 
@@ -202,8 +202,8 @@ def run_theorem1(
     """XOR-game run checking that unconditionally winning outputs are
     incompressible: reports the raw and input-conditioned output
     complexities and the chain of inequalities behind the claim."""
-    t0 = time.monotonic()
-    quad, sat = _play_seeded(GameSpec.pr(), strategy, n, seed_set)
+    game = GameSpec.pr()
+    quad, sat = _play_seeded(game, strategy, n, seed_set)
     a, b, x, y = quad.a, quad.b, quad.x, quad.y
     ab = pointwise_product(a, b)
 
@@ -236,17 +236,15 @@ def run_theorem1(
         Diagnostic("x_given_ab_below_x", float(kx.bits), float(kxab.bits)),
     ]
     verdict = rows[0].rate_class
-    report = ExperimentReport(
+    return ExperimentReport(
         experiment="theorem1",
-        params={"game": "pr", "n": n, "strategy": _strategy_desc(strategy)},
+        params={"game": game.label(), "n": n, "strategy": _strategy_desc(strategy)},
         seeds=seed_set.as_dict(),
         estimator_id=kx.estimator_id,
         rows=rows,
         diagnostics=diagnostics,
         verdict=verdict,
     )
-    report.wall_clock = time.monotonic() - t0
-    return report
 
 
 def run_theorem2(
@@ -254,7 +252,6 @@ def run_theorem2(
 ) -> ExperimentReport:
     """Conditional view of the same run: each party's output given its own
     input, and given both, compared against the exact classical optimum."""
-    t0 = time.monotonic()
     game = GameSpec.pr()
     quad, sat = _play_seeded(game, strategy, n, seed_set)
     a, b, x, y = quad.a, quad.b, quad.x, quad.y
@@ -276,10 +273,10 @@ def run_theorem2(
         Diagnostic("satisfaction_vs_classical", float(sat), float(classical.value)),
         Diagnostic("x_side_equals_y_side", kxa.bits / n, kyb.bits / n),
     ]
-    report = ExperimentReport(
+    return ExperimentReport(
         experiment="theorem2",
         params={
-            "game": "pr",
+            "game": game.label(),
             "n": n,
             "strategy": _strategy_desc(strategy),
             "classical_value": frac_str(classical.value),
@@ -290,8 +287,6 @@ def run_theorem2(
         diagnostics=diagnostics,
         verdict=rows[0].rate_class,
     )
-    report.wall_clock = time.monotonic() - t0
-    return report
 
 
 def run_theorem3(
@@ -306,7 +301,6 @@ def run_theorem3(
     if eps is None:
         eps = Fraction(1, m * m)
     eps = Fraction(eps)
-    t0 = time.monotonic()
     game = GameSpec.chained(m)
     a, b = gen_promise_inputs(m, n, seed_set.inputs)
     x, y = play(NoSignalingSampler(eps), game, a, b, seed_set.sampler, seed_set.noise)
@@ -336,10 +330,10 @@ def run_theorem3(
     verdict = (
         "beats_classical" if sat > classical else "within_classical"
     )
-    report = ExperimentReport(
+    return ExperimentReport(
         experiment="theorem3",
         params={
-            "game": f"chained({m})",
+            "game": game.label(),
             "m": m,
             "n": n,
             "eps": frac_str(eps),
@@ -351,14 +345,11 @@ def run_theorem3(
         diagnostics=diagnostics,
         verdict=verdict,
     )
-    report.wall_clock = time.monotonic() - t0
-    return report
 
 
 def run_magic_square(n: int, estimator: Estimator | str, seed_set: SeedSet) -> ExperimentReport:
     """Grid-game run: the sampler wins every round, which no deterministic
     pair can (exact optimum 8/9, replayed here for contrast)."""
-    t0 = time.monotonic()
     game = GameSpec.magic_square()
     quad, sat = _play_seeded(game, NoSignalingSampler(), n, seed_set)
     a, b, x = quad.a, quad.b, quad.x
@@ -383,17 +374,15 @@ def run_magic_square(n: int, estimator: Estimator | str, seed_set: SeedSet) -> E
         Diagnostic("satisfaction_vs_classical", float(sat), float(classical.value)),
         Diagnostic("classical_replay_vs_value", float(sat_classical), float(classical.value)),
     ]
-    report = ExperimentReport(
+    return ExperimentReport(
         experiment="magic_square",
-        params={"game": "magic_square", "n": n, "classical_value": frac_str(classical.value)},
+        params={"game": game.label(), "n": n, "classical_value": frac_str(classical.value)},
         seeds=seed_set.as_dict(),
         estimator_id=kxa.estimator_id,
         rows=rows,
         diagnostics=diagnostics,
         verdict="wins_always" if sat == 1 else "imperfect",
     )
-    report.wall_clock = time.monotonic() - t0
-    return report
 
 
 LOCALITY_N = 1 << 14
@@ -415,7 +404,6 @@ def run_locality_suite(
     """Three canonical witness checks: computable inputs with the output
     pair itself as witness; a deterministic strategy with its tables as
     witness; and the winning sampler with no witness at all."""
-    t0 = time.monotonic()
     thresholds = LocalityThresholds()
     game = GameSpec.pr()
     cases = []
@@ -452,10 +440,10 @@ def run_locality_suite(
         diagnostics.append(Diagnostic(f"{name}_defect", v.independence_defect, thresholds.defect))
         diagnostics.append(Diagnostic(f"{name}_rate_y", v.rate_y, thresholds.output))
     verdict = ",".join(v.verdict for _, v in cases)
-    report = ExperimentReport(
+    return ExperimentReport(
         experiment="locality_suite",
         params={
-            "game": "pr",
+            "game": game.label(),
             "n": n,
             "defect_threshold": thresholds.defect,
             "output_threshold": thresholds.output,
@@ -466,8 +454,6 @@ def run_locality_suite(
         diagnostics=diagnostics,
         verdict=verdict,
     )
-    report.wall_clock = time.monotonic() - t0
-    return report
 
 
 def write_report(report: ExperimentReport, jsonl_path, csv_path=None) -> None:

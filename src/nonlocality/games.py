@@ -461,6 +461,14 @@ def locality_verdict(
 MANIFEST_FIELDS = {"schema", "game", "m", "eps", "seeds", "files"}
 
 
+def file_stem(stem: str) -> str:
+    """stem, if it is one path component other than '.' and '..', so that
+    save_quadruple writes every file where load_quadruple reads it."""
+    if stem in ("", ".", "..") or PurePath(stem).name != stem:
+        raise ValueError(f"a stem must be a file name, not a path: {stem!r}")
+    return stem
+
+
 def save_quadruple(
     quad: Quadruple,
     directory,
@@ -468,6 +476,7 @@ def save_quadruple(
     eps: Fraction | None = None,
     seeds: dict | None = None,
 ) -> Path:
+    file_stem(stem)
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     files = {}

@@ -14,8 +14,9 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from nonlocality import cli
+from nonlocality import cli, complexity
 from nonlocality.cli import main
+from nonlocality.estimators import LZ77Estimator
 from nonlocality.strings import SymbolString, write_syms
 
 
@@ -95,6 +96,49 @@ def test_play_nosig_and_downstream_testers(capsys, tmp_path):
     assert code == 0 and json.loads(out)["passes"] is True
     code, out, _ = run(capsys, "locality", "--quad", quad, "--estimator", "ctx_2")
     assert code == 0 and json.loads(out)["verdict"] == "NotWitnessed"
+
+
+@pytest.mark.parametrize("stem", ["../q", "sub/q", "..", ".", ""])
+def test_play_stem_that_is_not_a_file_name_is_usage_error(capsys, tmp_path, stem):
+    # ../q once wrote q.json beside --out-dir, naming ../q.a.syms, which
+    # load_quadruple refuses; sub/q failed at its first .syms write
+    bits = SymbolString(2, bytes(v & 1 for v in range(64)))
+    write_syms(tmp_path / "a.syms", bits)
+    write_syms(tmp_path / "b.syms", bits)
+    out_dir = tmp_path / "d"
+    (out_dir / "sub").mkdir(parents=True)
+    code, stdout, err = run(
+        capsys, "play", "--game", "pr", "--strategy", "nosig", "--a", str(tmp_path / "a.syms"),
+        "--b", str(tmp_path / "b.syms"), "--out-dir", str(out_dir), "--stem", stem,
+    )
+    assert code == 1 and stdout == "" and "Traceback" not in err
+    written = sorted(p.name for p in tmp_path.rglob("*") if p.is_file())
+    assert written == ["a.syms", "b.syms"]
+
+
+def test_each_run_starts_with_an_empty_store(capsys, tmp_path, monkeypatch):
+    # a run in a long-lived process sees what a fresh nlbox process sees:
+    # the second of two identical runs codes every string again, from an
+    # empty store, and finds no point that the first kept
+    _quad_files(tmp_path)
+    store = complexity._STORE
+    seen = []
+    encode = LZ77Estimator.encode
+
+    def spy(self, symbols, q, period=1, resume=None):
+        seen.append((len(symbols), len(store.bits), len(store.points), store.hits))
+        return encode(self, symbols, q, period, resume)
+
+    monkeypatch.setattr(LZ77Estimator, "encode", spy)
+    argv = ["estimate", "--in", str(tmp_path / "x.syms"), "--cond", str(tmp_path / "a.syms")]
+    runs = []
+    for _ in range(2):
+        seen.clear()
+        code, out, err = run(capsys, *argv)
+        assert code == 0, err
+        runs.append((out, seen[:]))
+    assert runs[0] == runs[1]
+    assert runs[0][1][0][1:] == (0, 0, 0)
 
 
 def test_play_out_writes_the_summary_line_stdout_gets_without_it(capsys, tmp_path):

@@ -7,10 +7,14 @@ Regenerate it (only when the output is meant to change) with
 
     PYTHONPATH=src python tests/test_coder_outputs.py
 """
+import ast
 import hashlib
+import inspect
 import json
 import math
 import random
+import sys
+import textwrap
 from pathlib import Path
 
 import pytest
@@ -19,15 +23,20 @@ from hypothesis import example, given, settings, strategies as st
 from reference_coders import outcome
 
 from nonlocality.coding import BitReader, gamma_len, read_uint, uint_len
+from nonlocality.complexity import EstimateStore
 from nonlocality.estimators import (
     ANCHOR,
     MODE_CODED,
     MODE_LITERAL,
+    ContextEstimator,
     Estimator,
     EstimatorError,
+    LZ77Estimator,
     _chain_links,
+    _context_ids,
     _extend_match,
     _header_writer,
+    _phase_view,
     _window_buckets,
     default_registry,
 )
@@ -242,7 +251,10 @@ def reference_cases(draw):
 @_with_layout_examples
 @settings(max_examples=60, deadline=None)
 def test_fused_loops_match_the_method_call_reference(est_id, case):
-    symbols, q, period = case
+    _check_against_the_reference(est_id, *case)
+
+
+def _check_against_the_reference(est_id: str, symbols: bytes, q: int, period: int) -> None:
     est = default_registry()[est_id]
     bits, blob = est.encode(symbols, q, period)
     assert est.decode(blob) == (q, symbols)
@@ -250,6 +262,119 @@ def test_fused_loops_match_the_method_call_reference(est_id, case):
     # lz78's decoder has no reference
     if est_id in reference_coders.FUSED_IDS:
         assert reference_coders.decode(est_id, blob) == (q, symbols)
+
+
+def reach_cases() -> dict:
+    """name -> (symbols, q, period, estimator ids): strings that reach
+    statements of the fused loops which the fixture corpus never runs.
+
+    - halving_q8: 4,096 random symbols, then 700 copies of 24-symbol slices
+      of them, so about 512 match flags pass with no halving between: the
+      lz77 match branch halves the flag counts (38,079 bits coded, 62,724
+      literal).
+    - sparse_q2: 3 % random symbols among zeros. An lz77 literal flag,
+      coded where matches are likely, can leave high below half with low
+      above a quarter, so the next doubling finds low past half.
+    - period_300: random binary symbols at a period above 256, where the
+      phases are an iterator and the contexts are numbered as they first
+      occur."""
+    seed = Seed.from_int(2024)
+    base = gen_seeded_random(4096, 8, seed.derive("halving")).data
+    rng = random.Random(8)
+    halving = bytearray(base)
+    for _ in range(700):
+        start = rng.randrange(len(base) - 24)
+        halving += base[start : start + 24]
+    rng = random.Random(1)
+    sparse = bytes(0 if rng.random() < 0.97 else rng.randrange(2) for _ in range(2000))
+    period_300 = gen_seeded_random(3000, 2, seed.derive("p300")).data
+    return {
+        "halving_q8": (bytes(halving), 8, 1, ("lz77",)),
+        "sparse_q2": (sparse, 2, 1, ("lz77",)),
+        "period_300": (period_300, 2, 300, ("lz77", "ctx_1", "ctx_2")),
+    }
+
+
+REACH_CASES = reach_cases()
+
+
+@pytest.mark.parametrize(
+    "name, est_id", [(name, est_id) for name, case in REACH_CASES.items() for est_id in case[3]]
+)
+def test_reach_cases_match_the_reference(name, est_id):
+    _check_against_the_reference(est_id, *REACH_CASES[name][:3])
+
+
+# the fused coder loops and the context ids they read
+REACHED = (
+    LZ77Estimator.encode,
+    LZ77Estimator._decode_payload,
+    ContextEstimator.encode,
+    ContextEstimator._decode_payload,
+    _context_ids,
+    _phase_view,
+)
+
+
+def _statement_lines(fn) -> set:
+    """The first line of each statement in fn's body but its docstring and
+    its raises."""
+    source, first = inspect.getsourcelines(fn)
+    node = ast.parse(textwrap.dedent("".join(source))).body[0]
+    body = node.body[1:] if ast.get_docstring(node) is not None else node.body
+    return {
+        first + stmt.lineno - 1
+        for top in body
+        for stmt in ast.walk(top)
+        if isinstance(stmt, ast.stmt) and not isinstance(stmt, ast.Raise)
+    }
+
+
+def test_named_cases_run_every_statement_of_the_fused_loops():
+    # a statement that no named case runs is compared with the reference
+    # only when Hypothesis happens to draw a string that reaches it. Each
+    # case is encoded twice through a store (the second encode resumes)
+    # and decoded. A function is no longer traced, and an estimator no
+    # longer run, once all their statements have run, so the reach cases
+    # go first
+    missing = {fn.__code__: _statement_lines(fn) for fn in REACHED}
+
+    def trace(frame, event, arg):
+        lines = missing.get(frame.f_code)
+        if not lines:
+            return None
+
+        def line(frame, event, arg):
+            if event == "line":
+                lines.discard(frame.f_lineno)
+            return line
+
+        return line
+
+    def pending(est) -> bool:
+        fns = (type(est).encode, type(est)._decode_payload, _context_ids, _phase_view)
+        return any(missing[fn.__code__] for fn in fns)
+
+    everyone = reference_coders.FUSED_IDS
+    cases = [
+        *REACH_CASES.values(),
+        *((*literal_heavy_case(seed), everyone) for seed in SPENT_SEEDS),
+        *((*case, everyone) for case in corpus().values()),
+    ]
+    reg = default_registry()
+    before = sys.gettrace()
+    sys.settrace(trace)
+    try:
+        for symbols, q, period, est_ids in cases:
+            for est in filter(pending, map(reg.get, est_ids)):
+                store = EstimateStore()
+                bits, blob = est.encode(symbols, q, period, resume=store)
+                assert est.encode(symbols, q, period, resume=store) == (bits, blob)
+                assert est.decode(blob) == (q, symbols)
+    finally:
+        sys.settrace(before)
+    unreached = {fn.__qualname__: sorted(missing[fn.__code__]) for fn in REACHED}
+    assert {name: lines for name, lines in unreached.items() if lines} == {}
 
 
 LZ78_QS = (2, 3, 4, 8, 16, 256)

@@ -96,13 +96,13 @@ def test_cache_never_serves_another_estimators_bits():
     padded = Padded(2)
     assert padded.estimator_id == "ctx_2"
     assert estimate_k(zeros, padded).bits == base + 1
-    assert len(complexity._CACHE) == 2
+    assert len(complexity._STORE.bits) == 2
     # the key is by value: a fresh instance of a built-in is a hit
     clear_cache()
     first, second = get_estimator("ctx_2"), get_estimator("ctx_2")
     assert first is not second
     assert estimate_k(zeros, first).bits == estimate_k(zeros, second).bits == base
-    assert len(complexity._CACHE) == 1
+    assert len(complexity._STORE.bits) == 1
 
 
 def _weave_reference(conds, n, subject):

@@ -3,7 +3,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from nonlocality.complexity import classify_value
+from nonlocality.complexity import classify_value, clear_cache
 from nonlocality.experiments import (
     SeedSet,
     run_locality_suite,
@@ -98,10 +98,23 @@ def test_reports_byte_identical_across_runs():
     assert r1.to_csv() == r2.to_csv()
 
 
-def test_wall_clock_not_serialized():
-    rep = run_theorem3(8, N, F(1, 64), "lz78", SS)
-    assert rep.wall_clock > 0
-    assert "wall_clock" not in rep.to_jsonl()
+def test_reports_are_values():
+    # two runs from an empty store return equal reports, and no line of
+    # the report holds a timing
+    clear_cache()
+    r1 = run_theorem1(N, "ctx_2", SS, NoSignalingSampler())
+    clear_cache()
+    r2 = run_theorem1(N, "ctx_2", SS, NoSignalingSampler())
+    assert r1 == r2
+    header, *rest = (json.loads(line) for line in r1.jsonl_lines())
+    assert set(header) == {
+        "schema", "kind", "experiment", "params", "seeds", "estimator_id", "thresholds",
+        "verdict", "config",
+    }
+    assert {tuple(sorted(line)) for line in rest} == {
+        ("class", "experiment", "kind", "n", "quantity", "rate", "schema", "value"),
+        ("experiment", "kind", "lhs", "name", "rhs", "schema", "slack"),
+    }
 
 
 def test_classes_recomputable_from_rates_and_thresholds():

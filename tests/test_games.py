@@ -250,6 +250,11 @@ def test_quadruple_manifest_roundtrip_and_rejects_unknown_fields(tmp_path):
     a, b = gen_promise_inputs(3, 50, SEED.derive("ja"))
     x, y = play(NoSignalingSampler(), g, a, b, SEED.derive("js"))
     quad = Quadruple(g, a, b, x, y)
+    # a stem names files in the manifest's directory, where the reader looks
+    for stem in ("../t", "sub/t", "..", ".", ""):
+        with pytest.raises(ValueError):
+            save_quadruple(quad, tmp_path, stem)
+    assert list(tmp_path.parent.glob("t.*")) == list(tmp_path.iterdir()) == []
     manifest = save_quadruple(quad, tmp_path, "t", eps=Fraction(0))
     back = load_quadruple(manifest)
     assert back.game == g and back.x.data == quad.x.data

@@ -160,13 +160,19 @@ def test_perfbench_toolkit_names_resolve():
             ("games", "GameSpec", "pr"), ("cli", "main")} <= seen
 
 
-def _names(node) -> Counter:
-    """Each identifier that node reads, by count: names and attributes."""
-    return Counter(
-        n.id if isinstance(n, ast.Name) else n.attr
-        for n in ast.walk(node)
-        if isinstance(n, (ast.Name, ast.Attribute))
-    )
+def _reads(node) -> tuple[Counter, Counter]:
+    """(names, attributes) that node reads, by count: a name read or an
+    imported name counts in the first, an attribute read (`x.name`) in the
+    second. Stores, such as a local of the same name, count in neither."""
+    names, attrs = Counter(), Counter()
+    for n in ast.walk(node):
+        if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load):
+            names[n.id] += 1
+        elif isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load):
+            attrs[n.attr] += 1
+        elif isinstance(n, ast.ImportFrom):
+            names.update(a.name for a in n.names)
+    return names, attrs
 
 
 def _public_defs(tree) -> list[tuple[str, str, ast.AST]]:
@@ -189,16 +195,27 @@ def _public_defs(tree) -> list[tuple[str, str, ast.AST]]:
 def _unnamed_defs(modules: dict, others: list[str], documented: set) -> list[str]:
     """The public definitions in modules (file name -> source) that no other
     part of them, none of the sources in others and no documented name
-    reads: each name's count over everything, less its count inside its own
-    definition."""
+    reads: each name's reads over everything, less those inside its own
+    definition. A method is read only as an attribute; a top-level function
+    or class also by name or import."""
     trees = {name: ast.parse(source) for name, source in modules.items()}
-    counts = sum((_names(t) for t in trees.values()), Counter())
-    counts += sum((_names(ast.parse(source)) for source in others), Counter())
+    names, attrs = Counter(), Counter()
+    for tree in [*trees.values(), *map(ast.parse, others)]:
+        n, a = _reads(tree)
+        names += n
+        attrs += a
+
+    def reads(qual, short, node) -> int:
+        n, a = _reads(node)
+        if "." in qual:
+            return attrs[short] - a[short]
+        return names[short] - n[short] + attrs[short] - a[short]
+
     return sorted(
         f"{name}:{qual}"
         for name, tree in trees.items()
         for qual, short, node in _public_defs(tree)
-        if counts[short] - _names(node)[short] == 0 and short not in documented
+        if reads(qual, short, node) == 0 and short not in documented
     )
 
 
@@ -215,8 +232,15 @@ def test_every_public_name_has_a_caller():
     snippet = {
         "m.py": "def used(): pass\ndef dead(): dead()\ndef doc(): pass\n"
         "class C:\n    def meth(self): pass\n    def _private(self): pass\nused()\n"
+        # a local that shares a method's or a function's name reads neither
+        "def stored():\n    meth = stored = 1\n    return meth\n",
+        "n.py": "from m import stored\n",
     }
     assert _unnamed_defs(snippet, ["C().x"], {"doc"}) == ["m.py:C.meth", "m.py:dead"]
+    del snippet["n.py"]
+    assert _unnamed_defs(snippet, ["C().x"], {"doc"}) == [
+        "m.py:C.meth", "m.py:dead", "m.py:stored"
+    ]
     modules = {path.name: path.read_text() for path in sorted(SRC.glob("*.py"))}
     bench = [path.read_text() for path in sorted((ROOT / "perfbench").glob("*.py"))]
     assert _unnamed_defs(modules, bench, _library_overview_names()) == []

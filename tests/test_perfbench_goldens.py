@@ -22,7 +22,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from nonlocality.complexity import ResumeStore
+from nonlocality.complexity import EstimateStore
 from nonlocality.estimators import ContextEstimator, LZ77Estimator, LZ78Estimator
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
@@ -58,7 +58,7 @@ def experiments_cycle() -> SimpleNamespace:
     encode call as (estimator, symbols, q, period, bits, blob), and the
     resume points kept as estimator id -> (count, sum of positions)."""
     calls, kept = [], {}
-    keep = ResumeStore.keep
+    keep = EstimateStore.keep
 
     def counted(self, est, symbols, q, period, point):
         count, total = kept.get(est.estimator_id, (0, 0))
@@ -79,7 +79,7 @@ def experiments_cycle() -> SimpleNamespace:
                 return bits, blob
 
             mp.setattr(cls, "encode", audited)
-        mp.setattr(ResumeStore, "keep", counted)
+        mp.setattr(EstimateStore, "keep", counted)
         records, goldens = _records("experiments", modules, Path(tmp), mp)
     return SimpleNamespace(records=records, goldens=goldens, calls=calls, kept=kept)
 

@@ -7,7 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from nonlocality import complexity
-from nonlocality.complexity import ResumeStore, clear_cache, estimate_k_cond
+from nonlocality.complexity import EstimateStore, clear_cache, estimate_k_cond
 from nonlocality.estimators import ContextEstimator, LZ77Estimator, default_registry
 from nonlocality.games import GameSpec, Quadruple, locality_verdict
 from nonlocality.strings import SymbolString, concat, interleave
@@ -81,15 +81,15 @@ def test_resumed_encode_equals_a_fresh_one(case, est_id, at):
     est = default_registry()[est_id]
     fresh = est.encode(prefix + suffix, q, period)
     assert est.decode(fresh[1]) == (q, prefix + suffix)
-    store = ResumeStore()
+    store = EstimateStore()
     est.encode(prefix, q, period, resume=store)
-    kept = len(store)
+    kept = len(store.points)
     assert est.encode(prefix + suffix, q, period, resume=store) == fresh
     if est_id == "lz77":  # ctx_k skips the store when its floor certifies the literal mode
         assert store.hits == kept
     if prefix:
         # a point kept for a prefix that differs in one symbol is never used
-        decoy = ResumeStore()
+        decoy = EstimateStore()
         est.encode(_flip(prefix, int(at * len(prefix)), q), q, period, resume=decoy)
         assert est.encode(prefix + suffix, q, period, resume=decoy) == fresh
         assert decoy.hits == 0
@@ -104,10 +104,10 @@ def test_clear_cache_empties_the_resume_store():
     x = SymbolString(2, _skewed(2, 4096, 2))
     clear_cache()
     estimate_k_cond(x, c, "ctx_2")
-    assert len(complexity._RESUME) and complexity._RESUME.hits
+    assert len(complexity._STORE.points) and complexity._STORE.hits
     clear_cache()
-    store = complexity._RESUME
-    assert len(store) == 0 and not complexity._CACHE
+    store = complexity._STORE
+    assert len(store.points) == 0 and not store.bits
     assert (store.hits, store.misses, store.resumed_symbols) == (0, 0, 0)
 
 
@@ -116,7 +116,7 @@ def test_store_counts_hits_misses_and_resumed_symbols():
     x = SymbolString(2, _skewed(2, 2048, 4))
     clear_cache()
     estimate_k_cond(x, c, "ctx_1")
-    store = complexity._RESUME
+    store = complexity._STORE
     # c.x resumes after c's 4096 symbols; x, c and the interleave
     # candidate's two strings (periods 2 and 3) find nothing
     assert store.hits == 1
@@ -135,7 +135,7 @@ def test_a_prefix_differing_in_one_symbol_is_never_resumed():
     for est_id in RESUMING:
         est = default_registry()[est_id]
         for at in (0, len(c) // 2, len(c) - 1):
-            store = ResumeStore()
+            store = EstimateStore()
             est.encode(c, q, 1, resume=store)
             other = _flip(c, at, q)
             assert store.find(est, other + x, q, 1) is None, (est_id, at)
@@ -146,9 +146,9 @@ def test_a_prefix_differing_in_one_symbol_is_never_resumed():
 def test_a_ctx_1_state_is_never_offered_to_ctx_2():
     c = _skewed(2, 4096, 7)
     x = _skewed(2, 1024, 8)
-    store = ResumeStore()
+    store = EstimateStore()
     ContextEstimator(1).encode(c, 2, 1, resume=store)
-    assert len(store) == 1
+    assert len(store.points) == 1
     assert store.find(ContextEstimator(2), c + x, 2, 1) is None
     assert store.find(LZ77Estimator(), c + x, 2, 1) is None
     assert store.find(ContextEstimator(1), c + x, 2, 1) is not None
@@ -159,9 +159,9 @@ def test_a_state_is_never_offered_for_another_period_or_q():
     x = _skewed(2, 1024, 10)
     for est_id in RESUMING:
         est = default_registry()[est_id]
-        store = ResumeStore()
+        store = EstimateStore()
         est.encode(c, 2, 2, resume=store)
-        assert len(store) == 1, est_id
+        assert len(store.points) == 1, est_id
         assert store.find(est, c + x, 2, 1) is None
         assert store.find(est, c + x, 2, 3) is None
         assert store.find(est, c + x, 3, 2) is None  # c + x is a q=3 string too
@@ -171,13 +171,13 @@ def test_a_state_is_never_offered_for_another_period_or_q():
 
 def test_the_store_keeps_the_most_recently_used_points():
     est = ContextEstimator(0)
-    store = ResumeStore()
-    strings = [_skewed(2, 512, 100 + i) for i in range(ResumeStore.LIMIT + 1)]
+    store = EstimateStore()
+    strings = [_skewed(2, 512, 100 + i) for i in range(EstimateStore.LIMIT + 1)]
     for s in strings[:-1]:
         est.encode(s, 2, 1, resume=store)
     assert store.find(est, strings[0] + b"\x01", 2, 1) is not None  # now the newest
     est.encode(strings[-1], 2, 1, resume=store)
-    assert len(store) == ResumeStore.LIMIT
+    assert len(store.points) == EstimateStore.LIMIT
     assert store.find(est, strings[1] + b"\x01", 2, 1) is None
     assert store.find(est, strings[0] + b"\x01", 2, 1) is not None
 
@@ -185,20 +185,20 @@ def test_the_store_keeps_the_most_recently_used_points():
 def test_the_store_stays_within_its_byte_budget(monkeypatch):
     est = ContextEstimator(3)
     strings = [_skewed(8, 4096, 200 + i) for i in range(4)]
-    store = ResumeStore()
+    store = EstimateStore()
     est.encode(strings[0], 8, 1, resume=store)
-    ((_, point),) = store._points.items()
+    ((_, point),) = store.points.items()
     size = point.footprint
     # room for two such points: the oldest goes, and an oversized one is never kept
-    monkeypatch.setattr(ResumeStore, "BUDGET", 2 * size + size // 2)
+    monkeypatch.setattr(EstimateStore, "BUDGET", 2 * size + size // 2)
     for s in strings[1:]:
         est.encode(s, 8, 1, resume=store)
-    assert len(store) == 2 and store._bytes <= ResumeStore.BUDGET
+    assert len(store.points) == 2 and store._bytes <= EstimateStore.BUDGET
     assert store.find(est, strings[1] + b"\x01", 8, 1) is None
-    monkeypatch.setattr(ResumeStore, "BUDGET", size // 2)
+    monkeypatch.setattr(EstimateStore, "BUDGET", size // 2)
     store.clear()
     est.encode(strings[0], 8, 1, resume=store)
-    assert len(store) == 0 and store._bytes == 0
+    assert len(store.points) == 0 and store._bytes == 0
 
 
 def test_concat_estimates_match_fresh_encodes():
@@ -225,7 +225,7 @@ def test_locality_verdict_resumes_ab_lambda_from_ab(monkeypatch):
     lam = SymbolString(2, _skewed(2, n, 32))
     ab_lam = concat(interleave(a, b), lam)
     found = []
-    store = complexity._RESUME
+    store = complexity._STORE
     find = store.find
 
     def spy(est, symbols, q, period):
