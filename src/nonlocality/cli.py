@@ -39,7 +39,6 @@ from .experiments import (
     run_theorem1,
     run_theorem2,
     run_theorem3,
-    write_report,
 )
 from .games import (
     GAME_KINDS,
@@ -134,7 +133,8 @@ def _positive(text) -> int:
 
 
 def _alphabet(text) -> int:
-    """argparse type of --q and gen --m: symbols are stored one per byte."""
+    """argparse type of --q and of the --m of gen, play and oracle: symbols
+    are stored one per byte, a chained game's inputs too."""
     return _bounded_int(text, 2, 256)
 
 
@@ -395,7 +395,9 @@ def _cmd_exp(args) -> int:
         report = run_locality_suite(estimator, seed_set, n=args.n)
     seconds = time.monotonic() - t0
     report = dataclasses.replace(report, config=_effective_config(args))
-    write_report(report, args.out, args.csv)
+    Path(args.out).write_text(report.to_jsonl())
+    if args.csv is not None:
+        Path(args.csv).write_text(report.to_csv())
     sys.stderr.write(f"wrote {args.out} ({seconds:.1f}s)\n")
     return 0
 
@@ -451,7 +453,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser("play", help="play a strategy on input files")
     _add_common(p)
     p.add_argument("--game", required=True, choices=GAME_KINDS)
-    p.add_argument("--m", type=int, default=2)
+    p.add_argument("--m", type=_alphabet, default=2)
     p.add_argument("--strategy", required=True, choices=("nosig", "signaling", "local"))
     p.add_argument("--eps", type=_probability)
     p.add_argument("--fa", type=_parse_table)
@@ -496,7 +498,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser("oracle", help="exact game values, membership, marginal LPs")
     _add_common(p)
     p.add_argument("--game", default="pr", choices=GAME_KINDS)
-    p.add_argument("--m", type=int, default=2)
+    p.add_argument("--m", type=_alphabet, default=2)
     p.add_argument("--reps", type=_positive, default=1)
     p.add_argument("--jobs", type=_positive, default=1)
     p.add_argument("--fine", help="distribution JSON for membership testing")
@@ -587,7 +589,8 @@ def _config_flags(action, value) -> list:
     items = value if repeatable else [value]
     text_only = action.type in _TEXT_TYPES
     for item in items:
-        if not isinstance(item, str) or text_only and isinstance(item, _JSONNumber):
+        # no command-line argument can hold a NUL, so no flag's text can
+        if not isinstance(item, str) or "\0" in item or text_only and isinstance(item, _JSONNumber):
             raise bad
         try:
             parsed = action.type(item) if action.type else item

@@ -82,13 +82,6 @@ class BitReader:
         return int(octets, 2).to_bytes(n, "big")
 
 
-def gamma_len(value: int) -> int:
-    """Bit length of the Elias gamma code of value >= 1."""
-    if value < 1:
-        raise ValueError("gamma codes positive integers")
-    return 2 * value.bit_length() - 1
-
-
 def gamma_bits(value: int) -> bytes:
     """The Elias gamma code of value >= 1 as ASCII '0'/'1': bit_length - 1
     zeros, then value's bits, most significant first."""
@@ -97,11 +90,14 @@ def gamma_bits(value: int) -> bytes:
     return b"0" * (value.bit_length() - 1) + bin(value)[2:].encode()
 
 
-def write_gamma(w: BitWriter, value: int) -> None:
-    w.buf += gamma_bits(value)
+def write_uint(w: BitWriter, value: int) -> None:
+    """Non-negative integer as the gamma code of value + 1."""
+    w.buf += gamma_bits(value + 1)
 
 
-def read_gamma(r: BitReader) -> int:
+def read_uint(r) -> int:
+    """The integer write_uint wrote, read bit by bit through r.read_bit, so
+    a decoder with that method reads gamma codes from its own stream."""
     zeros = 0
     while r.read_bit() == 0:
         zeros += 1
@@ -110,20 +106,14 @@ def read_gamma(r: BitReader) -> int:
     value = 1
     for _ in range(zeros):
         value = (value << 1) | r.read_bit()
-    return value
-
-
-def write_uint(w: BitWriter, value: int) -> None:
-    """Gamma-coded non-negative integer."""
-    write_gamma(w, value + 1)
-
-
-def read_uint(r: BitReader) -> int:
-    return read_gamma(r) - 1
+    return value - 1
 
 
 def uint_len(value: int) -> int:
-    return gamma_len(value + 1)
+    """Bit length of write_uint's code of value >= 0."""
+    if value < 0:
+        raise ValueError("write_uint codes non-negative integers")
+    return 2 * (value + 1).bit_length() - 1
 
 
 # --- arithmetic coder --------------------------------------------------------

@@ -500,7 +500,7 @@ class LZ77Estimator(Estimator):
                                     break
                                 ahead = symbols[i + ANCHOR : i + mark + 1]
                             j = prev[j]
-                        # gamma_len(best_dist) + gamma_len(best_len - ANCHOR + 1) + 2
+                        # len(gamma_bits(best_dist) + gamma_bits(best_len - ANCHOR + 1)) + 2
                         if best_len and 2 * (
                             best_dist.bit_length() + (best_len - ANCHOR + 1).bit_length()
                         ) < best_len * avg:

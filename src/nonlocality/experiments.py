@@ -20,7 +20,6 @@ import io
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
-from pathlib import Path
 
 from .complexity import (
     THETA_FULL_DEFAULT,
@@ -454,9 +453,3 @@ def run_locality_suite(
         diagnostics=diagnostics,
         verdict=verdict,
     )
-
-
-def write_report(report: ExperimentReport, jsonl_path, csv_path=None) -> None:
-    Path(jsonl_path).write_text(report.to_jsonl())
-    if csv_path is not None:
-        Path(csv_path).write_text(report.to_csv())

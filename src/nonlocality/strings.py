@@ -57,6 +57,10 @@ class SymbolString:
     def __setattr__(self, name, value):
         raise AttributeError("SymbolString is immutable")
 
+    def __reduce__(self):
+        # copy and pickle rebuild through the constructor, not __setattr__
+        return SymbolString, (self.q, self.data)
+
     @property
     def n(self) -> int:
         return len(self.data)
@@ -132,6 +136,9 @@ class Seed:
     def __setattr__(self, name, value):
         raise AttributeError("Seed is immutable")
 
+    def __reduce__(self):
+        return Seed, (self.value,)
+
     @classmethod
     def from_int(cls, v: int) -> "Seed":
         return cls(v.to_bytes(32, "little"))
@@ -152,6 +159,9 @@ class Seed:
 
     def __eq__(self, other) -> bool:
         return isinstance(other, Seed) and self.value == other.value
+
+    def __hash__(self) -> int:
+        return hash(self.value)
 
     def __repr__(self) -> str:
         return f"Seed({self.value.hex()[:16]}...)"
@@ -327,21 +337,15 @@ def write_syms(path, s: SymbolString) -> None:
 
 
 def read_syms(path) -> SymbolString:
+    """The string write_syms wrote: its header line must be byte for byte
+    the one write_syms writes for that q and n."""
     with open(path, "rb") as fh:
         header = fh.readline()
         body = fh.read()
     try:
-        text = header.decode("ascii")
-    except UnicodeDecodeError as exc:
-        raise FormatError("header is not ASCII") from exc
-    parts = text.strip().split()
-    if len(parts) != 3 or parts[0] != "SYMS":
-        raise FormatError(f"bad .syms header: {text!r}")
-    try:
-        q = int(parts[1].removeprefix("q="))
-        n = int(parts[2].removeprefix("n="))
-    except ValueError as exc:
-        raise FormatError(f"bad .syms header: {text!r}") from exc
-    if not (parts[1].startswith("q=") and parts[2].startswith("n=") and 2 <= q <= 256 and n >= 0):
-        raise FormatError(f"bad .syms header: {text!r}")
+        q, n = map(int, header.removeprefix(b"SYMS q=").split(b" n="))
+    except ValueError:
+        q = n = -1
+    if header != b"SYMS q=%d n=%d\n" % (q, n) or not 2 <= q <= 256 or n < 0:
+        raise FormatError(f"bad .syms header: {header!r}")
     return SymbolString(q, unpack_symbols(body, q, n))

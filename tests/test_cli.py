@@ -8,6 +8,7 @@ import sys
 import tempfile
 import time
 from contextlib import redirect_stderr, redirect_stdout
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -247,15 +248,44 @@ _PR_BOX = {f"{a},{b},{x},{x ^ (a & b)}": "1/2" for a in range(2) for b in range(
             "p": {**{f"{a},{b},0,0": "1" for a in range(3) for b in (a, (a + 1) % 3)},
                   "0,2,0,0": "0"},
         },
+        '{"game": "pr", "p": {',  # a string is the file's text: not JSON
+        {"game": "pr", "p": {**_PR_BOX, "0,0,0": "1/2"}},  # a key of three integers
+        {"game": "pr", "p": {k: "1/4" for k in _PR_BOX}},  # each input pair sums to 1/2
     ],
-    ids=["array", "p_array", "key", "m", "outside_alphabet", "off_promise"],
+    ids=[
+        "array", "p_array", "key", "m", "outside_alphabet", "off_promise",
+        "not_json", "key_of_three", "sum_not_one",
+    ],
 )
 def test_oracle_fine_malformed_distribution_is_data_error(capsys, tmp_path, dist):
     path = tmp_path / "dist.json"
-    path.write_text(json.dumps(dist))
+    path.write_text(dist if isinstance(dist, str) else json.dumps(dist))
     code, _, err = run(capsys, "oracle", "--fine", str(path))
     assert code == 2
     assert "Traceback" not in err
+
+
+def test_oracle_fine_local_distribution_weights_rebuild_it(capsys, tmp_path):
+    # half the box where both always answer 0, half where each answers its input
+    p = {}
+    for a in range(2):
+        for b in range(2):
+            for x, y in ((0, 0), (a, b)):
+                p[(a, b, x, y)] = p.get((a, b, x, y), Fraction(0)) + Fraction(1, 2)
+    path = tmp_path / "dist.json"
+    table = {",".join(map(str, k)): str(v) for k, v in p.items()}
+    path.write_text(json.dumps({"game": "pr", "p": table}))
+    code, out, _ = run(capsys, "oracle", "--fine", str(path))
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["membership"] == "Local"
+    rebuilt = {}
+    for vertex in payload["weights"]:
+        for a in range(2):
+            for b in range(2):
+                key = (a, b, vertex["fa"][a], vertex["fb"][b])
+                rebuilt[key] = rebuilt.get(key, Fraction(0)) + Fraction(vertex["weight"])
+    assert {k: v for k, v in rebuilt.items() if v} == p
 
 
 @pytest.mark.parametrize("m", [2000, 10**9])
@@ -279,26 +309,60 @@ def test_oracle_fine_chained7_is_refused_by_the_oracle(capsys, tmp_path):
     assert code == 3 and "too many deterministic vertices" in err
 
 
+_THEOREM1 = ["exp", "--which", "theorem1", "--config"]
+
+
 @pytest.mark.parametrize(
-    "cfg",
+    "argv, cfg",
     [
-        {"n": [1]}, {"seed": 5}, {"estimator": []}, {"csv": 5}, {"m": 1},
-        {"eps": "1/0"}, {"eps": float("inf")}, {"eps": "2"}, {"fa": 5}, {"func": "x"},
+        *((_THEOREM1, cfg) for cfg in (
+            {"n": [1]}, {"seed": 5}, {"estimator": []}, {"csv": 5}, {"m": 1},
+            {"eps": "1/0"}, {"eps": float("inf")}, {"eps": "2"}, {"fa": 5}, {"func": "x"},
+        )),
+        (["exp", "--which", "theorem1", "--config="], {"n": [1]}),  # PATH joined to the flag
+        (_THEOREM1, None),  # no file at PATH
+        (_THEOREM1, '{"n": '),  # a string is the file's text: not JSON
+        (_THEOREM1, [1, 2]),
+        (["oracle", "--config"], {"marginals": "true"}),
     ],
     ids=[
         "n_list", "seed_int", "estimator_list", "csv_int", "m_1",
         "eps_zero_denominator", "eps_infinite", "eps_above_one", "fa_int", "unknown_key",
+        "config_equals_path", "missing_file", "not_json", "array", "switch_string",
     ],
 )
-def test_config_value_of_wrong_type_is_data_error(capsys, tmp_path, cfg):
+def test_config_value_of_wrong_type_is_data_error(capsys, tmp_path, argv, cfg):
     path = tmp_path / "cfg.json"
-    path.write_text(json.dumps(cfg))
+    if cfg is not None:
+        path.write_text(cfg if isinstance(cfg, str) else json.dumps(cfg))
+    *head, flag = argv
+    argv = [*head, flag + str(path)] if flag.endswith("=") else [*argv, str(path)]
     out = tmp_path / "r.jsonl"
-    code, _, err = run(
-        capsys, "exp", "--which", "theorem1", "--config", str(path), "--out", str(out)
-    )
+    code, _, err = run(capsys, *argv, "--out", str(out))
     assert code == 2
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv, cfg",
+    [
+        (["play", "--a", "{d}/a.syms", "--out-dir", "{d}/d"], {"stem": "a\0b"}),
+        (["estimate", "--in", "{d}/x.syms"], {"out": "{d}/r\0.json"}),
+        (["play", "--a", "{d}/a.syms", "--out-dir", "{d}/d"], {"a": "{d}/a\0.syms"}),
+    ],
+    ids=["play_stem", "estimate_out", "play_a"],
+)
+def test_nul_in_config_string_is_data_error(capsys, tmp_path, argv, cfg):
+    # no command line can hold a NUL, so the config is refused before any work
+    _quad_files(tmp_path)
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({k: v.format(d=tmp_path) for k, v in cfg.items()}))
+    if argv[0] == "play":
+        argv = [*argv, "--game", "pr", "--strategy", "nosig", "--b", "{d}/b.syms"]
+    before = sorted(tmp_path.iterdir())
+    code, _, err = run(capsys, *[a.format(d=tmp_path) for a in argv], "--config", str(path))
+    assert code == 2 and "bad config value" in err
+    assert sorted(tmp_path.iterdir()) == before
 
 
 @pytest.mark.parametrize(
@@ -355,6 +419,9 @@ def test_bad_seed_is_usage_error(capsys, tmp_path, seed):
         ["nosig", "--quad", "q.json", "--theta-ns=-0.5"],
         ["locality", "--quad", "q.json", "--defect-threshold", "nan"],
         ["locality", "--quad", "q.json", "--output-threshold", "inf"],
+        ["oracle", "--game", "chained", "--m", "1"],
+        ["play", "--game", "chained", "--m", "1", "--strategy", "nosig", "--a", "a.syms",
+         "--b", "b.syms"],
     ],
     ids=[
         "exp_n_zero", "exp_n_negative", "exp_n_text", "gen_n_negative", "q_1", "q_257",
@@ -363,7 +430,7 @@ def test_bad_seed_is_usage_error(capsys, tmp_path, seed):
         "pr_weight_above_one", "pr_weight_negative", "jobs_0", "jobs_negative",
         "theta_zero_above_full", "theta_zero_equals_full", "theta_zero_nan", "theta_full_inf",
         "theta_full_above_one", "theta_zero_negative", "theta_ns_nan", "theta_ns_negative",
-        "defect_threshold_nan", "output_threshold_inf",
+        "defect_threshold_nan", "output_threshold_inf", "oracle_m_1", "play_m_1",
     ],
 )
 def test_bad_size_is_usage_error(capsys, tmp_path, argv):
@@ -479,25 +546,37 @@ def _quad_files(directory):
         write_syms(directory / f"{name}.syms", bits)
 
 
+_BESIDE = {k: f"{k}.syms" for k in "abxy"}  # the manifest's own directory
+
+
 @pytest.mark.parametrize(
-    "files",
+    "manifest",
     [
-        {"a": 5, "b": "b.syms", "x": "x.syms", "y": "y.syms"},
-        ["a", "b", "x", "y"],
-        "ABSOLUTE",
-        {k: f"../{k}.syms" for k in "abxy"},
+        {"schema": 1, "game": "pr", "files": {**_BESIDE, "a": 5}},
+        {"schema": 1, "game": "pr", "files": ["a", "b", "x", "y"]},
+        {"schema": 1, "game": "pr", "files": "ABSOLUTE"},
+        {"schema": 1, "game": "pr", "files": {k: f"../{k}.syms" for k in "abxy"}},
+        '{"schema": 1,',  # a string is the file's text: not JSON
+        [1, "pr", _BESIDE],
+        {"schema": 1, "game": "pr"},
+        {"schema": 2, "game": "pr", "files": _BESIDE},
+        {"schema": 1, "game": "chained", "m": 3, "files": _BESIDE},  # binary strings
     ],
-    ids=["int_name", "list", "absolute", "dotdot"],
+    ids=[
+        "int_name", "list", "absolute", "dotdot",
+        "not_json", "array", "missing_files", "schema_2", "strings_do_not_fit",
+    ],
 )
-def test_malformed_manifest_is_data_error(capsys, tmp_path, files):
-    _quad_files(tmp_path)  # the targets exist, so only the check can refuse them
-    if files == "ABSOLUTE":
-        files = {k: str(tmp_path / f"{k}.syms") for k in "abxy"}
+def test_malformed_manifest_is_data_error(capsys, tmp_path, manifest):
     inner = tmp_path / "m"
     inner.mkdir()
-    manifest = inner / "quad.json"
-    manifest.write_text(json.dumps({"schema": 1, "game": "pr", "files": files}))
-    code, out, err = run(capsys, "nosig", "--quad", str(manifest), "--estimator", "ctx_0")
+    for directory in (tmp_path, inner):  # the targets exist, so only the check can refuse them
+        _quad_files(directory)
+    if isinstance(manifest, dict) and manifest.get("files") == "ABSOLUTE":
+        manifest = {**manifest, "files": {k: str(tmp_path / f"{k}.syms") for k in "abxy"}}
+    path = inner / "quad.json"
+    path.write_text(manifest if isinstance(manifest, str) else json.dumps(manifest))
+    code, out, err = run(capsys, "nosig", "--quad", str(path), "--estimator", "ctx_0")
     assert code == 2 and out == ""
     assert "Traceback" not in err
 

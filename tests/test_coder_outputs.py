@@ -22,7 +22,7 @@ import reference_coders
 from hypothesis import example, given, settings, strategies as st
 from reference_coders import outcome
 
-from nonlocality.coding import BitReader, gamma_len, read_uint, uint_len
+from nonlocality.coding import BitReader, read_uint, uint_len
 from nonlocality.complexity import EstimateStore
 from nonlocality.estimators import (
     ANCHOR,
@@ -34,8 +34,10 @@ from nonlocality.estimators import (
     LZ77Estimator,
     _chain_links,
     _context_ids,
+    _digit_sum,
     _extend_match,
     _header_writer,
+    _payload_floor,
     _phase_view,
     _window_buckets,
     default_registry,
@@ -305,14 +307,23 @@ def test_reach_cases_match_the_reference(name, est_id):
     _check_against_the_reference(est_id, *REACH_CASES[name][:3])
 
 
-# the fused coder loops and the context ids they read
+# the fused coder loops and the helpers they call: the context ids they
+# read, lz77's match index and match extension, and ctx_k's literal floor
+HELPERS = (
+    _context_ids,
+    _phase_view,
+    _digit_sum,
+    _chain_links,
+    _window_buckets,
+    _extend_match,
+    _payload_floor,
+)
 REACHED = (
     LZ77Estimator.encode,
     LZ77Estimator._decode_payload,
     ContextEstimator.encode,
     ContextEstimator._decode_payload,
-    _context_ids,
-    _phase_view,
+    *HELPERS,
 )
 
 
@@ -352,7 +363,7 @@ def test_named_cases_run_every_statement_of_the_fused_loops():
         return line
 
     def pending(est) -> bool:
-        fns = (type(est).encode, type(est)._decode_payload, _context_ids, _phase_view)
+        fns = (type(est).encode, type(est)._decode_payload, *HELPERS)
         return any(missing[fn.__code__] for fn in fns)
 
     everyone = reference_coders.FUSED_IDS
@@ -512,12 +523,12 @@ LONG_MATCH = long_match_cases()
 @pytest.mark.parametrize("name", sorted(LONG_MATCH))
 def test_long_match_codes_match_the_reference(name):
     symbols, q, period, unit = LONG_MATCH[name]
-    length_code = gamma_len(len(symbols) - unit - ANCHOR + 1)
+    length_code = uint_len(len(symbols) - unit - ANCHOR)
     assert length_code > 32
     est = default_registry()["lz77"]
     bits, blob = est.encode(symbols, q, period)
     # the literals, one flag per token and the match code: one match it is
-    assert bits < literal_len(q, unit, period) + 2 * unit + gamma_len(unit) + length_code + 40
+    assert bits < literal_len(q, unit, period) + 2 * unit + uint_len(unit - 1) + length_code + 40
     assert (bits, blob) == reference_coders.encode("lz77", symbols, q, period)
     assert est.decode(blob) == (q, symbols)
     assert reference_coders.decode("lz77", blob) == (q, symbols)

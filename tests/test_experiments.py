@@ -11,7 +11,6 @@ from nonlocality.experiments import (
     run_theorem1,
     run_theorem2,
     run_theorem3,
-    write_report,
 )
 from nonlocality.games import LocalDeterministic, NoSignalingSampler, SignalingSampler
 from nonlocality.strings import Seed
@@ -126,16 +125,15 @@ def test_classes_recomputable_from_rates_and_thresholds():
             assert classify_value(r.rate, tz, tf) == r.rate_class
 
 
-def test_jsonl_schema_and_csv_projection(tmp_path):
+def test_jsonl_schema_and_csv_projection():
     rep = run_theorem3(8, N, F(1, 64), "lz78", SS)
-    write_report(rep, tmp_path / "r.jsonl", tmp_path / "r.csv")
-    lines = (tmp_path / "r.jsonl").read_text().splitlines()
+    lines = rep.to_jsonl().splitlines()
     objs = [json.loads(l) for l in lines]
     assert all(o["schema"] == 1 for o in objs)
     assert objs[0]["kind"] == "header"
     kinds = {o["kind"] for o in objs}
     assert kinds == {"header", "row", "diagnostic"}
-    csv_lines = (tmp_path / "r.csv").read_text().splitlines()
+    csv_lines = rep.to_csv().splitlines()
     assert csv_lines[0] == "experiment,quantity,n,value,rate,class"
     assert len(csv_lines) == 1 + sum(1 for o in objs if o["kind"] == "row")
 

@@ -1,9 +1,13 @@
+import copy
+import pickle
+
 import pytest
 import reference_packing
 from hypothesis import given, settings, strategies as st
 from traced_peak import traced_peak
 
-from nonlocality.games import GameSpec
+from nonlocality.experiments import SeedSet
+from nonlocality.games import GameSpec, Quadruple
 from nonlocality.strings import (
     FormatError,
     Seed,
@@ -189,14 +193,39 @@ def test_syms_rejects_trailing_and_bad_header(tmp_path):
     p.write_bytes(b"NOTSYMS\n")
     with pytest.raises(FormatError):
         read_syms(p)
+    # a negative length whose packed size rounds to the empty body
+    p.write_bytes(b"SYMS q=2 n=-1\n")
+    with pytest.raises(FormatError):
+        read_syms(p)
 
 
-@pytest.mark.parametrize("header", [b"SYMS q=1 n=0", b"SYMS q=300 n=1", b"SYMS q=2 n=-8"])
+@pytest.mark.parametrize(
+    "header",
+    [
+        b"SYMS q=1 n=0", b"SYMS q=300 n=1", b"SYMS q=2 n=-8",
+        # int() reads each as q=2 n=8; write_syms writes none of them
+        b"SYMS q=+2 n=8", b"SYMS q=2 n=0_8", b"SYMS q=2 n=8\r", b"SYMS q=02 n=8",
+    ],
+)
 def test_syms_header_out_of_range_is_format_error(tmp_path, header):
     p = tmp_path / "x.syms"
     p.write_bytes(header + b"\n\xff")
     with pytest.raises(FormatError):
         read_syms(p)
+
+
+def test_values_copy_pickle_and_hash():
+    s = SymbolString(2, b"\0\1\1\0")
+    seed = Seed.from_int(1)
+    values = [s, seed, SeedSet.from_master(seed), Quadruple(GameSpec.pr(), s, s, s, s)]
+    for v in values:
+        for twin in (pickle.loads(pickle.dumps(v)), copy.copy(v), copy.deepcopy(v)):
+            assert type(twin) is type(v) and twin == v and hash(twin) == hash(v)
+    assert hash(Seed.from_int(1)) == hash(seed)
+    with pytest.raises(AttributeError):
+        s.q = 3
+    with pytest.raises(AttributeError):
+        seed.value = bytes(32)
 
 
 def test_seed_from_hex_pads_short_and_rejects_long():
