@@ -73,6 +73,7 @@ from .strings import (
     gen_promise_inputs,
     gen_seeded_random,
     read_syms,
+    unique_keys,
     write_syms,
 )
 
@@ -311,8 +312,14 @@ def _cmd_locality(args) -> int:
 
 
 def _read_distribution(path) -> Distribution:
+    """The --fine distribution file. Each "p" key is spelled exactly
+    f"{a},{b},{x},{y}", as its four ints print, and each value is an exact
+    fraction: a string, or a JSON number read from its text (0.1 is 1/10)."""
     try:
-        data = json.loads(Path(path).read_text())
+        data = json.loads(
+            Path(path).read_text(),
+            object_pairs_hook=unique_keys, parse_float=_JSONNumber, parse_constant=_JSONNumber,
+        )
     except json.JSONDecodeError as exc:
         raise FormatError(f"bad distribution JSON: {exc}") from exc
     if not isinstance(data, dict) or not isinstance(data.get("p", {}), dict):
@@ -322,10 +329,12 @@ def _read_distribution(path) -> Distribution:
     for key, val in data.get("p", {}).items():
         try:
             parts = tuple(int(v) for v in key.split(","))
+            if isinstance(val, bool) or not isinstance(val, (int, str)):
+                raise TypeError("a probability is a string or a number")
             table[parts] = Fraction(val)
         except (TypeError, ValueError, ArithmeticError) as exc:
             raise FormatError(f"bad distribution entry {key!r}: {val!r}") from exc
-        if len(parts) != 4:
+        if len(parts) != 4 or key != ",".join(map(str, parts)):
             raise FormatError(f"bad distribution key: {key!r}")
     try:
         return Distribution(game, table)
@@ -534,7 +543,7 @@ def build_parser() -> _Parser:
 
 
 class _JSONNumber(str):
-    """A number of a config file, kept as its JSON text."""
+    """A number of a config or distribution file, kept as its JSON text."""
     __repr__ = str.__str__
 
 
@@ -557,6 +566,7 @@ def _config_argv(parser: _Parser, argv: list) -> list:
     try:
         cfg = json.loads(
             Path(cfg_path).read_text(),
+            object_pairs_hook=unique_keys,
             parse_int=_JSONNumber, parse_float=_JSONNumber, parse_constant=_JSONNumber,
         )
     except (OSError, json.JSONDecodeError) as exc:

@@ -102,22 +102,6 @@ def _overrun(n: int) -> EstimatorError:
     return EstimatorError(f"corrupt header or cut payload: {n} coded symbols overrun the blob")
 
 
-def _coder_start(r: BitReader, n: int) -> tuple[int, bytes, int, int]:
-    """An arithmetic decoder's start: its first 32 bits, the reader's bits
-    padded with zeros, the position after those 32 bits, and `end`, past
-    which no read may go. The encoder writes D + 2 payload bits for D
-    doublings and the decoder reads 32, then one per doubling, so on an
-    honest stream pos never passes the blob's end by more than 30 bits;
-    a read that does comes from a cut or corrupt blob. One renormalisation
-    reads at most 32 bits, so 64 bits of padding cover every read that
-    starts at or before `end`."""
-    v = r.read_bits(32)
-    end = len(r.buf) + 30
-    if r.pos > end:
-        raise _overrun(n)
-    return v, r.buf + b"0" * 64, r.pos, end
-
-
 class Estimator:
     """Interface: encode returns (exact bit count, byte blob).
 
@@ -409,6 +393,192 @@ def _chain_links(symbols: bytes, q: int) -> array:
     return prev
 
 
+def _decode_stream(r: BitReader, q: int, n: int, period: int, k: int, matches: bool) -> bytes:
+    """The n symbols of a coded ctx_k or lz77 payload, by the one
+    arithmetic decoder both run. It decodes literals in runs, each in its
+    order-k context (see _context_ids), tracked as the symbols arrive. A
+    ctx_k stream is one run to n. In an lz77 stream (`matches`, k = 2)
+    each token starts with its flag: 0 is followed by a run of one
+    literal, 1 by a match's two gamma codes; a match is at least ANCHOR
+    symbols long, so the context after it is its last two symbols.
+
+    The decoder starts from the payload's first 32 bits and reads the
+    reader's bits padded with zeros, but never past `end`. The encoder
+    writes D + 2 payload bits for D doublings and the decoder reads 32,
+    then one per doubling, so on an honest stream pos never passes the
+    blob's end by more than 30 bits; a read that does comes from a cut or
+    corrupt blob. One renormalisation reads at most 32 bits, so 64 bits of
+    padding cover every read that starts at or before `end`."""
+    v = r.read_bits(32)
+    end = len(r.buf) + 30
+    if r.pos > end:
+        raise _overrun(n)
+    buf = r.buf + b"0" * 64
+    pos = r.pos
+    low, high = 0, TOP
+    half, quarter, three_q = HALF, QUARTER, THREE_Q
+    step = STEP
+    limit = RESCALE
+    last = q - 1
+    qq = q + 1
+    mod = qq**k
+    ctx = mod - 1  # k sentinels: q * (qq**(k-1) + ... + qq + 1)
+    tables: dict = {}
+    f0 = f1 = 1
+    out = bytearray()
+    i = 0
+    while i < n:
+        if matches:
+            # the token's flag, split as the encoder splits it
+            split = (high - low + 1) * f0 // (f0 + f1)
+            if v < split:
+                sym = 0
+                high = low + split - 1
+                f0 += step
+                c = f0
+            else:
+                sym = 1
+                low += split
+                v -= split
+                f1 += step
+                c = f1
+                # the match's two gamma codes follow, bit by bit at the
+                # fixed probability 1/2, each bit parsed once its doublings
+                # are read: the zeros counted so far, then (once the code's
+                # 1 has come and value > 0) the bits still to read; dist is
+                # the first code's value
+                bit = -1
+                zeros = value = dist = 0
+            if c >= limit:  # rescale(), on the two counts
+                f0 = (f0 + 1) >> 1
+                f1 = (f1 + 1) >> 1
+            while sym or high < half or (low >= quarter and high < three_q):
+                shifts = 0
+                while True:
+                    if high < half:
+                        pass
+                    elif low >= half:
+                        low -= half
+                        high -= half
+                    elif low >= quarter and high < three_q:
+                        low -= quarter
+                        high -= quarter
+                    else:
+                        break
+                    low <<= 1
+                    high = (high << 1) | 1
+                    shifts += 1
+                if shifts:
+                    v = (v << shifts) | int(buf[pos : pos + shifts], 2)
+                    pos += shifts
+                    if pos > end:
+                        raise _overrun(n)
+                if not sym:
+                    break
+                if bit >= 0:
+                    if value:
+                        value = (value << 1) | bit
+                        zeros -= 1
+                    elif bit:
+                        value = 1
+                    else:
+                        zeros += 1
+                        if zeros > 64:
+                            raise ValueError("malformed gamma code")
+                    if value and not zeros:
+                        if dist:
+                            break
+                        dist = value
+                        value = 0
+                split = (high - low + 1) >> 1
+                if v < split:
+                    bit = 0
+                    high = low + split - 1
+                else:
+                    bit = 1
+                    low += split
+                    v -= split
+            if sym:
+                length = value + ANCHOR - 1
+                start = i - dist
+                if start < 0 or i + length > n:
+                    raise EstimatorError("corrupt LZ77 stream")
+                if dist >= length:
+                    out += out[start : start + length]
+                else:  # the copy overlaps its own output
+                    out += (out[start:] * (length // dist + 1))[:length]
+                i += length
+                ctx = out[i - 2] * qq + out[i - 1]
+                continue
+            stop = i + 1
+        else:
+            stop = n
+        for i in range(i, stop):
+            key = (i % period) * mod + ctx
+            try:
+                t = tables[key]
+            except KeyError:
+                t = tables[key] = new_table(q)
+            total = t[q]
+            span = high - low + 1
+            # symbol 0 ends at the encoder's first split point. Past it,
+            # ((v + 1) * total - 1) // span < cum_s exactly when
+            # v < span * cum_s // total, so the count search finds s; s = 1
+            # starts at that first split, and the last symbol's range ends
+            # at high
+            c = t[0]
+            split = span * c // total
+            if v < split:
+                s = 0
+                high = low + split - 1
+            else:
+                s = 1
+                cum = c
+                c = t[1]
+                if last > 1:
+                    target = ((v + 1) * total - 1) // span
+                    while cum + c <= target:
+                        cum += c
+                        s += 1
+                        c = t[s]
+                    if s > 1:
+                        split = span * cum // total
+                if s < last:
+                    high = low + span * (cum + c) // total - 1
+                low += split
+                v -= split
+            shifts = 0
+            while True:
+                if high < half:
+                    pass
+                elif low >= half:
+                    low -= half
+                    high -= half
+                elif low >= quarter and high < three_q:
+                    low -= quarter
+                    high -= quarter
+                else:
+                    break
+                low <<= 1
+                high = (high << 1) | 1
+                shifts += 1
+            if shifts:
+                v = (v << shifts) | int(buf[pos : pos + shifts], 2)
+                pos += shifts
+                if pos > end:
+                    raise _overrun(n)
+            c += step
+            t[s] = c
+            t[q] = total + step
+            if c >= limit:
+                rescale(t)
+            out.append(s)
+            if k:
+                ctx = (ctx * qq + s) % mod
+        i = stop
+    return bytes(out)
+
+
 class LZ77Estimator(Estimator):
     """Long-range copy detection over the full window, with literals coded
     by an order-2 adaptive context model. Matches shorter than ANCHOR
@@ -642,156 +812,7 @@ class LZ77Estimator(Estimator):
         return self._pick(symbols, q, period, w)
 
     def _decode_payload(self, r: BitReader, q: int, n: int, period: int) -> bytes:
-        low, high = 0, TOP
-        v, buf, pos, end = _coder_start(r, n)
-        half, quarter, three_q = HALF, QUARTER, THREE_Q
-        f0 = f1 = 1
-        tables: dict = {}
-        step = STEP
-        limit = RESCALE
-        last = q - 1
-        out = bytearray()
-        qq = q + 1
-        ctxspan = qq * qq
-        while len(out) < n:
-            # the token's flag, split as the encoder splits it
-            split = (high - low + 1) * f0 // (f0 + f1)
-            if v < split:
-                sym = 0
-                high = low + split - 1
-                f0 += step
-                c = f0
-            else:
-                sym = 1
-                low += split
-                v -= split
-                f1 += step
-                c = f1
-                # the match's two gamma codes follow, bit by bit at the
-                # fixed probability 1/2, each bit parsed once its doublings
-                # are read: the zeros counted so far, then (once the code's
-                # 1 has come and value > 0) the bits still to read; dist is
-                # the first code's value
-                bit = -1
-                zeros = value = dist = 0
-            if c >= limit:  # rescale(), on the two counts
-                f0 = (f0 + 1) >> 1
-                f1 = (f1 + 1) >> 1
-            while sym or high < half or (low >= quarter and high < three_q):
-                shifts = 0
-                while True:
-                    if high < half:
-                        pass
-                    elif low >= half:
-                        low -= half
-                        high -= half
-                    elif low >= quarter and high < three_q:
-                        low -= quarter
-                        high -= quarter
-                    else:
-                        break
-                    low <<= 1
-                    high = (high << 1) | 1
-                    shifts += 1
-                if shifts:
-                    v = (v << shifts) | int(buf[pos : pos + shifts], 2)
-                    pos += shifts
-                    if pos > end:
-                        raise _overrun(n)
-                if not sym:
-                    break
-                if bit >= 0:
-                    if value:
-                        value = (value << 1) | bit
-                        zeros -= 1
-                    elif bit:
-                        value = 1
-                    else:
-                        zeros += 1
-                        if zeros > 64:
-                            raise ValueError("malformed gamma code")
-                    if value and not zeros:
-                        if dist:
-                            break
-                        dist = value
-                        value = 0
-                split = (high - low + 1) >> 1
-                if v < split:
-                    bit = 0
-                    high = low + split - 1
-                else:
-                    bit = 1
-                    low += split
-                    v -= split
-            if sym:
-                length = value + ANCHOR - 1
-                start = len(out) - dist
-                if start < 0 or len(out) + length > n:
-                    raise EstimatorError("corrupt LZ77 stream")
-                if dist >= length:
-                    out += out[start : start + length]
-                else:  # the copy overlaps its own output
-                    out += (out[start:] * (length // dist + 1))[:length]
-                continue
-            # the literal, in its order-2 context
-            i = len(out)
-            p1 = out[i - 1] if i >= 1 else q
-            p2 = out[i - 2] if i >= 2 else q
-            ctx = (i % period) * ctxspan + p2 * qq + p1
-            try:
-                t = tables[ctx]
-            except KeyError:
-                t = tables[ctx] = new_table(q)
-            total = t[q]
-            span = high - low + 1
-            c = t[0]
-            split = span * c // total
-            if v < split:
-                s = 0
-                high = low + split - 1
-            else:
-                s = 1
-                cum = c
-                c = t[1]
-                if last > 1:
-                    target = ((v + 1) * total - 1) // span
-                    while cum + c <= target:
-                        cum += c
-                        s += 1
-                        c = t[s]
-                    if s > 1:
-                        split = span * cum // total
-                if s < last:
-                    high = low + span * (cum + c) // total - 1
-                low += split
-                v -= split
-            shifts = 0
-            while True:
-                if high < half:
-                    pass
-                elif low >= half:
-                    low -= half
-                    high -= half
-                elif low >= quarter and high < three_q:
-                    low -= quarter
-                    high -= quarter
-                else:
-                    break
-                low <<= 1
-                high = (high << 1) | 1
-                shifts += 1
-            if shifts:
-                v = (v << shifts) | int(buf[pos : pos + shifts], 2)
-                pos += shifts
-                if pos > end:
-                    raise _overrun(n)
-            c += step
-            t[s] = c
-            t[q] = total + step
-            if c >= limit:
-                rescale(t)
-            out.append(s)
-        return bytes(out)
+        return _decode_stream(r, q, n, period, 2, True)
 
 
 def _payload_floor(symbols: bytes, q: int, k: int, period: int) -> float | None:
@@ -878,8 +899,8 @@ def _payload_floor(symbols: bytes, q: int, k: int, period: int) -> float | None:
 
 class ContextEstimator(Estimator):
     """Order-k adaptive arithmetic coder: each symbol is predicted from the
-    previous k symbols. Both loops run the coder inline on its state, and
-    encode reads each position's context id from _context_ids.
+    previous k symbols. encode runs the coder inline on its state and reads
+    each position's context id from _context_ids; decode runs _decode_stream.
     encode returns the literal blob without coding when _payload_floor
     proves that the literal mode wins. The model has no lookahead, so the
     resume point is the state after the last symbol, before the flush."""
@@ -971,83 +992,7 @@ class ContextEstimator(Estimator):
         d = RESCALE + q - 2
         if n * (((q - 1) << 30) - d) > (len(r.buf) - r.pos) * (d << 30):
             raise EstimatorError(f"corrupt header: {n} coded symbols cannot fit the blob")
-        low, high = 0, TOP
-        v, buf, pos, end = _coder_start(r, n)
-        half, quarter, three_q = HALF, QUARTER, THREE_Q
-        tables: dict = {}
-        step = STEP
-        limit = RESCALE
-        k = self.order
-        qq = q + 1
-        mod = qq**k
-        last = q - 1
-        ctx = 0
-        for _ in range(k):
-            ctx = ctx * qq + q
-        out = bytearray()
-        for i in range(n):
-            key = (i % period) * mod + ctx
-            try:
-                t = tables[key]
-            except KeyError:
-                t = tables[key] = new_table(q)
-            total = t[q]
-            span = high - low + 1
-            # symbol 0 ends at the encoder's first split point. Past it,
-            # ((v + 1) * total - 1) // span < cum_s exactly when
-            # v < span * cum_s // total, so the count search finds s; s = 1
-            # starts at that first split, and the last symbol's range ends
-            # at high
-            c = t[0]
-            split = span * c // total
-            if v < split:
-                s = 0
-                high = low + split - 1
-            else:
-                s = 1
-                cum = c
-                c = t[1]
-                if last > 1:
-                    target = ((v + 1) * total - 1) // span
-                    while cum + c <= target:
-                        cum += c
-                        s += 1
-                        c = t[s]
-                    if s > 1:
-                        split = span * cum // total
-                if s < last:
-                    high = low + span * (cum + c) // total - 1
-                low += split
-                v -= split
-            shifts = 0
-            while True:
-                if high < half:
-                    pass
-                elif low >= half:
-                    low -= half
-                    high -= half
-                elif low >= quarter and high < three_q:
-                    low -= quarter
-                    high -= quarter
-                else:
-                    break
-                low <<= 1
-                high = (high << 1) | 1
-                shifts += 1
-            if shifts:
-                v = (v << shifts) | int(buf[pos : pos + shifts], 2)
-                pos += shifts
-                if pos > end:
-                    raise _overrun(n)
-            c += step
-            t[s] = c
-            t[q] = total + step
-            if c >= limit:
-                rescale(t)
-            out.append(s)
-            if k:
-                ctx = (ctx * qq + s) % mod
-        return bytes(out)
+        return _decode_stream(r, q, n, period, self.order, False)
 
 
 def default_registry() -> dict[str, Estimator]:

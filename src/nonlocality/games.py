@@ -26,6 +26,7 @@ from .strings import (
     read_syms,
     round_bytes,
     rounds_below,
+    unique_keys,
     write_syms,
 )
 
@@ -500,7 +501,7 @@ def save_quadruple(
 def load_quadruple(manifest_path) -> Quadruple:
     path = Path(manifest_path)
     try:
-        manifest = json.loads(path.read_text())
+        manifest = json.loads(path.read_text(), object_pairs_hook=unique_keys)
     except json.JSONDecodeError as exc:
         raise FormatError(f"bad manifest JSON: {exc}") from exc
     if not isinstance(manifest, dict):

@@ -22,6 +22,18 @@ class FormatError(ValueError):
     that do not fit their game."""
 
 
+def unique_keys(pairs: list) -> dict:
+    """The object_pairs_hook of every JSON input (config, manifest,
+    distribution): a JSON object that names a key twice is refused, where
+    json.loads would keep the last value."""
+    obj = {}
+    for key, value in pairs:
+        if key in obj:
+            raise FormatError(f"repeated JSON key: {key!r}")
+        obj[key] = value
+    return obj
+
+
 def bits_per_symbol(q: int) -> int:
     """Packed width of one symbol from an alphabet of size q."""
     if q < 2:

@@ -251,10 +251,17 @@ _PR_BOX = {f"{a},{b},{x},{x ^ (a & b)}": "1/2" for a in range(2) for b in range(
         '{"game": "pr", "p": {',  # a string is the file's text: not JSON
         {"game": "pr", "p": {**_PR_BOX, "0,0,0": "1/2"}},  # a key of three integers
         {"game": "pr", "p": {k: "1/4" for k in _PR_BOX}},  # each input pair sums to 1/2
+        # the cell (0,0,0,0) twice: json.loads would keep the last value
+        '{"game": "pr", "p": {"0,0,0,0": "1", ' + json.dumps(_PR_BOX)[1:] + "}",
+        # int() reads each key below as a cell of the box, but no int prints so
+        {"game": "pr", "p": {**_PR_BOX, "+0, 0,0,0": "1/2"}},
+        {"game": "pr", "p": {**_PR_BOX, "\u0661,\u0661,\u0660,\u0661": "1/2"}},
+        {"game": "pr", "p": {f"{a},{b},0,0": True for a in range(2) for b in range(2)}},
     ],
     ids=[
         "array", "p_array", "key", "m", "outside_alphabet", "off_promise",
         "not_json", "key_of_three", "sum_not_one",
+        "repeated_key", "signed_spaced_key", "non_ascii_digit_key", "boolean_value",
     ],
 )
 def test_oracle_fine_malformed_distribution_is_data_error(capsys, tmp_path, dist):
@@ -263,6 +270,23 @@ def test_oracle_fine_malformed_distribution_is_data_error(capsys, tmp_path, dist
     code, _, err = run(capsys, "oracle", "--fine", str(path))
     assert code == 2
     assert "Traceback" not in err
+
+
+def test_oracle_fine_reads_json_numbers_as_exact_fractions(capsys, tmp_path):
+    # x is 0 with probability 1/10 whatever the inputs and y is always 0; as
+    # binary floats, 0.1 + 0.9 is not 1
+    table = {
+        f"{a},{b},{x},0": Fraction(1 + 8 * x, 10) for a in range(2) for b in range(2) for x in range(2)
+    }
+    outs = []
+    for value in (str, float):
+        path = tmp_path / f"{value.__name__}.json"
+        path.write_text(json.dumps({"game": "pr", "p": {k: value(p) for k, p in table.items()}}))
+        code, out, _ = run(capsys, "oracle", "--fine", str(path))
+        assert code == 0
+        outs.append(out)
+    assert '"0,0,0,0": 0.1' in (tmp_path / "float.json").read_text()
+    assert outs[0] == outs[1]
 
 
 def test_oracle_fine_local_distribution_weights_rebuild_it(capsys, tmp_path):
@@ -324,11 +348,13 @@ _THEOREM1 = ["exp", "--which", "theorem1", "--config"]
         (_THEOREM1, '{"n": '),  # a string is the file's text: not JSON
         (_THEOREM1, [1, 2]),
         (["oracle", "--config"], {"marginals": "true"}),
+        (_THEOREM1, '{"n": "64", "n": "32"}'),  # json.loads would keep the last value
     ],
     ids=[
         "n_list", "seed_int", "estimator_list", "csv_int", "m_1",
         "eps_zero_denominator", "eps_infinite", "eps_above_one", "fa_int", "unknown_key",
         "config_equals_path", "missing_file", "not_json", "array", "switch_string",
+        "repeated_key",
     ],
 )
 def test_config_value_of_wrong_type_is_data_error(capsys, tmp_path, argv, cfg):
@@ -561,10 +587,13 @@ _BESIDE = {k: f"{k}.syms" for k in "abxy"}  # the manifest's own directory
         {"schema": 1, "game": "pr"},
         {"schema": 2, "game": "pr", "files": _BESIDE},
         {"schema": 1, "game": "chained", "m": 3, "files": _BESIDE},  # binary strings
+        # json.loads would keep the last "game", which the strings fit
+        '{"schema": 1, "game": "chained", "game": "pr", "files": ' + json.dumps(_BESIDE) + "}",
     ],
     ids=[
         "int_name", "list", "absolute", "dotdot",
         "not_json", "array", "missing_files", "schema_2", "strings_do_not_fit",
+        "repeated_key",
     ],
 )
 def test_malformed_manifest_is_data_error(capsys, tmp_path, manifest):

@@ -34,6 +34,7 @@ from nonlocality.estimators import (
     LZ77Estimator,
     _chain_links,
     _context_ids,
+    _decode_stream,
     _digit_sum,
     _extend_match,
     _header_writer,
@@ -308,7 +309,8 @@ def test_reach_cases_match_the_reference(name, est_id):
 
 
 # the fused coder loops and the helpers they call: the context ids they
-# read, lz77's match index and match extension, and ctx_k's literal floor
+# read, lz77's match index and match extension, ctx_k's literal floor, and
+# the one decoding loop both decoders call
 HELPERS = (
     _context_ids,
     _phase_view,
@@ -317,6 +319,7 @@ HELPERS = (
     _window_buckets,
     _extend_match,
     _payload_floor,
+    _decode_stream,
 )
 REACHED = (
     LZ77Estimator.encode,
