@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import re
 import sys
 import time
 from fractions import Fraction
@@ -144,12 +145,24 @@ def _ring(text) -> int:
     return _bounded_int(text, 2, 64)
 
 
+# Python's default limit on the digits of an int read or printed as text,
+# which frac_str meets when it writes a value
+_MAX_DIGITS = 4300
+_EXPONENT = re.compile(r"[eE]([-+]?[\d_]+)\s*\Z")
+
+
 def _probability(text) -> Fraction:
-    """argparse type of --eps and --pr-weight: an exact rational in [0, 1]."""
+    """argparse type of --eps and --pr-weight, and the reader of each --fine
+    probability: an exact rational in [0, 1] whose denominator has at most
+    _MAX_DIGITS digits. Fraction builds 10**e for an exponent e, so one
+    larger than _MAX_DIGITS is refused before it is built."""
     try:
-        value = Fraction(text)
+        exponent = _EXPONENT.search(text)
+        value = None if exponent and abs(int(exponent[1])) > _MAX_DIGITS else Fraction(text)
     except (TypeError, ValueError, ArithmeticError) as exc:
         raise argparse.ArgumentTypeError(f"not a fraction: {text!r}") from exc
+    if value is None or value.denominator >= 10**_MAX_DIGITS:
+        raise argparse.ArgumentTypeError(f"more than {_MAX_DIGITS} digits: {text!r}")
     if not 0 <= value <= 1:
         raise argparse.ArgumentTypeError(f"must lie in [0, 1]: {text!r}")
     return value
@@ -320,7 +333,7 @@ def _read_distribution(path) -> Distribution:
             Path(path).read_text(),
             object_pairs_hook=unique_keys, parse_float=_JSONNumber, parse_constant=_JSONNumber,
         )
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # json refuses an int of over 4300 digits with a plain ValueError
         raise FormatError(f"bad distribution JSON: {exc}") from exc
     if not isinstance(data, dict) or not isinstance(data.get("p", {}), dict):
         raise FormatError('distribution must be a JSON object whose "p" is an object')
@@ -331,8 +344,8 @@ def _read_distribution(path) -> Distribution:
             parts = tuple(int(v) for v in key.split(","))
             if isinstance(val, bool) or not isinstance(val, (int, str)):
                 raise TypeError("a probability is a string or a number")
-            table[parts] = Fraction(val)
-        except (TypeError, ValueError, ArithmeticError) as exc:
+            table[parts] = _probability(str(val))
+        except (TypeError, ValueError, argparse.ArgumentTypeError) as exc:
             raise FormatError(f"bad distribution entry {key!r}: {val!r}") from exc
         if len(parts) != 4 or key != ",".join(map(str, parts)):
             raise FormatError(f"bad distribution key: {key!r}")

@@ -144,15 +144,16 @@ def winning(game) -> set[tuple[int, int, int, int]]:
 
 def parse_game(kind, m=2) -> GameSpec:
     """The game a kind string names (CLI flag, manifest or distribution
-    file); m is the chained game's ring size and must be an int >= 2."""
+    file); m, the chained game's ring size, must be an int >= 2 for every
+    kind, as save_quadruple writes it."""
+    if isinstance(m, bool) or not isinstance(m, int) or m < 2:
+        raise FormatError(f"ring size must be an integer >= 2, got {m!r}")
     if kind == "pr":
         return GameSpec.pr()
     if kind == "magic_square":
         return GameSpec.magic_square()
     if kind != "chained":
         raise FormatError(f"unknown game kind: {kind!r}")
-    if isinstance(m, bool) or not isinstance(m, int) or m < 2:
-        raise FormatError(f"ring size must be an integer >= 2, got {m!r}")
     return GameSpec.chained(m)
 
 
@@ -502,7 +503,7 @@ def load_quadruple(manifest_path) -> Quadruple:
     path = Path(manifest_path)
     try:
         manifest = json.loads(path.read_text(), object_pairs_hook=unique_keys)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # json refuses an int of over 4300 digits with a plain ValueError
         raise FormatError(f"bad manifest JSON: {exc}") from exc
     if not isinstance(manifest, dict):
         raise FormatError("manifest must be a JSON object")
@@ -512,7 +513,7 @@ def load_quadruple(manifest_path) -> Quadruple:
     missing = {"schema", "game", "files"} - set(manifest)
     if missing:
         raise FormatError(f"missing manifest fields: {sorted(missing)}")
-    if manifest["schema"] != 1:
+    if type(manifest["schema"]) is not int or manifest["schema"] != 1:  # true and 1.0 equal 1
         raise FormatError(f"unsupported manifest schema: {manifest['schema']}")
     game = parse_game(manifest["game"], manifest.get("m", 2))
     files = manifest["files"]

@@ -12,6 +12,7 @@ bits_per_symbol(q) bits and is drawn again while >= q; round i of
 from __future__ import annotations
 
 import hashlib
+from dataclasses import dataclass
 from typing import Iterator
 
 from .coding import BitReader, BitWriter
@@ -45,6 +46,7 @@ _BYTE_VALUES = bytes(range(256))
 _CHECKED = 1 << 14  # bytes per step of SymbolString's alphabet check
 
 
+@dataclass(frozen=True, slots=True)
 class SymbolString:
     """Immutable finite string over the alphabet {0..q-1}.
 
@@ -53,21 +55,19 @@ class SymbolString:
     bits per symbol, first symbol in the least-significant bits of byte 0.
     """
 
-    __slots__ = ("q", "data")
+    q: int
+    data: bytes
 
-    def __init__(self, q: int, symbols) -> None:
+    def __post_init__(self) -> None:
+        q = self.q
         if not 2 <= q <= 256:
             raise ValueError(f"alphabet size out of range: {q}")
-        data = bytes(symbols)
+        data = bytes(self.data)
         # a chunk at a time, so the check allocates nothing that grows with n
         keep = _BYTE_VALUES[:q]
         if any(data[i : i + _CHECKED].translate(None, keep) for i in range(0, len(data), _CHECKED)):
             raise ValueError(f"symbol {max(data)} out of alphabet range 0..{q - 1}")
-        object.__setattr__(self, "q", q)
         object.__setattr__(self, "data", data)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("SymbolString is immutable")
 
     def __reduce__(self):
         # copy and pickle rebuild through the constructor, not __setattr__
@@ -85,16 +85,6 @@ class SymbolString:
 
     def __getitem__(self, i: int) -> int:
         return self.data[i]
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, SymbolString)
-            and self.q == other.q
-            and self.data == other.data
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.q, self.data))
 
     def __repr__(self) -> str:
         head = ",".join(str(s) for s in self.data[:16])
@@ -135,18 +125,16 @@ def unpack_symbols(payload: bytes, q: int, n: int) -> bytes:
 
 # --- seeded randomness -----------------------------------------------------
 
+@dataclass(frozen=True, slots=True)
 class Seed:
     """32-byte seed for the toolkit's deterministic generators."""
 
-    __slots__ = ("value",)
+    value: bytes
 
-    def __init__(self, value: bytes) -> None:
-        if len(value) != 32:
-            raise ValueError(f"seed must be 32 bytes, got {len(value)}")
-        object.__setattr__(self, "value", bytes(value))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Seed is immutable")
+    def __post_init__(self) -> None:
+        if len(self.value) != 32:
+            raise ValueError(f"seed must be 32 bytes, got {len(self.value)}")
+        object.__setattr__(self, "value", bytes(self.value))
 
     def __reduce__(self):
         return Seed, (self.value,)
@@ -168,12 +156,6 @@ class Seed:
 
     def hex(self) -> str:
         return self.value.hex()
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, Seed) and self.value == other.value
-
-    def __hash__(self) -> int:
-        return hash(self.value)
 
     def __repr__(self) -> str:
         return f"Seed({self.value.hex()[:16]}...)"

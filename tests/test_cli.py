@@ -257,11 +257,16 @@ _PR_BOX = {f"{a},{b},{x},{x ^ (a & b)}": "1/2" for a in range(2) for b in range(
         {"game": "pr", "p": {**_PR_BOX, "+0, 0,0,0": "1/2"}},
         {"game": "pr", "p": {**_PR_BOX, "\u0661,\u0661,\u0660,\u0661": "1/2"}},
         {"game": "pr", "p": {f"{a},{b},0,0": True for a in range(2) for b in range(2)}},
+        # a denominator of 5001 digits, which frac_str could not print
+        {"game": "pr", "p": {**_PR_BOX, "0,0,0,0": "1e-5000"}},
+        '{"game": "pr", "p": {"0,0,0,0": ' + "1" * 5001 + "}}",  # json.loads refuses the int
+        {"game": "pr", "m": "garbage", "p": _PR_BOX},
     ],
     ids=[
         "array", "p_array", "key", "m", "outside_alphabet", "off_promise",
         "not_json", "key_of_three", "sum_not_one",
         "repeated_key", "signed_spaced_key", "non_ascii_digit_key", "boolean_value",
+        "huge_exponent_value", "int_of_5001_digits", "pr_m_not_an_int",
     ],
 )
 def test_oracle_fine_malformed_distribution_is_data_error(capsys, tmp_path, dist):
@@ -270,6 +275,9 @@ def test_oracle_fine_malformed_distribution_is_data_error(capsys, tmp_path, dist
     code, _, err = run(capsys, "oracle", "--fine", str(path))
     assert code == 2
     assert "Traceback" not in err
+    # an entry too large to print is refused as an entry, not met later
+    # as Python's int-str limit where a message prints its sum
+    assert not err.startswith("error: Exceeds the limit")
 
 
 def test_oracle_fine_reads_json_numbers_as_exact_fractions(capsys, tmp_path):
@@ -349,12 +357,13 @@ _THEOREM1 = ["exp", "--which", "theorem1", "--config"]
         (_THEOREM1, [1, 2]),
         (["oracle", "--config"], {"marginals": "true"}),
         (_THEOREM1, '{"n": "64", "n": "32"}'),  # json.loads would keep the last value
+        (["exp", "--which", "theorem3", "--n", "8", "--m", "2", "--config"], {"eps": "1e-5000"}),
     ],
     ids=[
         "n_list", "seed_int", "estimator_list", "csv_int", "m_1",
         "eps_zero_denominator", "eps_infinite", "eps_above_one", "fa_int", "unknown_key",
         "config_equals_path", "missing_file", "not_json", "array", "switch_string",
-        "repeated_key",
+        "repeated_key", "eps_huge_exponent",
     ],
 )
 def test_config_value_of_wrong_type_is_data_error(capsys, tmp_path, argv, cfg):
@@ -448,6 +457,12 @@ def test_bad_seed_is_usage_error(capsys, tmp_path, seed):
         ["oracle", "--game", "chained", "--m", "1"],
         ["play", "--game", "chained", "--m", "1", "--strategy", "nosig", "--a", "a.syms",
          "--b", "b.syms"],
+        # frac_str cannot print a denominator of 5001 digits: refused before any file is written
+        ["play", "--game", "pr", "--strategy", "nosig", "--a", "{d}/a.syms", "--b", "{d}/b.syms",
+         "--out-dir", "{d}/quad", "--eps", "1e-5000"],
+        ["exp", "--which", "theorem3", "--n", "8", "--m", "2", "--eps", "1e-5000"],
+        # Fraction alone takes seconds to build 10**3000000
+        ["oracle", "--marginals", "--pr-weight", "1e-3000000"],
     ],
     ids=[
         "exp_n_zero", "exp_n_negative", "exp_n_text", "gen_n_negative", "q_1", "q_257",
@@ -457,13 +472,25 @@ def test_bad_seed_is_usage_error(capsys, tmp_path, seed):
         "theta_zero_above_full", "theta_zero_equals_full", "theta_zero_nan", "theta_full_inf",
         "theta_full_above_one", "theta_zero_negative", "theta_ns_nan", "theta_ns_negative",
         "defect_threshold_nan", "output_threshold_inf", "oracle_m_1", "play_m_1",
+        "play_eps_huge_exponent", "exp_eps_huge_exponent", "pr_weight_huge_exponent",
     ],
 )
 def test_bad_size_is_usage_error(capsys, tmp_path, argv):
-    out = tmp_path / "out"
-    code, _, err = run(capsys, *argv, "--out", str(out))
+    _quad_files(tmp_path)  # inputs under {d} exist, so only the flag can refuse the run
+    before = sorted(tmp_path.rglob("*"))
+    argv = [*(a.format(d=tmp_path) for a in argv), "--out", str(tmp_path / "out")]
+    if "1e-3000000" in argv:
+        # a parse that stalls fails the test at the timeout instead of hanging it
+        src = str(Path(cli.__file__).parents[1])
+        proc = subprocess.run(
+            [sys.executable, "-m", "nonlocality.cli", *argv],
+            env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True, timeout=10,
+        )
+        code, err = proc.returncode, proc.stderr
+    else:
+        code, _, err = run(capsys, *argv)
     assert code == 1
-    assert "Traceback" not in err and not out.exists()
+    assert "Traceback" not in err and sorted(tmp_path.rglob("*")) == before
 
 
 def test_emit_config_round_trip_fills_required_flags(capsys, tmp_path):
@@ -589,11 +616,16 @@ _BESIDE = {k: f"{k}.syms" for k in "abxy"}  # the manifest's own directory
         {"schema": 1, "game": "chained", "m": 3, "files": _BESIDE},  # binary strings
         # json.loads would keep the last "game", which the strings fit
         '{"schema": 1, "game": "chained", "game": "pr", "files": ' + json.dumps(_BESIDE) + "}",
+        # each equals 1, but the schema is the JSON integer 1
+        {"schema": True, "game": "pr", "files": _BESIDE},
+        {"schema": 1.0, "game": "pr", "files": _BESIDE},
+        {"schema": 1, "game": "pr", "m": "garbage", "files": _BESIDE},
+        '{"schema": ' + "1" * 5001 + ', "game": "pr", "files": ' + json.dumps(_BESIDE) + "}",
     ],
     ids=[
         "int_name", "list", "absolute", "dotdot",
         "not_json", "array", "missing_files", "schema_2", "strings_do_not_fit",
-        "repeated_key",
+        "repeated_key", "schema_true", "schema_float", "pr_m_not_an_int", "schema_of_5001_digits",
     ],
 )
 def test_malformed_manifest_is_data_error(capsys, tmp_path, manifest):

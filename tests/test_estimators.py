@@ -153,6 +153,8 @@ _BAD_HEADERS = {
     # a literal-mode blob with its last 3 bytes cut off
     "literal_q2_cut": _header_only_blob(2, 200, 0, b"0110" * 50)[:-3],
     "literal_q256_cut": _header_only_blob(256, 30, 0, b"01" * 120)[:-3],
+    # one byte, all header: lz77's first 32-bit read passes its end by 32 bits
+    "coded_q2_n3_one_byte": _header_only_blob(2, 3, 1, b""),
 }
 # 5 bytes whose header asks for 100,000 coded symbols in 4 payload bits:
 # ctx_k's per-symbol cost bound refuses it, lz77 once its reads pass the
@@ -168,6 +170,14 @@ _CODED_N100000 = _header_only_blob(2, 100_000, 1, b"")
 def test_decode_rejects_a_header_the_blob_cannot_hold(est_id, blob):
     with pytest.raises(EstimatorError, match="corrupt header"):
         default_registry()[est_id].decode(blob)
+
+
+def test_lz78_code_past_the_dictionary_is_rejected():
+    # 16 bits are 2 bytes: code 0 (8 bits) makes 1 byte, and then the
+    # 9-bit code 300 names no entry of the 256 and is not the next one
+    blob = _header_only_blob(2, 16, 1, b"00000000" + f"{300:09b}".encode())
+    with pytest.raises(EstimatorError, match="^corrupt LZ78 stream$"):
+        LZ78Estimator().decode(blob)
 
 
 @pytest.mark.parametrize("est_id", ["lz78", "lz77", "ctx_2"])

@@ -78,8 +78,12 @@ def test_chained_target_asks_for_a_mismatch_only_at_the_wraparound_pair(m):
 def test_parse_game_is_the_one_kind_parser():
     assert parse_game("pr") == GameSpec.pr()
     assert parse_game("chained", 5) == GameSpec.chained(5)
-    assert parse_game("magic_square", "ignored") == GameSpec.magic_square()
-    for kind, m in (("nope", 2), (None, 2), ("chained", 1), ("chained", "5"), ("chained", True)):
+    assert parse_game("magic_square", 7) == GameSpec.magic_square()
+    # m is checked for every kind, though only a chained game reads it
+    bad_m = (
+        ("chained", 1), ("chained", "5"), ("chained", True), ("pr", "garbage"), ("magic_square", [1]),
+    )
+    for kind, m in (("nope", 2), (None, 2), *bad_m):
         with pytest.raises(FormatError):
             parse_game(kind, m)
 

@@ -243,6 +243,11 @@ def test_jobs_below_one_is_refused_before_any_block_list(monkeypatch):
             game_value_exact(GameSpec.pr(), jobs=jobs)
 
 
+def test_reps_below_one_is_refused():
+    with pytest.raises(ValueError, match="reps must be >= 1"):
+        game_value_exact(GameSpec.pr(), reps=0)
+
+
 class _InlinePool:
     """Stands in for ProcessPoolExecutor: records max_workers, runs inline."""
 

@@ -161,6 +161,40 @@ def test_chained_promise_pairs_match_cyclic_definition():
             assert ((a, b) in pairs) == (b == a or b == (a + 1) % m)
 
 
+_BITS = SymbolString(2, b"\x01\x01\x00")
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: Seed(bytes(31)), "seed must be 32 bytes, got 31"),
+        (lambda: Seed(bytes(33)), "seed must be 32 bytes, got 33"),
+        (
+            lambda: pointwise_product(_BITS, SymbolString(3, b"\x02")),
+            "pointwise_product requires binary strings",
+        ),
+        (lambda: pointwise_product(_BITS, SymbolString(2, b"\x01")), "length mismatch: 3 != 1"),
+        (lambda: interleave(), "need at least one string"),
+        (lambda: interleave(_BITS, SymbolString(2, b"\x01")), "interleave requires equal lengths"),
+        (lambda: concat(), "need at least one string"),
+    ],
+    ids=[
+        "seed_31_bytes", "seed_33_bytes", "product_not_binary", "product_lengths",
+        "interleave_nothing", "interleave_lengths", "concat_nothing",
+    ],
+)
+def test_values_and_pointwise_operations_refuse_bad_inputs(build, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        build()
+
+
+def test_reprs_show_a_head_of_the_symbols_and_of_the_seed():
+    assert repr(SymbolString(3, b"\x00\x02\x01")) == "SymbolString(q=3, n=3, [0,2,1])"
+    long = SymbolString(2, b"\x01" * 17)
+    assert repr(long) == "SymbolString(q=2, n=17, [" + "1," * 16 + "...])"
+    assert repr(Seed.from_int(0xAB)) == "Seed(ab00000000000000...)"
+
+
 def test_pointwise_product_and_interleave_and_concat():
     a = SymbolString(2, b"\x01\x01\x00")
     b = SymbolString(2, b"\x01\x00\x01")
