@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import os
 import re
 import sys
 import time
@@ -55,6 +56,7 @@ from .games import (
     ns_report,
     parse_game,
     play,
+    quadruple_files,
     satisfaction_fraction,
     save_quadruple,
 )
@@ -90,9 +92,10 @@ class _Parser(argparse.ArgumentParser):
         sys.exit(1 if status else 0)
 
 
-class _MissingFlag(Exception):
-    """A flag that only some values of another flag require, found missing
-    by a handler: a usage error, exit 1, like the flags argparse requires."""
+class _UsageError(Exception):
+    """A usage error that argparse cannot see: a flag that only some values
+    of another flag require, or two outputs that name one file. Exit 1, like
+    argparse's own."""
 
 
 def _parse_seed(text: str) -> Seed:
@@ -202,8 +205,34 @@ def _strategy_from_args(args):
     if args.strategy == "signaling":
         return SignalingSampler()
     if args.fa is None or args.fb is None:
-        raise _MissingFlag("local strategy requires --fa and --fb")
+        raise _UsageError("local strategy requires --fa and --fb")
     return LocalDeterministic(args.fa, args.fb)
+
+
+def _outputs(args) -> list:
+    """Every file the run writes, as its flags name them."""
+    paths = [getattr(args, dest, None) for dest in ("out", "out_b", "csv", "emit_config")]
+    if args.cmd == "play":
+        paths += quadruple_files(args.out_dir, args.stem)
+    return [path for path in paths if path]
+
+
+def _write_all(writes) -> None:
+    """Write the file of each (path, write) pair, all or none: write(temp)
+    stages each as a temp file beside its path, and the temps replace their
+    paths, in order, only once all are written. On an error the temps are
+    removed, and a file already at a path keeps its bytes."""
+    staged = []
+    try:
+        for path, write in writes:
+            path = Path(path)
+            staged.append(path.parent / f".{path.name}.{os.getpid()}.tmp")
+            write(staged[-1])
+        for temp, (path, _) in zip(staged, writes):
+            os.replace(temp, path)
+    finally:
+        for temp in staged:
+            temp.unlink(missing_ok=True)
 
 
 def _emit(args, payload: dict, indent: int | None = 2) -> None:
@@ -220,16 +249,14 @@ def _emit(args, payload: dict, indent: int | None = 2) -> None:
 def _cmd_gen(args) -> int:
     seed = _parse_seed(args.seed) if args.seed else Seed.from_int(0)
     if args.kind == "random":
-        s = gen_seeded_random(args.n, args.q, seed)
-        write_syms(args.out, s)
+        strings = {args.out: gen_seeded_random(args.n, args.q, seed)}
     elif args.kind == "promise":
         if not args.out_b:
-            raise _MissingFlag("promise generation needs --out and --out-b")
-        a, b = gen_promise_inputs(args.m, args.n, seed)
-        write_syms(args.out, a)
-        write_syms(args.out_b, b)
+            raise _UsageError("promise generation needs --out and --out-b")
+        strings = dict(zip((args.out, args.out_b), gen_promise_inputs(args.m, args.n, seed)))
     else:
-        write_syms(args.out, gen_computable(args.kind, args.n))
+        strings = {args.out: gen_computable(args.kind, args.n)}
+    _write_all([(path, lambda temp, s=s: write_syms(temp, s)) for path, s in strings.items()])
     return 0
 
 
@@ -417,9 +444,10 @@ def _cmd_exp(args) -> int:
         report = run_locality_suite(estimator, seed_set, n=args.n)
     seconds = time.monotonic() - t0
     report = dataclasses.replace(report, config=_effective_config(args))
-    Path(args.out).write_text(report.to_jsonl())
+    writes = [(args.out, lambda temp: temp.write_text(report.to_jsonl()))]
     if args.csv is not None:
-        Path(args.csv).write_text(report.to_csv())
+        writes.append((args.csv, lambda temp: temp.write_text(report.to_csv())))
+    _write_all(writes)
     sys.stderr.write(f"wrote {args.out} ({seconds:.1f}s)\n")
     return 0
 
@@ -639,13 +667,18 @@ def main(argv=None) -> int:
             if exc.code == 0:  # --help
                 raise
             return 1
+        named = set()
+        for path in map(os.path.realpath, _outputs(args)):
+            if path in named:
+                raise _UsageError(f"two outputs name the same file: {path}")
+            named.add(path)
         if args.emit_config:
             Path(args.emit_config).write_text(
                 json.dumps(_effective_config(args), indent=2, sort_keys=True) + "\n"
             )
         clear_cache()  # a run sees what a fresh nlbox process sees
         return args.func(args)
-    except _MissingFlag as exc:
+    except _UsageError as exc:
         sys.stderr.write(f"usage error: {exc}\n")
         return 1
     except FormatError as exc:

@@ -815,6 +815,41 @@ class LZ77Estimator(Estimator):
         return _decode_stream(r, q, n, period, 2, True)
 
 
+def _segment(sub: bytes, lo: int, pos: int, need: list) -> tuple[int, list]:
+    """The end of the segment of one context's codes sub (lo + v for symbol
+    v) that starts at pos, and each symbol's count in it. The segment ends
+    where some count from pos first reaches its need, which it does within
+    sum(need) symbols, or at the end of sub; no count reaches its need in
+    fewer than min(need) symbols."""
+    a, b = pos + min(need) - 1, min(pos + sum(need), len(sub))
+    count = sub.count
+    if len(need) == 2:
+        # binary: one count per step, as the other symbol's is the rest;
+        # zeros counts symbol 0 from pos to b, so a step reads mid to b
+        need0, need1 = need
+        zeros = count(lo, pos, b)
+        if zeros >= need0 or b - pos - zeros >= need1:
+            while b - a > 1:
+                mid = (a + b) >> 1
+                got = zeros - count(lo, mid, b)
+                if got >= need0 or mid - pos - got >= need1:
+                    b, zeros = mid, got
+                else:
+                    a = mid
+        return b, [zeros, b - pos - zeros]
+    q = len(need)
+    if any(count(lo + v, pos, b) >= need[v] for v in range(q)):
+        while b - a > 1:
+            mid = (a + b) >> 1
+            if any(count(lo + v, pos, mid) >= need[v] for v in range(q)):
+                b = mid
+            else:
+                a = mid
+    # sub holds only this context's q codes: the last count is the rest
+    counts = [count(lo + v, pos, b) for v in range(q - 1)]
+    return b, counts + [b - pos - sum(counts)]
+
+
 def _payload_floor(symbols: bytes, q: int, k: int, period: int) -> float | None:
     """A lower bound, in bits, on the payload of the order-k coder's stream
     (the coded blob less its header), or None when the contexts cannot be
@@ -834,7 +869,8 @@ def _payload_floor(symbols: bytes, q: int, k: int, period: int) -> float | None:
     Its byte code holds its symbol, the newest j of those (the most with
     (q+1)^j*q <= 256) and, if it still fits, the phase; the older symbols
     and otherwise the phase form its group key. Each group's codes are then
-    split by context with bytes.translate."""
+    split by context with bytes.translate, and _segment finds where each
+    context's segments end."""
     n = len(symbols)
     qq = q + 1
     j = k
@@ -861,34 +897,35 @@ def _payload_floor(symbols: bytes, q: int, k: int, period: int) -> float | None:
         for g, c in zip(_digit_sum(n, key_terms), codes):
             add[g](c)
     else:
-        groups = [codes]
+        # the phase, if any, is in the code and is its most significant
+        # digit: a strided slice per phase keeps the contexts' order, and
+        # each context's translate then reads only its own phase
+        groups = [codes[ph::period] for ph in range(period)]
     lgamma = math.lgamma
     # the n*log2(1 + q*2^-16) slack counts once, whatever the split
     terms = [-n * math.log1p(q / (1 << 16))]
-    for codes, key in [(g, key) for g in groups for key in sorted({c // q for c in set(g)})]:
+    key_of = bytes(c // q for c in _BYTE_VALUES)
+    contexts = []
+    for g in groups:
+        # g's context keys, ascending, with no Python step per byte: the
+        # byte values that deleting g's keys from all 256 leaves are absent
+        absent = _BYTE_VALUES.translate(None, g.translate(key_of))
+        contexts += [(g, key) for key in _BYTE_VALUES.translate(None, absent)]
+    for codes, key in contexts:
         lo = key * q
         sub = codes.translate(None, _BYTE_VALUES[:lo] + _BYTE_VALUES[lo + q :])
         t = [1] * q
         pos, m = 0, len(sub)
         while pos < m:
             need = [(RESCALE - c + STEP - 1) // STEP for c in t]
-            # some count reaches its need within sum(need) symbols
-            a, b = pos + min(need) - 1, min(pos + sum(need), m)
-            rescaled = any(sub.count(lo + v, pos, b) >= need[v] for v in range(q))
-            if rescaled:
-                while b - a > 1:
-                    mid = (a + b) >> 1
-                    if any(sub.count(lo + v, pos, mid) >= need[v] for v in range(q)):
-                        b = mid
-                    else:
-                        a = mid
-            counts = [sub.count(lo + v, pos, b) for v in range(q)]
+            b, counts = _segment(sub, lo, pos, need)
             total = sum(t) / STEP
             terms += (lgamma(total + b - pos), -lgamma(total))
             for c, got in zip(t, counts):
                 if got:
                     terms += (lgamma(c / STEP), -lgamma(c / STEP + got))
-            if rescaled:
+            # a segment that ends before sub does ends where a count rescales
+            if b < m:
                 t = [(c + STEP * got + 1) >> 1 for c, got in zip(t, counts)]
             pos = b
     # fsum rounds once; lgamma is off by a few ulps of each term, or by an

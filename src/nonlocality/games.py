@@ -471,6 +471,13 @@ def file_stem(stem: str) -> str:
     return stem
 
 
+def quadruple_files(directory, stem: str) -> list:
+    """The paths save_quadruple writes: the a, b, x and y .syms files, then
+    the manifest."""
+    directory = Path(directory)
+    return [directory / f"{stem}.{name}.syms" for name in "abxy"] + [directory / f"{stem}.json"]
+
+
 def save_quadruple(
     quad: Quadruple,
     directory,
@@ -479,13 +486,12 @@ def save_quadruple(
     seeds: dict | None = None,
 ) -> Path:
     file_stem(stem)
-    directory = Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
+    *syms, path = quadruple_files(directory, stem)
+    path.parent.mkdir(parents=True, exist_ok=True)
     files = {}
-    for name, s in (("a", quad.a), ("b", quad.b), ("x", quad.x), ("y", quad.y)):
-        fname = f"{stem}.{name}.syms"
-        write_syms(directory / fname, s)
-        files[name] = fname
+    for name, s, syms_path in zip("abxy", (quad.a, quad.b, quad.x, quad.y), syms):
+        write_syms(syms_path, s)
+        files[name] = syms_path.name
     manifest = {
         "schema": 1,
         "game": quad.game.kind,
@@ -494,7 +500,6 @@ def save_quadruple(
         "seeds": seeds or {},
         "files": files,
     }
-    path = directory / f"{stem}.json"
     path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
     return path
 

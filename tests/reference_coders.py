@@ -19,10 +19,18 @@ ANCHOR-symbol slice, the reference for src's bucketed index
 byte)` tuples, run to the end of the string and handed to `_pick`: the
 reference for src's flat child table and its early literal exit, whose
 bits and blob must be the same.
+
+`payload_floor` is ctx_k's literal certificate as it was before its binary
+search counted one symbol per step: a set of each group's bytes for the
+contexts present, one translate per context over its whole group (no
+split by phase) and a generator over every symbol at each step of the
+search. src's `estimators._payload_floor` must return the same float.
 """
 from __future__ import annotations
 
-from nonlocality.coding import BitReader, BitWriter, read_uint
+import math
+
+from nonlocality.coding import RESCALE, STEP, BitReader, BitWriter, read_uint
 from nonlocality.estimators import (
     ANCHOR,
     MAX_CHAIN,
@@ -30,9 +38,11 @@ from nonlocality.estimators import (
     MODE_LITERAL,
     Estimator,
     EstimatorError,
+    _digit_sum,
     _header_writer,
+    _phase_view,
 )
-from nonlocality.strings import bits_per_symbol, pack_symbols
+from nonlocality.strings import _BYTE_VALUES, bits_per_symbol, pack_symbols
 
 _TOP = (1 << 32) - 1
 _HALF = 1 << 31
@@ -450,3 +460,85 @@ def outcome(decode, blob: bytes):
 
 
 FUSED_IDS = ("lz77", "ctx_0", "ctx_1", "ctx_2", "ctx_3")
+
+
+def payload_floor(symbols: bytes, q: int, k: int, period: int) -> float | None:
+    """A lower bound, in bits, on the payload of the order-k coder's stream
+    (the coded blob less its header), or None when the contexts cannot be
+    split into at most 256 groups whose codes fit a byte (see below).
+
+    The coder's span is above 2^30 after renormalising, so a symbol coded at
+    count c of total T keeps less than c/T + 2^-30 of it. The payload is
+    D + 2 bits for D doublings, and the final span is above 2^30, so 2^-(D+2)
+    is below the product of the kept fractions. With c >= 1 and
+    T < q*RESCALE that gives payload > L - n*log2(1 + q*2^-16), L being -log2
+    of the model's probability of the string. Between two rescales a
+    context's model is a Dirichlet-multinomial with alpha = count/STEP, so L
+    is a sum of lgamma ratios, one per segment; a segment ends where a count
+    first reaches RESCALE.
+
+    Position i's context is its phase i % period and its k previous symbols.
+    Its byte code holds its symbol, the newest j of those (the most with
+    (q+1)^j*q <= 256) and, if it still fits, the phase; the older symbols
+    and otherwise the phase form its group key. Each group's codes are then
+    split by context with bytes.translate."""
+    n = len(symbols)
+    qq = q + 1
+    j = k
+    while qq**j * q > 256:
+        j -= 1
+    phase_in_code = period * qq**j * q <= 256
+    if qq ** (k - j) * (1 if phase_in_code else period) > 256:
+        return None
+    # lag m's view holds symbol i - m at i, the sentinel q before the start
+    pad = bytes([q] * k) + symbols
+    lags = [pad[k - m : k - m + n] for m in range(k + 1)]
+    code_terms = [(lags[m], q * qq ** (m - 1) if m else 1) for m in range(j + 1)]
+    key_terms = [(lags[m], qq ** (m - j - 1)) for m in range(j + 1, k + 1)]
+    if period > 1:
+        phase = _phase_view(n, period)
+        if phase_in_code:
+            code_terms.append((phase, q * qq**j))
+        else:
+            key_terms.append((phase, qq ** (k - j)))
+    codes = _digit_sum(n, code_terms)
+    if key_terms:
+        groups = [bytearray() for _ in range(256)]
+        add = [g.append for g in groups]
+        for g, c in zip(_digit_sum(n, key_terms), codes):
+            add[g](c)
+    else:
+        groups = [codes]
+    lgamma = math.lgamma
+    # the n*log2(1 + q*2^-16) slack counts once, whatever the split
+    terms = [-n * math.log1p(q / (1 << 16))]
+    for codes, key in [(g, key) for g in groups for key in sorted({c // q for c in set(g)})]:
+        lo = key * q
+        sub = codes.translate(None, _BYTE_VALUES[:lo] + _BYTE_VALUES[lo + q :])
+        t = [1] * q
+        pos, m = 0, len(sub)
+        while pos < m:
+            need = [(RESCALE - c + STEP - 1) // STEP for c in t]
+            # some count reaches its need within sum(need) symbols
+            a, b = pos + min(need) - 1, min(pos + sum(need), m)
+            rescaled = any(sub.count(lo + v, pos, b) >= need[v] for v in range(q))
+            if rescaled:
+                while b - a > 1:
+                    mid = (a + b) >> 1
+                    if any(sub.count(lo + v, pos, mid) >= need[v] for v in range(q)):
+                        b = mid
+                    else:
+                        a = mid
+            counts = [sub.count(lo + v, pos, b) for v in range(q)]
+            total = sum(t) / STEP
+            terms += (lgamma(total + b - pos), -lgamma(total))
+            for c, got in zip(t, counts):
+                if got:
+                    terms += (lgamma(c / STEP), -lgamma(c / STEP + got))
+            if rescaled:
+                t = [(c + STEP * got + 1) >> 1 for c, got in zip(t, counts)]
+            pos = b
+    # fsum rounds once; lgamma is off by a few ulps of each term, or by an
+    # absolute few ulps near its zeros at 1 and 2: the slack is far above both
+    slack = (sum(map(abs, terms)) + len(terms)) * 2**-40
+    return (math.fsum(terms) - slack) / math.log(2)

@@ -768,6 +768,55 @@ def test_promise_gen_without_out_b_is_refused_before_it_generates(capsys, tmp_pa
     assert code == 1 and "--out-b" in err and not out.exists()
 
 
+_PLAY = ["play", "--game", "pr", "--strategy", "nosig", "--a", "{d}/a.syms", "--b", "{d}/b.syms"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["gen", "--kind", "promise", "--m", "3", "--n", "8", "--out", "{d}/a.syms",
+         "--out-b", "{d}/a.syms"],
+        ["exp", "--which", "theorem2", "--n", "64", "--out", "{d}/r.txt", "--csv", "{d}/r.txt"],
+        [*_PLAY, "--out-dir", "{d}/d", "--stem", "quad", "--out", "{d}/d/quad.json"],
+        ["gen", "--kind", "zeros", "--n", "8", "--out", "{d}/z.syms", "--emit-config",
+         "{d}/./z.syms"],
+    ],
+    ids=["gen_out_b", "exp_csv", "play_manifest", "emit_config"],
+)
+def test_two_outputs_that_name_one_file_are_refused_before_any_work(capsys, tmp_path, argv):
+    # one output would overwrite the other: the run writes nothing
+    _quad_files(tmp_path)
+    before = {path: path.read_bytes() for path in tmp_path.rglob("*")}
+    code, out, err = run(capsys, *(a.format(d=tmp_path) for a in argv))
+    assert code == 1 and out == "" and err.count("\n") == 1
+    assert "name the same file" in err
+    assert {path: path.read_bytes() for path in tmp_path.rglob("*")} == before
+
+
+def test_exp_writes_its_report_and_csv_all_or_nothing(capsys, tmp_path):
+    report = tmp_path / "ok.jsonl"
+    report.write_bytes(b"kept\n")
+    argv = ["exp", "--which", "theorem2", "--estimator", "ctx_2", "--n", "256", "--seed", "1"]
+    code, _, err = run(
+        capsys, *argv, "--out", str(report), "--csv", str(tmp_path / "missing" / "x.csv")
+    )
+    assert code == 2 and "Traceback" not in err
+    assert sorted(tmp_path.iterdir()) == [report] and report.read_bytes() == b"kept\n"
+    code, _, _ = run(capsys, *argv, "--out", str(report), "--csv", str(tmp_path / "x.csv"))
+    assert code == 0 and report.read_bytes() != b"kept\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["ok.jsonl", "x.csv"]
+
+
+def test_gen_writes_both_promise_inputs_or_neither(capsys, tmp_path):
+    first = tmp_path / "a.syms"
+    argv = ["gen", "--kind", "promise", "--m", "3", "--n", "8", "--seed", "1", "--out", str(first)]
+    code, _, err = run(capsys, *argv, "--out-b", str(tmp_path / "missing" / "b.syms"))
+    assert code == 2 and "Traceback" not in err
+    assert list(tmp_path.iterdir()) == []
+    assert run(capsys, *argv, "--out-b", str(tmp_path / "b.syms"))[0] == 0
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["a.syms", "b.syms"]
+
+
 # the flags that read numbers; seeds, tables and paths are strings, and a
 # JSON number for one of them is refused
 NUMERIC_DESTS = {

@@ -40,6 +40,7 @@ from nonlocality.estimators import (
     _header_writer,
     _payload_floor,
     _phase_view,
+    _segment,
     _window_buckets,
     default_registry,
 )
@@ -309,8 +310,8 @@ def test_reach_cases_match_the_reference(name, est_id):
 
 
 # the fused coder loops and the helpers they call: the context ids they
-# read, lz77's match index and match extension, ctx_k's literal floor, and
-# the one decoding loop both decoders call
+# read, lz77's match index and match extension, ctx_k's literal floor and
+# its segment search, and the one decoding loop both decoders call
 HELPERS = (
     _context_ids,
     _phase_view,
@@ -319,6 +320,7 @@ HELPERS = (
     _window_buckets,
     _extend_match,
     _payload_floor,
+    _segment,
     _decode_stream,
 )
 REACHED = (

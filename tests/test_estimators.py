@@ -306,6 +306,37 @@ def test_payload_floor_never_exceeds_the_coded_payload(case):
     bound = _model_bits(k, symbols, q, period) - len(symbols) * math.log2(1 + q / (1 << 16))
     assert 0 <= bound - floor < 1e-4
     assert bound < _reference_payload(k, symbols, q, period)
+@settings(max_examples=100, deadline=None, derandomize=True)
+# the six grouped cases of test_payload_floor_never_exceeds_the_coded_payload
+@example(case=(_runs(4, 6000, 1), 4, 3, 1))
+@example(case=(_runs(8, 6000, 3), 8, 2, 1))
+@example(case=(_runs(8, 6000, 5), 8, 3, 2))
+@example(case=(_runs(3, 6000, 6), 3, 3, 4))
+@example(case=(_runs(4, 6000, 2), 4, 3, 3))
+@example(case=(_runs(8, 6000, 4), 8, 2, 4))
+@example(case=(b"", 2, 0, 1))
+@example(case=(b"\x01", 2, 1, 1))
+# binary: symbol 1 reaches its need first, then symbol 0 after a rescale
+@example(case=(b"\x01" * 600 + bytes(900), 2, 0, 1))
+# the last segment ends unrescaled (512 zeros rescale, 188 do not), or
+# exactly where its count reaches its need, or where symbol 0 reaches its
+# need before the end of the string
+@example(case=(bytes(700), 2, 0, 1))
+@example(case=(bytes(512), 2, 0, 1))
+@example(case=(bytes(512) + b"\x01" * 10, 2, 0, 1))
+# contexts that fit no byte code: no floor on either side
+@example(case=(bytes(8), 8, 3, 4))
+@example(case=(bytes(8), 256, 1, 1))
+@given(case=_fitting_cases())
+def test_payload_floor_is_the_reference_float(case):
+    # the floor decides literal verdicts, so it must be the same float as
+    # the reference's, not only a bound
+    symbols, q, k, period = case
+    assert _payload_floor(symbols, q, k, period) == reference_coders.payload_floor(
+        symbols, q, k, period
+    )
+
+
 def test_payload_floor_skips_a_byte_code_that_does_not_fit():
     assert _payload_floor(bytes(8), 2, 3, 4) is not None  # 4 * 27 * 2 = 216 codes
     assert _payload_floor(bytes(8), 16, 1, 1) is not None  # 17 groups of 16 codes
