@@ -2,7 +2,9 @@
 
 Subcommands: gen, play, estimate, nosig, locality, oracle, exp.
 Exit codes: 0 success, 1 usage error, 2 data/format error, 3 estimator or
-oracle failure. Results go to stdout or --out; logs go to stderr.
+oracle failure. Results go to stdout or --out; logs go to stderr. Each
+handler returns the files it writes as (path, write) pairs, and main writes
+them, --emit-config's with them, all or none once the handler has returned.
 
 A JSON config file (--config) stands for the flags it names, read before
 the command line, so explicit flags win. Its keys are flag dests, as
@@ -235,18 +237,19 @@ def _write_all(writes) -> None:
             temp.unlink(missing_ok=True)
 
 
-def _emit(args, payload: dict, indent: int | None = 2) -> None:
+def _emit(args, payload: dict, indent: int | None = 2) -> list:
+    """payload as JSON on stdout, or the (path, write) pair of --out."""
     text = json.dumps(payload, indent=indent, sort_keys=True) + "\n"
     if getattr(args, "out", None):
-        Path(args.out).write_text(text)
-    else:
-        sys.stdout.write(text)
+        return [(args.out, lambda temp: temp.write_text(text))]
+    sys.stdout.write(text)
+    return []
 
 
 # --- subcommand handlers -------------------------------------------------------
 
 
-def _cmd_gen(args) -> int:
+def _cmd_gen(args) -> list:
     seed = _parse_seed(args.seed) if args.seed else Seed.from_int(0)
     if args.kind == "random":
         strings = {args.out: gen_seeded_random(args.n, args.q, seed)}
@@ -256,11 +259,10 @@ def _cmd_gen(args) -> int:
         strings = dict(zip((args.out, args.out_b), gen_promise_inputs(args.m, args.n, seed)))
     else:
         strings = {args.out: gen_computable(args.kind, args.n)}
-    _write_all([(path, lambda temp, s=s: write_syms(temp, s)) for path, s in strings.items()])
-    return 0
+    return [(path, lambda temp, s=s: write_syms(temp, s)) for path, s in strings.items()]
 
 
-def _cmd_play(args) -> int:
+def _cmd_play(args) -> list:
     game = parse_game(args.game, args.m)
     strategy = _strategy_from_args(args)
     a = read_syms(args.a)
@@ -279,11 +281,10 @@ def _cmd_play(args) -> int:
     sys.stderr.write(f"wrote {manifest}\n")
     # one line, as play has always printed it
     summary = {"manifest": str(manifest), "satisfaction": frac_str(satisfaction_fraction(quad))}
-    _emit(args, summary, indent=None)
-    return 0
+    return _emit(args, summary, indent=None)
 
 
-def _cmd_estimate(args) -> int:
+def _cmd_estimate(args) -> list:
     estimator = get_estimator(args.estimator)
     s = read_syms(args.infile)
     if args.cond:
@@ -300,11 +301,10 @@ def _cmd_estimate(args) -> int:
         "class": classify_value(est.rate, args.theta_zero, args.theta_full),
         "thresholds": {"theta_zero": args.theta_zero, "theta_full": args.theta_full},
     }
-    _emit(args, payload)
-    return 0
+    return _emit(args, payload)
 
 
-def _cmd_nosig(args) -> int:
+def _cmd_nosig(args) -> list:
     estimator = get_estimator(args.estimator)
     quad = load_quadruple(args.quad)
     rep = ns_report(quad, estimator, args.theta_ns)
@@ -321,11 +321,10 @@ def _cmd_nosig(args) -> int:
         "y_side_ok": rep.y_side_ok,
         "passes": rep.passes,
     }
-    _emit(args, payload)
-    return 0
+    return _emit(args, payload)
 
 
-def _cmd_locality(args) -> int:
+def _cmd_locality(args) -> list:
     estimator = get_estimator(args.estimator)
     quad = load_quadruple(args.quad)
     if args.witness:
@@ -347,8 +346,7 @@ def _cmd_locality(args) -> int:
             "output": thresholds.output,
         },
     }
-    _emit(args, payload)
-    return 0
+    return _emit(args, payload)
 
 
 def _read_distribution(path) -> Distribution:
@@ -382,12 +380,11 @@ def _read_distribution(path) -> Distribution:
         raise FormatError(str(exc)) from exc
 
 
-def _cmd_oracle(args) -> int:
+def _cmd_oracle(args) -> list:
     if args.marginals:
         weight = args.pr_weight if args.pr_weight is not None else Fraction(1)
         lo, hi = marginal_extremes(weight, args.no_signaling)
-        _emit(args, {"min": frac_str(lo), "max": frac_str(hi)})
-        return 0
+        return _emit(args, {"min": frac_str(lo), "max": frac_str(hi)})
     if args.fine:
         res = fine_membership(_read_distribution(args.fine))
         if res.local:
@@ -408,8 +405,7 @@ def _cmd_oracle(args) -> int:
                 "value_on_dist": frac_str(res.value_on_dist),
                 "vertex_max": frac_str(res.vertex_max),
             }
-        _emit(args, payload)
-        return 0
+        return _emit(args, payload)
     game = parse_game(args.game, args.m)
     res = game_value_exact(game, reps=args.reps, jobs=args.jobs)
     payload = {
@@ -424,11 +420,10 @@ def _cmd_oracle(args) -> int:
         "nodes": res.nodes,
         "prunes": res.prunes,
     }
-    _emit(args, payload)
-    return 0
+    return _emit(args, payload)
 
 
-def _cmd_exp(args) -> int:
+def _cmd_exp(args) -> list:
     estimator = get_estimator(args.estimator)
     seed_set = SeedSet.from_master(_parse_seed(args.seed))
     t0 = time.monotonic()
@@ -447,9 +442,8 @@ def _cmd_exp(args) -> int:
     writes = [(args.out, lambda temp: temp.write_text(report.to_jsonl()))]
     if args.csv is not None:
         writes.append((args.csv, lambda temp: temp.write_text(report.to_csv())))
-    _write_all(writes)
-    sys.stderr.write(f"wrote {args.out} ({seconds:.1f}s)\n")
-    return 0
+    sys.stderr.write(f"ran {args.which} in {seconds:.1f}s\n")
+    return writes
 
 
 # --- parser construction ----------------------------------------------------------
@@ -672,12 +666,13 @@ def main(argv=None) -> int:
             if path in named:
                 raise _UsageError(f"two outputs name the same file: {path}")
             named.add(path)
-        if args.emit_config:
-            Path(args.emit_config).write_text(
-                json.dumps(_effective_config(args), indent=2, sort_keys=True) + "\n"
-            )
         clear_cache()  # a run sees what a fresh nlbox process sees
-        return args.func(args)
+        writes = args.func(args)
+        if args.emit_config:
+            config = json.dumps(_effective_config(args), indent=2, sort_keys=True) + "\n"
+            writes.append((args.emit_config, lambda temp: temp.write_text(config)))
+        _write_all(writes)
+        return 0
     except _UsageError as exc:
         sys.stderr.write(f"usage error: {exc}\n")
         return 1

@@ -133,11 +133,57 @@ def uint_len(value: int) -> int:
 # the encoder's own split points, then takes the lower one off v.
 # Renormalising takes the same half or quarter off low, high and code and
 # doubles them, so it doubles v and shifts the next stream bit into it.
+# renormalise and shift_in state that step once per side; the per-literal
+# loops run their own inline copies of it.
 
 TOP = (1 << 32) - 1
 HALF = 1 << 31
 QUARTER = 1 << 30
 THREE_Q = 3 << 30
+
+
+def renormalise(out: bytearray, low: int, high: int, pending: int) -> tuple[int, int, int]:
+    """Double an encoder's range until it straddles HALF and is not inside
+    the middle half, appending each decided bit to out with the pending
+    bits held back before it."""
+    while True:
+        if high < HALF:
+            out += b"0" + b"1" * pending
+            pending = 0
+        elif low >= HALF:
+            out += b"1" + b"0" * pending
+            pending = 0
+            low -= HALF
+            high -= HALF
+        elif low >= QUARTER and high < THREE_Q:
+            pending += 1
+            low -= QUARTER
+            high -= QUARTER
+        else:
+            return low, high, pending
+        low <<= 1
+        high = (high << 1) | 1
+
+
+def shift_in(buf: bytes, pos: int, low: int, high: int, v: int) -> tuple[int, int, int, int]:
+    """The decoder's side of renormalise: the same doublings of (low,
+    high), each shifting the ASCII bit buf[pos] into v. The caller pads
+    buf and checks pos against the stream's end."""
+    while True:
+        if high < HALF:
+            pass
+        elif low >= HALF:
+            low -= HALF
+            high -= HALF
+        elif low >= QUARTER and high < THREE_Q:
+            low -= QUARTER
+            high -= QUARTER
+        else:
+            return low, high, v, pos
+        low <<= 1
+        high = (high << 1) | 1
+        v = (v << 1) | (buf[pos] & 1)
+        pos += 1
 
 
 def flush_coder(out: bytearray, low: int, pending: int) -> None:

@@ -26,7 +26,9 @@ from .coding import (
     gamma_bits,
     new_table,
     read_uint,
+    renormalise,
     rescale,
+    shift_in,
     uint_len,
     write_uint,
 )
@@ -442,63 +444,42 @@ def _decode_stream(r: BitReader, q: int, n: int, period: int, k: int, matches: b
                 v -= split
                 f1 += step
                 c = f1
-                # the match's two gamma codes follow, bit by bit at the
-                # fixed probability 1/2, each bit parsed once its doublings
-                # are read: the zeros counted so far, then (once the code's
-                # 1 has come and value > 0) the bits still to read; dist is
-                # the first code's value
-                bit = -1
-                zeros = value = dist = 0
             if c >= limit:  # rescale(), on the two counts
                 f0 = (f0 + 1) >> 1
                 f1 = (f1 + 1) >> 1
-            while sym or high < half or (low >= quarter and high < three_q):
-                shifts = 0
-                while True:
-                    if high < half:
-                        pass
-                    elif low >= half:
-                        low -= half
-                        high -= half
-                    elif low >= quarter and high < three_q:
-                        low -= quarter
-                        high -= quarter
-                    else:
-                        break
-                    low <<= 1
-                    high = (high << 1) | 1
-                    shifts += 1
-                if shifts:
-                    v = (v << shifts) | int(buf[pos : pos + shifts], 2)
-                    pos += shifts
-                    if pos > end:
-                        raise _overrun(n)
-                if not sym:
-                    break
-                if bit >= 0:
-                    if value:
-                        value = (value << 1) | bit
-                        zeros -= 1
-                    elif bit:
-                        value = 1
-                    else:
-                        zeros += 1
-                        if zeros > 64:
-                            raise ValueError("malformed gamma code")
-                    if value and not zeros:
-                        if dist:
-                            break
-                        dist = value
-                        value = 0
-                split = (high - low + 1) >> 1
-                if v < split:
-                    bit = 0
-                    high = low + split - 1
-                else:
-                    bit = 1
-                    low += split
-                    v -= split
+            if high < half or low >= half or (low >= quarter and high < three_q):
+                low, high, v, pos = shift_in(buf, pos, low, high, v)
+                if pos > end:
+                    raise _overrun(n)
             if sym:
+                # the match's two gamma codes, distance then length -
+                # ANCHOR + 1, bit by bit at the fixed probability 1/2: the
+                # zeros counted, then the bits after the code's 1
+                for second in (False, True):
+                    zeros = value = 0
+                    while zeros or not value:
+                        split = (high - low + 1) >> 1
+                        if v < split:
+                            bit = 0
+                            high = low + split - 1
+                        else:
+                            bit = 1
+                            low += split
+                            v -= split
+                        low, high, v, pos = shift_in(buf, pos, low, high, v)
+                        if pos > end:
+                            raise _overrun(n)
+                        if value:
+                            value = (value << 1) | bit
+                            zeros -= 1
+                        elif bit:
+                            value = 1
+                        else:
+                            zeros += 1
+                            if zeros > 64:
+                                raise ValueError("malformed gamma code")
+                    if not second:
+                        dist = value
                 length = value + ANCHOR - 1
                 start = i - dist
                 if start < 0 or i + length > n:
@@ -688,46 +669,20 @@ class LZ77Estimator(Estimator):
                         resume.keep(self, symbols, q, period, kept)
                 if sym:
                     # flag 1, then the match's gamma codes bit by bit at
-                    # the fixed probability 1/2, in one renormalisation loop
+                    # the fixed probability 1/2
                     before = len(out)
                     low += (high - low + 1) * f0 // (f0 + f1)
                     f1 += step
                     if f1 >= limit:  # rescale(), on the two counts
                         f0 = (f0 + 1) >> 1
                         f1 = (f1 + 1) >> 1
-                    bits = gamma_bits(best_dist) + gamma_bits(best_len - ANCHOR + 1)
-                    k = 0
-                    while True:
-                        while True:
-                            if high < half:
-                                if pending:
-                                    out += b"0" + b"1" * pending
-                                    pending = 0
-                                else:
-                                    out.append(48)
-                            elif low >= half:
-                                if pending:
-                                    out += b"1" + b"0" * pending
-                                    pending = 0
-                                else:
-                                    out.append(49)
-                                low -= half
-                                high -= half
-                            elif low >= quarter and high < three_q:
-                                pending += 1
-                                low -= quarter
-                                high -= quarter
-                            else:
-                                break
-                            low <<= 1
-                            high = (high << 1) | 1
-                        if k == len(bits):
-                            break
-                        if bits[k] == 48:
+                    for bit in gamma_bits(best_dist) + gamma_bits(best_len - ANCHOR + 1):
+                        low, high, pending = renormalise(out, low, high, pending)
+                        if bit == 48:
                             high = low + ((high - low + 1) >> 1) - 1
                         else:
                             low += (high - low + 1) >> 1
-                        k += 1
+                    low, high, pending = renormalise(out, low, high, pending)
                     spent += len(out) - before
                     matched += best_len
                     i += best_len
@@ -742,27 +697,7 @@ class LZ77Estimator(Estimator):
                 f1 = (f1 + 1) >> 1
             if high < half or (low >= quarter and high < three_q):
                 before = len(out)
-                while True:
-                    if high < half:
-                        if pending:
-                            out += b"0" + b"1" * pending
-                            pending = 0
-                        else:
-                            out.append(48)
-                    elif low >= half:
-                        # nothing is pending: only a high < half step, which
-                        # writes the pending bits, lifts low past half
-                        out.append(49)
-                        low -= half
-                        high -= half
-                    elif low >= quarter and high < three_q:
-                        pending += 1
-                        low -= quarter
-                        high -= quarter
-                    else:
-                        break
-                    low <<= 1
-                    high = (high << 1) | 1
+                low, high, pending = renormalise(out, low, high, pending)
                 spent += len(out) - before
             # the literal at i
             s = symbols[i]

@@ -817,6 +817,18 @@ def test_gen_writes_both_promise_inputs_or_neither(capsys, tmp_path):
     assert sorted(p.name for p in tmp_path.iterdir()) == ["a.syms", "b.syms"]
 
 
+def test_a_failed_run_writes_neither_its_out_nor_its_emitted_config(capsys, tmp_path):
+    cfg, out = tmp_path / "cfg.json", tmp_path / "est.json"
+    argv = ["estimate", "--in", str(tmp_path / "missing.syms"), "--out", str(out)]
+    code, _, err = run(capsys, *argv, "--emit-config", str(cfg))
+    assert code == 2 and "Traceback" not in err
+    assert list(tmp_path.iterdir()) == []
+    write_syms(tmp_path / "missing.syms", SymbolString(2, bytes(64)))
+    assert run(capsys, *argv, "--emit-config", str(cfg))[0] == 0
+    assert json.loads(cfg.read_text())["infile"] == str(tmp_path / "missing.syms")
+    assert json.loads(out.read_text())["n"] == 64
+
+
 # the flags that read numbers; seeds, tables and paths are strings, and a
 # JSON number for one of them is refused
 NUMERIC_DESTS = {
@@ -874,7 +886,7 @@ def _quiet_main(argv):
 def test_config_value_is_read_as_its_flag_text(monkeypatch, data):
     # the handlers are not run: this is about what the parser hands them
     for name in ("gen", "play", "estimate", "nosig", "locality", "oracle", "exp"):
-        monkeypatch.setattr(cli, f"_cmd_{name}", lambda args: 0)
+        monkeypatch.setattr(cli, f"_cmd_{name}", lambda args: [])
     cmd, action = data.draw(st.sampled_from(_config_flags()), label="flag")
     flag = action.option_strings[0]
     if action.nargs == 0:  # a switch: the bare flag unless the value is the default

@@ -271,6 +271,9 @@ def test_cli_exit_code_contract(case):
                     _assert_strict_json(doc)
             if "--emit-config" in written:
                 _assert_strict_json(Path(written["--emit-config"]).read_text())
+        elif "--emit-config" in argv:
+            # a run that fails writes no config that would reproduce it
+            assert not Path(argv[argv.index("--emit-config") + 1]).exists(), argv
 
 
 def _reject_constant(name):

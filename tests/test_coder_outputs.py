@@ -22,7 +22,7 @@ import reference_coders
 from hypothesis import example, given, settings, strategies as st
 from reference_coders import outcome
 
-from nonlocality.coding import BitReader, read_uint, uint_len
+from nonlocality.coding import BitReader, read_uint, renormalise, shift_in, uint_len
 from nonlocality.complexity import EstimateStore
 from nonlocality.estimators import (
     ANCHOR,
@@ -322,6 +322,8 @@ HELPERS = (
     _payload_floor,
     _segment,
     _decode_stream,
+    renormalise,
+    shift_in,
 )
 REACHED = (
     LZ77Estimator.encode,

@@ -4,10 +4,16 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from nonlocality.coding import (
+    HALF,
+    QUARTER,
+    THREE_Q,
+    TOP,
     BitReader,
     BitWriter,
     gamma_bits,
     read_uint,
+    renormalise,
+    shift_in,
     uint_len,
     write_uint,
 )
@@ -53,6 +59,29 @@ def test_read_fields_reads_like_read_bits(data, skip, n, k):
     single.read_bits(skip)
     assert fields.read_fields(n, k) == bytes(single.read_bits(k) for _ in range(n))
     assert fields.pos == single.pos
+
+
+@given(
+    width=st.one_of(st.integers(1, 8), st.integers(1, TOP)),
+    data=st.data(),
+    bits=st.binary(min_size=64, max_size=64),
+)
+@settings(max_examples=300, deadline=None)
+def test_renormalise_and_shift_in_move_in_step(width, data, bits):
+    # the encoder and the decoder double the same range the same number
+    # of times; the decoder reads one stream bit for each doubling, which
+    # the encoder either wrote or holds back as pending
+    low = data.draw(st.integers(0, TOP - width), label="low")
+    high = low + width
+    v = data.draw(st.integers(0, width), label="v")
+    buf = bytes(48 | (b & 1) for b in bits)
+    out = bytearray()
+    enc_low, enc_high, pending = renormalise(out, low, high, 0)
+    dec_low, dec_high, v, pos = shift_in(buf, 0, low, high, v)
+    assert (dec_low, dec_high) == (enc_low, enc_high)
+    assert pos == len(out) + pending
+    assert 0 <= v <= dec_high - dec_low
+    assert dec_low < HALF <= dec_high and not (QUARTER <= dec_low and dec_high < THREE_Q)
 
 
 def _ac_roundtrip(symbols, q, contexts):
