@@ -3,8 +3,9 @@
 Subcommands: gen, play, estimate, nosig, locality, oracle, exp.
 Exit codes: 0 success, 1 usage error, 2 data/format error, 3 estimator or
 oracle failure. Results go to stdout or --out; logs go to stderr. Each
-handler returns the files it writes as (path, write) pairs, and main writes
-them, --emit-config's with them, all or none once the handler has returned.
+handler returns the files it writes, play's quadruple too, as (path, write)
+pairs, and main writes them, --emit-config's with them, in one write_all:
+all or none, once the handler has returned.
 
 A JSON config file (--config) stands for the flags it names, read before
 the command line, so explicit flags win. Its keys are flag dests, as
@@ -77,8 +78,8 @@ from .strings import (
     gen_computable,
     gen_promise_inputs,
     gen_seeded_random,
+    read_json,
     read_syms,
-    unique_keys,
     write_syms,
 )
 
@@ -216,25 +217,33 @@ def _outputs(args) -> list:
     paths = [getattr(args, dest, None) for dest in ("out", "out_b", "csv", "emit_config")]
     if args.cmd == "play":
         paths += quadruple_files(args.out_dir, args.stem)
-    return [path for path in paths if path]
+    return [path for path in paths if path is not None]
 
 
-def _write_all(writes) -> None:
+def write_all(writes, directory=".") -> None:
     """Write the file of each (path, write) pair, all or none: write(temp)
     stages each as a temp file beside its path, and the temps replace their
-    paths, in order, only once all are written. On an error the temps are
-    removed, and a file already at a path keeps its bytes."""
-    staged = []
+    paths, in order, only once all are written; a missing directory is made
+    first. On an error the temps and any directory made are removed, and a
+    file already at a path keeps its bytes."""
+    directory = Path(directory)
+    staged, made = [], []
     try:
+        for new in reversed([d for d in (directory, *directory.parents) if not d.exists()]):
+            new.mkdir()
+            made.append(new)
         for path, write in writes:
             path = Path(path)
             staged.append(path.parent / f".{path.name}.{os.getpid()}.tmp")
             write(staged[-1])
+        made.clear()
         for temp, (path, _) in zip(staged, writes):
             os.replace(temp, path)
     finally:
         for temp in staged:
             temp.unlink(missing_ok=True)
+        for new in reversed(made):
+            new.rmdir()
 
 
 def _emit(args, payload: dict, indent: int | None = 2) -> list:
@@ -271,17 +280,13 @@ def _cmd_play(args) -> list:
     noise = _parse_seed(args.noise_seed) if args.noise_seed else None
     x, y = play(strategy, game, a, b, seed, noise)
     quad = Quadruple(game, a, b, x, y)
-    manifest = save_quadruple(
-        quad,
-        args.out_dir,
-        args.stem,
-        eps=args.eps if args.strategy == "nosig" else None,
-        seeds={"sampler": seed.hex(), "noise": noise.hex() if noise else None},
-    )
-    sys.stderr.write(f"wrote {manifest}\n")
+    eps = args.eps if args.strategy == "nosig" else None
+    seeds = {"sampler": seed.hex(), "noise": noise.hex() if noise else None}
+    writes = save_quadruple(quad, args.out_dir, args.stem, eps=eps, seeds=seeds)
+    manifest = writes[-1][0]
     # one line, as play has always printed it
     summary = {"manifest": str(manifest), "satisfaction": frac_str(satisfaction_fraction(quad))}
-    return _emit(args, summary, indent=None)
+    return writes + _emit(args, summary, indent=None)
 
 
 def _cmd_estimate(args) -> list:
@@ -353,15 +358,9 @@ def _read_distribution(path) -> Distribution:
     """The --fine distribution file. Each "p" key is spelled exactly
     f"{a},{b},{x},{y}", as its four ints print, and each value is an exact
     fraction: a string, or a JSON number read from its text (0.1 is 1/10)."""
-    try:
-        data = json.loads(
-            Path(path).read_text(),
-            object_pairs_hook=unique_keys, parse_float=_JSONNumber, parse_constant=_JSONNumber,
-        )
-    except ValueError as exc:  # json refuses an int of over 4300 digits with a plain ValueError
-        raise FormatError(f"bad distribution JSON: {exc}") from exc
-    if not isinstance(data, dict) or not isinstance(data.get("p", {}), dict):
-        raise FormatError('distribution must be a JSON object whose "p" is an object')
+    data = read_json(path, "distribution", parse_float=_JSONNumber, parse_constant=_JSONNumber)
+    if not isinstance(data.get("p", {}), dict):
+        raise FormatError('distribution "p" must be a JSON object')
     game = parse_game(data.get("game"), data.get("m", 2))
     table = {}
     for key, val in data.get("p", {}).items():
@@ -598,16 +597,8 @@ def _config_argv(parser: _Parser, argv: list) -> list:
     sp = parser.commands.get(argv[0]) if argv else None
     if cfg_path is None or sp is None:
         return argv
-    try:
-        cfg = json.loads(
-            Path(cfg_path).read_text(),
-            object_pairs_hook=unique_keys,
-            parse_int=_JSONNumber, parse_float=_JSONNumber, parse_constant=_JSONNumber,
-        )
-    except (OSError, json.JSONDecodeError) as exc:
-        raise FormatError(f"bad config file: {exc}") from exc
-    if not isinstance(cfg, dict):
-        raise FormatError("config must be a JSON object")
+    numbers = dict.fromkeys(("parse_int", "parse_float", "parse_constant"), _JSONNumber)
+    cfg = read_json(cfg_path, "config", **numbers)
     actions = {a.dest: a for a in sp._actions if a.dest != "help"}  # noqa: SLF001
     flags = []
     for dest, value in cfg.items():
@@ -662,7 +653,10 @@ def main(argv=None) -> int:
                 raise
             return 1
         named = set()
-        for path in map(os.path.realpath, _outputs(args)):
+        for path in _outputs(args):
+            if not path or os.path.isdir(path):
+                raise _UsageError(f"an output must name a file, not {str(path)!r}")
+            path = os.path.realpath(path)
             if path in named:
                 raise _UsageError(f"two outputs name the same file: {path}")
             named.add(path)
@@ -671,17 +665,12 @@ def main(argv=None) -> int:
         if args.emit_config:
             config = json.dumps(_effective_config(args), indent=2, sort_keys=True) + "\n"
             writes.append((args.emit_config, lambda temp: temp.write_text(config)))
-        _write_all(writes)
+        write_all(writes, getattr(args, "out_dir", "."))
         return 0
     except _UsageError as exc:
         sys.stderr.write(f"usage error: {exc}\n")
         return 1
-    except FormatError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return 2
-    except (OSError, json.JSONDecodeError, UnicodeDecodeError) as exc:
-        # a JSON file (config, manifest, distribution) that is not UTF-8 text
-        # is a format error like any other
+    except (FormatError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
     except EstimatorError as exc:

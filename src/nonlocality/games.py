@@ -23,10 +23,10 @@ from .strings import (
     SymbolString,
     concat,
     interleave,
+    read_json,
     read_syms,
     round_bytes,
     rounds_below,
-    unique_keys,
     write_syms,
 )
 
@@ -465,14 +465,14 @@ MANIFEST_FIELDS = {"schema", "game", "m", "eps", "seeds", "files"}
 
 def file_stem(stem: str) -> str:
     """stem, if it is one path component other than '.' and '..', so that
-    save_quadruple writes every file where load_quadruple reads it."""
+    every file save_quadruple names lies where load_quadruple reads it."""
     if stem in ("", ".", "..") or PurePath(stem).name != stem:
         raise ValueError(f"a stem must be a file name, not a path: {stem!r}")
     return stem
 
 
 def quadruple_files(directory, stem: str) -> list:
-    """The paths save_quadruple writes: the a, b, x and y .syms files, then
+    """The paths of a saved quadruple: the a, b, x and y .syms files, then
     the manifest."""
     directory = Path(directory)
     return [directory / f"{stem}.{name}.syms" for name in "abxy"] + [directory / f"{stem}.json"]
@@ -484,34 +484,28 @@ def save_quadruple(
     stem: str,
     eps: Fraction | None = None,
     seeds: dict | None = None,
-) -> Path:
+) -> list:
+    """The (path, write) pairs of quadruple_files, for cli.write_all to
+    write all or none; write(temp) writes its path's bytes to temp."""
     file_stem(stem)
     *syms, path = quadruple_files(directory, stem)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    files = {}
-    for name, s, syms_path in zip("abxy", (quad.a, quad.b, quad.x, quad.y), syms):
-        write_syms(syms_path, s)
-        files[name] = syms_path.name
     manifest = {
         "schema": 1,
         "game": quad.game.kind,
         "m": quad.game.m,
         "eps": frac_str(eps) if eps is not None else None,
         "seeds": seeds or {},
-        "files": files,
+        "files": {name: syms_path.name for name, syms_path in zip("abxy", syms)},
     }
-    path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
-    return path
+    text = json.dumps(manifest, indent=2, sort_keys=True) + "\n"
+    strings = (quad.a, quad.b, quad.x, quad.y)
+    writes = [(p, lambda temp, s=s: write_syms(temp, s)) for p, s in zip(syms, strings)]
+    return writes + [(path, lambda temp: temp.write_text(text))]
 
 
 def load_quadruple(manifest_path) -> Quadruple:
     path = Path(manifest_path)
-    try:
-        manifest = json.loads(path.read_text(), object_pairs_hook=unique_keys)
-    except ValueError as exc:  # json refuses an int of over 4300 digits with a plain ValueError
-        raise FormatError(f"bad manifest JSON: {exc}") from exc
-    if not isinstance(manifest, dict):
-        raise FormatError("manifest must be a JSON object")
+    manifest = read_json(path, "manifest")
     unknown = set(manifest) - MANIFEST_FIELDS
     if unknown:
         raise FormatError(f"unknown manifest fields: {sorted(unknown)}")

@@ -12,27 +12,43 @@ bits_per_symbol(q) bits and is drawn again while >= q; round i of
 from __future__ import annotations
 
 import hashlib
+import json
 from dataclasses import dataclass
+from pathlib import Path
 from typing import Iterator
 
 from .coding import BitReader, BitWriter
 
 
 class FormatError(ValueError):
-    """Raised for malformed .syms files or manifest data, and for inputs
+    """Raised for malformed .syms files and JSON inputs, and for inputs
     that do not fit their game."""
 
 
 def unique_keys(pairs: list) -> dict:
-    """The object_pairs_hook of every JSON input (config, manifest,
-    distribution): a JSON object that names a key twice is refused, where
-    json.loads would keep the last value."""
+    """The object_pairs_hook of read_json: a JSON object that names a key
+    twice is refused, where json.loads would keep the last value."""
     obj = {}
     for key, value in pairs:
         if key in obj:
             raise FormatError(f"repeated JSON key: {key!r}")
         obj[key] = value
     return obj
+
+
+def read_json(path, what: str, **numbers) -> dict:
+    """The JSON object in the file at path, under json.loads' number hooks:
+    text that is not UTF-8 JSON, a repeated key, an int of over 4300 digits
+    or a value other than an object is a FormatError naming what it is."""
+    try:
+        data = json.loads(
+            Path(path).read_text(encoding="utf-8"), object_pairs_hook=unique_keys, **numbers
+        )
+    except ValueError as exc:
+        raise FormatError(f"bad {what} JSON: {exc}") from exc
+    if not isinstance(data, dict):
+        raise FormatError(f"{what} must be a JSON object")
+    return data
 
 
 def bits_per_symbol(q: int) -> int:

@@ -793,6 +793,65 @@ def test_two_outputs_that_name_one_file_are_refused_before_any_work(capsys, tmp_
     assert {path: path.read_bytes() for path in tmp_path.rglob("*")} == before
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["gen", "--kind", "zeros", "--n", "8", "--out", "{d}/a.syms", "--emit-config", "{d}/dir"],
+        ["exp", "--which", "theorem2", "--out", ""],
+        ["exp", "--which", "theorem2", "--n", "64", "--out", "{d}/r.jsonl", "--csv", "{d}/dir"],
+        ["estimate", "--in", "{d}/x.syms", "--out", ""],
+        ["estimate", "--in", "{d}/x.syms", "--emit-config", ""],
+        [*_PLAY, "--out-dir", "{d}", "--stem", "dir"],
+        [*_PLAY, "--out", "{d}/dir"],
+    ],
+    ids=["emit_config_dir", "exp_empty_out", "exp_csv_dir", "estimate_empty_out",
+         "empty_emit_config", "play_manifest_dir", "play_out_dir"],
+)
+def test_an_output_that_is_empty_or_a_directory_is_refused_before_any_work(
+    capsys, tmp_path, monkeypatch, argv
+):
+    # such an output could never be written: the run does no work and
+    # writes nothing (an empty --out once meant stdout for estimate)
+    ran = []
+    for name in ("gen", "play", "estimate", "exp"):
+        monkeypatch.setattr(cli, f"_cmd_{name}", lambda args: ran.append(args) or [])
+    _quad_files(tmp_path)
+    (tmp_path / "dir.json").mkdir()
+    (tmp_path / "dir").mkdir()
+    before = {path: path.is_file() and path.read_bytes() for path in tmp_path.rglob("*")}
+    code, out, err = run(capsys, *(a.format(d=tmp_path) for a in argv))
+    assert code == 1 and out == "" and err.count("\n") == 1
+    assert "an output must name a file" in err and ran == []
+    assert {path: path.is_file() and path.read_bytes() for path in tmp_path.rglob("*")} == before
+
+
+def test_play_writes_its_quadruple_all_or_nothing(capsys, tmp_path, monkeypatch):
+    _quad_files(tmp_path)
+    argv = [a.format(d=tmp_path) for a in _PLAY]
+    quad = tmp_path / "quad"
+    assert run(capsys, *argv, "--seed", "1", "--out-dir", str(quad))[0] == 0
+    before = {path.name: path.read_bytes() for path in quad.iterdir()}
+    assert sorted(before) == [
+        "quad.a.syms", "quad.b.syms", "quad.json", "quad.x.syms", "quad.y.syms"
+    ]
+
+    def full(self, *args, **kwargs):
+        raise OSError(28, "No space left on device")
+
+    # the manifest, staged last, cannot be written: the .syms files staged
+    # before it go, the old quadruple stays, and a missing --out-dir is not made
+    monkeypatch.setattr(Path, "write_text", full)
+    for out_dir in (quad, tmp_path / "new" / "quad"):
+        code, _, err = run(capsys, *argv, "--seed", "2", "--out-dir", str(out_dir))
+        assert code == 2 and "No space left" in err and "Traceback" not in err
+        assert {path.name: path.read_bytes() for path in quad.iterdir()} == before
+        assert not (tmp_path / "new").exists()
+    monkeypatch.undo()
+    assert run(capsys, *argv, "--seed", "2", "--out-dir", str(tmp_path / "new" / "quad"))[0] == 0
+    after = {path.name: path.read_bytes() for path in (tmp_path / "new" / "quad").iterdir()}
+    assert sorted(after) == sorted(before) and after != before
+
+
 def test_exp_writes_its_report_and_csv_all_or_nothing(capsys, tmp_path):
     report = tmp_path / "ok.jsonl"
     report.write_bytes(b"kept\n")

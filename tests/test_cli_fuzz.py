@@ -1,6 +1,7 @@
 """Fuzz of the CLI's exit-code contract: whatever the argv and the contents
 of the files it names, `nlbox` exits 0, 1, 2 or 3 and prints no traceback,
-and a run that exits 0 writes only strict JSON (no NaN or Infinity).
+a run that exits 0 writes only strict JSON (no NaN or Infinity), and a run
+that exits non-zero leaves every file and directory as it found them.
 
 Sizes stay small (n <= 64, reps <= 2, no magic-square repetition) so every
 example runs in well under a second; `--jobs` is never drawn, so no process
@@ -244,6 +245,18 @@ def _argv(draw, d: Path) -> list:
                  "--config", "{d}/cfg.json"],
     }
 )
+# a play whose --out named a directory once failed after writing its quadruple
+@example(
+    {
+        "s.syms": b"SYMS q=2 n=0\n",
+        "pr_n": 8,
+        "quad.json": VALID_QUAD,
+        "dist.json": {},
+        "cfg.json": {},
+        "argv": ["play", "--game", "pr", "--strategy", "nosig", "--a", "{d}/a.syms",
+                 "--b", "{d}/b.syms", "--out-dir", "{d}/quad", "--out", "{d}"],
+    }
+)
 def test_cli_exit_code_contract(case):
     with tempfile.TemporaryDirectory() as tmp:
         d = Path(tmp)
@@ -254,6 +267,7 @@ def test_cli_exit_code_contract(case):
         for name in ("quad.json", "dist.json", "cfg.json"):
             (d / name).write_text(json.dumps(case[name]).replace("{d}", tmp))
         argv = [tok.replace("{d}", tmp) for tok in case["argv"]]
+        before = _tree(d)
         out, err = io.StringIO(), io.StringIO()
         with redirect_stdout(out), redirect_stderr(err):
             code = main(argv)
@@ -271,9 +285,15 @@ def test_cli_exit_code_contract(case):
                     _assert_strict_json(doc)
             if "--emit-config" in written:
                 _assert_strict_json(Path(written["--emit-config"]).read_text())
-        elif "--emit-config" in argv:
-            # a run that fails writes no config that would reproduce it
-            assert not Path(argv[argv.index("--emit-config") + 1]).exists(), argv
+        else:
+            # a run that fails writes nothing: no config that would reproduce
+            # it, no output, no temp file and no --out-dir
+            assert _tree(d) == before, argv
+
+
+def _tree(d: Path) -> dict:
+    """Each path under d, with its bytes if it is a file."""
+    return {path: path.is_file() and path.read_bytes() for path in d.rglob("*")}
 
 
 def _reject_constant(name):

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from nonlocality.cli import write_all
 from nonlocality.games import (
     GameSpec,
     LocalDeterministic,
@@ -259,7 +260,12 @@ def test_quadruple_manifest_roundtrip_and_rejects_unknown_fields(tmp_path):
         with pytest.raises(ValueError):
             save_quadruple(quad, tmp_path, stem)
     assert list(tmp_path.parent.glob("t.*")) == list(tmp_path.iterdir()) == []
-    manifest = save_quadruple(quad, tmp_path, "t", eps=Fraction(0))
+    # save_quadruple only returns the writes; write_all makes the files
+    writes = save_quadruple(quad, tmp_path, "t", eps=Fraction(0))
+    assert list(tmp_path.iterdir()) == []
+    write_all(writes)
+    manifest = writes[-1][0]
+    assert manifest == tmp_path / "t.json"
     back = load_quadruple(manifest)
     assert back.game == g and back.x.data == quad.x.data
     blob = json.loads(manifest.read_text())

@@ -43,40 +43,45 @@ def test_no_unused_imports():
     assert sorted(unused) == []
 
 
-def _json_reads_without_unique_keys(source: str) -> list[int]:
-    """Lines of the json.load and json.loads calls that leave out
-    object_pairs_hook=unique_keys, so would keep a repeated key's last value."""
-    lines = []
-    for node in ast.walk(ast.parse(source)):
-        func = getattr(node, "func", None)
-        if not (
-            isinstance(node, ast.Call)
-            and isinstance(func, ast.Attribute)
-            and func.attr in ("load", "loads")
-            and isinstance(func.value, ast.Name)
-            and func.value.id == "json"
-        ):
-            continue
-        hooks = [k.value for k in node.keywords if k.arg == "object_pairs_hook"]
-        if not (hooks and isinstance(hooks[0], ast.Name) and hooks[0].id == "unique_keys"):
-            lines.append(node.lineno)
-    return lines
+def _json_reads(source: str) -> list[tuple]:
+    """(top-level definition, line, whether object_pairs_hook=unique_keys
+    is passed) of each json.load and json.loads call."""
+    reads = []
+    for top in ast.parse(source).body:
+        for node in ast.walk(top):
+            func = getattr(node, "func", None)
+            if not (
+                isinstance(node, ast.Call)
+                and isinstance(func, ast.Attribute)
+                and func.attr in ("load", "loads")
+                and isinstance(func.value, ast.Name)
+                and func.value.id == "json"
+            ):
+                continue
+            hooks = [k.value for k in node.keywords if k.arg == "object_pairs_hook"]
+            hooked = bool(hooks) and isinstance(hooks[0], ast.Name) and hooks[0].id == "unique_keys"
+            reads.append((getattr(top, "name", None), node.lineno, hooked))
+    return reads
 
 
 def test_every_json_read_refuses_repeated_keys():
-    # the walk itself sees a missing hook, another hook and the right one
+    # the walk itself sees a missing hook, another hook and the right one,
+    # and the definition each call is in
     sample = (
         "json.loads(t)\n"
-        "json.load(f, object_pairs_hook=dict)\n"
-        "json.load(f, object_pairs_hook=unique_keys)\n"
+        "def f():\n"
+        "    json.load(f, object_pairs_hook=dict)\n"
+        "    json.load(f, object_pairs_hook=unique_keys)\n"
     )
-    assert _json_reads_without_unique_keys(sample) == [1, 2]
-    missing = [
-        f"{path.name}:{line}"
+    assert _json_reads(sample) == [(None, 1, False), ("f", 3, False), ("f", 4, True)]
+    # one reader: every JSON input goes through strings.read_json, whose one
+    # json.loads refuses a repeated key
+    reads = [
+        (path.name, name, hooked)
         for path in sorted(SRC.glob("*.py"))
-        for line in _json_reads_without_unique_keys(path.read_text())
+        for name, _, hooked in _json_reads(path.read_text())
     ]
-    assert missing == []
+    assert reads == [("strings.py", "read_json", True)]
 
 
 def test_cli_import_loads_no_process_pool():
