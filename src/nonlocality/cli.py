@@ -3,9 +3,9 @@
 Subcommands: gen, play, estimate, nosig, locality, oracle, exp.
 Exit codes: 0 success, 1 usage error, 2 data/format error, 3 estimator or
 oracle failure. Results go to stdout or --out; logs go to stderr. Each
-handler returns the files it writes, play's quadruple too, as (path, write)
-pairs, and main writes them, --emit-config's with them, in one write_all:
-all or none, once the handler has returned.
+handler returns (text, writes): its JSON result (None for gen and exp) and
+its files as (path, write) pairs. main writes them, --out and --emit-config
+too, in one strings.write_all, all or none, and only then prints text.
 
 A JSON config file (--config) stands for the flags it names, read before
 the command line, so explicit flags win. Its keys are flag dests, as
@@ -20,11 +20,9 @@ import argparse
 import dataclasses
 import json
 import os
-import re
 import sys
 import time
 from fractions import Fraction
-from pathlib import Path
 
 from .complexity import (
     THETA_FULL_DEFAULT,
@@ -78,8 +76,10 @@ from .strings import (
     gen_computable,
     gen_promise_inputs,
     gen_seeded_random,
+    parse_fraction,
     read_json,
     read_syms,
+    write_all,
     write_syms,
 )
 
@@ -151,27 +151,12 @@ def _ring(text) -> int:
     return _bounded_int(text, 2, 64)
 
 
-# Python's default limit on the digits of an int read or printed as text,
-# which frac_str meets when it writes a value
-_MAX_DIGITS = 4300
-_EXPONENT = re.compile(r"[eE]([-+]?[\d_]+)\s*\Z")
-
-
 def _probability(text) -> Fraction:
-    """argparse type of --eps and --pr-weight, and the reader of each --fine
-    probability: an exact rational in [0, 1] whose denominator has at most
-    _MAX_DIGITS digits. Fraction builds 10**e for an exponent e, so one
-    larger than _MAX_DIGITS is refused before it is built."""
+    """argparse type of --eps and --pr-weight: strings.parse_fraction."""
     try:
-        exponent = _EXPONENT.search(text)
-        value = None if exponent and abs(int(exponent[1])) > _MAX_DIGITS else Fraction(text)
-    except (TypeError, ValueError, ArithmeticError) as exc:
-        raise argparse.ArgumentTypeError(f"not a fraction: {text!r}") from exc
-    if value is None or value.denominator >= 10**_MAX_DIGITS:
-        raise argparse.ArgumentTypeError(f"more than {_MAX_DIGITS} digits: {text!r}")
-    if not 0 <= value <= 1:
-        raise argparse.ArgumentTypeError(f"must lie in [0, 1]: {text!r}")
-    return value
+        return parse_fraction(text)
+    except FormatError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from exc
 
 
 def _threshold(text) -> float:
@@ -220,45 +205,14 @@ def _outputs(args) -> list:
     return [path for path in paths if path is not None]
 
 
-def write_all(writes, directory=".") -> None:
-    """Write the file of each (path, write) pair, all or none: write(temp)
-    stages each as a temp file beside its path, and the temps replace their
-    paths, in order, only once all are written; a missing directory is made
-    first. On an error the temps and any directory made are removed, and a
-    file already at a path keeps its bytes."""
-    directory = Path(directory)
-    staged, made = [], []
-    try:
-        for new in reversed([d for d in (directory, *directory.parents) if not d.exists()]):
-            new.mkdir()
-            made.append(new)
-        for path, write in writes:
-            path = Path(path)
-            staged.append(path.parent / f".{path.name}.{os.getpid()}.tmp")
-            write(staged[-1])
-        made.clear()
-        for temp, (path, _) in zip(staged, writes):
-            os.replace(temp, path)
-    finally:
-        for temp in staged:
-            temp.unlink(missing_ok=True)
-        for new in reversed(made):
-            new.rmdir()
-
-
-def _emit(args, payload: dict, indent: int | None = 2) -> list:
-    """payload as JSON on stdout, or the (path, write) pair of --out."""
-    text = json.dumps(payload, indent=indent, sort_keys=True) + "\n"
-    if getattr(args, "out", None):
-        return [(args.out, lambda temp: temp.write_text(text))]
-    sys.stdout.write(text)
-    return []
+def _json(payload: dict, indent: int | None = 2) -> str:
+    return json.dumps(payload, indent=indent, sort_keys=True) + "\n"
 
 
 # --- subcommand handlers -------------------------------------------------------
 
 
-def _cmd_gen(args) -> list:
+def _cmd_gen(args) -> tuple:
     seed = _parse_seed(args.seed) if args.seed else Seed.from_int(0)
     if args.kind == "random":
         strings = {args.out: gen_seeded_random(args.n, args.q, seed)}
@@ -268,10 +222,10 @@ def _cmd_gen(args) -> list:
         strings = dict(zip((args.out, args.out_b), gen_promise_inputs(args.m, args.n, seed)))
     else:
         strings = {args.out: gen_computable(args.kind, args.n)}
-    return [(path, lambda temp, s=s: write_syms(temp, s)) for path, s in strings.items()]
+    return None, [(path, lambda temp, s=s: write_syms(temp, s)) for path, s in strings.items()]
 
 
-def _cmd_play(args) -> list:
+def _cmd_play(args) -> tuple:
     game = parse_game(args.game, args.m)
     strategy = _strategy_from_args(args)
     a = read_syms(args.a)
@@ -286,10 +240,10 @@ def _cmd_play(args) -> list:
     manifest = writes[-1][0]
     # one line, as play has always printed it
     summary = {"manifest": str(manifest), "satisfaction": frac_str(satisfaction_fraction(quad))}
-    return writes + _emit(args, summary, indent=None)
+    return _json(summary, indent=None), writes
 
 
-def _cmd_estimate(args) -> list:
+def _cmd_estimate(args) -> tuple:
     estimator = get_estimator(args.estimator)
     s = read_syms(args.infile)
     if args.cond:
@@ -306,10 +260,10 @@ def _cmd_estimate(args) -> list:
         "class": classify_value(est.rate, args.theta_zero, args.theta_full),
         "thresholds": {"theta_zero": args.theta_zero, "theta_full": args.theta_full},
     }
-    return _emit(args, payload)
+    return _json(payload), []
 
 
-def _cmd_nosig(args) -> list:
+def _cmd_nosig(args) -> tuple:
     estimator = get_estimator(args.estimator)
     quad = load_quadruple(args.quad)
     rep = ns_report(quad, estimator, args.theta_ns)
@@ -326,10 +280,10 @@ def _cmd_nosig(args) -> list:
         "y_side_ok": rep.y_side_ok,
         "passes": rep.passes,
     }
-    return _emit(args, payload)
+    return _json(payload), []
 
 
-def _cmd_locality(args) -> list:
+def _cmd_locality(args) -> tuple:
     estimator = get_estimator(args.estimator)
     quad = load_quadruple(args.quad)
     if args.witness:
@@ -351,7 +305,7 @@ def _cmd_locality(args) -> list:
             "output": thresholds.output,
         },
     }
-    return _emit(args, payload)
+    return _json(payload), []
 
 
 def _read_distribution(path) -> Distribution:
@@ -368,8 +322,8 @@ def _read_distribution(path) -> Distribution:
             parts = tuple(int(v) for v in key.split(","))
             if isinstance(val, bool) or not isinstance(val, (int, str)):
                 raise TypeError("a probability is a string or a number")
-            table[parts] = _probability(str(val))
-        except (TypeError, ValueError, argparse.ArgumentTypeError) as exc:
+            table[parts] = parse_fraction(str(val))
+        except (TypeError, ValueError) as exc:
             raise FormatError(f"bad distribution entry {key!r}: {val!r}") from exc
         if len(parts) != 4 or key != ",".join(map(str, parts)):
             raise FormatError(f"bad distribution key: {key!r}")
@@ -379,11 +333,11 @@ def _read_distribution(path) -> Distribution:
         raise FormatError(str(exc)) from exc
 
 
-def _cmd_oracle(args) -> list:
+def _cmd_oracle(args) -> tuple:
     if args.marginals:
         weight = args.pr_weight if args.pr_weight is not None else Fraction(1)
         lo, hi = marginal_extremes(weight, args.no_signaling)
-        return _emit(args, {"min": frac_str(lo), "max": frac_str(hi)})
+        return _json({"min": frac_str(lo), "max": frac_str(hi)}), []
     if args.fine:
         res = fine_membership(_read_distribution(args.fine))
         if res.local:
@@ -404,7 +358,7 @@ def _cmd_oracle(args) -> list:
                 "value_on_dist": frac_str(res.value_on_dist),
                 "vertex_max": frac_str(res.vertex_max),
             }
-        return _emit(args, payload)
+        return _json(payload), []
     game = parse_game(args.game, args.m)
     res = game_value_exact(game, reps=args.reps, jobs=args.jobs)
     payload = {
@@ -419,10 +373,10 @@ def _cmd_oracle(args) -> list:
         "nodes": res.nodes,
         "prunes": res.prunes,
     }
-    return _emit(args, payload)
+    return _json(payload), []
 
 
-def _cmd_exp(args) -> list:
+def _cmd_exp(args) -> tuple:
     estimator = get_estimator(args.estimator)
     seed_set = SeedSet.from_master(_parse_seed(args.seed))
     t0 = time.monotonic()
@@ -442,7 +396,7 @@ def _cmd_exp(args) -> list:
     if args.csv is not None:
         writes.append((args.csv, lambda temp: temp.write_text(report.to_csv())))
     sys.stderr.write(f"ran {args.which} in {seconds:.1f}s\n")
-    return writes
+    return None, writes
 
 
 # --- parser construction ----------------------------------------------------------
@@ -661,11 +615,15 @@ def main(argv=None) -> int:
                 raise _UsageError(f"two outputs name the same file: {path}")
             named.add(path)
         clear_cache()  # a run sees what a fresh nlbox process sees
-        writes = args.func(args)
+        text, writes = args.func(args)
+        if text is not None and args.out:
+            writes.append((args.out, lambda temp: temp.write_text(text)))
         if args.emit_config:
-            config = json.dumps(_effective_config(args), indent=2, sort_keys=True) + "\n"
+            config = _json(_effective_config(args))
             writes.append((args.emit_config, lambda temp: temp.write_text(config)))
         write_all(writes, getattr(args, "out_dir", "."))
+        if text is not None and not args.out:  # stdout, once every file is written
+            sys.stdout.write(text)
         return 0
     except _UsageError as exc:
         sys.stderr.write(f"usage error: {exc}\n")

@@ -23,6 +23,7 @@ from .strings import (
     SymbolString,
     concat,
     interleave,
+    parse_fraction,
     read_json,
     read_syms,
     round_bytes,
@@ -485,9 +486,11 @@ def save_quadruple(
     eps: Fraction | None = None,
     seeds: dict | None = None,
 ) -> list:
-    """The (path, write) pairs of quadruple_files, for cli.write_all to
+    """The (path, write) pairs of quadruple_files, for strings.write_all to
     write all or none; write(temp) writes its path's bytes to temp."""
     file_stem(stem)
+    if eps is not None and not 0 <= eps <= 1:
+        raise ValueError(f"eps must lie in [0, 1]: {eps}")
     *syms, path = quadruple_files(directory, stem)
     manifest = {
         "schema": 1,
@@ -515,6 +518,13 @@ def load_quadruple(manifest_path) -> Quadruple:
     if type(manifest["schema"]) is not int or manifest["schema"] != 1:  # true and 1.0 equal 1
         raise FormatError(f"unsupported manifest schema: {manifest['schema']}")
     game = parse_game(manifest["game"], manifest.get("m", 2))
+    if manifest.get("eps") is not None:
+        try:
+            parse_fraction(manifest["eps"])
+        except FormatError as exc:
+            raise FormatError(f"bad manifest eps: {exc}") from exc
+    if not isinstance(manifest.get("seeds", {}), dict):
+        raise FormatError("manifest seeds must be a JSON object")
     files = manifest["files"]
     if not isinstance(files, dict) or set(files) != {"a", "b", "x", "y"}:
         raise FormatError("manifest files must be an object naming exactly a, b, x, y")

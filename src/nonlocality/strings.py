@@ -13,7 +13,10 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
+import re
 from dataclasses import dataclass
+from fractions import Fraction
 from pathlib import Path
 from typing import Iterator
 
@@ -49,6 +52,59 @@ def read_json(path, what: str, **numbers) -> dict:
     if not isinstance(data, dict):
         raise FormatError(f"{what} must be a JSON object")
     return data
+
+
+def write_all(writes, directory=".") -> None:
+    """Write the file of each (path, write) pair, all or none: write(temp)
+    stages each as a temp file beside its path, and the temps replace their
+    paths, in order, only once all are written; a missing directory is made
+    first. On an error the temps and any directory made are removed, and a
+    file already at a path keeps its bytes. An error while staging names the
+    path, not its temp."""
+    directory = Path(directory)
+    staged, made = [], []
+    try:
+        for new in reversed([d for d in (directory, *directory.parents) if not d.exists()]):
+            new.mkdir()
+            made.append(new)
+        for path, write in writes:
+            path = Path(path)
+            staged.append(path.parent / f".{path.name}.{os.getpid()}.tmp")
+            try:
+                write(staged[-1])
+            except OSError as exc:
+                raise OSError(exc.errno, exc.strerror, str(path)) from exc
+        made.clear()
+        for temp, (path, _) in zip(staged, writes):
+            os.replace(temp, path)
+    finally:
+        for temp in staged:
+            temp.unlink(missing_ok=True)
+        for new in reversed(made):
+            new.rmdir()
+
+
+# Python's default limit on the digits of an int read or printed as text,
+# which complexity.frac_str meets when it writes a value
+_MAX_DIGITS = 4300
+_EXPONENT = re.compile(r"[eE]([-+]?[\d_]+)\s*\Z")
+
+
+def parse_fraction(text) -> Fraction:
+    """The one exact-fraction reader: text as a rational in [0, 1] whose
+    denominator has at most _MAX_DIGITS digits, else a FormatError.
+    Fraction builds 10**e for an exponent e, so one larger than _MAX_DIGITS
+    is refused before it is built."""
+    try:
+        exponent = _EXPONENT.search(text)
+        value = None if exponent and abs(int(exponent[1])) > _MAX_DIGITS else Fraction(text)
+    except (TypeError, ValueError, ArithmeticError) as exc:
+        raise FormatError(f"not a fraction: {text!r}") from exc
+    if value is None or value.denominator >= 10**_MAX_DIGITS:
+        raise FormatError(f"more than {_MAX_DIGITS} digits: {text!r}")
+    if not 0 <= value <= 1:
+        raise FormatError(f"must lie in [0, 1]: {text!r}")
+    return value
 
 
 def bits_per_symbol(q: int) -> int:

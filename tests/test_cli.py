@@ -642,6 +642,24 @@ def test_malformed_manifest_is_data_error(capsys, tmp_path, manifest):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "field",
+    [{"eps": "banana"}, {"eps": "2"}, {"eps": "-1/2"}, {"eps": 0.5}, {"eps": True},
+     {"eps": "1e-5000"}, {"seeds": 5}, {"seeds": ["sampler"]}, {"seeds": "x"}],
+    ids=["eps_banana", "eps_above_one", "eps_negative", "eps_a_number", "eps_true",
+         "eps_huge_exponent", "seeds_int", "seeds_list", "seeds_string"],
+)
+def test_manifest_eps_and_seeds_are_checked_when_it_is_loaded(capsys, tmp_path, field):
+    # eps is null or a fraction in [0, 1] as save_quadruple writes it, and
+    # seeds an object: a manifest is rejected, never half-read
+    _quad_files(tmp_path)
+    path = tmp_path / "quad.json"
+    path.write_text(json.dumps({"schema": 1, "game": "pr", "files": _BESIDE, **field}))
+    code, out, err = run(capsys, "nosig", "--quad", str(path), "--estimator", "ctx_0")
+    assert (code, out) == (2, "") and "Traceback" not in err
+    assert "manifest" in err and err.count("\n") == 1
+
+
 @pytest.mark.parametrize("how", ["flag", "config"])
 def test_removed_external_flag_is_usage_error(capsys, tmp_path, how):
     # every estimator is a built-in; the parser keeps an unlisted --external
@@ -814,7 +832,7 @@ def test_an_output_that_is_empty_or_a_directory_is_refused_before_any_work(
     # writes nothing (an empty --out once meant stdout for estimate)
     ran = []
     for name in ("gen", "play", "estimate", "exp"):
-        monkeypatch.setattr(cli, f"_cmd_{name}", lambda args: ran.append(args) or [])
+        monkeypatch.setattr(cli, f"_cmd_{name}", lambda args: ran.append(args) or (None, []))
     _quad_files(tmp_path)
     (tmp_path / "dir.json").mkdir()
     (tmp_path / "dir").mkdir()
@@ -888,6 +906,47 @@ def test_a_failed_run_writes_neither_its_out_nor_its_emitted_config(capsys, tmp_
     assert json.loads(out.read_text())["n"] == 64
 
 
+def test_a_run_whose_write_fails_prints_nothing_on_stdout(capsys, tmp_path, monkeypatch):
+    # the result describes files that exist: stdout is written only after
+    # every output, so a run that fails to write one prints no result
+    monkeypatch.chdir(tmp_path)
+    write_syms(tmp_path / "tm.syms", SymbolString(2, bytes(v & 1 for v in range(64))))
+    code, out, err = run(capsys, "estimate", "--in", "tm.syms", "--emit-config", "nodir/cfg.json")
+    assert (code, out) == (2, "") and "Traceback" not in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["tm.syms"]
+
+
+def test_a_play_whose_manifest_cannot_be_staged_prints_no_summary(capsys, tmp_path, monkeypatch):
+    _quad_files(tmp_path)
+    argv = [a.format(d=tmp_path) for a in _PLAY]
+
+    def full(self, *args, **kwargs):
+        raise OSError(28, "No space left on device")
+
+    monkeypatch.setattr(Path, "write_text", full)
+    code, out, err = run(capsys, *argv, "--out-dir", str(tmp_path / "quad"))
+    assert (code, out) == (2, "") and "No space left" in err
+    assert not (tmp_path / "quad").exists()
+
+
+def test_a_failed_write_names_the_output_not_its_temp_file(tmp_path):
+    # each run stages under its own PID: two runs in two processes print
+    # the same line, which names the path the user gave
+    write_syms(tmp_path / "tm.syms", SymbolString(2, bytes(64)))
+    argv = [sys.executable, "-m", "nonlocality.cli", "estimate", "--in", "tm.syms",
+            "--emit-config", "nodir/cfg.json"]
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+    lines = []
+    for _ in range(2):
+        proc = subprocess.run(
+            argv, cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120
+        )
+        assert (proc.returncode, proc.stdout) == (2, "")
+        lines.append(proc.stderr)
+    assert lines[0] == lines[1] and lines[0].count("\n") == 1
+    assert "'nodir/cfg.json'" in lines[0] and ".tmp" not in lines[0]
+
+
 # the flags that read numbers; seeds, tables and paths are strings, and a
 # JSON number for one of them is refused
 NUMERIC_DESTS = {
@@ -945,7 +1004,7 @@ def _quiet_main(argv):
 def test_config_value_is_read_as_its_flag_text(monkeypatch, data):
     # the handlers are not run: this is about what the parser hands them
     for name in ("gen", "play", "estimate", "nosig", "locality", "oracle", "exp"):
-        monkeypatch.setattr(cli, f"_cmd_{name}", lambda args: [])
+        monkeypatch.setattr(cli, f"_cmd_{name}", lambda args: (None, []))
     cmd, action = data.draw(st.sampled_from(_config_flags()), label="flag")
     flag = action.option_strings[0]
     if action.nargs == 0:  # a switch: the bare flag unless the value is the default

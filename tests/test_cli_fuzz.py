@@ -1,7 +1,8 @@
 """Fuzz of the CLI's exit-code contract: whatever the argv and the contents
 of the files it names, `nlbox` exits 0, 1, 2 or 3 and prints no traceback,
 a run that exits 0 writes only strict JSON (no NaN or Infinity), and a run
-that exits non-zero leaves every file and directory as it found them.
+that exits non-zero leaves every file and directory as it found them and
+prints nothing on stdout.
 
 Sizes stay small (n <= 64, reps <= 2, no magic-square repetition) so every
 example runs in well under a second; `--jobs` is never drawn, so no process
@@ -257,6 +258,17 @@ def _argv(draw, d: Path) -> list:
                  "--b", "{d}/b.syms", "--out-dir", "{d}/quad", "--out", "{d}"],
     }
 )
+# a result printed before the writes once reached stdout from a run that then failed
+@example(
+    {
+        "s.syms": b"SYMS q=2 n=0\n",
+        "pr_n": 8,
+        "quad.json": VALID_QUAD,
+        "dist.json": {},
+        "cfg.json": {},
+        "argv": ["estimate", "--in", "{d}/a.syms", "--emit-config", "{d}/missing/cfg.json"],
+    }
+)
 def test_cli_exit_code_contract(case):
     with tempfile.TemporaryDirectory() as tmp:
         d = Path(tmp)
@@ -287,8 +299,9 @@ def test_cli_exit_code_contract(case):
                 _assert_strict_json(Path(written["--emit-config"]).read_text())
         else:
             # a run that fails writes nothing: no config that would reproduce
-            # it, no output, no temp file and no --out-dir
+            # it, no output, no temp file, no --out-dir and no result on stdout
             assert _tree(d) == before, argv
+            assert out.getvalue() == "", argv
 
 
 def _tree(d: Path) -> dict:

@@ -4,7 +4,6 @@ from fractions import Fraction
 
 import pytest
 
-from nonlocality.cli import write_all
 from nonlocality.games import (
     GameSpec,
     LocalDeterministic,
@@ -28,6 +27,8 @@ from nonlocality.strings import (
     SymbolString,
     gen_promise_inputs,
     gen_seeded_random,
+    parse_fraction,
+    write_all,
 )
 
 SEED = Seed.from_int(31)
@@ -273,3 +274,26 @@ def test_quadruple_manifest_roundtrip_and_rejects_unknown_fields(tmp_path):
     manifest.write_text(json.dumps(blob))
     with pytest.raises(FormatError):
         load_quadruple(manifest)
+
+
+def test_quadruple_manifest_eps_and_seeds_round_trip(tmp_path):
+    g = GameSpec.pr()
+    a = gen_seeded_random(16, 2, SEED.derive("ea"))
+    x, y = play(NoSignalingSampler(), g, a, a, SEED.derive("es"))
+    quad = Quadruple(g, a, a, x, y)
+    seeds = {"sampler": SEED.hex(), "noise": None}
+    for eps in (None, Fraction(0), Fraction(1, 3), Fraction(1)):
+        writes = save_quadruple(quad, tmp_path, "t", eps=eps, seeds=seeds)
+        write_all(writes)
+        blob = json.loads(writes[-1][0].read_text())
+        assert blob["seeds"] == seeds
+        assert blob["eps"] is None if eps is None else parse_fraction(blob["eps"]) == eps
+        assert load_quadruple(writes[-1][0]).x.data == x.data
+
+
+@pytest.mark.parametrize("eps", [Fraction(-1, 2), Fraction(3, 2), 2])
+def test_save_quadruple_refuses_an_eps_outside_the_unit_interval(tmp_path, eps):
+    quad = Quadruple(GameSpec.pr(), *[SymbolString(2, b"")] * 4)
+    with pytest.raises(ValueError):
+        save_quadruple(quad, tmp_path, "t", eps=eps)
+    assert list(tmp_path.iterdir()) == []

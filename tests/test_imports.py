@@ -84,6 +84,53 @@ def test_every_json_read_refuses_repeated_keys():
     assert reads == [("strings.py", "read_json", True)]
 
 
+def _console_writes(source: str) -> list[tuple]:
+    """(top-level definition, line, what) of each reference to sys.stdout,
+    each print call and each write_all call, in line order."""
+    found = []
+    for top in ast.parse(source).body:
+        for node in ast.walk(top):
+            if (
+                isinstance(node, ast.Attribute)
+                and node.attr == "stdout"
+                and isinstance(node.value, ast.Name)
+                and node.value.id == "sys"
+            ):
+                what = "sys.stdout"
+            elif isinstance(node, ast.Call) and getattr(node.func, "id", None) in (
+                "print", "write_all"
+            ):
+                what = node.func.id
+            else:
+                continue
+            found.append((getattr(top, "name", None), node.lineno, what))
+    return sorted(found, key=lambda item: item[1])
+
+
+def test_only_main_writes_stdout_and_only_after_every_file():
+    # the walk itself sees print, a stdout reference in any form, and the
+    # definition each is in
+    sample = (
+        "print(1)\n"
+        "def f():\n"
+        "    sys.stdout.write(t)\n"
+        "    print(t, file=sys.stdout)\n"
+        "    write_all(w)\n"
+    )
+    assert _console_writes(sample) == [
+        (None, 1, "print"), ("f", 3, "sys.stdout"), ("f", 4, "print"), ("f", 4, "sys.stdout"),
+        ("f", 5, "write_all"),
+    ]
+    # handlers compute and return their text; cli.main writes every file in
+    # one write_all and then, once, the result on stdout
+    writes = [
+        (path.name, name, what)
+        for path in sorted(SRC.glob("*.py"))
+        for name, _, what in _console_writes(path.read_text())
+    ]
+    assert writes == [("cli.py", "main", "write_all"), ("cli.py", "main", "sys.stdout")]
+
+
 def test_cli_import_loads_no_process_pool():
     # only game_value_exact(jobs > 1) starts workers, and it imports the pool
     # itself; no estimator runs a command, so nothing needs subprocess or
