@@ -142,9 +142,12 @@ def _search(game, reps, first_choice=None):
     repeat across the tree. So each row keeps a memo from its slice of T,
     (T >> lo) & rowmask, to its choices as (xb, gain, add) tuples, which
     are built once per choice and gain; the states with the same gains
-    share one tuple of choices. On a miss the gains come packed, gw bits
-    per choice, as the sum of the row's edges' packed 0/1 gains, each
-    looked up by its column's tally. The memo lives for one call."""
+    share one tuple of choices, stored with its largest gain and its
+    length: a node whose largest gain cannot beat the incumbent prunes
+    every choice at once. On a miss the gains come packed, gw bits per
+    choice, as the sum of the row's edges' packed 0/1 gains, each looked
+    up by its column's tally. The memo lives for one call and is freed as
+    the call returns, not left to the cyclic collector."""
     a_blocks, b_blocks, x_blocks, y_blocks, edges = _block_setup(game, reps)
     na, nb = len(a_blocks), len(b_blocks)
     nx, ny = len(x_blocks), len(y_blocks)
@@ -238,8 +241,8 @@ def _search(game, reps, first_choice=None):
             return
         lo, rowmask, memo, later, miss = rows[ai]
         key = (T >> lo) & rowmask
-        choices = memo.get(key)
-        if choices is None:
+        entry = memo.get(key)
+        if entry is None:
             spots, gmask, fields, shared = miss
             k = 0
             for s, gains, masks in spots:
@@ -252,11 +255,16 @@ def _search(game, reps, first_choice=None):
                             g += bit
                     gains[col] = g
                 k += g
-            choices = shared.get(k)
-            if choices is None:
-                choices = shared[k] = tuple([c[(k >> f) & gmask] for c, f in fields])
-            memo[key] = choices
+            entry = shared.get(k)
+            if entry is None:
+                choices = tuple([c[(k >> f) & gmask] for c, f in fields])
+                entry = shared[k] = (max([c[1] for c in choices]), len(choices), choices)
+            memo[key] = entry
+        top, n, choices = entry
         left = total + later
+        if left + top <= best_wins:
+            prunes += n
+            return
         for xb, gain, add in choices:
             if left + gain > best_wins:
                 assign[ai] = xb
@@ -264,7 +272,10 @@ def _search(game, reps, first_choice=None):
             else:
                 prunes += 1
 
-    dfs(0, 0, 0)
+    try:
+        dfs(0, 0, 0)
+    finally:
+        del dfs  # dfs's closure cell holds dfs: a cycle through the whole tree
     best = {"wins": best_wins, "fa": best_fa, "fb": best_fb, "nodes": nodes, "prunes": prunes}
     return best, a_blocks, b_blocks, x_blocks, y_blocks, len(edges)
 

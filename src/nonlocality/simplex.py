@@ -48,11 +48,14 @@ def _fraction(v) -> Fraction:
 def _scaled(values) -> tuple[list, int]:
     """The values times the lcm of their denominators, as ints, and that lcm.
     Ints and Fractions are read as they are; anything else (floats, strings,
-    fixed-width ints) goes through Fraction once."""
+    fixed-width ints) goes through Fraction once. Only the Fractions have a
+    denominator to take, and an int is multiplied as an int."""
     if not set(map(type, values)) <= {int, Fraction}:
         values = [_fraction(v) for v in values]
-    den = lcm(*[v.denominator for v in values])
-    return [(v * den).numerator for v in values], den
+    den = lcm(*[v.denominator for v in values if type(v) is Fraction])
+    return [
+        v * den if type(v) is int else v.numerator * (den // v.denominator) for v in values
+    ], den
 
 
 def _eliminate(t, p, pc, f, nz, scale=0):

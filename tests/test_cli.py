@@ -1019,7 +1019,10 @@ def test_config_value_is_read_as_its_flag_text(monkeypatch, data):
         items = value if isinstance(value, list) else [value]
         flags = [f"{flag}={v if isinstance(v, str) else json.dumps(v)}" for v in items]
     base = [t for opt, v in REQUIRED[cmd].items() if opt != flag for t in (opt, v)]
-    with tempfile.TemporaryDirectory() as tmp:
+    with tempfile.TemporaryDirectory() as tmp, monkeypatch.context() as mp:
+        # a drawn --out-dir such as "2.5" is made relative to the working
+        # directory, so that is the temp directory, not the checkout
+        mp.chdir(tmp)
         d = Path(tmp)
         (d / "cfg.json").write_text(json.dumps({action.dest: value}))
         code_flag, err_flag = _quiet_main([cmd, *base, *flags, "--emit-config", str(d / "a")])
@@ -1027,6 +1030,11 @@ def test_config_value_is_read_as_its_flag_text(monkeypatch, data):
             [cmd, *base, "--config", str(d / "cfg.json"), "--emit-config", str(d / "b")]
         )
         if type(value) in (int, float) and action.dest not in NUMERIC_DESTS:
+            assert code_cfg == 2 and not (d / "b").exists(), err_cfg
+            return
+        drawn = value if isinstance(value, list) else [value]
+        if any(isinstance(v, str) and "\0" in v for v in drawn):
+            # no command line can hold a NUL, so a config refuses it as data
             assert code_cfg == 2 and not (d / "b").exists(), err_cfg
             return
         assert code_flag in (0, 1), err_flag

@@ -1,5 +1,8 @@
+import gc
 import hashlib
 import json
+import tracemalloc
+from collections import Counter
 from concurrent.futures import Future
 from fractions import Fraction as F
 from pathlib import Path
@@ -477,3 +480,88 @@ def test_ns_box_certificate_matches_the_fraction_tableau(monkeypatch, game, dige
     cert = json.dumps(sorted((list(k), str(v)) for k, v in res.certificate.items()))
     assert hashlib.sha256(cert.encode()).hexdigest() == digest
     assert (res.value_on_dist, res.vertex_max, lp.pivots) == (value, -1, pivots)
+
+
+# --- what a call leaves behind ---------------------------------------------------
+
+_PINNED = (
+    [(GameSpec.pr(), 2), (GameSpec.chained(3), 2), (GameSpec.chained(4), 2)]
+    + [(GameSpec.pr(), 1), (GameSpec.magic_square(), 1)]
+    + [(GameSpec.chained(m), 1) for m in range(2, 9)]
+)
+
+
+def _cyclic_garbage(call):
+    """The objects, counted by type, of every reference cycle that call()
+    leaves behind: DEBUG_SAVEALL keeps what a collection finds in gc.garbage
+    instead of freeing it, so an empty count means nothing waited for the
+    cyclic collector."""
+    gc.collect()
+    flags = gc.get_debug()
+    gc.set_debug(flags | gc.DEBUG_SAVEALL)
+    try:
+        call()
+        gc.collect()
+        return Counter(type(o).__name__ for o in gc.garbage)
+    finally:
+        gc.set_debug(flags)
+        gc.garbage.clear()
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+@pytest.mark.parametrize(
+    "game, reps",
+    _PINNED,
+    ids=lambda v: v.label() if isinstance(v, GameSpec) else f"reps{v}",
+)
+def test_an_exact_value_leaves_no_reference_cycle(monkeypatch, game, reps, jobs):
+    # jobs=2 runs each branch's search inline, as a worker would
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", _InlinePool)
+
+    def call():
+        res = game_value_exact(game, reps=reps, jobs=jobs)
+        assert replay_witness(game, res) == res.value
+
+    assert _cyclic_garbage(call) == Counter()
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: fine_membership(pr_box_distribution()),
+        lambda: fine_membership(_ns_box(GameSpec.chained(5))),
+        lambda: fine_membership(
+            deterministic_distribution(GameSpec.chained(5), (1, 1, 0, 0, 0), (0, 0, 0, 0, 0))
+        ),
+        lambda: marginal_extremes(F(1), True),
+        lambda: marginal_extremes(F(3, 4), False),
+        lambda: simplex.solve_lp([[1, 1, 0], [0, 1, 1]], [1, F(1, 2)], [1, 0, 1]),
+        lambda: simplex.feasible_point([[1, 1], [1, 1]], [1, 2]),
+    ],
+    ids=["pr_box", "chained5_box", "chained5_vertex", "marginals", "relaxed_marginals",
+         "solve_lp", "infeasible_lp"],
+)
+def test_membership_and_lp_calls_leave_no_reference_cycle(call):
+    assert _cyclic_garbage(call) == Counter()
+
+
+def test_an_exact_value_keeps_little_once_it_returns():
+    # no collection runs between the two readings, so a search tree left as
+    # cyclic garbage (about 800 KB here) would count in full; what a clean
+    # return keeps is the interpreter's free lists of small tuples
+    enabled, tracing = gc.isenabled(), tracemalloc.is_tracing()
+    gc.collect()
+    gc.disable()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        res = game_value_exact(GameSpec.chained(4), reps=2)
+        kept = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+        if enabled:
+            gc.enable()
+    assert res.value == F(13, 16)
+    assert kept <= 256 * 1024, f"{kept} bytes kept"

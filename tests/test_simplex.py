@@ -1,11 +1,12 @@
 import random
 from fractions import Fraction as F
+from math import lcm
 
 import pytest
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
-from nonlocality.simplex import LPResult, feasible_point, solve_lp
+from nonlocality.simplex import LPResult, _scaled, feasible_point, solve_lp
 
 
 def _check_farkas(A, rhs, y):
@@ -291,3 +292,23 @@ def test_fixed_width_ints_are_read_as_python_ints():
         [[np.int64(v) for v in row] for row in A], [np.int64(v) for v in rhs], [np.int64(v) for v in c]
     )
     assert got == want
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(
+    st.lists(
+        st.integers(-(2**70), 2**70)
+        | st.booleans()
+        | st.fractions(max_denominator=10**6)
+        | st.integers(-5, 5).map(F),  # a Fraction whose denominator is 1
+        max_size=12,
+    )
+)
+def test_scaled_row_matches_the_all_fraction_formula(values):
+    # what _scaled computed before it multiplied ints as ints: every entry
+    # as a Fraction, times the lcm of every denominator
+    fracs = [F(v) for v in values]
+    den = lcm(*[v.denominator for v in fracs])
+    nums, got_den = _scaled(values)
+    assert (nums, got_den) == ([(v * den).numerator for v in fracs], den)
+    assert all(type(v) is int for v in nums) and type(got_den) is int
