@@ -84,21 +84,16 @@ from .strings import (
 )
 
 class _Parser(argparse.ArgumentParser):
-    """argparse, but every usage problem exits with code 1 and no flag is abbreviated."""
+    """argparse, but no flag is abbreviated."""
 
     def __init__(self, **kwargs):
         super().__init__(allow_abbrev=False, **kwargs)
 
-    def exit(self, status=0, message=None):
-        if message:
-            sys.stderr.write(message)
-        sys.exit(1 if status else 0)
-
 
 class _UsageError(Exception):
     """A usage error that argparse cannot see: a flag that only some values
-    of another flag require, or two outputs that name one file. Exit 1, like
-    argparse's own."""
+    of another flag require, two outputs that name one file, or an argument
+    that holds a NUL. Exit 1, like argparse's own."""
 
 
 def _parse_seed(text: str) -> Seed:
@@ -498,8 +493,9 @@ def build_parser() -> _Parser:
     p.add_argument("--m", type=_alphabet, default=2)
     p.add_argument("--reps", type=_positive, default=1)
     p.add_argument("--jobs", type=_positive, default=1)
-    p.add_argument("--fine", help="distribution JSON for membership testing")
-    p.add_argument("--marginals", action="store_true", help="marginal extremes LP")
+    mode = p.add_mutually_exclusive_group()
+    mode.add_argument("--fine", help="distribution JSON for membership testing")
+    mode.add_argument("--marginals", action="store_true", help="marginal extremes LP")
     p.add_argument("--pr-weight", dest="pr_weight", type=_probability)
     p.add_argument(
         "--allow-signaling",
@@ -595,6 +591,8 @@ def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     parser = build_parser()
     try:
+        if any("\0" in token for token in argv):  # no shell can pass one
+            raise _UsageError("an argument holds a NUL byte")
         argv = _config_argv(parser, argv)
         try:
             args = parser.parse_args(argv)
@@ -602,7 +600,7 @@ def main(argv=None) -> int:
                 parser.error("--theta-zero must be below --theta-full")
             if getattr(args, "external", None) is not None:
                 parser.error("--external was removed: every estimator is a built-in")
-        except SystemExit as exc:
+        except SystemExit as exc:  # argparse has written its message and exits 2
             if exc.code == 0:  # --help
                 raise
             return 1

@@ -173,8 +173,21 @@ def _krow(name, estimate) -> Row:
     )
 
 
-def _sat_row(sat: Fraction) -> Row:
-    return Row(name="satisfaction", value=frac_str(sat), rate=float(sat), rate_class="")
+def _sat_row(name, sat: Fraction) -> Row:
+    return Row(name=name, value=frac_str(sat), rate=float(sat), rate_class="")
+
+
+def _report(experiment, game, n, seed_set, estimator_id, rows, diagnostics, verdict, **params):
+    """Every runner's report: its params open with the game's label and n."""
+    return ExperimentReport(
+        experiment=experiment,
+        params={"game": game.label(), "n": n, **params},
+        seeds=seed_set.as_dict(),
+        estimator_id=estimator_id,
+        rows=rows,
+        diagnostics=diagnostics,
+        verdict=verdict,
+    )
 
 
 def _strategy_desc(strategy: Strategy) -> dict:
@@ -222,7 +235,7 @@ def run_theorem1(
         _krow("K(a.b|b)", kab_b),
         _krow("K(y|ab)", kyab),
         _krow("K(x|ab)", kxab),
-        _sat_row(sat),
+        _sat_row("satisfaction", sat),
     ]
     diagnostics = [
         # sum of single-conditioned output complexities covers the product
@@ -234,15 +247,9 @@ def run_theorem1(
         # conditioning cannot exceed the unconditional complexity
         Diagnostic("x_given_ab_below_x", float(kx.bits), float(kxab.bits)),
     ]
-    verdict = rows[0].rate_class
-    return ExperimentReport(
-        experiment="theorem1",
-        params={"game": game.label(), "n": n, "strategy": _strategy_desc(strategy)},
-        seeds=seed_set.as_dict(),
-        estimator_id=kx.estimator_id,
-        rows=rows,
-        diagnostics=diagnostics,
-        verdict=verdict,
+    return _report(
+        "theorem1", game, n, seed_set, kx.estimator_id, rows, diagnostics, rows[0].rate_class,
+        strategy=_strategy_desc(strategy),
     )
 
 
@@ -266,25 +273,15 @@ def run_theorem2(
         _krow("K(y|b)", kyb),
         _krow("K(x|ab)", kxab),
         _krow("K(y|ab)", kyab),
-        _sat_row(sat),
+        _sat_row("satisfaction", sat),
     ]
     diagnostics = [
         Diagnostic("satisfaction_vs_classical", float(sat), float(classical.value)),
         Diagnostic("x_side_equals_y_side", kxa.bits / n, kyb.bits / n),
     ]
-    return ExperimentReport(
-        experiment="theorem2",
-        params={
-            "game": game.label(),
-            "n": n,
-            "strategy": _strategy_desc(strategy),
-            "classical_value": frac_str(classical.value),
-        },
-        seeds=seed_set.as_dict(),
-        estimator_id=kxa.estimator_id,
-        rows=rows,
-        diagnostics=diagnostics,
-        verdict=rows[0].rate_class,
+    return _report(
+        "theorem2", game, n, seed_set, kxa.estimator_id, rows, diagnostics, rows[0].rate_class,
+        strategy=_strategy_desc(strategy), classical_value=frac_str(classical.value),
     )
 
 
@@ -303,8 +300,7 @@ def run_theorem3(
     game = GameSpec.chained(m)
     a, b = gen_promise_inputs(m, n, seed_set.inputs)
     x, y = play(NoSignalingSampler(eps), game, a, b, seed_set.sampler, seed_set.noise)
-    quad = Quadruple(game, a, b, x, y)
-    sat = satisfaction_fraction(quad)
+    sat = satisfaction_fraction(Quadruple(game, a, b, x, y))
     # chi marks the rounds whose input pair asks for a mismatch
     target = {ab: game.target_bit(*ab) for ab in game.promise_pairs()}
     chi = SymbolString(2, bytes(map(target.__getitem__, zip(a.data, b.data))))
@@ -319,30 +315,17 @@ def run_theorem3(
         _krow("K(x)", kx),
         _krow("K(x|a)", kxa),
         _krow("K(chi|b)", kchib),
-        _sat_row(sat),
+        _sat_row("satisfaction", sat),
     ]
     diagnostics = [
         Diagnostic("chi_entropy_match", kchib.bits / n, h),
         Diagnostic("satisfaction_vs_classical", float(sat), float(classical)),
         Diagnostic("satisfaction_vs_noise", float(sat), 1.0 - 2.0 * float(eps)),
     ]
-    verdict = (
-        "beats_classical" if sat > classical else "within_classical"
-    )
-    return ExperimentReport(
-        experiment="theorem3",
-        params={
-            "game": game.label(),
-            "m": m,
-            "n": n,
-            "eps": frac_str(eps),
-            "classical_value": frac_str(classical),
-        },
-        seeds=seed_set.as_dict(),
-        estimator_id=kx.estimator_id,
-        rows=rows,
-        diagnostics=diagnostics,
-        verdict=verdict,
+    verdict = "beats_classical" if sat > classical else "within_classical"
+    return _report(
+        "theorem3", game, n, seed_set, kx.estimator_id, rows, diagnostics, verdict,
+        m=m, eps=frac_str(eps), classical_value=frac_str(classical),
     )
 
 
@@ -361,26 +344,17 @@ def run_magic_square(n: int, estimator: Estimator | str, seed_set: SeedSet) -> E
     kxa = estimate_k_cond(x, a, estimator)
     rows = [
         _krow("K(x|a)", kxa),
-        _sat_row(sat),
-        Row(
-            name="satisfaction_best_classical",
-            value=frac_str(sat_classical),
-            rate=float(sat_classical),
-            rate_class="",
-        ),
+        _sat_row("satisfaction", sat),
+        _sat_row("satisfaction_best_classical", sat_classical),
     ]
     diagnostics = [
         Diagnostic("satisfaction_vs_classical", float(sat), float(classical.value)),
         Diagnostic("classical_replay_vs_value", float(sat_classical), float(classical.value)),
     ]
-    return ExperimentReport(
-        experiment="magic_square",
-        params={"game": game.label(), "n": n, "classical_value": frac_str(classical.value)},
-        seeds=seed_set.as_dict(),
-        estimator_id=kxa.estimator_id,
-        rows=rows,
-        diagnostics=diagnostics,
-        verdict="wins_always" if sat == 1 else "imperfect",
+    verdict = "wins_always" if sat == 1 else "imperfect"
+    return _report(
+        "magic_square", game, n, seed_set, kxa.estimator_id, rows, diagnostics, verdict,
+        classical_value=frac_str(classical.value),
     )
 
 
@@ -407,30 +381,26 @@ def run_locality_suite(
     game = GameSpec.pr()
     cases = []
 
+    def case(name, strategy, a, b, noise, witness=None):
+        """Play, then judge the quadruple; no witness means the outputs themselves."""
+        x, y = play(strategy, game, a, b, seed_set.sampler, noise)
+        lam = interleave(x, y) if witness is None else witness
+        v = locality_verdict(Quadruple(game, a, b, x, y), lam, estimator, thresholds)
+        cases.append((name, v))
+
     # 1: computable inputs, lambda = the outputs themselves
-    a1 = gen_computable("alternating", n)
-    b1 = gen_computable("thue_morse", n)
-    x1, y1 = play(NoSignalingSampler(), game, a1, b1, seed_set.sampler, seed_set.noise)
-    lam1 = interleave(x1, y1)
-    v1 = locality_verdict(Quadruple(game, a1, b1, x1, y1), lam1, estimator, thresholds)
-    cases.append(("computable_inputs_outputs_witness", v1))
+    a = gen_computable("alternating", n)
+    b = gen_computable("thue_morse", n)
+    case("computable_inputs_outputs_witness", NoSignalingSampler(), a, b, seed_set.noise)
 
     # 2: deterministic strategy, lambda = its tables
     strat = LocalDeterministic((0, 0), (0, 0))
-    a2 = gen_seeded_random(n, 2, seed_set.inputs.derive("a"))
-    b2 = gen_seeded_random(n, 2, seed_set.inputs.derive("b"))
-    x2, y2 = play(strat, game, a2, b2, seed_set.sampler)
-    v2 = locality_verdict(
-        Quadruple(game, a2, b2, x2, y2), _table_witness(strat), estimator, thresholds
-    )
-    cases.append(("deterministic_tables_witness", v2))
+    a = gen_seeded_random(n, 2, seed_set.inputs.derive("a"))
+    b = gen_seeded_random(n, 2, seed_set.inputs.derive("b"))
+    case("deterministic_tables_witness", strat, a, b, None, _table_witness(strat))
 
     # 3: winning sampler, empty witness
-    x3, y3 = play(NoSignalingSampler(), game, a2, b2, seed_set.sampler, seed_set.noise)
-    v3 = locality_verdict(
-        Quadruple(game, a2, b2, x3, y3), SymbolString(2, b""), estimator, thresholds
-    )
-    cases.append(("sampler_no_witness", v3))
+    case("sampler_no_witness", NoSignalingSampler(), a, b, seed_set.noise, SymbolString(2, b""))
 
     rows = []
     diagnostics = []
@@ -439,17 +409,7 @@ def run_locality_suite(
         diagnostics.append(Diagnostic(f"{name}_defect", v.independence_defect, thresholds.defect))
         diagnostics.append(Diagnostic(f"{name}_rate_y", v.rate_y, thresholds.output))
     verdict = ",".join(v.verdict for _, v in cases)
-    return ExperimentReport(
-        experiment="locality_suite",
-        params={
-            "game": game.label(),
-            "n": n,
-            "defect_threshold": thresholds.defect,
-            "output_threshold": thresholds.output,
-        },
-        seeds=seed_set.as_dict(),
-        estimator_id=v1.estimator_id,
-        rows=rows,
-        diagnostics=diagnostics,
-        verdict=verdict,
+    return _report(
+        "locality_suite", game, n, seed_set, cases[0][1].estimator_id, rows, diagnostics, verdict,
+        defect_threshold=thresholds.defect, output_threshold=thresholds.output,
     )

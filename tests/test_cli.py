@@ -401,6 +401,36 @@ def test_nul_in_config_string_is_data_error(capsys, tmp_path, argv, cfg):
 
 
 @pytest.mark.parametrize(
+    "argv",
+    [
+        ["gen", "--kind", "zeros", "--n", "8", "--out", "\0"],
+        ["estimate", "--in", "\0"],
+        ["estimate", "--in", "{d}/x.syms", "--config", "{d}/\0.json"],
+    ],
+    ids=["output_path", "input_path", "config_path"],
+)
+def test_nul_in_an_argument_is_usage_error(capsys, tmp_path, monkeypatch, argv):
+    # a library caller of main can pass what no shell can: refused before any work
+    ran = []
+    for name in ("gen", "estimate"):
+        monkeypatch.setattr(cli, f"_cmd_{name}", lambda args: ran.append(args) or (None, []))
+    monkeypatch.chdir(tmp_path)
+    _quad_files(tmp_path)
+    before = sorted(tmp_path.iterdir())
+    code, out, err = run(capsys, *(a.format(d=tmp_path) for a in argv))
+    assert code == 1 and out == "" and err.count("\n") == 1
+    assert "NUL" in err and ran == []
+    assert sorted(tmp_path.iterdir()) == before
+
+
+def test_oracle_fine_and_marginals_are_mutually_exclusive(capsys, tmp_path):
+    # one oracle mode per run: --marginals once dropped --fine without a word
+    code, out, err = run(capsys, "oracle", "--marginals", "--fine", str(tmp_path / "d.json"))
+    assert code == 1 and out == ""
+    assert "not allowed with argument" in err
+
+
+@pytest.mark.parametrize(
     "seed", ["-1", str(2**256), "zz", "ab" * 33], ids=["negative", "too_big", "not_hex", "65_bytes"]
 )
 def test_bad_seed_is_usage_error(capsys, tmp_path, seed):
