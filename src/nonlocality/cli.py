@@ -1,11 +1,13 @@
 """Command-line front end.
 
 Subcommands: gen, play, estimate, nosig, locality, oracle, exp.
-Exit codes: 0 success, 1 usage error, 2 data/format error, 3 estimator or
-oracle failure. Results go to stdout or --out; logs go to stderr. Each
-handler returns (text, writes): its JSON result (None for gen and exp) and
-its files as (path, write) pairs. main writes them, --out and --emit-config
-too, in one strings.write_all, all or none, and only then prints text.
+Exit codes: 0 success, 1 usage error, 2 data/format error (FormatError,
+OSError), 3 estimator or oracle failure (EstimatorError, OracleError,
+MemoryError) or any other exception, a fault of the toolkit, which prints
+"internal error: TYPE: message". Results go to stdout or --out; logs go to
+stderr. Each handler returns (text, writes): its JSON result (None for gen
+and exp) and its files as (path, write) pairs. main writes them, --out and
+--emit-config too, in one strings.write_all, all or none, then prints text.
 
 A JSON config file (--config) stands for the flags it names, read before
 the command line, so explicit flags win. Its keys are flag dests, as
@@ -63,6 +65,7 @@ from .games import (
 )
 from .oracles import (
     Distribution,
+    OracleError,
     fine_membership,
     game_value_exact,
     marginal_extremes,
@@ -322,10 +325,7 @@ def _read_distribution(path) -> Distribution:
             raise FormatError(f"bad distribution entry {key!r}: {val!r}") from exc
         if len(parts) != 4 or key != ",".join(map(str, parts)):
             raise FormatError(f"bad distribution key: {key!r}")
-    try:
-        return Distribution(game, table)
-    except ValueError as exc:
-        raise FormatError(str(exc)) from exc
+    return Distribution(game, table)
 
 
 def _cmd_oracle(args) -> tuple:
@@ -629,14 +629,15 @@ def main(argv=None) -> int:
     except (FormatError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
-    except EstimatorError as exc:
-        sys.stderr.write(f"estimator error: {exc}\n")
-        return 3
-    except (ValueError, KeyError, AssertionError) as exc:
-        sys.stderr.write(f"oracle/estimator failure: {exc}\n")
+    except (EstimatorError, OracleError) as exc:
+        kind = "oracle" if isinstance(exc, OracleError) else "estimator"
+        sys.stderr.write(f"{kind} error: {exc}\n")
         return 3
     except MemoryError:
         sys.stderr.write("resource failure: out of memory\n")
+        return 3
+    except Exception as exc:  # a fault of the toolkit, not of its input
+        sys.stderr.write(f"internal error: {type(exc).__name__}: {exc}\n")
         return 3
 
 

@@ -327,9 +327,9 @@ class Quadruple:
     def __post_init__(self):
         g = self.game
         if not (self.a.n == self.b.n == self.x.n == self.y.n):
-            raise ValueError("all four strings must have equal length")
+            raise FormatError("all four strings must have equal length")
         if (self.a.q, self.b.q, self.x.q, self.y.q) != (g.qA, g.qB, g.qX, g.qY):
-            raise ValueError("alphabets do not match the game")
+            raise FormatError("alphabets do not match the game")
 
     @property
     def n(self) -> int:
@@ -534,7 +534,4 @@ def load_quadruple(manifest_path) -> Quadruple:
         if rel is None or rel.is_absolute() or ".." in rel.parts:
             raise FormatError(f"manifest file must be a relative name without '..': {name!r}")
     strings = {k: read_syms(path.parent / v) for k, v in files.items()}
-    try:
-        return Quadruple(game, strings["a"], strings["b"], strings["x"], strings["y"])
-    except ValueError as exc:
-        raise FormatError(f"manifest strings do not fit the game: {exc}") from exc
+    return Quadruple(game, strings["a"], strings["b"], strings["x"], strings["y"])

@@ -14,9 +14,14 @@ from math import lcm
 
 from .games import GameSpec, winning
 from .simplex import feasible_point, solve_lp
+from .strings import FormatError
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
+
+
+class OracleError(ValueError):
+    """An oracle refused a problem it cannot solve, or its answer failed a self-check."""
 
 
 # --- conditional distributions ------------------------------------------------
@@ -33,9 +38,8 @@ class Distribution:
         # every promise pair needs an entry to sum to 1; checked first, so a
         # short table for a huge game is refused before any pair is listed
         if len(self.p) < g.promise_count():
-            raise ValueError(
-                f"{len(self.p)} entries cannot cover the game's "
-                f"{g.promise_count()} promise pairs"
+            raise FormatError(
+                f"{len(self.p)} entries cannot cover the game's {g.promise_count()} promise pairs"
             )
         pairs = g.promise_pairs()
         # an entry the checks below never read would be silently dropped
@@ -48,7 +52,7 @@ class Distribution:
                 and 0 <= key[2] < g.qX
                 and 0 <= key[3] < g.qY
             ):
-                raise ValueError(
+                raise FormatError(
                     f"entry {key!r} is outside the game's alphabets or off the promise"
                 )
         for (a, b) in pairs:
@@ -57,12 +61,10 @@ class Distribution:
                 for y in range(g.qY):
                     v = Fraction(self.p.get((a, b, x, y), ZERO))
                     if v < ZERO:
-                        raise ValueError(f"negative probability at {(a,b,x,y)}")
+                        raise FormatError(f"negative probability at {(a,b,x,y)}")
                     total += v
             if total != ONE:
-                raise ValueError(
-                    f"P(.,.|a={a},b={b}) sums to {total}, expected 1"
-                )
+                raise FormatError(f"P(.,.|a={a},b={b}) sums to {total}, expected 1")
 
     def prob(self, a: int, b: int, x: int, y: int) -> Fraction:
         return Fraction(self.p.get((a, b, x, y), ZERO))
@@ -302,7 +304,7 @@ def game_value_exact(game: GameSpec, reps: int = 1, jobs: int = 1) -> GameValueR
     nx = game.qX ** min(reps, cap)
     na = game.qA ** min(reps, cap)
     if nx ** min(na, cap) > MAX_ALICE_FUNCTIONS:
-        raise ValueError("strategy space too large to search exactly")
+        raise OracleError("strategy space too large to search exactly")
     if jobs > 1:
         # imported here: loading the process pool pulls in multiprocessing,
         # which serial searches and every other command never use
@@ -356,7 +358,7 @@ def chained_value_upper_bound(m: int) -> Fraction:
     for (a, b) in game.promise_pairs():
         parity ^= game.target_bit(a, b)
     if parity != 1:
-        raise AssertionError("cycle parity must be odd for the bound to hold")
+        raise OracleError("cycle parity must be odd for the bound to hold")
     return ONE - Fraction(1, 2 * m)
 
 
@@ -382,7 +384,7 @@ def local_vertices(game: GameSpec):
     fas = list(itertools.product(range(game.qX), repeat=game.qA))
     fbs = list(itertools.product(range(game.qY), repeat=game.qB))
     if len(fas) * len(fbs) > MAX_VERTICES:
-        raise ValueError("too many deterministic vertices to enumerate")
+        raise OracleError("too many deterministic vertices to enumerate")
     return fas, fbs
 
 
@@ -424,7 +426,7 @@ def fine_membership(dist: Distribution) -> FineResult:
                 recon[key] = recon.get(key, ZERO) + w
         for (a, b, x, y) in rows:
             if recon.get((a, b, x, y), ZERO) != dist.prob(a, b, x, y):
-                raise AssertionError("weight reconstruction mismatch")
+                raise OracleError("weight reconstruction mismatch")
         return FineResult(local=True, weights=weights)
 
     y = res.certificate
@@ -438,7 +440,7 @@ def fine_membership(dist: Distribution) -> FineResult:
         max(sum(scaled[(a, b, fa[a], fb[b])] for a, b in pairs) for fa, fb in vertices), den
     )
     if value <= vmax:
-        raise AssertionError("certificate does not separate the distribution")
+        raise OracleError("certificate does not separate the distribution")
     return FineResult(
         local=False, certificate=coeffs, value_on_dist=value, vertex_max=vmax
     )
@@ -510,5 +512,5 @@ def marginal_extremes(
     hi = solve_lp(A, rhs, obj)
     lo = solve_lp(A, rhs, [-v for v in obj])
     if hi.status != "optimal" or lo.status != "optimal":
-        raise ValueError(f"marginal program not solvable: {hi.status}/{lo.status}")
+        raise OracleError(f"marginal program not solvable: {hi.status}/{lo.status}")
     return -lo.objective, hi.objective

@@ -24,6 +24,9 @@ from nonlocality.strings import SymbolString, write_syms
 def run(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr()
+    # an exception that main does not map to an exit code by its type is a
+    # fault of the toolkit, which no test here provokes
+    assert "internal error" not in out.err
     return code, out.out, out.err
 
 
@@ -339,6 +342,42 @@ def test_oracle_fine_chained7_is_refused_by_the_oracle(capsys, tmp_path):
     path.write_text(json.dumps({"game": "chained", "m": 7, "p": table}))
     code, _, err = run(capsys, "oracle", "--fine", str(path))
     assert code == 3 and "too many deterministic vertices" in err
+
+
+def test_oracle_strategy_space_too_large_exits_3_with_one_line(capsys):
+    # Alice has 2**40 block functions on chained(40), over MAX_ALICE_FUNCTIONS:
+    # an OracleError, raised from the count alone
+    code, out, err = run(capsys, "oracle", "--game", "chained", "--m", "40")
+    assert (code, out) == (3, "")
+    assert err.splitlines() == ["oracle error: strategy space too large to search exactly"]
+
+
+def _raise_key_error(*args):
+    raise KeyError("row")
+
+
+@pytest.mark.parametrize(
+    "handler",
+    [
+        _raise_key_error,
+        # the fault comes from a write, once its temp file is staged
+        lambda args: (None, [(args.out, lambda temp: (temp.write_text("x"), _raise_key_error()))]),
+    ],
+    ids=["handler", "write"],
+)
+def test_unmapped_exception_exits_3_with_one_internal_error_line(
+    capsys, tmp_path, monkeypatch, handler
+):
+    # a KeyError is no input's fault: main names its type on one stderr
+    # line, with no traceback, no file written and nothing on stdout
+    monkeypatch.setattr(cli, "_cmd_gen", handler)
+    argv = ["gen", "--kind", "zeros", "--n", "8", "--out", str(tmp_path / "z.syms"),
+            "--emit-config", str(tmp_path / "c.json")]
+    code = main(argv)
+    out, err = capsys.readouterr()
+    assert (code, out) == (3, "")
+    assert err.splitlines() == ["internal error: KeyError: 'row'"]
+    assert list(tmp_path.iterdir()) == []
 
 
 _THEOREM1 = ["exp", "--which", "theorem1", "--config"]
@@ -728,6 +767,9 @@ def test_out_of_memory_exits_3_with_one_line_and_no_traceback(tmp_path):
     assert proc.returncode == 3, proc.stderr
     assert "Traceback" not in proc.stderr
     assert proc.stderr.splitlines() == ["resource failure: out of memory"]
+    # the run fails before its one write: no output and no temp file
+    assert not (tmp_path / "z.syms").exists()
+    assert list(tmp_path.glob(".z.syms.*.tmp")) == []
 
 
 def test_abbreviated_flag_is_usage_error(capsys, tmp_path):

@@ -1,6 +1,6 @@
 """Fuzz of the CLI's exit-code contract: whatever the argv and the contents
-of the files it names, `nlbox` exits 0, 1, 2 or 3 and prints no traceback,
-a run that exits 0 writes only strict JSON (no NaN or Infinity), and a run
+of the files it names, `nlbox` exits 0, 1, 2 or 3 and prints no traceback
+and no "internal error" (an exception that main maps by no type), a run that exits 0 writes only strict JSON (no NaN or Infinity), and a run
 that exits non-zero leaves every file and directory as it found them and
 prints nothing on stdout.
 
@@ -285,6 +285,7 @@ def test_cli_exit_code_contract(case):
             code = main(argv)
         assert code in (0, 1, 2, 3), (argv, code)
         assert "Traceback" not in err.getvalue(), argv
+        assert "internal error" not in err.getvalue(), argv
         if code == 0:
             _assert_strict_json(out.getvalue())
             written = {flag: argv[argv.index(flag) + 1] for flag in ("--out", "--emit-config")

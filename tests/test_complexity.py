@@ -51,6 +51,11 @@ def test_conditioning_on_copy_collapses():
     for est in ("lz77", "ctx_2"):
         kc = estimate_k_cond(x, x, est)
         assert kc.rate < 0.1, est
+    # on this q = 3 string the woven candidate's difference is negative, so
+    # only the clamp at 0 keeps the estimate at the candidate tag
+    x = gen_seeded_random(1000, 3, Seed.from_int(0))
+    for est in ("lz77", "ctx_2"):
+        assert estimate_k_cond(x, x, est).bits == CANDIDATE_TAG_BITS, est
 
 
 def test_conditioning_on_independent_string_changes_nothing_much():

@@ -6,6 +6,7 @@ No linter ships with the toolkit, so this AST walk is the check that keeps
 dead imports (and the dead code they point at) from coming back.
 """
 import ast
+import builtins
 import importlib
 import importlib.util
 import os
@@ -129,6 +130,46 @@ def test_only_main_writes_stdout_and_only_after_every_file():
         for name, _, what in _console_writes(path.read_text())
     ]
     assert writes == [("cli.py", "main", "write_all"), ("cli.py", "main", "sys.stdout")]
+
+
+def _handled(source: str, func: str) -> list[tuple[str, bool]]:
+    """(name, last) of each exception that an except clause in func names,
+    each try in turn, last telling whether the clause is its try's last; a
+    bare except names "", a dotted name its full text."""
+    top = ast.parse(source)
+    fn = next(n for n in ast.walk(top) if isinstance(n, ast.FunctionDef) and n.name == func)
+    found = []
+    for node in ast.walk(fn):
+        if isinstance(node, ast.Try):
+            for i, handler in enumerate(node.handlers):
+                kinds = handler.type.elts if isinstance(handler.type, ast.Tuple) else [handler.type]
+                last = i == len(node.handlers) - 1
+                found += [(ast.unparse(k) if k else "", last) for k in kinds]
+    return found
+
+
+def test_main_maps_exit_codes_by_the_toolkit_types():
+    # the walk itself sees tuples, bare and nested clauses, and which is last
+    sample = (
+        "def main():\n"
+        "    try:\n"
+        "        try:\n            f()\n        except:\n            pass\n"
+        "    except (ValueError, mod.E):\n        pass\n"
+        "    except Exception:\n        pass\n"
+    )
+    assert _handled(sample, "main") == [
+        ("ValueError", False), ("mod.E", False), ("Exception", True), ("", True)
+    ]
+    # each failure's class is chosen where it is raised, and main maps the
+    # toolkit's types to exit codes: of the builtin exceptions it names only
+    # argparse's SystemExit, OSError (2), MemoryError (3) and, as its last
+    # clause, Exception (3, "internal error"), so no ValueError, KeyError or
+    # AssertionError of a fault is taken for an input's or an oracle's
+    named = _handled((SRC / "cli.py").read_text(), "main")
+    builtin = [(name, last) for name, last in named if name in vars(builtins) or not name]
+    assert builtin == [
+        ("OSError", False), ("MemoryError", False), ("Exception", True), ("SystemExit", True)
+    ]
 
 
 def test_cli_import_loads_no_process_pool():

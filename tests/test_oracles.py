@@ -24,6 +24,7 @@ from nonlocality.games import (
 )
 from nonlocality.oracles import (
     Distribution,
+    OracleError,
     chained_value_upper_bound,
     deterministic_distribution,
     fine_membership,
@@ -32,7 +33,7 @@ from nonlocality.oracles import (
     pr_box_distribution,
     replay_witness,
 )
-from nonlocality.strings import Seed, SymbolString
+from nonlocality.strings import FormatError, Seed, SymbolString
 
 
 def test_pr_value_exact():
@@ -143,6 +144,53 @@ def test_distribution_validation():
                             if (a, b) != (0, 0)}})
     with pytest.raises(ValueError, match="outside the game's alphabets"):
         Distribution(g, {**pr_box_distribution().p, (5, 5, 0, 0): F(0)})
+
+
+def test_input_that_does_not_fit_its_game_is_a_format_error():
+    # the CLI maps FormatError to exit 2, a data error, where it is raised
+    g = GameSpec.pr()
+    with pytest.raises(FormatError, match="sums to 1/2"):
+        Distribution(g, {(a, b, 0, 0): F(1, 2) for a in range(2) for b in range(2)})
+    with pytest.raises(FormatError, match="cannot cover"):
+        Distribution(GameSpec.chained(10**9), {})
+    bits = SymbolString(2, b"\x00\x01")
+    with pytest.raises(FormatError, match="equal length"):
+        Quadruple(g, bits, bits, bits, SymbolString(2, b"\x00"))
+    with pytest.raises(FormatError, match="alphabets"):
+        Quadruple(g, bits, bits, bits, SymbolString(3, b"\x00\x02"))
+
+
+def test_each_oracle_refusal_is_an_oracle_error():
+    # the CLI maps OracleError to exit 3; as a ValueError it still meets the
+    # pytest.raises(ValueError, ...) of the tests above
+    assert issubclass(OracleError, ValueError)
+    refusals = {
+        "strategy space too large": lambda: game_value_exact(GameSpec.chained(40)),
+        "too many deterministic vertices": lambda: fine_membership(
+            deterministic_distribution(GameSpec.chained(7), [0] * 7, [0] * 7)
+        ),
+        "marginal program not solvable": lambda: marginal_extremes(F(2)),
+    }
+    for match, refused in refusals.items():
+        with pytest.raises(OracleError, match=match):
+            refused()
+
+
+def test_each_failed_self_check_is_an_oracle_error(monkeypatch):
+    # targets that sum to 0 around the ring void the counting bound
+    with monkeypatch.context() as mp:
+        mp.setattr(GameSpec, "target_bit", lambda self, a, b: 0)
+        with pytest.raises(OracleError, match="cycle parity"):
+            chained_value_upper_bound(3)
+    # a solver's answer whose weights rebuild nothing, and a certificate of 0s
+    zero_weights = simplex.LPResult("optimal", solution=[F(0)] * 16)
+    monkeypatch.setattr(oracles, "feasible_point", lambda A, rhs: zero_weights)
+    with pytest.raises(OracleError, match="weight reconstruction"):
+        fine_membership(pr_box_distribution())
+    zero_certificate = simplex.LPResult("infeasible", certificate=[F(0)] * 17)
+    monkeypatch.setattr(oracles, "feasible_point", lambda A, rhs: zero_certificate)
+    with pytest.raises(OracleError, match="does not separate"):
+        fine_membership(pr_box_distribution())
 
 
 def test_marginals_forced_to_half():

@@ -55,16 +55,24 @@ def _records(name: str, modules: tuple, tmp_path, monkeypatch) -> tuple[dict, di
 @functools.cache
 def experiments_cycle() -> SimpleNamespace:
     """One pass over the experiments cycle: its records and goldens, every
-    encode call as (estimator, symbols, q, period, bits, blob), and the
-    resume points kept as estimator id -> (count, sum of positions)."""
-    calls, kept = [], {}
-    keep = EstimateStore.keep
+    encode call as (estimator, symbols, q, period, bits, blob), the resume
+    points kept as estimator id -> (count, sum of positions), and the points
+    found as (hits, symbols they let encodes skip)."""
+    calls, kept, found = [], {}, [0, 0]
+    keep, find = EstimateStore.keep, EstimateStore.find
 
     def counted(self, est, symbols, q, period, point):
         count, total = kept.get(est.estimator_id, (0, 0))
         kept[est.estimator_id] = (count + 1, total + point.i)
         assert 0 < point.i <= len(symbols)
         keep(self, est, symbols, q, period, point)
+
+    def counted_find(self, est, symbols, q, period):
+        point = find(self, est, symbols, q, period)
+        if point is not None:
+            found[0] += 1
+            found[1] += point.i
+        return point
 
     modules = (
         "strings", "coding", "estimators", "complexity", "games",
@@ -80,8 +88,11 @@ def experiments_cycle() -> SimpleNamespace:
 
             mp.setattr(cls, "encode", audited)
         mp.setattr(EstimateStore, "keep", counted)
+        mp.setattr(EstimateStore, "find", counted_find)
         records, goldens = _records("experiments", modules, Path(tmp), mp)
-    return SimpleNamespace(records=records, goldens=goldens, calls=calls, kept=kept)
+    return SimpleNamespace(
+        records=records, goldens=goldens, calls=calls, kept=kept, found=tuple(found)
+    )
 
 
 def test_codec_records_match_goldens(tmp_path, monkeypatch):

@@ -12,13 +12,16 @@ makes and checks against goldens.json.
 The resume points that the cycle keeps are pinned too. lz77 keeps its point
 before the first token whose decision reads the end of the string; a point
 kept one token later gives the same bits on this cycle's continuations,
-which do not change that decision, but not on every continuation.
+which do not change that decision, but not on every continuation. So are
+the points found: a store that evicts a point too soon loses resumes.
 """
 from nonlocality.coding import BitReader, read_uint
 from test_perfbench_goldens import _pinned, experiments_cycle
 
 # estimator id -> (points kept, sum of their positions) over the cycle
 KEPT_POINTS = {"ctx_2": (23, 909_312), "lz77": (30, 982_269)}
+# (points found, symbols they let encodes skip) over the cycle
+FOUND_POINTS = (16, 405_239)
 
 
 def test_every_encode_of_the_experiments_cycle_round_trips():
@@ -36,3 +39,4 @@ def test_every_encode_of_the_experiments_cycle_round_trips():
     assert len(cycle.calls) == _pinned(counts["estimators.encode_calls"])
     assert sum(call[4] for call in cycle.calls) == _pinned(counts["coding.bits_written"])
     assert cycle.kept == KEPT_POINTS
+    assert cycle.found == FOUND_POINTS
