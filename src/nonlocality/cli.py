@@ -4,9 +4,10 @@ Subcommands: gen, play, estimate, nosig, locality, oracle, exp.
 Exit codes: 0 success, 1 usage error, 2 data/format error (FormatError,
 OSError), 3 estimator or oracle failure (EstimatorError, OracleError,
 MemoryError) or any other exception, a fault of the toolkit, which prints
-"internal error: TYPE: message". Results go to stdout or --out; logs go to
-stderr. Each handler returns (text, writes): its JSON result (None for gen
-and exp) and its files as (path, write) pairs. main writes them, --out and
+"internal error: TYPE: message (at FILE:LINE)", FILE:LINE being the frame
+that raised it. Results go to stdout or --out; logs go to stderr. Each
+handler returns (text, writes): its JSON result (None for gen and exp) and
+its files as (path, write) pairs. main writes them, --out and
 --emit-config too, in one strings.write_all, all or none, then prints text.
 
 A JSON config file (--config) stands for the flags it names, read before
@@ -637,7 +638,11 @@ def main(argv=None) -> int:
         sys.stderr.write("resource failure: out of memory\n")
         return 3
     except Exception as exc:  # a fault of the toolkit, not of its input
-        sys.stderr.write(f"internal error: {type(exc).__name__}: {exc}\n")
+        tb = exc.__traceback__
+        while tb.tb_next:  # the frame that raised, so a report can be located
+            tb = tb.tb_next
+        where = f"{os.path.basename(tb.tb_frame.f_code.co_filename)}:{tb.tb_lineno}"
+        sys.stderr.write(f"internal error: {type(exc).__name__}: {exc} (at {where})\n")
         return 3
 
 

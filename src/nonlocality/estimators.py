@@ -166,8 +166,11 @@ class LZ78Estimator(Estimator):
     one-byte nodes: the child of node and byte c has the int key node << 8
     | c, and those keys index a flat array of 2^16 codes (256 KiB, 0 for no
     child); a deeper node's children are in a dict under the same keys.
-    Codes only add bits, so the encode returns the literal mode as soon as
-    the coded bits reach its length, which a tie also picks.
+    The encode parses first, collecting the codes and counting their bits
+    by width. Codes only add bits, so it returns the literal mode as soon
+    as the coded payload reaches the literal one, which a tie also picks.
+    Either blob is built once the trie is freed, and the codes are written
+    only when the coded mode wins.
     """
 
     estimator_id = "lz78"
@@ -176,14 +179,15 @@ class LZ78Estimator(Estimator):
         data = pack_symbols(symbols, q)
         if not data:  # the header alone, in which the modes tie
             return _literal(symbols, q, period)
-        lit = _literal_len(q, len(symbols), period)
-        w = _header_writer(q, len(symbols), period, MODE_CODED)
-        out = w.buf
-        # a code takes the bits of code | top after its leading 1, top the
-        # least power of 2 >= size; every new code is at least 256
+        budget = len(symbols) * bits_per_symbol(q)  # the literal payload
+        # code i is written in the width of the dictionary's size then, 256
+        # + i: (255 + i).bit_length() bits, so 8 for the first code and 9
+        # from the second on; every new code is at least 256
         children = array("i", [0]) * 65536
         deep: dict = {}
+        codes = array("i")
         size = top = 256
+        width, bits = 8, 0
         node = data[0]
         for c in data[1:]:
             key = node << 8 | c
@@ -191,9 +195,10 @@ class LZ78Estimator(Estimator):
             if nxt:
                 node = nxt
                 continue
-            out += bin(node | top)[3:].encode()
-            if len(out) >= lit:
-                return _literal(symbols, q, period)
+            codes.append(node)
+            bits += width
+            if bits >= budget:
+                break
             if node < 256:
                 children[key] = size
             else:
@@ -201,11 +206,21 @@ class LZ78Estimator(Estimator):
             size += 1
             if size > top:
                 top <<= 1
+                width += 1
             node = c
-        out += bin(node | top)[3:].encode()
-        if len(out) >= lit:
+        else:
+            codes.append(node)
+            bits += width
+        del children, deep
+        if bits >= budget:
             return _literal(symbols, q, period)
-        return len(out), w.getvalue()
+        w = _header_writer(q, len(symbols), period, MODE_CODED)
+        start = 0
+        for k in range(8, width + 1):  # the codes of width k end at index 2^k - 255
+            end, top = (1 << k) - 255, 1 << k
+            w.buf += "".join([bin(v | top)[3:] for v in codes[start:end]]).encode()
+            start = end
+        return w.bit_count, w.getvalue()
 
     def _decode_payload(self, r: BitReader, q: int, n: int, period: int) -> bytes:
         total = packed_len(n, q)

@@ -8,6 +8,9 @@ no-signaling set.
 from __future__ import annotations
 
 import itertools
+import marshal
+import os
+import signal
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
@@ -282,14 +285,70 @@ def _search(game, reps, first_choice=None):
     return best, a_blocks, b_blocks, x_blocks, y_blocks, len(edges)
 
 
+def _fork_search(game, reps, firsts):
+    """Fork a child that searches the branches `firsts` and sends back, down
+    a pipe, marshal.dumps((list of their best dicts, None)), or (None,
+    "TYPE: message") if it raised. The child leaves through os._exit, so it
+    runs no atexit hook and flushes no stdio buffer it inherited. Returns
+    the child's pid and the pipe's read end as a file."""
+    r, w = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(r)
+        os.close(w)
+        raise
+    if pid == 0:
+        try:
+            try:
+                out = [_search(game, reps, first)[0] for first in firsts], None
+            except BaseException as exc:
+                out = None, f"{type(exc).__name__}: {exc}"
+            with open(w, "wb") as pipe:
+                pipe.write(marshal.dumps(out))
+        finally:
+            os._exit(0)
+    os.close(w)
+    return pid, open(r, "rb")
+
+
+def _parallel_bests(game, reps, nx, workers):
+    """The best dicts of all nx first choices, searched by `workers` forked
+    children; child w takes the first choices w, w + workers, ..."""
+    children = []
+    try:
+        for w in range(workers):
+            children.append(_fork_search(game, reps, range(w, nx, workers)))
+        payloads = [pipe.read() for _, pipe in children]
+    except BaseException:
+        for pid, _ in children:
+            os.kill(pid, signal.SIGKILL)
+        raise
+    finally:
+        statuses = []
+        for pid, pipe in children:
+            pipe.close()
+            statuses.append(os.waitpid(pid, 0)[1])
+    bests = []
+    for data, status in zip(payloads, statuses):
+        if not data:  # killed before it could answer
+            code = os.waitstatus_to_exitcode(status)
+            raise OracleError(f"search worker failed: exited with code {code}")
+        found, error = marshal.loads(data)
+        if error is not None:
+            raise OracleError(f"search worker failed: {error}")
+        bests += found
+    return bests
+
+
 def game_value_exact(game: GameSpec, reps: int = 1, jobs: int = 1) -> GameValueResult:
     """Exact optimum over deterministic block strategies (each output block
     may depend on that party's whole input block), with inputs uniform over
     the promise blocks. Shared randomness cannot beat this value.
 
-    With jobs > 1 the top-level branches run in parallel; results merge by
-    exact max with a lexicographic tie-break, so the witness is
-    schedule-independent.
+    With jobs > 1 the top-level branches run in parallel, in forked
+    children; results merge by exact max with a lexicographic tie-break,
+    so the witness is schedule-independent.
     """
     if reps < 1:
         raise ValueError("reps must be >= 1")
@@ -306,21 +365,16 @@ def game_value_exact(game: GameSpec, reps: int = 1, jobs: int = 1) -> GameValueR
     if nx ** min(na, cap) > MAX_ALICE_FUNCTIONS:
         raise OracleError("strategy space too large to search exactly")
     if jobs > 1:
-        # imported here: loading the process pool pulls in multiprocessing,
-        # which serial searches and every other command never use
-        from concurrent.futures import ProcessPoolExecutor
-
-        # one task per first choice, so more workers would only sit idle
-        with ProcessPoolExecutor(max_workers=min(jobs, nx)) as pool:
-            futs = [pool.submit(_search, game, reps, first) for first in range(nx)]
-            results = [f.result() for f in futs]
+        # one branch per first choice, so more workers would only sit idle
+        bests = _parallel_bests(game, reps, nx, min(jobs, nx))
+        a_blocks, b_blocks, x_blocks, y_blocks, edges = _block_setup(game, reps)
+        nedges = len(edges)
     else:
-        results = [_search(game, reps)]
+        best, a_blocks, b_blocks, x_blocks, y_blocks, nedges = _search(game, reps)
+        bests = [best]
     # the most wins, ties to the least fa (min keeps the first); every branch
     # reaches a leaf, since its bound starts at -1
-    best, a_blocks, b_blocks, x_blocks, y_blocks, nedges = min(
-        results, key=lambda r: (-r[0]["wins"], r[0]["fa"])
-    )
+    best = min(bests, key=lambda b: (-b["wins"], b["fa"]))
     return GameValueResult(
         game_label=game.label(),
         reps=reps,
@@ -329,8 +383,8 @@ def game_value_exact(game: GameSpec, reps: int = 1, jobs: int = 1) -> GameValueR
         b_blocks=tuple(b_blocks),
         fa=tuple(x_blocks[i] for i in best["fa"]),
         fb=tuple(y_blocks[i] for i in best["fb"]),
-        nodes=sum(r[0]["nodes"] for r in results),
-        prunes=sum(r[0]["prunes"] for r in results),
+        nodes=sum(b["nodes"] for b in bests),
+        prunes=sum(b["prunes"] for b in bests),
     )
 
 

@@ -368,15 +368,18 @@ def _raise_key_error(*args):
 def test_unmapped_exception_exits_3_with_one_internal_error_line(
     capsys, tmp_path, monkeypatch, handler
 ):
-    # a KeyError is no input's fault: main names its type on one stderr
-    # line, with no traceback, no file written and nothing on stdout
+    # a KeyError is no input's fault: main names its type and where it was
+    # raised on one stderr line, with no traceback, no file written and
+    # nothing on stdout
     monkeypatch.setattr(cli, "_cmd_gen", handler)
     argv = ["gen", "--kind", "zeros", "--n", "8", "--out", str(tmp_path / "z.syms"),
             "--emit-config", str(tmp_path / "c.json")]
     code = main(argv)
     out, err = capsys.readouterr()
     assert (code, out) == (3, "")
-    assert err.splitlines() == ["internal error: KeyError: 'row'"]
+    # the line names the frame that raised, here _raise_key_error's raise
+    where = f"test_cli.py:{_raise_key_error.__code__.co_firstlineno + 1}"
+    assert err.splitlines() == [f"internal error: KeyError: 'row' (at {where})"]
     assert list(tmp_path.iterdir()) == []
 
 

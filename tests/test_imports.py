@@ -172,15 +172,32 @@ def test_main_maps_exit_codes_by_the_toolkit_types():
     ]
 
 
-def test_cli_import_loads_no_process_pool():
-    # only game_value_exact(jobs > 1) starts workers, and it imports the pool
-    # itself; no estimator runs a command, so nothing needs subprocess or
-    # shlex either. A fresh interpreter shows what importing the CLI loads
-    banned = ("concurrent.futures.process", "subprocess", "shlex")
-    code = f"import sys, nonlocality.cli; print([m for m in {banned!r} if m in sys.modules])"
+def _loaded_in_fresh_interpreter(code: str, banned: tuple) -> list:
+    """The modules of `banned` that a fresh interpreter has loaded once it
+    has run `code` with the toolkit importable."""
+    code += f"\nimport sys; print([m for m in {banned!r} if m in sys.modules])"
     env = {**os.environ, "PYTHONPATH": str(SRC.parent)}
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
-    assert (out.returncode, out.stdout) == (0, "[]\n"), out.stderr
+    assert out.returncode == 0, out.stderr
+    return ast.literal_eval(out.stdout)
+
+
+def test_cli_import_loads_no_process_pool():
+    # no estimator runs a command, so nothing needs subprocess or shlex
+    banned = ("concurrent.futures.process", "subprocess", "shlex")
+    assert _loaded_in_fresh_interpreter("import nonlocality.cli", banned) == []
+
+
+def test_parallel_search_loads_no_process_pool():
+    # game_value_exact(jobs > 1) forks its workers itself and talks to them
+    # through pipes and marshal: no pool, no pickling, no logging
+    banned = ("multiprocessing", "concurrent.futures", "subprocess", "socket", "logging", "pickle")
+    code = (
+        "from nonlocality.games import GameSpec\n"
+        "from nonlocality.oracles import game_value_exact\n"
+        "assert game_value_exact(GameSpec.pr(), reps=2, jobs=2).nodes == 79"
+    )
+    assert _loaded_in_fresh_interpreter(code, banned) == []
 
 
 def test_perfbench_trace_targets_resolve():

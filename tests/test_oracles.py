@@ -1,9 +1,11 @@
 import gc
 import hashlib
 import json
+import os
+import signal
+import time
 import tracemalloc
 from collections import Counter
-from concurrent.futures import Future
 from fractions import Fraction as F
 from pathlib import Path
 
@@ -12,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from reference_search import search as reference_search
 
-from nonlocality import oracles, simplex
+from nonlocality import cli, oracles, simplex
 
 from nonlocality.games import (
     GameSpec,
@@ -288,7 +290,7 @@ def test_jobs_below_one_is_refused_before_any_block_list(monkeypatch):
 
     monkeypatch.setattr(oracles, "_block_setup", no_lists)
     monkeypatch.setattr(GameSpec, "promise_pairs", no_lists)
-    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", no_lists)
+    monkeypatch.setattr(os, "fork", no_lists)
     for jobs in (0, -3):
         with pytest.raises(ValueError, match="jobs must be >= 1"):
             game_value_exact(GameSpec.pr(), jobs=jobs)
@@ -299,36 +301,86 @@ def test_reps_below_one_is_refused():
         game_value_exact(GameSpec.pr(), reps=0)
 
 
-class _InlinePool:
-    """Stands in for ProcessPoolExecutor: records max_workers, runs inline."""
-
-    sizes: list = []
-
-    def __init__(self, max_workers):
-        self.sizes.append(max_workers)
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        return False
-
-    def submit(self, fn, *args):
-        fut = Future()
-        fut.set_result(fn(*args))
-        return fut
-
-
 def test_parallel_search_starts_no_more_workers_than_branches(monkeypatch):
-    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", _InlinePool)
-    _InlinePool.sizes.clear()
+    forks, real_fork = [], os.fork
+
+    def counting_fork():
+        pid = real_fork()
+        if pid:  # the parent's side: a child only searches and leaves
+            forks.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", counting_fork)
     g = GameSpec.pr()
     par = game_value_exact(g, jobs=64)
-    assert _InlinePool.sizes == [2]  # one branch per first output block
+    assert len(forks) == 2  # one branch per first output block
     ser = game_value_exact(g)
     assert (par.value, par.fa, par.fb, par.a_blocks, par.b_blocks) == (
         ser.value, ser.fa, ser.fb, ser.a_blocks, ser.b_blocks
     )
+
+
+def _failing_branch_one(fail):
+    """oracles._search, but branch 1 calls fail(); a forked child inherits
+    the patch, so only that child fails."""
+    search = oracles._search
+
+    def patched(game, reps, first_choice=None):
+        if first_choice == 1:
+            fail()
+        return search(game, reps, first_choice)
+
+    return patched
+
+
+def _assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def _raise_runtime_error():
+    raise RuntimeError("branch 1")
+
+
+def test_a_failing_worker_exits_3_with_one_oracle_error_line(monkeypatch, capsys):
+    # the child's exception comes back as an OracleError, and main returns
+    # only once every child is reaped
+    monkeypatch.setattr(oracles, "_search", _failing_branch_one(_raise_runtime_error))
+    code = cli.main(["oracle", "--game", "pr", "--reps", "2", "--jobs", "2"])
+    out, err = capsys.readouterr()
+    assert (code, out) == (3, "")
+    assert err.splitlines() == ["oracle error: search worker failed: RuntimeError: branch 1"]
+    _assert_no_child_left()
+
+
+def test_a_killed_worker_is_an_oracle_error(monkeypatch):
+    # a child that dies without answering sends nothing down its pipe
+    kill = _failing_branch_one(lambda: os.kill(os.getpid(), signal.SIGKILL))
+    monkeypatch.setattr(oracles, "_search", kill)
+    with pytest.raises(OracleError, match="^search worker failed: exited with code -9$"):
+        game_value_exact(GameSpec.pr(), reps=2, jobs=2)
+    _assert_no_child_left()
+
+
+def test_a_failing_parent_kills_and_reaps_its_workers(monkeypatch):
+    # the first child would search for a minute; the second fork fails, and
+    # the parent must kill the first rather than wait for it
+    fork_search, forked = oracles._fork_search, []
+
+    def fork_once(*args):
+        if forked:
+            raise RuntimeError("no second worker")
+        forked.append(fork_search(*args))
+        return forked[-1]
+
+    monkeypatch.setattr(oracles, "_search", lambda *args: time.sleep(60))
+    monkeypatch.setattr(oracles, "_fork_search", fork_once)
+    start = time.monotonic()
+    with pytest.raises(RuntimeError, match="no second worker"):
+        game_value_exact(GameSpec.pr(), jobs=2)
+    assert time.monotonic() - start < 30
+    assert forked[0][1].closed
+    _assert_no_child_left()
 
 
 def _golden(op):
@@ -361,16 +413,14 @@ def test_search_tree_matches_goldens(game, reps):
     assert _as_golden(game_value_exact(game, reps=reps)) == _golden(key)
 
 
-def test_parallel_search_tree_is_the_sum_of_its_branches(monkeypatch):
-    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", _InlinePool)
+def test_parallel_search_tree_is_the_sum_of_its_branches():
     got = _as_golden(game_value_exact(GameSpec.chained(3), reps=2, jobs=2))
     # each branch searches without the other's incumbent, so the tree is
     # larger than the serial one (counts recorded with the dense search)
     assert got == dict(_golden("value:chained(3):reps2"), nodes=2722, prunes=8118)
 
 
-def test_parallel_chained4_tree_matches_the_jobs2_golden(monkeypatch):
-    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", _InlinePool)
+def test_parallel_chained4_tree_matches_the_jobs2_golden():
     # the benchmark's costliest op: 126178 nodes and 378470 prunes, against
     # 125758 and 377259 for the serial search
     got = _as_golden(game_value_exact(GameSpec.chained(4), reps=2, jobs=2))
@@ -562,9 +612,9 @@ def _cyclic_garbage(call):
     _PINNED,
     ids=lambda v: v.label() if isinstance(v, GameSpec) else f"reps{v}",
 )
-def test_an_exact_value_leaves_no_reference_cycle(monkeypatch, game, reps, jobs):
-    # jobs=2 runs each branch's search inline, as a worker would
-    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", _InlinePool)
+def test_an_exact_value_leaves_no_reference_cycle(game, reps, jobs):
+    # with jobs=2 the searches run in forked children, whose garbage ends
+    # with them; what is checked is the parent's fork, read and merge
 
     def call():
         res = game_value_exact(game, reps=reps, jobs=jobs)
