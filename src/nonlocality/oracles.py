@@ -10,7 +10,6 @@ from __future__ import annotations
 import itertools
 import marshal
 import os
-import signal
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
@@ -128,7 +127,7 @@ def _block_win(game: GameSpec, ab, bb, xb, yb) -> bool:
     return all(game.win(a, b, x, y) for a, b, x, y in zip(ab, bb, xb, yb))
 
 
-def _search(game, reps, first_choice=None):
+def _search(game, blocks, first_choice=None):
     """Depth-first scan over Alice block functions in lexicographic order,
     with a per-column optimistic bound (Bob's best response so far plus one
     win for every still-unassigned row). The first optimum encountered is
@@ -152,8 +151,9 @@ def _search(game, reps, first_choice=None):
     every choice at once. On a miss the gains come packed, gw bits per
     choice, as the sum of the row's edges' packed 0/1 gains, each looked
     up by its column's tally. The memo lives for one call and is freed as
-    the call returns, not left to the cyclic collector."""
-    a_blocks, b_blocks, x_blocks, y_blocks, edges = _block_setup(game, reps)
+    the call returns, not left to the cyclic collector. `blocks` is
+    _block_setup's model, built once by the caller for all its branches."""
+    a_blocks, b_blocks, x_blocks, y_blocks, edges = blocks
     na, nb = len(a_blocks), len(b_blocks)
     nx, ny = len(x_blocks), len(y_blocks)
 
@@ -281,46 +281,39 @@ def _search(game, reps, first_choice=None):
         dfs(0, 0, 0)
     finally:
         del dfs  # dfs's closure cell holds dfs: a cycle through the whole tree
-    best = {"wins": best_wins, "fa": best_fa, "fb": best_fb, "nodes": nodes, "prunes": prunes}
-    return best, a_blocks, b_blocks, x_blocks, y_blocks, len(edges)
+    return {"wins": best_wins, "fa": best_fa, "fb": best_fb, "nodes": nodes, "prunes": prunes}
 
 
-def _fork_search(game, reps, firsts):
-    """Fork a child that searches the branches `firsts` and sends back, down
-    a pipe, marshal.dumps((list of their best dicts, None)), or (None,
-    "TYPE: message") if it raised. The child leaves through os._exit, so it
-    runs no atexit hook and flushes no stdio buffer it inherited. Returns
-    the child's pid and the pipe's read end as a file."""
-    r, w = os.pipe()
-    try:
-        pid = os.fork()
-    except OSError:
-        os.close(r)
-        os.close(w)
-        raise
-    if pid == 0:
-        try:
-            try:
-                out = [_search(game, reps, first)[0] for first in firsts], None
-            except BaseException as exc:
-                out = None, f"{type(exc).__name__}: {exc}"
-            with open(w, "wb") as pipe:
-                pipe.write(marshal.dumps(out))
-        finally:
-            os._exit(0)
-    os.close(w)
-    return pid, open(r, "rb")
-
-
-def _parallel_bests(game, reps, nx, workers):
-    """The best dicts of all nx first choices, searched by `workers` forked
-    children; child w takes the first choices w, w + workers, ..."""
-    children = []
+def _parallel_bests(game, blocks, nx, workers):
+    """The best dicts of all nx first choices. Forked child w of `workers`
+    searches w, w + workers, ... on the inherited blocks, sends back down a
+    pipe marshal.dumps((its best dicts, None)), or (None, "TYPE: message")
+    if it raised, and leaves through os._exit (no atexit hook, no flush)."""
+    children = []  # (pid, the read end of its pipe as a file)
     try:
         for w in range(workers):
-            children.append(_fork_search(game, reps, range(w, nx, workers)))
+            r, wr = os.pipe()
+            try:
+                pid = os.fork()
+            except OSError:
+                os.close(r)
+                os.close(wr)
+                raise
+            if pid == 0:
+                try:
+                    try:
+                        out = [_search(game, blocks, f) for f in range(w, nx, workers)], None
+                    except BaseException as exc:
+                        out = None, f"{type(exc).__name__}: {exc}"
+                    with open(wr, "wb") as pipe:
+                        pipe.write(marshal.dumps(out))
+                finally:
+                    os._exit(0)
+            os.close(wr)
+            children.append((pid, open(r, "rb")))
         payloads = [pipe.read() for _, pipe in children]
     except BaseException:
+        import signal  # only a failing parent needs it
         for pid, _ in children:
             os.kill(pid, signal.SIGKILL)
         raise
@@ -364,21 +357,20 @@ def game_value_exact(game: GameSpec, reps: int = 1, jobs: int = 1) -> GameValueR
     na = game.qA ** min(reps, cap)
     if nx ** min(na, cap) > MAX_ALICE_FUNCTIONS:
         raise OracleError("strategy space too large to search exactly")
+    blocks = _block_setup(game, reps)
     if jobs > 1:
         # one branch per first choice, so more workers would only sit idle
-        bests = _parallel_bests(game, reps, nx, min(jobs, nx))
-        a_blocks, b_blocks, x_blocks, y_blocks, edges = _block_setup(game, reps)
-        nedges = len(edges)
+        bests = _parallel_bests(game, blocks, nx, min(jobs, nx))
     else:
-        best, a_blocks, b_blocks, x_blocks, y_blocks, nedges = _search(game, reps)
-        bests = [best]
+        bests = [_search(game, blocks)]
+    a_blocks, b_blocks, x_blocks, y_blocks, edges = blocks
     # the most wins, ties to the least fa (min keeps the first); every branch
     # reaches a leaf, since its bound starts at -1
     best = min(bests, key=lambda b: (-b["wins"], b["fa"]))
     return GameValueResult(
         game_label=game.label(),
         reps=reps,
-        value=Fraction(best["wins"], nedges),
+        value=Fraction(best["wins"], len(edges)),
         a_blocks=tuple(a_blocks),
         b_blocks=tuple(b_blocks),
         fa=tuple(x_blocks[i] for i in best["fa"]),

@@ -102,5 +102,4 @@ def search(game, reps, first_choice=None):
             total = before
 
     dfs(0)
-    best = {"wins": best_wins, "fa": best_fa, "fb": best_fb, "nodes": nodes, "prunes": prunes}
-    return best, a_blocks, b_blocks, x_blocks, y_blocks, len(edges)
+    return {"wins": best_wins, "fa": best_fa, "fb": best_fb, "nodes": nodes, "prunes": prunes}

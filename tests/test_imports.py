@@ -188,6 +188,11 @@ def test_cli_import_loads_no_process_pool():
     assert _loaded_in_fresh_interpreter("import nonlocality.cli", banned) == []
 
 
+def test_cli_import_loads_no_signal():
+    # only a parent whose search workers must be killed imports signal
+    assert _loaded_in_fresh_interpreter("import nonlocality.cli", ("signal",)) == []
+
+
 def test_parallel_search_loads_no_process_pool():
     # game_value_exact(jobs > 1) forks its workers itself and talks to them
     # through pipes and marshal: no pool, no pickling, no logging

@@ -1,3 +1,4 @@
+import errno
 import gc
 import hashlib
 import json
@@ -325,10 +326,10 @@ def _failing_branch_one(fail):
     the patch, so only that child fails."""
     search = oracles._search
 
-    def patched(game, reps, first_choice=None):
+    def patched(game, blocks, first_choice=None):
         if first_choice == 1:
             fail()
-        return search(game, reps, first_choice)
+        return search(game, blocks, first_choice)
 
     return patched
 
@@ -363,23 +364,32 @@ def test_a_killed_worker_is_an_oracle_error(monkeypatch):
 
 
 def test_a_failing_parent_kills_and_reaps_its_workers(monkeypatch):
-    # the first child would search for a minute; the second fork fails, and
-    # the parent must kill the first rather than wait for it
-    fork_search, forked = oracles._fork_search, []
+    # the first child would search for a minute; the second fork fails as a
+    # real one does, and the parent must kill the first rather than wait for
+    # it, and close both pipes, the one it could not fork for too
+    real_fork, real_pipe, forked, fds = os.fork, os.pipe, [], []
 
-    def fork_once(*args):
+    def fork_once():
         if forked:
-            raise RuntimeError("no second worker")
-        forked.append(fork_search(*args))
+            raise OSError(errno.EAGAIN, "no second worker")
+        forked.append(real_fork())
         return forked[-1]
 
+    def pipe():
+        fds.extend(real_pipe())
+        return fds[-2:]
+
     monkeypatch.setattr(oracles, "_search", lambda *args: time.sleep(60))
-    monkeypatch.setattr(oracles, "_fork_search", fork_once)
+    monkeypatch.setattr(os, "fork", fork_once)
+    monkeypatch.setattr(os, "pipe", pipe)
     start = time.monotonic()
-    with pytest.raises(RuntimeError, match="no second worker"):
+    with pytest.raises(OSError, match="no second worker"):
         game_value_exact(GameSpec.pr(), jobs=2)
     assert time.monotonic() - start < 30
-    assert forked[0][1].closed
+    assert len(fds) == 4
+    for fd in fds:
+        with pytest.raises(OSError):
+            os.fstat(fd)
     _assert_no_child_left()
 
 
@@ -463,8 +473,9 @@ def test_search_matches_the_reference_on_random_tables(game_reps):
     # games never reach; every first choice too, as the jobs > 1 merge uses
     game, reps = game_reps
     nx = game.qX**reps
+    blocks = oracles._block_setup(game, reps)
     for first in [None, *range(nx)]:
-        assert oracles._search(game, reps, first) == reference_search(game, reps, first)
+        assert oracles._search(game, blocks, first) == reference_search(game, reps, first)
 
 
 @st.composite
@@ -501,8 +512,9 @@ def test_search_matches_the_reference_where_row_states_repeat(game_reps):
     # missing column, or choices that carry another row's addends, change
     # the tree here
     game, reps = game_reps
+    blocks = oracles._block_setup(game, reps)
     for first in [None, *range(game.qX**reps)]:
-        assert oracles._search(game, reps, first) == reference_search(game, reps, first)
+        assert oracles._search(game, blocks, first) == reference_search(game, reps, first)
 
 
 # --- membership against the Fraction tableau -----------------------------------

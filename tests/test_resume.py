@@ -10,7 +10,7 @@ from nonlocality import complexity
 from nonlocality.complexity import EstimateStore, clear_cache, estimate_k_cond
 from nonlocality.estimators import ContextEstimator, LZ77Estimator, default_registry
 from nonlocality.games import GameSpec, Quadruple, locality_verdict
-from nonlocality.strings import SymbolString, concat, interleave
+from nonlocality.strings import SymbolString, concat, gen_computable, interleave
 
 RESUMING = ("lz77", "ctx_0", "ctx_1", "ctx_2", "ctx_3")
 
@@ -199,6 +199,18 @@ def test_the_store_stays_within_its_byte_budget(monkeypatch):
     store.clear()
     est.encode(strings[0], 8, 1, resume=store)
     assert len(store.points) == 0 and store._bytes == 0
+
+
+def test_a_point_kept_again_is_counted_once():
+    # the second encode resumes from the first one's point at its end and
+    # keeps a point under the same key: the old footprint leaves the count
+    est = ContextEstimator(2)
+    s = gen_computable("thue_morse", 4096).data
+    store = EstimateStore()
+    for _ in range(2):
+        est.encode(s, 2, 1, resume=store)
+        assert len(store.points) == 1
+        assert store._bytes == sum(p.footprint for p in store.points.values()) == 991
 
 
 def test_concat_estimates_match_fresh_encodes():
