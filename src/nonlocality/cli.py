@@ -20,7 +20,6 @@ reproduces the run when fed back via --config.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import os
 import sys
@@ -387,7 +386,7 @@ def _cmd_exp(args) -> tuple:
     else:
         report = run_locality_suite(estimator, seed_set, n=args.n)
     seconds = time.monotonic() - t0
-    report = dataclasses.replace(report, config=_effective_config(args))
+    report = report.replace(config=_effective_config(args))
     writes = [(args.out, lambda temp: temp.write_text(report.to_jsonl()))]
     if args.csv is not None:
         writes.append((args.csv, lambda temp: temp.write_text(report.to_csv())))

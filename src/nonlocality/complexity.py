@@ -30,11 +30,10 @@ from __future__ import annotations
 import hashlib
 import math
 from collections import OrderedDict
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .estimators import Estimator, get_estimator
-from .strings import SymbolString, concat, interleave
+from .strings import Record, SymbolString, concat, interleave
 
 # bits charged for selecting among the conditional candidate encodings
 CANDIDATE_TAG_BITS = 2
@@ -43,8 +42,7 @@ THETA_ZERO_DEFAULT = 0.1
 THETA_FULL_DEFAULT = 0.9
 
 
-@dataclass(frozen=True)
-class ComplexityEstimate:
+class ComplexityEstimate(Record):
     estimator_id: str
     n: int
     q: int

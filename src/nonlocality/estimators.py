@@ -11,7 +11,6 @@ from __future__ import annotations
 import math
 from array import array
 from itertools import cycle, islice
-from typing import NamedTuple
 
 from .coding import (
     HALF,
@@ -32,7 +31,7 @@ from .coding import (
     uint_len,
     write_uint,
 )
-from .strings import _BYTE_VALUES, bits_per_symbol, pack_symbols, packed_len, unpack_symbols
+from .strings import _BYTE_VALUES, Record, bits_per_symbol, pack_symbols, packed_len, unpack_symbols
 
 
 class EstimatorError(RuntimeError):
@@ -64,7 +63,7 @@ def _literal(symbols: bytes, q: int, period: int) -> tuple[int, bytes]:
     return w.bit_count, w.getvalue()
 
 
-class ResumePoint(NamedTuple):
+class ResumePoint(Record):
     """An encoder's loop state after its first `i` symbols, taken where
     nothing it holds depends on the input past a prefix of it: any longer
     input with that prefix reaches the same state, so its encode may start

@@ -18,7 +18,6 @@ from __future__ import annotations
 import csv
 import io
 import json
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .complexity import (
@@ -44,6 +43,7 @@ from .games import (
 )
 from .oracles import chained_value_upper_bound, game_value_exact
 from .strings import (
+    Record,
     Seed,
     SymbolString,
     gen_computable,
@@ -56,8 +56,7 @@ from .strings import (
 DEFAULT_N = 1 << 15
 
 
-@dataclass(frozen=True)
-class SeedSet:
+class SeedSet(Record):
     """Distinct seeds for the three random sources of a run."""
 
     inputs: Seed
@@ -80,16 +79,14 @@ class SeedSet:
         }
 
 
-@dataclass(frozen=True)
-class Row:
+class Row(Record):
     name: str
     value: str  # exact value or bit count, rendered as a string
     rate: float
     rate_class: str  # "" when the quantity is not a complexity rate
 
 
-@dataclass(frozen=True)
-class Diagnostic:
+class Diagnostic(Record):
     name: str
     lhs: float
     rhs: float
@@ -99,8 +96,7 @@ class Diagnostic:
         return self.lhs - self.rhs
 
 
-@dataclass(frozen=True)
-class ExperimentReport:
+class ExperimentReport(Record):
     experiment: str
     params: dict
     seeds: dict
@@ -108,9 +104,12 @@ class ExperimentReport:
     rows: list
     diagnostics: list
     verdict: str
-    config: dict = field(default_factory=dict)
+    config: dict = None  # a fresh {} for each report built without one
     # every runner's rate thresholds, echoed in each header (not a field)
     thresholds = {"theta_zero": THETA_ZERO_DEFAULT, "theta_full": THETA_FULL_DEFAULT}
+
+    def __post_init__(self):
+        object.__setattr__(self, "config", {} if self.config is None else self.config)
 
     def jsonl_lines(self) -> list[str]:
         def line(kind: str, fields: dict) -> str:

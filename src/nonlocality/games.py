@@ -7,7 +7,6 @@ All symbols are 0-based internally; chained inputs display as {1..m}
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path, PurePath
 
@@ -19,6 +18,7 @@ from .complexity import (
 )
 from .strings import (
     FormatError,
+    Record,
     Seed,
     SymbolString,
     concat,
@@ -53,8 +53,7 @@ def _magic_cells(symbol: int, parity: int) -> tuple[int, int, int]:
 _ALPHABETS = {"pr": (2, 2), "chained": (None, 2), "magic_square": (3, 4)}
 
 
-@dataclass(frozen=True)
-class GameSpec:
+class GameSpec(Record):
     kind: str  # "pr" | "chained" | "magic_square"
     m: int = 2  # ring size for chained; unused otherwise
 
@@ -160,8 +159,7 @@ def parse_game(kind, m=2) -> GameSpec:
 
 # --- strategies --------------------------------------------------------------
 
-@dataclass(frozen=True)
-class LocalDeterministic:
+class LocalDeterministic(Record):
     """Per-position tables: x_i = fa[a_i], y_i = fb[b_i]."""
 
     fa: tuple
@@ -178,8 +176,7 @@ class LocalDeterministic:
             raise FormatError("fb entries out of the output alphabet")
 
 
-@dataclass(frozen=True)
-class NoSignalingSampler:
+class NoSignalingSampler(Record):
     """Samples a winning pair per round (up to noise rate eps on Bob's
     side for the XOR games); both marginals stay exactly unbiased."""
 
@@ -194,8 +191,7 @@ class NoSignalingSampler:
         object.__setattr__(self, "eps", e)
 
 
-@dataclass(frozen=True)
-class SignalingSampler:
+class SignalingSampler(Record):
     """Negative control: Bob's output copies Alice's input parity."""
 
     kind = "signaling"
@@ -316,8 +312,7 @@ def _rounds(strategy, game, a: bytes, b: bytes, seed: Seed, noise_seed, start: i
 
 # --- quadruples ---------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Quadruple:
+class Quadruple(Record):
     game: GameSpec
     a: SymbolString
     b: SymbolString
@@ -348,8 +343,7 @@ def satisfaction_fraction(quad: Quadruple) -> Fraction:
 
 # --- no-signaling tester -------------------------------------------------------
 
-@dataclass(frozen=True)
-class NoSignalingReport:
+class NoSignalingReport(Record):
     estimator_id: str
     rate_x_given_a: float
     rate_x_given_ab: float
@@ -399,14 +393,12 @@ def ns_report(
 
 # --- locality tester -----------------------------------------------------------
 
-@dataclass(frozen=True)
-class LocalityThresholds:
+class LocalityThresholds(Record):
     defect: float = 0.25  # bits per witness symbol
     output: float = THETA_ZERO_DEFAULT  # rate threshold for K(x|a,lambda)
 
 
-@dataclass(frozen=True)
-class LocalityVerdict:
+class LocalityVerdict(Record):
     estimator_id: str
     independence_defect: float
     rate_x: float

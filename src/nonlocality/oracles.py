@@ -10,13 +10,12 @@ from __future__ import annotations
 import itertools
 import marshal
 import os
-from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 
 from .games import GameSpec, winning
 from .simplex import feasible_point, solve_lp
-from .strings import FormatError
+from .strings import FormatError, Record
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -28,8 +27,7 @@ class OracleError(ValueError):
 
 # --- conditional distributions ------------------------------------------------
 
-@dataclass(frozen=True)
-class Distribution:
+class Distribution(Record):
     """p[(a, b, x, y)] = P(x, y | a, b), defined on the promise pairs."""
 
     game: GameSpec
@@ -91,8 +89,7 @@ def deterministic_distribution(game: GameSpec, fa, fb) -> Distribution:
 MAX_ALICE_FUNCTIONS = 10**11
 
 
-@dataclass(frozen=True)
-class GameValueResult:
+class GameValueResult(Record):
     """Optimal deterministic block-strategy value with a replayable witness.
 
     a_blocks/b_blocks list the input blocks in lexicographic order; fa[i]
@@ -413,8 +410,7 @@ def chained_value_upper_bound(m: int) -> Fraction:
 MAX_VERTICES = 10_000
 
 
-@dataclass(frozen=True)
-class FineResult:
+class FineResult(Record):
     local: bool
     # when local: list of (weight, fa, fb) with positive weight
     weights: list | None = None

@@ -20,13 +20,13 @@ result, and reduce to the same values.
 from __future__ import annotations
 
 import numbers
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 
+from .strings import Record
 
-@dataclass
-class LPResult:
+
+class LPResult(Record):
     status: str  # "optimal" | "infeasible" | "unbounded"
     objective: Fraction | None = None
     solution: list | None = None  # values of the original variables

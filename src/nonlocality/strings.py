@@ -15,10 +15,9 @@ import hashlib
 import json
 import os
 import re
-from dataclasses import dataclass
+from collections.abc import Iterator
 from fractions import Fraction
 from pathlib import Path
-from typing import Iterator
 
 from .coding import BitReader, BitWriter
 
@@ -26,6 +25,49 @@ from .coding import BitReader, BitWriter
 class FormatError(ValueError):
     """Raised for malformed .syms files and JSON inputs, and for inputs
     that do not fit their game."""
+
+
+class Record:
+    """Base of the toolkit's frozen values. A subclass's own annotated names are its
+    fields, in order; a class attribute of the same name is that field's default.
+    Copies, unpickled records and `replace` go through the constructor and its checks."""
+
+    def __init_subclass__(cls) -> None:
+        # strings under `from __future__ import annotations` on 3.10-3.13; re-check on 3.14
+        cls._fields = tuple(vars(cls).get("__annotations__", ()))
+        cls._defaults = {f: vars(cls)[f] for f in cls._fields if f in vars(cls)}
+
+    def __init__(self, *args, **kwargs) -> None:
+        if len(args) != len(fields := self._fields) or kwargs:
+            given = dict(zip(fields, args), **kwargs)  # drops a surplus or repeated argument
+            if len(given) < len(args) + len(kwargs) or {*self._defaults, *given} != {*fields}:
+                raise TypeError(f"{type(self).__name__}() arguments do not fit its fields {fields}")
+            args = [given[f] if f in given else self._defaults[f] for f in fields]
+        # a dict of its own: one filled through self.__dict__ slows every attribute read
+        object.__setattr__(self, "__dict__", dict(zip(fields, args)))
+        self.__post_init__()
+
+    def __post_init__(self) -> None:
+        """A subclass's checks, run once its fields are set."""
+
+    def __setattr__(self, name: str, value=None) -> None:
+        raise AttributeError(f"cannot assign to or delete field {name!r}")
+    __delattr__ = __setattr__
+
+    def __eq__(self, other):
+        return vars(self) == vars(other) if type(other) is type(self) else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(tuple(vars(self).values()))
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({', '.join(f'{f}={v!r}' for f, v in vars(self).items())})"
+
+    def __reduce__(self):
+        return type(self), tuple(vars(self).values())
+
+    def replace(self, **changes) -> "Record":
+        return type(self)(**{**vars(self), **changes})
 
 
 def unique_keys(pairs: list) -> dict:
@@ -118,8 +160,7 @@ _BYTE_VALUES = bytes(range(256))
 _CHECKED = 1 << 14  # bytes per step of SymbolString's alphabet check
 
 
-@dataclass(frozen=True, slots=True)
-class SymbolString:
+class SymbolString(Record):
     """Immutable finite string over the alphabet {0..q-1}.
 
     Symbols are held unpacked (one byte each, so q <= 256); `pack_symbols`
@@ -140,10 +181,6 @@ class SymbolString:
         if any(data[i : i + _CHECKED].translate(None, keep) for i in range(0, len(data), _CHECKED)):
             raise ValueError(f"symbol {max(data)} out of alphabet range 0..{q - 1}")
         object.__setattr__(self, "data", data)
-
-    def __reduce__(self):
-        # copy and pickle rebuild through the constructor, not __setattr__
-        return SymbolString, (self.q, self.data)
 
     @property
     def n(self) -> int:
@@ -197,8 +234,7 @@ def unpack_symbols(payload: bytes, q: int, n: int) -> bytes:
 
 # --- seeded randomness -----------------------------------------------------
 
-@dataclass(frozen=True, slots=True)
-class Seed:
+class Seed(Record):
     """32-byte seed for the toolkit's deterministic generators."""
 
     value: bytes
@@ -207,9 +243,6 @@ class Seed:
         if len(self.value) != 32:
             raise ValueError(f"seed must be 32 bytes, got {len(self.value)}")
         object.__setattr__(self, "value", bytes(self.value))
-
-    def __reduce__(self):
-        return Seed, (self.value,)
 
     @classmethod
     def from_int(cls, v: int) -> "Seed":

@@ -193,6 +193,33 @@ def test_cli_import_loads_no_signal():
     assert _loaded_in_fresh_interpreter("import nonlocality.cli", ("signal",)) == []
 
 
+def test_cli_import_loads_no_record_machinery():
+    # records are plain classes on strings.Record: no generated code, so no
+    # dataclasses and, through it, no inspect; nor typing. An interpreter's own
+    # start-up (a .pth file of site-packages) may load typing, so only what the
+    # import adds counts
+    code = (
+        "import sys; before = set(sys.modules)\n"
+        "import nonlocality.cli\n"
+        "print(sorted({'dataclasses', 'inspect', 'typing'} & set(sys.modules) - before))"
+    )
+    env = {**os.environ, "PYTHONPATH": str(SRC.parent)}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "[]"
+
+
+def test_no_dataclass_or_namedtuple_in_src():
+    # every record derives from strings.Record
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ClassDef):
+                names = [ast.unparse(d) for d in node.decorator_list + node.bases]
+                found += [f"{path.name}:{node.name}:{n}" for n in names if re.search(r"dataclass|NamedTuple", n)]
+    assert found == []
+
+
 def test_parallel_search_loads_no_process_pool():
     # game_value_exact(jobs > 1) forks its workers itself and talks to them
     # through pipes and marshal: no pool, no pickling, no logging
