@@ -88,8 +88,11 @@ class GameSpec(Record):
         return _ALPHABETS[self.kind][1]
 
     def win(self, a: int, b: int, x: int, y: int) -> bool:
-        self._check_inputs(a, b)
-        if not (0 <= x < self.qX and 0 <= y < self.qY):
+        q_in, q_out = _ALPHABETS[self.kind]
+        q_in = q_in or self.m
+        if not (0 <= a < q_in and 0 <= b < q_in):
+            raise ValueError(f"input symbol out of alphabet: a={a}, b={b}")
+        if not (0 <= x < q_out and 0 <= y < q_out):
             raise ValueError(f"output symbol out of alphabet: x={x}, y={y}")
         if self.kind == "magic_square":
             return _magic_cells(x, 0)[b] == _magic_cells(y, 1)[a]
@@ -115,10 +118,6 @@ class GameSpec(Record):
     def promise_count(self) -> int:
         """len(self.promise_pairs()), without listing the pairs."""
         return 2 * self.m if self.kind == "chained" else self.qA * self.qB
-
-    def _check_inputs(self, a: int, b: int) -> None:
-        if not (0 <= a < self.qA and 0 <= b < self.qB):
-            raise ValueError(f"input symbol out of alphabet: a={a}, b={b}")
 
     def label(self) -> str:
         if self.kind == "chained":

@@ -67,7 +67,8 @@ class Distribution(Record):
                 raise FormatError(f"P(.,.|a={a},b={b}) sums to {total}, expected 1")
 
     def prob(self, a: int, b: int, x: int, y: int) -> Fraction:
-        return Fraction(self.p.get((a, b, x, y), ZERO))
+        v = self.p.get((a, b, x, y), ZERO)
+        return v if type(v) is Fraction else Fraction(v)
 
 
 def pr_box_distribution() -> Distribution:
@@ -148,8 +149,19 @@ def _search(game, blocks, first_choice=None):
     every choice at once. On a miss the gains come packed, gw bits per
     choice, as the sum of the row's edges' packed 0/1 gains, each looked
     up by its column's tally. The memo lives for one call and is freed as
-    the call returns, not left to the cyclic collector. `blocks` is
-    _block_setup's model, built once by the caller for all its branches."""
+    the call returns, not left to the cyclic collector.
+
+    Each call of dfs covers two rows, so that few nodes cost a call: a
+    node's choices and, inline, each surviving child's memo lookup,
+    whole-node prune and choices. It calls itself only for a grandchild
+    that passes its own whole-node prune and for a leaf, the one place
+    where the incumbent changes; a tree of odd depth ends in calls whose
+    children are leaves. A node counts in `nodes` where its parent's loop
+    lets it through (the root before the first call: best_wins at -1
+    cannot prune it), and a choice the bound stops counts in `prunes`
+    where it is stopped: one by one in a loop, or all of a node's at once
+    by its whole-node prune. `blocks` is _block_setup's model, built once
+    by the caller for all its branches."""
     a_blocks, b_blocks, x_blocks, y_blocks, edges = blocks
     na, nb = len(a_blocks), len(b_blocks)
     nx, ny = len(x_blocks), len(y_blocks)
@@ -190,11 +202,12 @@ def _search(game, blocks, first_choice=None):
                 i ^= low
         return m
 
-    # rows[ai] holds lo and rowmask, which cut row ai's columns out of T;
-    # the row's memo; rest[ai + 1]; and what a miss reads: per edge, its
-    # column's offset in T, its packed gains by column tally and its (win
-    # mask, field bit) per choice; the mask of one gain field; per choice,
-    # its tuples by gain and its field's offset; the choices by packed gains
+    # rows[ai] holds lo and rowmask, which cut row ai's columns out of T as
+    # the key of the row's memo; the memo; rest[ai + 1]; and what a miss
+    # reads: per edge, its column's offset in the key, its packed gains by
+    # column tally and its (win mask, field bit) per choice; the mask of one
+    # gain field; per choice, its tuples by gain and its field's offset; the
+    # choices by packed gains
     rows = []
     for ai in range(na):
         cols = adj[ai]
@@ -209,11 +222,10 @@ def _search(game, blocks, first_choice=None):
                     if m >> yb & 1:
                         add += 1 << (cw * bi + w * yb)
             fields.append(([(xb, g, add) for g in range(len(cols) + 1)], gw * i))
-        spots, rowmask = [], 0
+        lo, spots, rowmask = cw * cols[0], [], 0
         for bi, ms in zip(cols, masks):
-            spots.append((cw * bi, {}, ms))
+            spots.append((cw * bi - lo, {}, ms))
             rowmask |= cmask << (cw * bi)
-        lo = cw * cols[0]
         rows.append((lo, rowmask >> lo, {}, rest[ai + 1], (spots, (1 << gw) - 1, fields, {})))
 
     argmax = {}  # packed column -> mask of the lanes at its max
@@ -228,11 +240,32 @@ def _search(game, blocks, first_choice=None):
 
     assign = [0] * na
     best_wins, best_fa, best_fb = -1, None, None
-    nodes = prunes = 0
+    nodes, prunes = 1, 0
 
-    def dfs(ai, T, total):
+    def entry_of(ai, key):
+        """Row ai's memo entry for key, its slice of T, built on a miss."""
+        _, _, memo, _, (spots, gmask, fields, shared) = rows[ai]
+        k = 0
+        for s, gains, masks in spots:
+            col = (key >> s) & cmask
+            g = gains.get(col)
+            if g is None:
+                m, g = argmax_of(col), 0
+                for v, bit in masks:
+                    if m & v:
+                        g += bit
+                gains[col] = g
+            k += g
+        entry = shared.get(k)
+        if entry is None:
+            choices = tuple([c[(k >> f) & gmask] for c, f in fields])
+            entry = shared[k] = (max([c[1] for c in choices]), len(choices), choices)
+        memo[key] = entry
+        return entry
+
+    def dfs(ai, T, total, choices):
+        # row ai's node, counted and past its whole-node prune, or a leaf
         nonlocal best_wins, best_fa, best_fb, nodes, prunes
-        nodes += 1
         if ai == na:
             # the bound let this leaf through only if total beats best_wins;
             # Bob's witness is the first lane at each column's max
@@ -241,41 +274,47 @@ def _search(game, blocks, first_choice=None):
             best_fa = tuple(assign)
             best_fb = tuple((m & -m).bit_length() - 1 for m in tops)
             return
-        lo, rowmask, memo, later, miss = rows[ai]
-        key = (T >> lo) & rowmask
-        entry = memo.get(key)
-        if entry is None:
-            spots, gmask, fields, shared = miss
-            k = 0
-            for s, gains, masks in spots:
-                col = (T >> s) & cmask
-                g = gains.get(col)
-                if g is None:
-                    m, g = argmax_of(col), 0
-                    for v, bit in masks:
-                        if m & v:
-                            g += bit
-                    gains[col] = g
-                k += g
-            entry = shared.get(k)
-            if entry is None:
-                choices = tuple([c[(k >> f) & gmask] for c, f in fields])
-                entry = shared[k] = (max([c[1] for c in choices]), len(choices), choices)
-            memo[key] = entry
-        top, n, choices = entry
-        left = total + later
-        if left + top <= best_wins:
-            prunes += n
-            return
+        ai1, ai2 = ai + 1, ai + 2
+        if ai1 < na:
+            lo1, mask1, memo1, later1, _ = rows[ai1]
+        if ai2 < na:
+            lo2, mask2, memo2, later2, _ = rows[ai2]
+        left = total + rest[ai1]
         for xb, gain, add in choices:
-            if left + gain > best_wins:
-                assign[ai] = xb
-                dfs(ai + 1, T + add, total + gain)
-            else:
+            if left + gain <= best_wins:
                 prunes += 1
+                continue
+            assign[ai] = xb
+            nodes += 1
+            T1, total1 = T + add, total + gain
+            if ai1 == na:
+                dfs(na, T1, total1, None)
+                continue
+            key = (T1 >> lo1) & mask1
+            top, n, choices1 = memo1.get(key) or entry_of(ai1, key)
+            left1 = total1 + later1
+            if left1 + top <= best_wins:
+                prunes += n
+                continue
+            for xb1, gain1, add1 in choices1:
+                if left1 + gain1 <= best_wins:
+                    prunes += 1
+                    continue
+                assign[ai1] = xb1
+                nodes += 1
+                T2, total2 = T1 + add1, total1 + gain1
+                if ai2 == na:
+                    dfs(na, T2, total2, None)
+                    continue
+                key = (T2 >> lo2) & mask2
+                top, n, choices2 = memo2.get(key) or entry_of(ai2, key)
+                if total2 + later2 + top <= best_wins:
+                    prunes += n
+                else:
+                    dfs(ai2, T2, total2, choices2)
 
     try:
-        dfs(0, 0, 0)
+        dfs(0, 0, 0, entry_of(0, 0)[2])
     finally:
         del dfs  # dfs's closure cell holds dfs: a cycle through the whole tree
     return {"wins": best_wins, "fa": best_fa, "fb": best_fb, "nodes": nodes, "prunes": prunes}
@@ -466,14 +505,14 @@ def fine_membership(dist: Distribution) -> FineResult:
             for (a, b) in pairs:
                 key = (a, b, fa[a], fb[b])
                 recon[key] = recon.get(key, ZERO) + w
-        for (a, b, x, y) in rows:
-            if recon.get((a, b, x, y), ZERO) != dist.prob(a, b, x, y):
+        for row, p in zip(rows, rhs):
+            if recon.get(row, ZERO) != p:
                 raise OracleError("weight reconstruction mismatch")
         return FineResult(local=True, weights=weights)
 
     y = res.certificate
     coeffs = {row: y[i] for i, row in enumerate(rows)}
-    value = sum(coeffs[row] * dist.prob(*row) for row in rows)
+    value = sum(coeffs[row] * p for row, p in zip(rows, rhs))
     # a vertex puts probability 1 on (a, b, fa[a], fb[b]) for each promise
     # pair; summed as ints over the coefficients' common denominator
     den = lcm(*[v.denominator for v in coeffs.values()])

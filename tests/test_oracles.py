@@ -3,6 +3,7 @@ import gc
 import hashlib
 import json
 import os
+import random
 import signal
 import time
 import tracemalloc
@@ -515,6 +516,28 @@ def test_search_matches_the_reference_where_row_states_repeat(game_reps):
     blocks = oracles._block_setup(game, reps)
     for first in [None, *range(game.qX**reps)]:
         assert oracles._search(game, blocks, first) == reference_search(game, reps, first)
+
+
+def _rows_game(rows):
+    """A table game with `rows` rows: Alice has `rows` inputs and 3 outputs,
+    Bob 3 inputs and 2 outputs, every pair is on the promise, and the win
+    table is drawn from a Random seeded by the row count."""
+    rnd = random.Random(rows)
+    promise = {(a, b) for a in range(rows) for b in range(3)}
+    cells = [(a, b, x, y) for a, b in sorted(promise) for x in range(3) for y in range(2)]
+    return _TableGame(3, 2, promise, {c for c in cells if rnd.random() < 0.5})
+
+
+@pytest.mark.parametrize("rows", [1, 2, 3, 4, 5])
+def test_search_matches_the_reference_for_each_row_count(rows):
+    # a call of the search covers two rows, so an odd row count ends in a
+    # call whose children are leaves and an even one in a call whose
+    # grandchildren are; both endings run here whatever Hypothesis draws
+    game = _rows_game(rows)
+    blocks = oracles._block_setup(game, 1)
+    assert len(blocks[0]) == rows
+    for first in [None, *range(game.qX)]:
+        assert oracles._search(game, blocks, first) == reference_search(game, 1, first)
 
 
 # --- membership against the Fraction tableau -----------------------------------
