@@ -134,7 +134,7 @@ def _length(text) -> int:
 
 
 def _positive(text) -> int:
-    """argparse type of exp --n, oracle --reps and oracle --jobs."""
+    """argparse type of exp --n and --jobs, and of oracle --reps and --jobs."""
     return _bounded_int(text, 1)
 
 
@@ -519,7 +519,7 @@ def build_parser() -> _Parser:
     p.add_argument("--fa", type=_parse_table)
     p.add_argument("--fb", type=_parse_table)
     p.add_argument("--seed", type=_seed_text, default="0")
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=_positive, default=1)
     p.add_argument("--csv", help="also write the CSV projection here")
     _add_estimator_opts(p)
     p.set_defaults(func=_cmd_exp)

@@ -365,10 +365,9 @@ def _chain_links(symbols: bytes, q: int) -> array:
     For q > 2 a bucket link j of p is exact when j - 1 is the exact link
     of p - 1: the windows then share their first 15 symbols, hence code[p
     + 4], so the bucket's second byte gives code[p + 8] = code[j + 8],
-    which fixes the last symbol. Any other link is compared, and a false
-    one is mended in a second pass from the end, which follows the bucket
-    links back to the newest position with the same window; every link it
-    reads is an earlier position's, still a bucket link."""
+    which fixes the last symbol. From any other link the loop walks the
+    bucket links, kept apart from prev, back to the newest position with
+    the same window, so prev[p] is exact when it is written."""
     n = len(symbols)
     m = n - ANCHOR + 1
     prev = array("i", [-1]) * n
@@ -381,31 +380,24 @@ def _chain_links(symbols: bytes, q: int) -> array:
             prev[p] = last[b]
             last[b] = p
         return prev
-    mend = array("i")
-    after = -2  # the exact link of p - 1, or -2 if it has none or is unknown
+    link = array("i", [-1]) * m  # each window's bucket link
+    after = -2  # the exact link of p - 1, or -2 if it has none
     for p, b in enumerate(memoryview(buckets).cast("H")):
         j = last[b]
         last[b] = p
         if j < 0:
             after = -2
             continue
-        prev[p] = j
-        # code[p + 4], a byte of the window's hash, tells most other
-        # windows of the bucket apart without a slice
-        if j != after + 1 and (
-            code[j + 4] != code[p + 4] or not symbols.startswith(symbols[p : p + ANCHOR], j)
-        ):
-            mend.append(p)
-            j = -2
-        after = j
-    for p in reversed(mend):
-        j = prev[prev[p]]
-        if j >= 0:
+        link[p] = j
+        if j != after + 1:
+            # code[p + 4], a byte of the window's hash, tells most other
+            # windows of the bucket apart before startswith compares them
             tag = code[p + 4]
             key = symbols[p : p + ANCHOR]
             while j >= 0 and (code[j + 4] != tag or not symbols.startswith(key, j)):
-                j = prev[j]
+                j = link[j]
         prev[p] = j
+        after = j if j >= 0 else -2
     return prev
 
 

@@ -516,6 +516,8 @@ def test_bad_seed_is_usage_error(capsys, tmp_path, seed):
         ["oracle", "--marginals", "--pr-weight=-1/2"],
         ["oracle", "--game", "pr", "--jobs", "0"],
         ["oracle", "--game", "pr", "--jobs", "-3"],
+        ["exp", "--which", "theorem3", "--n", "8", "--jobs", "0"],
+        ["exp", "--which", "theorem3", "--n", "8", "--jobs", "-3"],
         ["estimate", "--in", "x.syms", "--theta-zero", "0.9", "--theta-full", "0.1"],
         ["estimate", "--in", "x.syms", "--theta-zero", "0.5", "--theta-full", "0.5"],
         ["estimate", "--in", "x.syms", "--theta-zero", "nan"],
@@ -541,6 +543,7 @@ def test_bad_seed_is_usage_error(capsys, tmp_path, seed):
         "reps_0", "gen_m_1", "gen_m_300", "exp_m_1", "exp_m_65", "eps_zero_denominator",
         "pr_weight_zero_denominator", "exp_eps_above_one", "play_eps_above_one",
         "pr_weight_above_one", "pr_weight_negative", "jobs_0", "jobs_negative",
+        "exp_jobs_0", "exp_jobs_negative",
         "theta_zero_above_full", "theta_zero_equals_full", "theta_zero_nan", "theta_full_inf",
         "theta_full_above_one", "theta_zero_negative", "theta_ns_nan", "theta_ns_negative",
         "defect_threshold_nan", "output_threshold_inf", "oracle_m_1", "play_m_1",

@@ -766,6 +766,123 @@ def test_chain_links_skip_a_window_of_another_bucket_mate(q):
     assert list(_chain_links(symbols, q)) == reference_coders._chain_links(symbols)
 
 
+def _buckets_of(windows: list, q: int) -> list:
+    """The bucket of each window of ANCHOR symbols, from one call on them
+    joined."""
+    _, buckets = _window_buckets(b"".join(windows), q)
+    return [bytes(buckets[2 * p : 2 * p + 2]) for p in range(0, ANCHOR * len(windows), ANCHOR)]
+
+
+def _bucket_link(symbols: bytes, q: int, p: int) -> int:
+    """The last position before p whose window has p's bucket, or -1."""
+    _, buckets = _window_buckets(symbols, q)
+    mine = buckets[2 * p : 2 * p + 2]
+    return max((j for j in range(p) if buckets[2 * j : 2 * j + 2] == mine), default=-1)
+
+
+def bucket_mates(window: bytes, q: int, count: int) -> list:
+    """count different windows of ANCHOR symbols, none equal to window, in
+    window's bucket, found among the windows of random strings."""
+    want = _buckets_of([window], q)[0]
+    rng = random.Random(q)
+    mates: list = []
+    while True:
+        data = rng.randbytes(1 << 16).translate(bytes(v % q for v in range(256)))
+        _, buckets = _window_buckets(data, q)
+        i = buckets.find(want)
+        while i >= 0:
+            mate = data[i // 2 : i // 2 + ANCHOR]
+            if i % 2 == 0 and mate != window and mate not in mates:
+                mates.append(mate)
+                if len(mates) == count:
+                    return mates
+            i = buckets.find(want, i + 1)
+
+
+def shifted_bucket_mates(q: int) -> tuple:
+    """Windows a and b of ANCHOR symbols in one bucket, b[:14] == a[1:15]
+    and b[14] != a[15]: a 14-symbol core with each pair of ends, drawn
+    until a pair of its windows collides."""
+    rng = random.Random(q)
+    r = min(q, 16)
+    ends = [bytes((u, v)) for u in range(r) for v in range(r)]
+    while True:
+        core = bytes(rng.randrange(q) for _ in range(ANCHOR - 2))
+        lefts = [e[:1] + core + e[1:] for e in ends]
+        rights = [core + e for e in ends]
+        seen = dict(zip(_buckets_of(lefts, q), lefts))
+        for b, bucket in zip(rights, _buckets_of(rights, q)):
+            a = seen.get(bucket)
+            if a is not None and b[14] != a[15]:
+                return a, b
+
+
+@pytest.mark.parametrize("q", LINK_QS[1:])
+def test_chain_links_forget_the_exact_link_after_a_failed_walk(q):
+    # c + a[:15] twice: the copy at p - 1 links exactly to the one at e.
+    # Window p, a[:15] + b[14], differs from a (at e + 1) in its last
+    # symbol, occurs nowhere before and shares a bucket with `mate`, so its
+    # walk runs and finds nothing. Window p + 1 is b: its bucket link e + 1
+    # is one past e but false, so a loop that still holds e after the
+    # failed walk takes it unchecked
+    a, b = shifted_bucket_mates(q)
+    (mate,) = bucket_mates(a[:15] + b[14:15], q, 1)
+    c = bytes([1])
+    symbols = mate + c + a + c + c + a[:15] + b[14:]
+    e, p = len(mate), len(symbols) - ANCHOR - 1
+    assert symbols[p + 1 :] == b and symbols[e + 1 : e + 1 + ANCHOR] == a
+    ref = reference_coders._chain_links(symbols)
+    assert ref[p - 1] == e
+    assert _bucket_link(symbols, q, p) >= 0 and ref[p] == -1
+    assert _bucket_link(symbols, q, p + 1) == e + 1 != ref[p + 1]
+    assert list(_chain_links(symbols, q)) == ref
+
+
+@pytest.mark.parametrize("q", LINK_QS[1:])
+def test_chain_links_walk_past_two_bucket_mates(q):
+    # w, two other windows of its bucket, then w again, after a window with
+    # no exact link: the walk from w's bucket link passes both mates (and
+    # any window across the joins that lands in the bucket too)
+    w = bytes(random.Random(q + 2).randrange(q) for _ in range(ANCHOR))
+    first, second = bucket_mates(w, q, 2)
+    c = bytes([1])
+    symbols = w + c + first + c + second + c + w
+    step = ANCHOR + 1
+    p = 3 * step
+    ref = reference_coders._chain_links(symbols)
+    assert ref[p - 1] == -1 and ref[p] == 0
+    assert _bucket_link(symbols, q, p) == 2 * step
+    assert _bucket_link(symbols, q, 2 * step) == step
+    assert list(_chain_links(symbols, q)) == ref
+
+
+def _skewed(q: int, zeros: float, n: int, seed: int) -> bytes:
+    rng = random.Random(seed)
+    return bytes(0 if rng.random() < zeros else rng.randrange(q) for _ in range(n))
+
+
+def _repeated(q: int, block: int, n: int, seed: int) -> bytes:
+    return (bytes(random.Random(seed).choices(range(q), k=block)) * (n // block + 1))[:n]
+
+
+# 2^15 symbols on which the bucketed index builds slowest against the dict
+# of slices: skewed strings, whose frequent windows share buckets with
+# rarer ones, so that many links are walked, and a random block repeated,
+# whose windows nearly all link
+SLOW_SHAPES = {
+    "zeros80_q3": lambda: (_skewed(3, 0.8, 1 << 15, 3), 3),
+    "zeros80_q8": lambda: (_skewed(8, 0.8, 1 << 15, 8), 8),
+    "zeros95_q256": lambda: (_skewed(256, 0.95, 1 << 15, 256), 256),
+    "block3000_q3": lambda: (_repeated(3, 3000, 1 << 15, 30), 3),
+}
+
+
+@pytest.mark.parametrize("name", SLOW_SHAPES)
+def test_chain_links_on_the_slow_shapes(name):
+    symbols, q = SLOW_SHAPES[name]()
+    assert list(_chain_links(symbols, q)) == reference_coders._chain_links(symbols)
+
+
 if __name__ == "__main__":
     FIXTURE.parent.mkdir(exist_ok=True)
     FIXTURE.write_text(json.dumps(outputs(), indent=1, sort_keys=True) + "\n")

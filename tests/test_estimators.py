@@ -393,8 +393,9 @@ def test_the_lz77_match_index_peaks_below_16_bytes_a_symbol_and_512_kib(n, q):
     # the index holds no Python object per position: a typed array of
     # links, a head table of 2^16 positions (256 KiB) and byte strings of
     # codes and buckets peak at about 9 bytes a symbol for 2^17 binary
-    # symbols and 16 for 2^15 symbols at q = 8, the table included; a dict
-    # of ANCHOR-symbol slices peaked at about 81 and 129
+    # symbols and 19 for 2^15 symbols at q = 8 (whose walk keeps a second
+    # array of bucket links), the table included; a dict of ANCHOR-symbol
+    # slices peaked at about 81 and 129
     rng = random.Random(n + q)
     symbols = rng.randbytes(n).translate(bytes(v % q for v in range(256)))
     prev, peak = traced_peak(lambda: _chain_links(symbols, q))
