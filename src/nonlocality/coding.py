@@ -134,7 +134,7 @@ def uint_len(value: int) -> int:
 # Renormalising takes the same half or quarter off low, high and code and
 # doubles them, so it doubles v and shifts the next stream bit into it.
 # renormalise and shift_in state that step once per side; the per-literal
-# loops run their own inline copies of it.
+# loops and the decoder's flags inline it, its match codes call shift_in.
 
 TOP = (1 << 32) - 1
 HALF = 1 << 31
@@ -166,9 +166,9 @@ def renormalise(out: bytearray, low: int, high: int, pending: int) -> tuple[int,
 
 
 def shift_in(buf: bytes, pos: int, low: int, high: int, v: int) -> tuple[int, int, int, int]:
-    """The decoder's side of renormalise: the same doublings of (low,
-    high), each shifting the ASCII bit buf[pos] into v. The caller pads
-    buf and checks pos against the stream's end."""
+    """The decoder's side of renormalise, run after each gamma bit of an
+    lz77 match: the same doublings of (low, high), each shifting the ASCII
+    bit buf[pos] into v. The caller pads buf and checks pos against the end."""
     while True:
         if high < HALF:
             pass
@@ -201,16 +201,16 @@ RESCALE = 1 << 14
 
 def new_table(q: int) -> list:
     """Symbol frequencies of one context, with Laplace(1) initialisation:
-    the counts over {0..q-1} followed by their total. The estimators'
-    coding loops keep one table per context in a dict: coding symbol s adds
-    STEP to its count and to the total, and rescales the table once the
-    count reaches RESCALE, so the coder's 32-bit range arithmetic stays
-    exact."""
+    the counts over {0..q-1} followed by their total. The encoders keep one
+    table per context id, and the decoder's context states extend theirs
+    (see estimators._decode_stream): coding symbol s adds STEP to its count
+    and to the total, and rescales the table once the count reaches
+    RESCALE, so the coder's 32-bit range arithmetic stays exact."""
     return [1] * q + [q]
 
 
-def rescale(t: list) -> None:
-    q = len(t) - 1
+def rescale(t: list, q: int) -> None:
+    """Halve a table's q counts, rounding up, and total them again."""
     for s in range(q):
         t[s] = (t[s] + 1) >> 1
     t[q] = sum(t[:q])

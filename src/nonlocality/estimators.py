@@ -403,20 +403,24 @@ def _chain_links(symbols: bytes, q: int) -> array:
 
 def _decode_stream(r: BitReader, q: int, n: int, period: int, k: int, matches: bool) -> bytes:
     """The n symbols of a coded ctx_k or lz77 payload, by the one
-    arithmetic decoder both run. It decodes literals in runs, each in its
-    order-k context (see _context_ids), tracked as the symbols arrive. A
-    ctx_k stream is one run to n. In an lz77 stream (`matches`, k = 2)
-    each token starts with its flag: 0 is followed by a run of one
-    literal, 1 by a match's two gamma codes; a match is at least ANCHOR
-    symbols long, so the context after it is its last two symbols.
+    arithmetic decoder both run, a token per pass: a ctx_k token is one
+    literal, an lz77 token (`matches`, k = 2) a flag, then a literal (0) or
+    a match's two gamma codes (1). A literal is decoded in its context's
+    state: new_table's counts and total, a dict that links each symbol
+    decoded there to the next position's state, and the key, (i % period)
+    * (q+1)^k plus the k previous symbols in base q+1 (q before the start,
+    as in _context_ids). States and links are made on first use, so a
+    literal follows one link; a match, at least ANCHOR symbols long, looks
+    up the state after it by key.
 
-    The decoder starts from the payload's first 32 bits and reads the
-    reader's bits padded with zeros, but never past `end`. The encoder
-    writes D + 2 payload bits for D doublings and the decoder reads 32,
-    then one per doubling, so on an honest stream pos never passes the
-    blob's end by more than 30 bits; a read that does comes from a cut or
-    corrupt blob. One renormalisation reads at most 32 bits, so 64 bits of
-    padding cover every read that starts at or before `end`."""
+    The decoder starts from the payload's first 32 bits and shifts the next
+    one into v at each doubling, reading the reader's bits padded with
+    zeros. The encoder writes D + 2 payload bits for D doublings and the
+    decoder reads 32 + D, so on an honest stream pos never passes `end`,
+    the blob's end + 30 bits; a read past it comes from a cut or corrupt
+    blob. A symbol's doublings read at most 32 bits, so pos is checked once
+    after each flag, literal and gamma bit: 64 bits of padding cover every
+    read that starts at or before `end`."""
     v = r.read_bits(32)
     end = len(r.buf) + 30
     if r.pos > end:
@@ -430,8 +434,9 @@ def _decode_stream(r: BitReader, q: int, n: int, period: int, k: int, matches: b
     last = q - 1
     qq = q + 1
     mod = qq**k
-    ctx = mod - 1  # k sentinels: q * (qq**(k-1) + ... + qq + 1)
-    tables: dict = {}
+    key = mod - 1  # phase 0 and k sentinels: q * (qq**(k-1) + ... + qq + 1)
+    t = new_table(q) + [{}, key]
+    states = {key: t}
     f0 = f1 = 1
     out = bytearray()
     i = 0
@@ -439,24 +444,36 @@ def _decode_stream(r: BitReader, q: int, n: int, period: int, k: int, matches: b
         if matches:
             # the token's flag, split as the encoder splits it
             split = (high - low + 1) * f0 // (f0 + f1)
-            if v < split:
-                sym = 0
-                high = low + split - 1
-                f0 += step
-                c = f0
-            else:
-                sym = 1
+            sym = v >= split
+            if sym:
                 low += split
                 v -= split
                 f1 += step
                 c = f1
+            else:
+                high = low + split - 1
+                f0 += step
+                c = f0
             if c >= limit:  # rescale(), on the two counts
                 f0 = (f0 + 1) >> 1
                 f1 = (f1 + 1) >> 1
-            if high < half or low >= half or (low >= quarter and high < three_q):
-                low, high, v, pos = shift_in(buf, pos, low, high, v)
-                if pos > end:
-                    raise _overrun(n)
+            while True:
+                if high < half:
+                    pass
+                elif low >= half:
+                    low -= half
+                    high -= half
+                elif low >= quarter and high < three_q:
+                    low -= quarter
+                    high -= quarter
+                else:
+                    break
+                low <<= 1
+                high = (high << 1) | 1
+                v = (v << 1) | (buf[pos] & 1)
+                pos += 1
+            if pos > end:
+                raise _overrun(n)
             if sym:
                 # the match's two gamma codes, distance then length -
                 # ANCHOR + 1, bit by bit at the fixed probability 1/2: the
@@ -495,74 +512,70 @@ def _decode_stream(r: BitReader, q: int, n: int, period: int, k: int, matches: b
                 else:  # the copy overlaps its own output
                     out += (out[start:] * (length // dist + 1))[:length]
                 i += length
-                ctx = out[i - 2] * qq + out[i - 1]
+                key = (i % period) * mod + out[i - 2] * qq + out[i - 1]
+                t = states.get(key) or states.setdefault(key, new_table(q) + [{}, key])
                 continue
-            stop = i + 1
+        total = t[q]
+        span = high - low + 1
+        # symbol 0 ends at the encoder's first split point. Past it,
+        # ((v + 1) * total - 1) // span < cum_s exactly when
+        # v < span * cum_s // total, so the count search finds s; s = 1
+        # starts at that first split, and the last symbol's range ends
+        # at high
+        c = t[0]
+        split = span * c // total
+        if v < split:
+            s = 0
+            high = low + split - 1
         else:
-            stop = n
-        for i in range(i, stop):
-            key = (i % period) * mod + ctx
-            try:
-                t = tables[key]
-            except KeyError:
-                t = tables[key] = new_table(q)
-            total = t[q]
-            span = high - low + 1
-            # symbol 0 ends at the encoder's first split point. Past it,
-            # ((v + 1) * total - 1) // span < cum_s exactly when
-            # v < span * cum_s // total, so the count search finds s; s = 1
-            # starts at that first split, and the last symbol's range ends
-            # at high
-            c = t[0]
-            split = span * c // total
-            if v < split:
-                s = 0
-                high = low + split - 1
+            s = 1
+            cum = c
+            c = t[1]
+            if last > 1:
+                target = ((v + 1) * total - 1) // span
+                while cum + c <= target:
+                    cum += c
+                    s += 1
+                    c = t[s]
+                if s > 1:
+                    split = span * cum // total
+            if s < last:
+                high = low + span * (cum + c) // total - 1
+            low += split
+            v -= split
+        while True:
+            if high < half:
+                pass
+            elif low >= half:
+                low -= half
+                high -= half
+            elif low >= quarter and high < three_q:
+                low -= quarter
+                high -= quarter
             else:
-                s = 1
-                cum = c
-                c = t[1]
-                if last > 1:
-                    target = ((v + 1) * total - 1) // span
-                    while cum + c <= target:
-                        cum += c
-                        s += 1
-                        c = t[s]
-                    if s > 1:
-                        split = span * cum // total
-                if s < last:
-                    high = low + span * (cum + c) // total - 1
-                low += split
-                v -= split
-            shifts = 0
-            while True:
-                if high < half:
-                    pass
-                elif low >= half:
-                    low -= half
-                    high -= half
-                elif low >= quarter and high < three_q:
-                    low -= quarter
-                    high -= quarter
-                else:
-                    break
-                low <<= 1
-                high = (high << 1) | 1
-                shifts += 1
-            if shifts:
-                v = (v << shifts) | int(buf[pos : pos + shifts], 2)
-                pos += shifts
-                if pos > end:
-                    raise _overrun(n)
-            c += step
-            t[s] = c
-            t[q] = total + step
-            if c >= limit:
-                rescale(t)
-            out.append(s)
-            if k:
-                ctx = (ctx * qq + s) % mod
-        i = stop
+                break
+            low <<= 1
+            high = (high << 1) | 1
+            v = (v << 1) | (buf[pos] & 1)
+            pos += 1
+        if pos > end:
+            raise _overrun(n)
+        c += step
+        t[s] = c
+        t[q] = total + step
+        if c >= limit:
+            rescale(t, q)
+        out.append(s)
+        try:
+            t = t[qq][s]
+        except KeyError:
+            # a new link: the next phase, and s after this context's k - 1 newest
+            key = (t[-1] // mod + 1) % period * mod + (t[-1] % mod * qq + s) % mod
+            t[qq][s] = nxt = states.get(key) or states.setdefault(key, new_table(q) + [{}, key])
+            t = nxt
+        i += 1
+    for t in states.values():  # links make cycles: unlinked, the states are freed at once
+        t[qq].clear()
     return bytes(out)
 
 
@@ -589,12 +602,27 @@ class LZ77Estimator(Estimator):
     reads the end of the string: at i > n - ANCHOR (prev[i] is -1 because
     the string ends), or where `mark` reaches n - i, or where a match runs
     to the end. Every decision before it read only symbols before n.
+
+    Where no window repeats (prev all -1), every token is a flag 0 and a
+    literal in ctx_2's model. A flag 0 keeps floor(span * f0 / (f0 + f1))
+    <= span, at least 0 bits, and leaves a span above 2^30, as ctx_2 has
+    before each literal: _payload_floor(symbols, q, 2, period) bounds this
+    payload too. Once it reaches the literal payload (the headers are
+    alike), encode returns the literal blob and keeps no resume point.
     """
 
     estimator_id = "lz77"
 
     def encode(self, symbols: bytes, q: int, period: int = 1, resume=None) -> tuple[int, bytes]:
-        w = _header_writer(q, len(symbols), period, MODE_CODED)
+        n = len(symbols)
+        bps = bits_per_symbol(q)
+        prev = _chain_links(symbols, q)
+        blank = array("i", [-1]) * 4096  # prev holds no link: compared a block at a time
+        if all(prev[j : j + 4096] == blank[: n - j] for j in range(0, n, 4096)):
+            floor = _payload_floor(symbols, q, 2, period)
+            if floor is not None and floor >= n * bps:
+                return _literal(symbols, q, period)
+        w = _header_writer(q, n, period, MODE_CODED)
         out = w.buf
         hdr = len(out)
         ids, tables = _context_ids(symbols, q, 2, period)
@@ -615,10 +643,7 @@ class LZ77Estimator(Estimator):
         half, quarter, three_q = HALF, QUARTER, THREE_Q
         step = STEP
         limit = RESCALE
-        n = len(symbols)
-        bps = bits_per_symbol(q)
         last = q - 1
-        prev = _chain_links(symbols, q)
         # past `edge`, prev[i] is -1 because the string ends; no point is
         # kept when there is no store
         edge = n - ANCHOR if resume is not None else n
@@ -747,7 +772,7 @@ class LZ77Estimator(Estimator):
             t[s] = c
             t[q] = total + step
             if c >= limit:
-                rescale(t)
+                rescale(t, q)
             i += 1
         flush_coder(out, low, pending)
         return self._pick(symbols, q, period, w)
@@ -953,7 +978,7 @@ class ContextEstimator(Estimator):
             t[s] = c
             t[q] = total + step
             if c >= limit:
-                rescale(t)
+                rescale(t, q)
         if resume is not None and n:
             # the tables are no longer written: a resumed encode copies them
             used = {c: t for c, t in enumerate(tables) if t}

@@ -140,7 +140,7 @@ def strings(draw):
 
 @pytest.mark.parametrize("est_id", ALL_IDS)
 @given(case=strings())
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=40, deadline=None, derandomize=True)
 def test_encode_properties(est_id, case):
     symbols, q, period = case
     est = default_registry()[est_id]
@@ -253,7 +253,7 @@ def reference_cases(draw):
 @pytest.mark.parametrize("est_id", ALL_IDS)
 @given(case=reference_cases())
 @_with_layout_examples
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60, deadline=None, derandomize=True)
 def test_fused_loops_match_the_method_call_reference(est_id, case):
     _check_against_the_reference(est_id, *case)
 
@@ -502,7 +502,7 @@ def _with_lz78_examples(test):
 
 @given(case=lz78_cases())
 @_with_lz78_examples
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60, deadline=None, derandomize=True)
 def test_lz78_encode_equals_the_tuple_trie(case):
     # the flat child table and the early literal exit give the bits and
     # the blob of the tuple-keyed trie run to the end of the string
@@ -667,7 +667,7 @@ def damaged_blobs(draw, est_id: str):
 
 @pytest.mark.parametrize("est_id", reference_coders.FUSED_IDS)
 @given(data=st.data())
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60, deadline=None, derandomize=True)
 def test_decoders_match_the_reference_on_honest_cut_and_corrupt_blobs(est_id, data):
     blob, expected = data.draw(damaged_blobs(est_id))
     got = outcome(default_registry()[est_id].decode, blob)
@@ -727,7 +727,7 @@ def link_cases(draw):
 
 
 @given(case=link_cases())
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=200, deadline=None, derandomize=True)
 def test_chain_links_equal_the_dict_of_slices(case):
     symbols, q = case
     assert list(_chain_links(symbols, q)) == reference_coders._chain_links(symbols)

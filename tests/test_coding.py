@@ -35,7 +35,7 @@ def test_bitwriter_reader_roundtrip():
 
 
 @given(values=st.lists(st.integers(0, 10**9), min_size=1, max_size=50))
-@settings(max_examples=50, deadline=None)
+@settings(max_examples=50, deadline=None, derandomize=True)
 def test_uint_roundtrip(values):
     w = BitWriter()
     for v in values:
@@ -51,7 +51,7 @@ def test_uint_roundtrip(values):
     n=st.integers(0, 40),
     k=st.integers(1, 8),
 )
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=200, deadline=None, derandomize=True)
 def test_read_fields_reads_like_read_bits(data, skip, n, k):
     # within the stream and into the zero padding past its end
     fields, single = BitReader(data), BitReader(data)
@@ -66,7 +66,7 @@ def test_read_fields_reads_like_read_bits(data, skip, n, k):
     data=st.data(),
     bits=st.binary(min_size=64, max_size=64),
 )
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=300, deadline=None, derandomize=True)
 def test_renormalise_and_shift_in_move_in_step(width, data, bits):
     # the encoder and the decoder double the same range the same number
     # of times; the decoder reads one stream bit for each doubling, which

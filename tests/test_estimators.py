@@ -208,7 +208,7 @@ def _draw_symbols(rng: random.Random, kind: str, q: int, n: int) -> bytes:
     return bytes(out[:n])
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60, deadline=None, derandomize=True)
 @example(kind="constant", q=2, n=1 << 16, k=0, period=1, seed=0)
 @given(
     kind=st.sampled_from(["constant", "skewed", "uniform"]),
@@ -286,7 +286,7 @@ def _runs(q: int, n: int, seed: int) -> bytes:
     return _draw_symbols(random.Random(seed), "runs", q, n)
 
 
-@settings(max_examples=80, deadline=None)
+@settings(max_examples=80, deadline=None, derandomize=True)
 @example(case=(bytes(1 << 16), 2, 0, 1))
 # contexts split into groups: by the oldest context symbol (q=4, k=3; q=8,
 # k=2), by the two oldest (q=8, k=3), by the phase (q=3, k=3, period 4) and
@@ -345,7 +345,7 @@ def test_payload_floor_skips_a_byte_code_that_does_not_fit():
     assert _payload_floor(bytes(8), 256, 1, 1) is None  # 257 groups of 256 codes
 
 
-@settings(max_examples=30, deadline=None)
+@settings(max_examples=30, deadline=None, derandomize=True)
 @given(case=_fitting_cases(qs=(2, 4, 8, 16, 32, 64, 128, 256), kinds=("uniform",), n_min=1 << 12))
 def test_certified_encodes_match_the_reference(case):
     # uniform strings over a power-of-two alphabet: the literal mode wins
@@ -372,7 +372,7 @@ def test_certified_literal_verdicts_skip_the_coder(k, monkeypatch):
 
 
 @pytest.mark.parametrize("est_id", ["lz77", "lz78"])
-@settings(max_examples=30, deadline=None)
+@settings(max_examples=30, deadline=None, derandomize=True)
 @example(kind="constant", q=2, n=1 << 17, period=1, seed=0)  # LONG_MATCH's zeros
 @given(
     kind=st.sampled_from(["constant", "uniform", "skewed", "runs"]),

@@ -70,7 +70,7 @@ def _with_layout_examples(test):
     return test
 
 
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=40, deadline=None, derandomize=True)
 @_with_layout_examples
 @example(case=(2, 1, *_cut(_repeating(random.Random(7), 2, 3000), 1500)), est_id="lz77", at=0.5)
 @example(case=(4, 3, *_cut(_repeating(random.Random(8), 4, 3000), 2000)), est_id="lz77", at=0.0)
