@@ -125,7 +125,7 @@ def _block_win(game: GameSpec, ab, bb, xb, yb) -> bool:
     return all(game.win(a, b, x, y) for a, b, x, y in zip(ab, bb, xb, yb))
 
 
-def _search(game, blocks, first_choice=None):
+def _search(game, blocks, roots=(None,)):
     """Depth-first scan over Alice block functions in lexicographic order,
     with a per-column optimistic bound (Bob's best response so far plus one
     win for every still-unassigned row). The first optimum encountered is
@@ -161,7 +161,9 @@ def _search(game, blocks, first_choice=None):
     cannot prune it), and a choice the bound stops counts in `prunes`
     where it is stopped: one by one in a loop, or all of a node's at once
     by its whole-node prune. `blocks` is _block_setup's model, built once
-    by the caller for all its branches."""
+    by the caller. It returns one best dict per root: None scans every
+    first choice, an index only that choice's branch. Each root has its own
+    incumbent and counts; all share the rows, memos and argmax table."""
     a_blocks, b_blocks, x_blocks, y_blocks, edges = blocks
     na, nb = len(a_blocks), len(b_blocks)
     nx, ny = len(x_blocks), len(y_blocks)
@@ -213,15 +215,15 @@ def _search(game, blocks, first_choice=None):
         cols = adj[ai]
         gw = len(cols).bit_length()  # a gain is at most len(cols)
         masks, fields = [[] for _ in cols], []
-        for i, xb in enumerate(range(nx) if ai or first_choice is None else (first_choice,)):
+        for xb in range(nx):
             add = 0
             for j, bi in enumerate(cols):
                 m = block_wins(a_blocks[ai], b_blocks[bi], x_blocks[xb])
-                masks[j].append((m, 1 << (gw * i)))
+                masks[j].append((m, 1 << (gw * xb)))
                 for yb in range(ny):
                     if m >> yb & 1:
                         add += 1 << (cw * bi + w * yb)
-            fields.append(([(xb, g, add) for g in range(len(cols) + 1)], gw * i))
+            fields.append(([(xb, g, add) for g in range(len(cols) + 1)], gw * xb))
         lo, spots, rowmask = cw * cols[0], [], 0
         for bi, ms in zip(cols, masks):
             spots.append((cw * bi - lo, {}, ms))
@@ -239,8 +241,6 @@ def _search(game, blocks, first_choice=None):
         return m
 
     assign = [0] * na
-    best_wins, best_fa, best_fb = -1, None, None
-    nodes, prunes = 1, 0
 
     def entry_of(ai, key):
         """Row ai's memo entry for key, its slice of T, built on a miss."""
@@ -314,20 +314,24 @@ def _search(game, blocks, first_choice=None):
                     dfs(ai2, T2, total2, choices2)
 
     try:
-        dfs(0, 0, 0, entry_of(0, 0)[2])
+        bests, firsts = [], entry_of(0, 0)[2]
+        for root in roots:
+            best_wins, best_fa, best_fb, nodes, prunes = -1, None, None, 1, 0
+            dfs(0, 0, 0, firsts if root is None else firsts[root : root + 1])
+            bests.append(dict(wins=best_wins, fa=best_fa, fb=best_fb, nodes=nodes, prunes=prunes))
     finally:
         del dfs  # dfs's closure cell holds dfs: a cycle through the whole tree
-    return {"wins": best_wins, "fa": best_fa, "fb": best_fb, "nodes": nodes, "prunes": prunes}
+    return bests
 
 
 def _parallel_bests(game, blocks, nx, workers):
     """The best dicts of all nx first choices. Forked child w of `workers`
-    searches w, w + workers, ... on the inherited blocks, sends back down a
-    pipe marshal.dumps((its best dicts, None)), or (None, "TYPE: message")
-    if it raised, and leaves through os._exit (no atexit hook, no flush)."""
+    searches w, w + workers, ..., and the caller 0, workers, ... A child
+    sends back down a pipe marshal.dumps((its best dicts, None)), or (None,
+    "TYPE: message") if it raised, and leaves through os._exit."""
     children = []  # (pid, the read end of its pipe as a file)
     try:
-        for w in range(workers):
+        for w in range(1, workers):
             r, wr = os.pipe()
             try:
                 pid = os.fork()
@@ -338,7 +342,7 @@ def _parallel_bests(game, blocks, nx, workers):
             if pid == 0:
                 try:
                     try:
-                        out = [_search(game, blocks, f) for f in range(w, nx, workers)], None
+                        out = _search(game, blocks, range(w, nx, workers)), None
                     except BaseException as exc:
                         out = None, f"{type(exc).__name__}: {exc}"
                     with open(wr, "wb") as pipe:
@@ -347,6 +351,7 @@ def _parallel_bests(game, blocks, nx, workers):
                     os._exit(0)
             os.close(wr)
             children.append((pid, open(r, "rb")))
+        bests = _search(game, blocks, range(0, nx, workers))
         payloads = [pipe.read() for _, pipe in children]
     except BaseException:
         import signal  # only a failing parent needs it
@@ -358,7 +363,6 @@ def _parallel_bests(game, blocks, nx, workers):
         for pid, pipe in children:
             pipe.close()
             statuses.append(os.waitpid(pid, 0)[1])
-    bests = []
     for data, status in zip(payloads, statuses):
         if not data:  # killed before it could answer
             code = os.waitstatus_to_exitcode(status)
@@ -375,9 +379,9 @@ def game_value_exact(game: GameSpec, reps: int = 1, jobs: int = 1) -> GameValueR
     may depend on that party's whole input block), with inputs uniform over
     the promise blocks. Shared randomness cannot beat this value.
 
-    With jobs > 1 the top-level branches run in parallel, in forked
-    children; results merge by exact max with a lexicographic tie-break,
-    so the witness is schedule-independent.
+    With jobs > 1 the first choices split into min(jobs, nx) shares: the
+    caller searches the first, forked children the rest. Results merge by
+    exact max with a lexicographic tie-break, independent of the schedule.
     """
     if reps < 1:
         raise ValueError("reps must be >= 1")
@@ -394,11 +398,7 @@ def game_value_exact(game: GameSpec, reps: int = 1, jobs: int = 1) -> GameValueR
     if nx ** min(na, cap) > MAX_ALICE_FUNCTIONS:
         raise OracleError("strategy space too large to search exactly")
     blocks = _block_setup(game, reps)
-    if jobs > 1:
-        # one branch per first choice, so more workers would only sit idle
-        bests = _parallel_bests(game, blocks, nx, min(jobs, nx))
-    else:
-        bests = [_search(game, blocks)]
+    bests = _parallel_bests(game, blocks, nx, min(jobs, nx)) if jobs > 1 else _search(game, blocks)
     a_blocks, b_blocks, x_blocks, y_blocks, edges = blocks
     # the most wins, ties to the least fa (min keeps the first); every branch
     # reaches a leaf, since its bound starts at -1

@@ -1,8 +1,10 @@
 """What decoding costs and refuses beyond the round trip: an lz77 header
 that claims far more symbols than its payload holds is refused before
-anything is sized from it, the decoder's linked context states take about
-the memory of one count table per context, and lz77's literal certificate
-for strings where no window repeats gives the reference coder's blob.
+anything is sized from it, an lz77 flag whose literal would read past the
+padding is refused at the flag, the decoder's linked context states take
+about the memory of one count table per context, and lz77's literal
+certificate for strings where no window repeats gives the reference
+coder's blob.
 """
 import gc
 import os
@@ -22,6 +24,7 @@ from nonlocality.estimators import (
     ANCHOR,
     MODE_CODED,
     MODE_LITERAL,
+    EstimatorError,
     _chain_links,
     _header_writer,
     _payload_floor,
@@ -167,3 +170,80 @@ def test_lz77_without_a_repeated_window_matches_the_reference(q, kind, seed):
         assert len(store.points) == 1
     if kind == "chain":
         assert _mode(blob) == MODE_CODED
+
+
+def _flag_then_literal_blob() -> tuple:
+    """An lz77 blob, written token by token with the reference coder, whose
+    last flag and the literal after it are read from the padding past the
+    blob's end and together take 35 doublings from `end`. A flag 0 costs
+    most with f0 = 1 against a large f1, a literal most when its count is 1
+    in a large table, and decoding zeros takes the lowest choice of each:
+      * fill: 511 rounds of "1 1 s" for s = 2..129 give context (1, 1) a
+        total of 2,093,440 with symbol 0 at count 1;
+      * 6 more literals 1, then 4,059 matches (distance 3, length 16): f1's
+        rescales halve f0 down to 1, and f1 climbs back to 15,233;
+      * a match of length 15 + 2^20 ends in 20 gamma zeros, each a lowest
+        choice that doubles the range, and leaves the coder at low = 0 with
+        nothing pending: from its state here the payload continues in zeros
+        only, so the blob ends with the last 1 and pads to a byte.
+    These counts were found by a search over the fill's tail and the number
+    of matches. The header claims n = 1,309,766, one more than the matches
+    reach, whose field length puts `end` (the blob plus 30 bits) exactly at
+    the decoder's position after the long match. Returns the blob, the
+    decoder's position there, and the doublings of the flag and the
+    literal."""
+    q, rounds, kinds, ones, matches, n = 256, 511, 128, 6, 4059, 1_309_766
+    w = _header_writer(q, n, 1, MODE_CODED)
+    hdr = len(w.buf)
+    enc = reference_coders.ArithmeticEncoder(w)
+    flag = reference_coders.AdaptiveModel(2)
+    lit = reference_coders.AdaptiveModel(q)
+    out = bytearray()
+
+    def literal(s):
+        flag.encode(enc, 0, 0)
+        p1 = out[-1] if out else q
+        p2 = out[-2] if len(out) > 1 else q
+        lit.encode(enc, p2 * (q + 1) + p1, s)
+        out.append(s)
+
+    def match(dist, length):
+        flag.encode(enc, 0, 1)
+        reference_coders.write_gamma(enc, dist)
+        reference_coders.write_gamma(enc, length - ANCHOR + 1)
+        out.extend((out[-dist:] * (length // dist + 1))[:length])
+
+    for _ in range(rounds):
+        for s in range(2, 2 + kinds):
+            literal(1)
+            literal(1)
+            literal(s)
+    for _ in range(ones):
+        literal(1)
+    for _ in range(matches):
+        match(3, 16)
+    match(3, 15 + (1 << 20))
+    assert (enc._low, enc._pending, len(out) + 1) == (0, 0, n)
+    pos = len(w.buf) + 32  # the decoder reads 32 bits ahead of the coder
+    stream = w.buf.rstrip(b"0")
+    assert len(stream) > hdr
+    # the doublings of the flag 0 and of the literal 0 in context (1, 1)
+    doublings = []
+    for cum_hi, total in (flag.table(0)[0::2], (1, lit.table(q + 2)[q])):
+        before = len(w.buf) + enc._pending
+        enc.encode(0, cum_hi, total)
+        doublings.append(len(w.buf) + enc._pending - before)
+    w.buf = stream
+    return w.getvalue(), pos, doublings
+
+
+def test_a_flag_and_its_literal_read_past_the_padding_only_with_the_flag_check_gone():
+    # without the overrun check after a flag, this flag leaves pos past
+    # `end`, and its literal reads on to the 64 bits of padding's end: an
+    # IndexError in place of the refusal. The reference decoder refuses too
+    blob, pos, doublings = _flag_then_literal_blob()
+    end = 8 * len(blob) + 30
+    assert (pos, doublings) == (end, [14, 21])  # 35 reads from `end`: one past the padding
+    with pytest.raises(EstimatorError, match="overrun the blob"):
+        default_registry()["lz77"].decode(blob)
+    assert reference_coders.outcome(lambda b: reference_coders.decode("lz77", b), blob) is EstimatorError

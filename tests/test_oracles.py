@@ -315,7 +315,7 @@ def test_parallel_search_starts_no_more_workers_than_branches(monkeypatch):
     monkeypatch.setattr(os, "fork", counting_fork)
     g = GameSpec.pr()
     par = game_value_exact(g, jobs=64)
-    assert len(forks) == 2  # one branch per first output block
+    assert len(forks) == 1  # one branch per first output block, the caller's included
     ser = game_value_exact(g)
     assert (par.value, par.fa, par.fb, par.a_blocks, par.b_blocks) == (
         ser.value, ser.fa, ser.fb, ser.a_blocks, ser.b_blocks
@@ -323,14 +323,14 @@ def test_parallel_search_starts_no_more_workers_than_branches(monkeypatch):
 
 
 def _failing_branch_one(fail):
-    """oracles._search, but branch 1 calls fail(); a forked child inherits
-    the patch, so only that child fails."""
+    """oracles._search, but a search of branch 1 calls fail(); a forked
+    child inherits the patch, so only the child with that branch fails."""
     search = oracles._search
 
-    def patched(game, blocks, first_choice=None):
-        if first_choice == 1:
+    def patched(game, blocks, roots=(None,)):
+        if 1 in roots:
             fail()
-        return search(game, blocks, first_choice)
+        return search(game, blocks, roots)
 
     return patched
 
@@ -365,7 +365,8 @@ def test_a_killed_worker_is_an_oracle_error(monkeypatch):
 
 
 def test_a_failing_parent_kills_and_reaps_its_workers(monkeypatch):
-    # the first child would search for a minute; the second fork fails as a
+    # the magic square's four first choices in three shares: two children.
+    # The first child would search for a minute; the second fork fails as a
     # real one does, and the parent must kill the first rather than wait for
     # it, and close both pipes, the one it could not fork for too
     real_fork, real_pipe, forked, fds = os.fork, os.pipe, [], []
@@ -385,9 +386,38 @@ def test_a_failing_parent_kills_and_reaps_its_workers(monkeypatch):
     monkeypatch.setattr(os, "pipe", pipe)
     start = time.monotonic()
     with pytest.raises(OSError, match="no second worker"):
-        game_value_exact(GameSpec.pr(), jobs=2)
+        game_value_exact(GameSpec.magic_square(), jobs=3)
     assert time.monotonic() - start < 30
     assert len(fds) == 4
+    for fd in fds:
+        with pytest.raises(OSError):
+            os.fstat(fd)
+    _assert_no_child_left()
+
+
+def test_a_failing_caller_share_kills_and_reaps_its_worker(monkeypatch):
+    # the caller searches its own share once its child runs: when that
+    # search raises, the child (here asleep for a minute) is killed and
+    # reaped, both ends of its pipe are closed, and the exception is the
+    # caller's own
+    real_pipe, fds = os.pipe, []
+
+    def pipe():
+        fds.extend(real_pipe())
+        return fds[-2:]
+
+    def search(game, blocks, roots=(None,)):
+        if 0 in roots:
+            raise RuntimeError("the caller's share")
+        time.sleep(60)
+
+    monkeypatch.setattr(oracles, "_search", search)
+    monkeypatch.setattr(os, "pipe", pipe)
+    start = time.monotonic()
+    with pytest.raises(RuntimeError, match="^the caller's share$"):
+        game_value_exact(GameSpec.pr(), jobs=2)
+    assert time.monotonic() - start < 30
+    assert len(fds) == 2
     for fd in fds:
         with pytest.raises(OSError):
             os.fstat(fd)
@@ -476,7 +506,7 @@ def test_search_matches_the_reference_on_random_tables(game_reps):
     nx = game.qX**reps
     blocks = oracles._block_setup(game, reps)
     for first in [None, *range(nx)]:
-        assert oracles._search(game, blocks, first) == reference_search(game, reps, first)
+        assert oracles._search(game, blocks, [first])[0] == reference_search(game, reps, first)
 
 
 @st.composite
@@ -515,7 +545,7 @@ def test_search_matches_the_reference_where_row_states_repeat(game_reps):
     game, reps = game_reps
     blocks = oracles._block_setup(game, reps)
     for first in [None, *range(game.qX**reps)]:
-        assert oracles._search(game, blocks, first) == reference_search(game, reps, first)
+        assert oracles._search(game, blocks, [first])[0] == reference_search(game, reps, first)
 
 
 def _rows_game(rows):
@@ -537,7 +567,7 @@ def test_search_matches_the_reference_for_each_row_count(rows):
     blocks = oracles._block_setup(game, 1)
     assert len(blocks[0]) == rows
     for first in [None, *range(game.qX)]:
-        assert oracles._search(game, blocks, first) == reference_search(game, 1, first)
+        assert oracles._search(game, blocks, [first])[0] == reference_search(game, 1, first)
 
 
 # --- membership against the Fraction tableau -----------------------------------
