@@ -469,57 +469,94 @@ def local_vertices(game: GameSpec):
     return fas, fbs
 
 
+def _indicator_row(q: int, n: int, i: int, v: int, block: list) -> list:
+    """Over f in itertools.product(range(q), repeat=n), the order of
+    local_vertices, one block per f: block where f[i] == v, zeros elsewhere.
+    f[i] holds each value for runs of q**(n - 1 - i) consecutive f, and the
+    q runs repeat q**i times."""
+    span = q ** (n - 1 - i)
+    gap = [0] * (len(block) * span)
+    return (gap * v + block * span + gap * (q - 1 - v)) * q**i
+
+
+def _vertex_max(game: GameSpec, coeffs: dict) -> Fraction:
+    """The maximum over the deterministic vertices (fa, fb) of
+    sum over the promise pairs (a, b) of coeffs[(a, b, fa[a], fb[b])].
+
+    fb picks each b's output on its own, so the maximum is Bob's best
+    response: for each fa, each b takes the y that maximises the sum of
+    coeffs[(a, b, fa[a], y)] over its promise pairs (a, b). That takes
+    |fa| terms, not |fa|*|fb|. The sums run over ints, the coefficients
+    times their common denominator."""
+    den = lcm(*[v.denominator for v in coeffs.values()])
+    scaled = {key: v.numerator * (den // v.denominator) for key, v in coeffs.items()}
+    alices = {}  # b -> the a of each promise pair (a, b)
+    for a, b in game.promise_pairs():
+        alices.setdefault(b, []).append(a)
+    outs_y = range(game.qY)
+    best = max(
+        sum(
+            max(sum(scaled[(a, b, fa[a], y)] for a in on_b) for y in outs_y)
+            for b, on_b in alices.items()
+        )
+        for fa in local_vertices(game)[0]
+    )
+    return Fraction(best, den)
+
+
 def fine_membership(dist: Distribution) -> FineResult:
     """Decide whether dist is a mixture of deterministic local points.
 
+    The LP has one column per vertex (fa, fb) of local_vertices, fb running
+    fastest, and one 0/1 int row per cell (a, b, x, y): 1 where fa[a] == x
+    and fb[b] == y. A row's rhs is the cell's probability, an int when it
+    is integral, and a last row of 1s sums the weights to 1. The simplex
+    takes a row of ints as it is, and scales a row with Fractions to the
+    ints it would scale the same row of Fractions to, so the tableau and
+    every pivot are those of Fraction entries.
+
     The witnessed outcome is checked before being returned: weights
-    reconstruct the distribution exactly, or the certificate separates it
-    from every vertex.
+    reconstruct the distribution exactly, or the certificate c separates
+    it from every vertex. Its maximum over the vertices is Bob's best
+    response, max over fa of the sum over b of max over y of the sum of
+    c[(a, b, fa[a], y)] over the promise pairs (a, b): see _vertex_max.
     """
     game = dist.game
     pairs = game.promise_pairs()
     fas, fbs = local_vertices(game)
-    vertices = [(fa, fb) for fa in fas for fb in fbs]
+    outs_x, outs_y = range(game.qX), range(game.qY)
 
-    rows = [(a, b, x, y) for (a, b) in pairs for x in range(game.qX) for y in range(game.qY)]
-    A = []
-    rhs = []
-    zeros = [0] * len(fbs)
-    for (a, b, x, y) in rows:
-        # 0/1 ints; vertices run over fb fastest, one block per fa
-        bob = [1 if fb[b] == y else 0 for fb in fbs]
-        A.append(list(itertools.chain.from_iterable(bob if fa[a] == x else zeros for fa in fas)))
-        rhs.append(dist.prob(a, b, x, y))
-    A.append([1] * len(vertices))
+    rows = [(a, b, x, y) for (a, b) in pairs for x in outs_x for y in outs_y]
+    bob = {
+        (b, y): _indicator_row(game.qY, game.qB, b, y, [1])
+        for b in range(game.qB)
+        for y in outs_y
+    }
+    A = [_indicator_row(game.qX, game.qA, a, x, bob[b, y]) for (a, b, x, y) in rows]
+    A.append([1] * (len(fas) * len(fbs)))
+    rhs = [dist.prob(*row) for row in rows]
+    rhs = [p.numerator if p.denominator == 1 else p for p in rhs]
     rhs.append(1)
 
     res = feasible_point(A, rhs)
     if res.status == "optimal":
+        # x >= 0, so a nonzero weight is a positive one
         weights = [
-            (w, fa, fb)
-            for w, (fa, fb) in zip(res.solution, vertices)
-            if w > ZERO
+            (w, fa, fb) for w, (fa, fb) in zip(res.solution, itertools.product(fas, fbs)) if w
         ]
         recon = {}
         for w, fa, fb in weights:
             for (a, b) in pairs:
                 key = (a, b, fa[a], fb[b])
-                recon[key] = recon.get(key, ZERO) + w
+                recon[key] = recon[key] + w if key in recon else w
         for row, p in zip(rows, rhs):
-            if recon.get(row, ZERO) != p:
+            if recon.get(row, 0) != p:
                 raise OracleError("weight reconstruction mismatch")
         return FineResult(local=True, weights=weights)
 
-    y = res.certificate
-    coeffs = {row: y[i] for i, row in enumerate(rows)}
-    value = sum(coeffs[row] * p for row, p in zip(rows, rhs))
-    # a vertex puts probability 1 on (a, b, fa[a], fb[b]) for each promise
-    # pair; summed as ints over the coefficients' common denominator
-    den = lcm(*[v.denominator for v in coeffs.values()])
-    scaled = {row: (v * den).numerator for row, v in coeffs.items()}
-    vmax = Fraction(
-        max(sum(scaled[(a, b, fa[a], fb[b])] for a, b in pairs) for fa, fb in vertices), den
-    )
+    coeffs = dict(zip(rows, res.certificate))
+    value = sum(coeffs[row] * p for row, p in zip(rows, rhs) if p)
+    vmax = _vertex_max(game, coeffs)
     if value <= vmax:
         raise OracleError("certificate does not separate the distribution")
     return FineResult(
@@ -532,7 +569,8 @@ def fine_membership(dist: Distribution) -> FineResult:
 def _pr_lp_rows(pr_weight: Fraction, no_signaling: bool):
     """Equality system over the 16 variables q(x,y|a,b) of the two-input
     two-output scenario, plus one slack when the winning weight is a lower
-    bound rather than an exact value."""
+    bound rather than an exact value. Every entry but pr_weight is an int,
+    which the simplex takes as it is."""
     g = GameSpec.pr()
     pairs = g.promise_pairs()
     cols = [(a, b, x, y) for (a, b) in pairs for x in range(2) for y in range(2)]
@@ -543,43 +581,43 @@ def _pr_lp_rows(pr_weight: Fraction, no_signaling: bool):
     rhs = []
 
     def row(entries, value):
-        r = [ZERO] * width
+        r = [0] * width
         for c, v in entries:
             r[c] += v
         A.append(r)
         rhs.append(value)
 
     for (a, b) in pairs:
-        row([(idx[(a, b, x, y)], ONE) for x in range(2) for y in range(2)], ONE)
+        row([(idx[(a, b, x, y)], 1) for x in range(2) for y in range(2)], 1)
     wins = winning(g)
     for k, (a, b) in enumerate(pairs):
         entries = [
-            (idx[(a, b, x, y)], ONE)
+            (idx[(a, b, x, y)], 1)
             for x in range(2)
             for y in range(2)
             if (a, b, x, y) in wins
         ]
         if nslack:
-            entries.append((len(cols) + k, -ONE))  # win prob - slack = bound
+            entries.append((len(cols) + k, -1))  # win prob - slack = bound
         row(entries, pr_weight)
     if no_signaling:
         for a in range(2):
             for x in range(2):
                 row(
-                    [(idx[(a, 0, x, y)], ONE) for y in range(2)]
-                    + [(idx[(a, 1, x, y)], -ONE) for y in range(2)],
-                    ZERO,
+                    [(idx[(a, 0, x, y)], 1) for y in range(2)]
+                    + [(idx[(a, 1, x, y)], -1) for y in range(2)],
+                    0,
                 )
         for b in range(2):
             for y in range(2):
                 row(
-                    [(idx[(0, b, x, y)], ONE) for x in range(2)]
-                    + [(idx[(1, b, x, y)], -ONE) for x in range(2)],
-                    ZERO,
+                    [(idx[(0, b, x, y)], 1) for x in range(2)]
+                    + [(idx[(1, b, x, y)], -1) for x in range(2)],
+                    0,
                 )
-    objective = [ZERO] * width
-    objective[idx[(0, 0, 0, 0)]] = ONE
-    objective[idx[(0, 0, 0, 1)]] = ONE  # P(X=0 | a=0, b=0)
+    objective = [0] * width
+    objective[idx[(0, 0, 0, 0)]] = 1
+    objective[idx[(0, 0, 0, 1)]] = 1  # P(X=0 | a=0, b=0)
     return A, rhs, objective
 
 

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import numbers
 from fractions import Fraction
+from itertools import compress
 from math import gcd, lcm
 
 from .strings import Record
@@ -47,12 +48,18 @@ def _fraction(v) -> Fraction:
 
 def _scaled(values) -> tuple[list, int]:
     """The values times the lcm of their denominators, as ints, and that lcm.
-    Ints and Fractions are read as they are; anything else (floats, strings,
-    fixed-width ints) goes through Fraction once. Only the Fractions have a
-    denominator to take, and an int is multiplied as an int."""
-    if not set(map(type, values)) <= {int, Fraction}:
-        values = [_fraction(v) for v in values]
-    den = lcm(*[v.denominator for v in values if type(v) is Fraction])
+
+    A row of ints is returned as it is, with lcm 1. In a row of ints and
+    Fractions only the Fractions have a denominator to take, so one pass
+    finds them and one pass scales the row, an int multiplied as an int.
+    Anything else (floats, strings, fixed-width ints, bools) sends the whole
+    row through Fraction once."""
+    odd = [v for v in values if type(v) is not int]
+    if not odd:
+        return values, 1
+    if any(type(v) is not Fraction for v in odd):
+        values = odd = [_fraction(v) for v in values]
+    den = lcm(*[v.denominator for v in odd])
     return [
         v * den if type(v) is int else v.numerator * (den // v.denominator) for v in values
     ], den
@@ -91,7 +98,7 @@ class _Tableau:
         """Take a new objective row and bring it to reduced-cost form."""
         for t, bv in zip(self.rows, self.basis):
             if obj[bv]:
-                nz = [j for j, v in enumerate(t) if v]
+                nz = list(compress(range(len(t)), t))
                 obj, scale = _eliminate(obj, t, t[bv], obj[bv], nz, scale)
         self.obj, self.scale = obj, scale
 
@@ -104,7 +111,7 @@ class _Tableau:
         if pc < 0:  # only when driving an artificial out of the basis
             p = rows[row] = [-v for v in p]
             pc = -pc
-        nz = [j for j, v in enumerate(p) if v]
+        nz = list(compress(range(len(p)), p))
         for r, t in enumerate(rows):
             f = t[col]
             if f and r != row:
@@ -166,7 +173,7 @@ def solve_lp(A, rhs, c) -> LPResult:
     scale = lcm(*dens)
     if m:
         weighted = [t if d == scale else [v * (scale // d) for v in t] for t, d in zip(rows, dens)]
-        obj = [sum(col) for col in zip(*weighted)]
+        obj = list(map(sum, zip(*weighted)))
         obj[n:n + m] = [0] * m
     else:
         obj = [0] * (n + 1)
@@ -175,15 +182,16 @@ def solve_lp(A, rhs, c) -> LPResult:
 
     if tab.obj[-1]:
         # infeasible: Farkas vector (y.A <= 0, y.rhs > 0) from the phase-1
-        # reduced costs of the artificial columns
-        y = [1 + Fraction(tab.obj[n + i], tab.scale) for i in range(m)]
+        # reduced costs of the artificial columns: y_i = 1 + obj_i / scale
+        scale = tab.scale
+        y = [Fraction(scale + tab.obj[n + i], scale) for i in range(m)]
         y = [-v if f else v for v, f in zip(y, flipped)]
         return LPResult(status="infeasible", certificate=y, pivots=tab.pivots)
 
     # drive artificials out of the basis where possible
     for r in range(m):
         if tab.basis[r] >= n:
-            col = next((j for j in range(n) if tab.rows[r][j]), None)
+            col = next(compress(range(n), tab.rows[r]), None)
             if col is not None:
                 tab.pivot(r, col)
 
@@ -194,13 +202,14 @@ def solve_lp(A, rhs, c) -> LPResult:
 
     # phase 2
     obj, scale = _scaled(c)
-    tab.set_objective(obj + [0], scale)
+    tab.set_objective([*obj, 0], scale)
     if tab.run(n) == "unbounded":
         return LPResult(status="unbounded", pivots=tab.pivots)
 
     x = [Fraction(0)] * n
     for t, bv in zip(tab.rows, tab.basis):
-        x[bv] = Fraction(t[-1], t[bv])
+        if t[-1]:  # a basic variable at 0 keeps the shared zero
+            x[bv] = Fraction(t[-1], t[bv])
     # the objective row's rhs is minus the objective value
     value = Fraction(-tab.obj[-1], tab.scale)
     return LPResult(status="optimal", objective=value, solution=x, pivots=tab.pivots)

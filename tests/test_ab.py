@@ -75,6 +75,38 @@ def test_each_metric_is_judged_against_its_bound(parent, change, verdict):
     assert line.endswith("; " + verdict)
 
 
+@pytest.mark.parametrize(
+    "parent, change, shown",
+    [
+        # parent sorted 10,10,10,11,11,11,11,12,12,12: quartiles 10.25, 11
+        # and 11.75, an IQR of 1.5; the change wins 9 of 10 and its median,
+        # 9, is 2 lower
+        ([10, 11, 12, 10, 11, 12, 10, 11, 12, 11], [8, 9, 9, 8, 9, 9, 8, 9, 9, 13], True),
+        # the same gap, but 8 wins: the tenth pair is a tie (11 against 11)
+        ([10, 11, 12, 10, 11, 12, 10, 11, 12, 11], [8, 9, 9, 8, 9, 9, 8, 9, 13, 11], False),
+        # 10 wins, but the medians (10 and 9) are 1 apart against an IQR of
+        # 10 (quartiles 5, 10 and 15)
+        ([5, 15] * 5, [4, 14] * 5, False),
+        # 10 wins and a gap of exactly the IQR (1.5) is not wider than it
+        ([10, 11, 12, 10, 11, 12, 10, 11, 12, 11], [8.5, 9.5, 10.5, 8.5, 9.5, 10.5, 8.5, 9.5, 10.5, 9.5],
+         False),
+    ],
+)
+def test_a_gain_is_shown_by_nine_tenths_of_the_pairs_and_a_gap_wider_than_the_iqr(
+    parent, change, shown
+):
+    pairs = _pairs({"op_s_p50": parent}, {"op_s_p50": change})
+    summary = ab.summarize(pairs, {"op_s_p50": "lower"})
+    assert ab.gain_shown(summary["op_s_p50"]) is shown
+    (line,) = ab.describe(summary, {"op_s_p50": 0.25})
+    assert ("; claim rule: gain shown; " in line) is shown
+    assert ("; claim rule: no gain shown; " in line) is not shown
+    # the sides swapped where higher is better: the same verdict (the
+    # swapped parents' IQRs are 0.75, 0.75, 10 and 1.5)
+    flipped = ab.summarize(_pairs({"x": change}, {"x": parent}), {"x": "higher"})
+    assert ab.gain_shown(flipped["x"]) is shown
+
+
 def _line(value: float) -> str:
     metrics = {m["name"]: {"value": value, "unit": m["unit"]} for m in METRICS}
     return json.dumps({"correct": True, "attempted": 35, "failed": 0, "metrics": metrics})

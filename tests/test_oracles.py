@@ -1,6 +1,7 @@
 import errno
 import gc
 import hashlib
+import itertools
 import json
 import os
 import random
@@ -136,6 +137,68 @@ def test_local_mixture_weights_reconstruct():
                 recon[k] = recon.get(k, F(0)) + w
     for key, v in d.p.items():
         assert recon.get(key, F(0)) == v
+
+
+def test_a_deterministic_signaling_point_is_refused_with_a_certificate():
+    # Alice answers Bob's input, x = b, and Bob always 0: every entry is an
+    # int 0 or 1, and no local point gives it
+    g = GameSpec.pr()
+    d = Distribution(g, {(a, b, b, 0): F(1) for a, b in g.promise_pairs()})
+    res = fine_membership(d)
+    assert not res.local and res.weights is None
+    # both sides of the inequality recomputed by brute force
+    cert = res.certificate
+    assert sorted(cert) == sorted(
+        (a, b, x, y) for a, b in g.promise_pairs() for x in range(2) for y in range(2)
+    )
+    value = sum(c * d.prob(*cell) for cell, c in cert.items())
+    fas, fbs = oracles.local_vertices(g)
+    vmax = max(
+        sum(cert[(a, b, fa[a], fb[b])] for a, b in g.promise_pairs()) for fa in fas for fb in fbs
+    )
+    assert (res.value_on_dist, res.vertex_max) == (value, vmax)
+    assert value > vmax
+
+
+@pytest.mark.parametrize("q, n", [(2, 1), (2, 2), (2, 5), (3, 3), (4, 3)])
+def test_indicator_rows_follow_the_order_of_local_vertices(q, n):
+    # the closed form of a membership row against its definition
+    fs = list(itertools.product(range(q), repeat=n))
+    block = [1, 0, 2]
+    for i in range(n):
+        for v in range(q):
+            want = [e if f[i] == v else 0 for f in fs for e in block]
+            assert oracles._indicator_row(q, n, i, v, block) == want
+
+
+_VERTEX_MAX_GAMES = [GameSpec.pr(), GameSpec.magic_square()] + [
+    GameSpec.chained(m) for m in range(2, 6)
+]
+
+
+@st.composite
+def _coefficient_tables(draw):
+    """A game, random int coefficients on its cells, and a denominator."""
+    game = draw(st.sampled_from(_VERTEX_MAX_GAMES))
+    cells = [
+        (a, b, x, y)
+        for a, b in game.promise_pairs()
+        for x in range(game.qX)
+        for y in range(game.qY)
+    ]
+    ints = draw(st.lists(st.integers(-20, 20), min_size=len(cells), max_size=len(cells)))
+    return game, dict(zip(cells, ints)), draw(st.sampled_from([1, 1, 2, 6]))
+
+
+@settings(max_examples=120, derandomize=True, deadline=None)
+@given(_coefficient_tables())
+def test_best_response_vertex_max_is_the_maximum_over_every_vertex(table):
+    game, ints, den = table
+    fas, fbs = oracles.local_vertices(game)
+    pairs = game.promise_pairs()
+    brute = max(sum(ints[(a, b, fa[a], fb[b])] for a, b in pairs) for fa in fas for fb in fbs)
+    got = oracles._vertex_max(game, {cell: F(v, den) for cell, v in ints.items()})
+    assert got == F(brute, den) and type(got) is F
 
 
 def test_distribution_validation():

@@ -1,12 +1,13 @@
-"""The benchmark's codec and experiments records at seed 0 against
+"""The benchmark's codec, experiments and oracles records at seed 0 against
 perfbench/goldens.json.
 
 perfbench compares every operation's record with goldens.json and refuses a
 change whose outputs drift. These tests build its codec workload (every
-built-in estimator on its five strings) and its experiments workload (the
-`nlbox exp` runs and the testers, called as argv through cli.main), run
-each operation once and check the same records here, so drift shows up in
-the test suite first. The benchmark's files are only read: nothing is
+built-in estimator on its five strings), its experiments workload (the
+`nlbox exp` runs and the testers, called as argv through cli.main) and its
+oracles workload (exact game values, memberships and marginal programs),
+run each operation once and check the same records here, so drift shows up
+in the test suite first. The benchmark's files are only read: nothing is
 written under perfbench/.
 
 The experiments cycle is run once per session, by `experiments_cycle`,
@@ -114,3 +115,16 @@ def test_experiments_records_match_goldens():
         assert record == _pinned(goldens["ops"][name]), name
     report_bytes = sum(r["bytes"] for r in records.values())
     assert report_bytes == _pinned(goldens["counts"]["experiments.report_bytes"])
+
+
+def test_oracles_records_match_goldens(tmp_path, monkeypatch):
+    # each value's witness, nodes and prunes, each membership's weights or
+    # certificate digest, value and vertex maximum, each marginal pair
+    records, goldens = _records("oracles", ("games", "oracles"), tmp_path, monkeypatch)
+    for name, record in records.items():
+        assert record == _pinned(goldens["ops"][name]), name
+    counts = goldens["counts"]
+    nodes = sum(r["nodes"] for r in records.values() if "nodes" in r)
+    prunes = sum(r["prunes"] for r in records.values() if "prunes" in r)
+    assert nodes == _pinned(counts["oracles.search_nodes"])
+    assert prunes == _pinned(counts["oracles.search_prunes"])

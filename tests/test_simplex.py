@@ -294,15 +294,21 @@ def test_fixed_width_ints_are_read_as_python_ints():
     assert got == want
 
 
-@settings(max_examples=300, derandomize=True, deadline=None)
+_INTS = st.integers(-(2**70), 2**70)
+
+
+@settings(max_examples=600, derandomize=True, deadline=None)
 @given(
     st.lists(
-        st.integers(-(2**70), 2**70)
+        _INTS
         | st.booleans()
         | st.fractions(max_denominator=10**6)
         | st.integers(-5, 5).map(F),  # a Fraction whose denominator is 1
         max_size=12,
     )
+    # rows of ints only, and of ints with Fractions whose denominator is 1
+    | st.lists(_INTS, max_size=12)
+    | st.lists(_INTS | _INTS.map(F), max_size=12)
 )
 def test_scaled_row_matches_the_all_fraction_formula(values):
     # what _scaled computed before it multiplied ints as ints: every entry

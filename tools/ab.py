@@ -13,7 +13,10 @@ PYTHONDONTWRITEBYTECODE=1 and no __pycache__. For each workload it
 writes BENCH_<N>_<W>.json in the checkout's root: every run's result
 line, and per end-to-end metric of BENCHMARK.json the quartiles of each
 side, the ratio of the medians, the parent's IQR and the pairs in which
-the change was better. Standard library only.
+the change was better. Each run's line goes to stderr; the notes (one
+line per metric, with its bound verdict and whether it shows a gain by
+the claim rule of gain_shown) go to stdout and into the file. Standard
+library only.
 """
 from __future__ import annotations
 
@@ -97,10 +100,21 @@ def summarize(pairs: list, better: dict) -> dict:
     return summary
 
 
+def gain_shown(s: dict) -> bool:
+    """The rule for claiming a gain on one metric's summary: the change was
+    better in at least nine tenths of the pairs (a tie is no win), and its
+    median is better than the parent's by more than the parent's IQR."""
+    wins, pairs = map(int, s["change_better_pairs"].split("/"))
+    old, new = s["parent_q1_median_q3"][1], s["change_q1_median_q3"][1]
+    gain = old - new if s["better"] == "lower" else new - old
+    return 10 * wins >= 9 * pairs and gain > s["parent_iqr"]
+
+
 def describe(summary: dict, bounds: dict) -> list:
-    """One line per metric: the medians, and whether the change's is worse
-    than the parent's by more than the metric's bound, or cannot be told
-    because the parent's own IQR is wider than the bound."""
+    """One line per metric: the medians, whether they show a gain by the
+    claim rule (gain_shown), and whether the change's median is worse than
+    the parent's by more than the metric's bound, or cannot be told because
+    the parent's own IQR is wider than the bound."""
     lines = []
     for name, s in summary.items():
         old, new = s["parent_q1_median_q3"][1], s["change_q1_median_q3"][1]
@@ -114,7 +128,7 @@ def describe(summary: dict, bounds: dict) -> list:
         lines.append(
             f"{name} {old:g} -> {new:g} ({s['median_ratio']}x, {s['change_better_pairs']}; "
             f"medians {abs(new - old):g} apart against a parent IQR of {s['parent_iqr']:g}); "
-            + verdict
+            f"claim rule: {'gain shown' if gain_shown(s) else 'no gain shown'}; " + verdict
         )
     return lines
 
@@ -194,7 +208,7 @@ def main(argv=None) -> int:
             )
             out = ROOT / f"BENCH_{args.pr}_{workload}.json"
             out.write_text(json.dumps(doc, indent=1) + "\n")
-            print("\n".join(doc["notes"]), file=sys.stderr)
+            print(f"{workload}:", *doc["notes"], sep="\n")
     return 0
 
 
