@@ -5,9 +5,10 @@ Exit codes: 0 success, 1 usage error, 2 data/format error (FormatError,
 OSError), 3 estimator or oracle failure (EstimatorError, OracleError,
 MemoryError) or any other exception, a fault of the toolkit, which prints
 "internal error: TYPE: message (at FILE:LINE)", FILE:LINE being the frame
-that raised it. Results go to stdout or --out; logs go to stderr. Each
-handler returns (text, writes): its JSON result (None for gen and exp) and
-its files as (path, write) pairs. main writes them, --out and
+that raised it, and 130 interrupted (KeyboardInterrupt, as SIGINT raises),
+which prints "interrupted". Results go to stdout or --out; logs go to
+stderr. Each handler returns (text, writes): its JSON result (None for gen
+and exp) and its files as (path, write) pairs. main writes them, --out and
 --emit-config too, in one strings.write_all, all or none, then prints text.
 
 A JSON config file (--config) stands for the flags it names, read before
@@ -636,6 +637,9 @@ def main(argv=None) -> int:
     except MemoryError:
         sys.stderr.write("resource failure: out of memory\n")
         return 3
+    except KeyboardInterrupt:  # write_all has removed its temps by now
+        sys.stderr.write("interrupted\n")
+        return 130
     except Exception as exc:  # a fault of the toolkit, not of its input
         tb = exc.__traceback__
         while tb.tb_next:  # the frame that raised, so a report can be located

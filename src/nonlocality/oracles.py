@@ -1,9 +1,10 @@
 """Exact reference answers, all in rational arithmetic.
 
-Provides the optimal classical value of a game by strategy enumeration,
-membership of a conditional distribution in the local polytope (with a
-weight vector or a separating certificate), and linear programs over the
-no-signaling set.
+Provides the optimal classical value of a game by a branch-and-bound search
+over deterministic block strategies (_search; with jobs > 1 forked workers
+share its first choices), membership of a conditional distribution in the
+local polytope (with a weight vector or a separating certificate), and
+linear programs over the no-signaling set.
 """
 from __future__ import annotations
 

@@ -8,6 +8,10 @@ joined, bit j being bit j % 8 of byte j // 8; a k-bit draw takes the next k
 bits, the first least significant; a symbol over q letters takes k =
 bits_per_symbol(q) bits and is drawn again while >= q; round i of
 `games.play` reads block i (`round_bits`).
+
+The generators, and games.play through round_bytes and rounds_below, make
+no Python call per symbol or round, so one SHA-256 per block is the floor;
+tests/reference_generators.py keeps per-symbol versions to compare with.
 """
 from __future__ import annotations
 

@@ -1125,3 +1125,41 @@ def test_config_value_is_read_as_its_flag_text(monkeypatch, data):
             expected = 2 if f"argument {flag}" in err_flag else 1
             assert code_cfg == expected, (err_flag, err_cfg)
             assert not (d / "b").exists()
+
+
+def test_an_interrupt_exits_130_with_one_line_and_no_file(capsys, monkeypatch, tmp_path):
+    def interrupted(args):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(cli, "_cmd_gen", interrupted)
+    try:
+        code = main(["gen", "--kind", "zeros", "--n", "8", "--out", str(tmp_path / "z.syms"),
+                     "--emit-config", str(tmp_path / "cfg.json")])
+    except KeyboardInterrupt:  # would stop the whole test run
+        pytest.fail("KeyboardInterrupt escaped main")
+    out = capsys.readouterr()
+    assert (code, out.out, out.err) == (130, "", "interrupted\n")
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_a_sigint_at_a_fixed_point_exits_130_and_leaves_no_file(tmp_path):
+    # the child sends SIGINT to itself once --out's temp file is written, so
+    # the test has no timing race and signals no other process
+    child = (
+        "import os, signal, sys\n"
+        "from nonlocality import cli\n"
+        "write = cli.write_syms\n"
+        "def write_then_interrupt(path, s):\n"
+        "    write(path, s)\n"
+        "    os.kill(os.getpid(), signal.SIGINT)\n"
+        "cli.write_syms = write_then_interrupt\n"
+        "sys.exit(cli.main(sys.argv[1:]))\n"
+    )
+    argv = ["gen", "--kind", "zeros", "--n", "8", "--out", "z.syms", "--emit-config", "cfg.json"]
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+    proc = subprocess.run(
+        [sys.executable, "-c", child, *argv],
+        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert (proc.returncode, proc.stdout, proc.stderr) == (130, "", "interrupted\n")
+    assert list(tmp_path.iterdir()) == []

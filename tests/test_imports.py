@@ -162,13 +162,15 @@ def test_main_maps_exit_codes_by_the_toolkit_types():
     ]
     # each failure's class is chosen where it is raised, and main maps the
     # toolkit's types to exit codes: of the builtin exceptions it names only
-    # argparse's SystemExit, OSError (2), MemoryError (3) and, as its last
-    # clause, Exception (3, "internal error"), so no ValueError, KeyError or
-    # AssertionError of a fault is taken for an input's or an oracle's
+    # argparse's SystemExit, OSError (2), MemoryError (3), KeyboardInterrupt
+    # (130) and, as its last clause, Exception (3, "internal error"), so no
+    # ValueError, KeyError or AssertionError of a fault is taken for an
+    # input's or an oracle's
     named = _handled((SRC / "cli.py").read_text(), "main")
     builtin = [(name, last) for name, last in named if name in vars(builtins) or not name]
     assert builtin == [
-        ("OSError", False), ("MemoryError", False), ("Exception", True), ("SystemExit", True)
+        ("OSError", False), ("MemoryError", False), ("KeyboardInterrupt", False),
+        ("Exception", True), ("SystemExit", True),
     ]
 
 
