@@ -31,7 +31,6 @@ from .complexity import (
     THETA_FULL_DEFAULT,
     THETA_ZERO_DEFAULT,
     classify_value,
-    clear_cache,
     estimate_k,
     estimate_k_cond,
     frac_str,
@@ -613,7 +612,6 @@ def main(argv=None) -> int:
             if path in named:
                 raise _UsageError(f"two outputs name the same file: {path}")
             named.add(path)
-        clear_cache()  # a run sees what a fresh nlbox process sees
         text, writes = args.func(args)
         if text is not None and args.out:
             writes.append((args.out, lambda temp: temp.write_text(text)))

@@ -18,12 +18,14 @@ conditional complexity. Three candidates are tried and the cheapest counts:
 
 So the minimum is an estimate, not a proven upper bound.
 
-One EstimateStore holds every bit count and coder resume point, keyed by
-estimator, q, period and the symbols; the CLI empties it before each run.
-The concat candidate's encode resumes from the coder state that encoding
-the condition reached, so the condition's symbols are coded once per
-estimator, q and period, not once per candidate. The bits are those of a
-fresh encode.
+An EstimateStore holds the bit counts and coder resume points of one run,
+keyed by estimator, q, period and the symbols. Each experiment runner and
+ns_report makes one for all of its estimates; estimate_k, estimate_k_cond
+and locality_verdict make their own when given none, so no store outlives
+its run. The concat candidate's encode resumes from the coder state that
+encoding the condition reached, so the condition's symbols are coded once
+per estimator, q and period, not once per candidate. The bits are those
+of a fresh encode.
 """
 from __future__ import annotations
 
@@ -88,9 +90,6 @@ class EstimateStore:
         self._bytes = 0
         self.hits = self.misses = self.resumed_symbols = 0
 
-    def clear(self) -> None:
-        self.__init__()
-
     def find(self, est: Estimator, symbols: bytes, q: int, period: int):
         """The point kept for the longest stored prefix of symbols, or None."""
         base = _key(est, b"", q, period)[:4]  # the estimator, q and period
@@ -119,20 +118,18 @@ class EstimateStore:
             self._bytes -= self.points.popitem(last=False)[1].footprint
 
 
-# the one store of the process; every CLI run starts with it empty
-_STORE = EstimateStore()
-
-
 def clear_cache() -> None:
-    _STORE.clear()
+    """Does nothing: each run makes its own EstimateStore. Kept only for
+    perfbench's experiments ops, which call it before each op; it goes
+    with ROADMAP item 11b."""
 
 
-def _raw_bits(s: SymbolString, est: Estimator, period: int = 1) -> int:
+def _raw_bits(store: EstimateStore, s: SymbolString, est: Estimator, period: int = 1) -> int:
     key = _key(est, s.data, s.q, period)
-    bits = _STORE.bits.get(key)
+    bits = store.bits.get(key)
     if bits is None:
-        bits, _ = est.encode(s.data, s.q, period, resume=_STORE)
-        _STORE.bits[key] = bits
+        bits, _ = est.encode(s.data, s.q, period, resume=store)
+        store.bits[key] = bits
     return bits
 
 
@@ -141,9 +138,11 @@ def _resolve(estimator) -> Estimator:
     return estimator if isinstance(estimator, Estimator) else get_estimator(estimator)
 
 
-def estimate_k(s: SymbolString, estimator) -> ComplexityEstimate:
+def estimate_k(s: SymbolString, estimator, store=None) -> ComplexityEstimate:
+    """Estimate of K(s); store (a fresh one when None) is the run's."""
     est = _resolve(estimator)
-    return ComplexityEstimate(est.estimator_id, s.n, s.q, float(_raw_bits(s, est)))
+    bits = _raw_bits(EstimateStore() if store is None else store, s, est)
+    return ComplexityEstimate(est.estimator_id, s.n, s.q, float(bits))
 
 
 def _weave(conds: list[SymbolString], n: int, subject: SymbolString | None) -> SymbolString:
@@ -157,19 +156,21 @@ def _weave(conds: list[SymbolString], n: int, subject: SymbolString | None) -> S
     return interleave(*phases)
 
 
-def estimate_k_cond(x: SymbolString, cond, estimator) -> ComplexityEstimate:
+def estimate_k_cond(x: SymbolString, cond, estimator, store=None) -> ComplexityEstimate:
     """Estimate of K(x | cond), the cheapest candidate; cond is a
-    SymbolString or a sequence of them."""
+    SymbolString or a sequence of them. store (a fresh one when None) is
+    the run's, so a lone call still resumes c||x from c."""
     est = _resolve(estimator)
+    store = EstimateStore() if store is None else store
     if isinstance(cond, SymbolString):
         conds = [cond] if cond.n else []
     else:
         conds = [c for c in cond if c.n]
-    candidates = [float(_raw_bits(x, est))]
+    candidates = [float(_raw_bits(store, x, est))]
     if conds and x.n:
         base = concat(*conds)
-        k_base = _raw_bits(base, est)
-        k_cat = _raw_bits(concat(*conds, x), est)
+        k_base = _raw_bits(store, base, est)
+        k_cat = _raw_bits(store, concat(*conds, x), est)
         candidates.append(float(k_cat - k_base))
         aligned = [c for c in conds if c.n % x.n == 0]
         if aligned:
@@ -180,8 +181,8 @@ def estimate_k_cond(x: SymbolString, cond, estimator) -> ComplexityEstimate:
             woven_full = _weave(aligned, x.n, x)
             candidates.append(
                 float(
-                    _raw_bits(woven_full, est, ratios + 1)
-                    - _raw_bits(woven_cond, est, max(1, ratios))
+                    _raw_bits(store, woven_full, est, ratios + 1)
+                    - _raw_bits(store, woven_cond, est, max(1, ratios))
                 )
             )
     bits = max(0.0, min(candidates)) + CANDIDATE_TAG_BITS

@@ -113,7 +113,7 @@ class Estimator:
     self-contained. Estimators without context models ignore it.
 
     encode takes an optional `resume` store (complexity.EstimateStore, keyed
-    by estimator, q, period and the symbols; each CLI run starts it empty).
+    by estimator, q, period and the symbols; each run makes its own).
     A resuming estimator starts from the store's point for the longest stored
     prefix of its input (`resume.find`) and offers the store its own point
     (`resume.keep`); lz78 ignores the store. The bits and blob do not change.

@@ -23,6 +23,7 @@ from fractions import Fraction
 from .complexity import (
     THETA_FULL_DEFAULT,
     THETA_ZERO_DEFAULT,
+    EstimateStore,
     binary_entropy,
     classify_value,
     estimate_k,
@@ -218,13 +219,14 @@ def run_theorem1(
     a, b, x, y = quad.a, quad.b, quad.x, quad.y
     ab = pointwise_product(a, b)
 
-    kx = estimate_k(x, estimator)
-    ky = estimate_k(y, estimator)
-    kxb = estimate_k_cond(x, b, estimator)
-    kyb = estimate_k_cond(y, b, estimator)
-    kab_b = estimate_k_cond(ab, b, estimator)
-    kyab = estimate_k_cond(y, [a, b], estimator)
-    kxab = estimate_k_cond(x, [a, b], estimator)
+    store = EstimateStore()
+    kx = estimate_k(x, estimator, store)
+    ky = estimate_k(y, estimator, store)
+    kxb = estimate_k_cond(x, b, estimator, store)
+    kyb = estimate_k_cond(y, b, estimator, store)
+    kab_b = estimate_k_cond(ab, b, estimator, store)
+    kyab = estimate_k_cond(y, [a, b], estimator, store)
+    kxab = estimate_k_cond(x, [a, b], estimator, store)
 
     rows = [
         _krow("K(x)", kx),
@@ -261,10 +263,11 @@ def run_theorem2(
     quad, sat = _play_seeded(game, strategy, n, seed_set)
     a, b, x, y = quad.a, quad.b, quad.x, quad.y
 
-    kxa = estimate_k_cond(x, a, estimator)
-    kyb = estimate_k_cond(y, b, estimator)
-    kxab = estimate_k_cond(x, [a, b], estimator)
-    kyab = estimate_k_cond(y, [a, b], estimator)
+    store = EstimateStore()
+    kxa = estimate_k_cond(x, a, estimator, store)
+    kyb = estimate_k_cond(y, b, estimator, store)
+    kxab = estimate_k_cond(x, [a, b], estimator, store)
+    kyab = estimate_k_cond(y, [a, b], estimator, store)
     classical = game_value_exact(game)
 
     rows = [
@@ -304,9 +307,10 @@ def run_theorem3(
     target = {ab: game.target_bit(*ab) for ab in game.promise_pairs()}
     chi = SymbolString(2, bytes(map(target.__getitem__, zip(a.data, b.data))))
 
-    kx = estimate_k(x, estimator)
-    kxa = estimate_k_cond(x, a, estimator)
-    kchib = estimate_k_cond(chi, b, estimator)
+    store = EstimateStore()
+    kx = estimate_k(x, estimator, store)
+    kxa = estimate_k_cond(x, a, estimator, store)
+    kchib = estimate_k_cond(chi, b, estimator, store)
     classical = chained_value_upper_bound(m)
     h = binary_entropy(Fraction(1, 2 * m))
 
@@ -379,12 +383,13 @@ def run_locality_suite(
     thresholds = LocalityThresholds()
     game = GameSpec.pr()
     cases = []
+    store = EstimateStore()  # one for all three cases, which share strings
 
     def case(name, strategy, a, b, noise, witness=None):
         """Play, then judge the quadruple; no witness means the outputs themselves."""
         x, y = play(strategy, game, a, b, seed_set.sampler, noise)
         lam = interleave(x, y) if witness is None else witness
-        v = locality_verdict(Quadruple(game, a, b, x, y), lam, estimator, thresholds)
+        v = locality_verdict(Quadruple(game, a, b, x, y), lam, estimator, thresholds, store)
         cases.append((name, v))
 
     # 1: computable inputs, lambda = the outputs themselves

@@ -12,6 +12,7 @@ from pathlib import Path, PurePath
 
 from .complexity import (
     THETA_ZERO_DEFAULT,
+    EstimateStore,
     estimate_k,
     estimate_k_cond,
     frac_str,
@@ -374,10 +375,11 @@ def ns_report(
     """Finite-scale no-signaling check: each party's output should be no
     easier to describe from both inputs than from its own input alone."""
     a, b, x, y = quad.a, quad.b, quad.x, quad.y
-    kxa = estimate_k_cond(x, a, estimator)
-    kxab = estimate_k_cond(x, [a, b], estimator)
-    kyb = estimate_k_cond(y, b, estimator)
-    kyab = estimate_k_cond(y, [a, b], estimator)
+    store = EstimateStore()
+    kxa = estimate_k_cond(x, a, estimator, store)
+    kxab = estimate_k_cond(x, [a, b], estimator, store)
+    kyb = estimate_k_cond(y, b, estimator, store)
+    kyab = estimate_k_cond(y, [a, b], estimator, store)
     return NoSignalingReport(
         estimator_id=kxa.estimator_id,
         rate_x_given_a=kxa.rate,
@@ -415,17 +417,20 @@ def locality_verdict(
     lam: SymbolString,
     estimator,
     thresholds: LocalityThresholds = LocalityThresholds(),
+    store: EstimateStore | None = None,
 ) -> LocalityVerdict:
     """Check a supplied witness: lambda must look independent of the input
     pair, and each output must be cheap given its own input plus lambda.
-    A negative verdict only disqualifies this witness."""
+    A negative verdict only disqualifies this witness. store (a fresh one
+    when None) is the run's."""
     a, b, x, y = quad.a, quad.b, quad.x, quad.y
+    store = EstimateStore() if store is None else store
     joint_ab = interleave(a, b)
     if lam.n:
         # ab first, so that ab||lambda's encode resumes from ab's coder state
-        k_ab = estimate_k(joint_ab, estimator).bits
-        k_abl = estimate_k(concat(joint_ab, lam), estimator).bits
-        k_l = estimate_k(lam, estimator).bits
+        k_ab = estimate_k(joint_ab, estimator, store).bits
+        k_abl = estimate_k(concat(joint_ab, lam), estimator, store).bits
+        k_l = estimate_k(lam, estimator, store).bits
         defect = abs(k_abl - k_ab - k_l) / lam.n
         conds_x: list = [a, lam]
         conds_y: list = [b, lam]
@@ -433,8 +438,8 @@ def locality_verdict(
         defect = 0.0
         conds_x = [a]
         conds_y = [b]
-    kx = estimate_k_cond(x, conds_x, estimator)
-    ky = estimate_k_cond(y, conds_y, estimator)
+    kx = estimate_k_cond(x, conds_x, estimator, store)
+    ky = estimate_k_cond(y, conds_y, estimator, store)
     witnessed = (
         defect <= thresholds.defect
         and kx.rate <= thresholds.output

@@ -463,10 +463,10 @@ class FineResult(Record):
 
 
 def local_vertices(game: GameSpec):
+    if game.qX**game.qA * game.qY**game.qB > MAX_VERTICES:  # decided before listing any
+        raise OracleError("too many deterministic vertices to enumerate")
     fas = list(itertools.product(range(game.qX), repeat=game.qA))
     fbs = list(itertools.product(range(game.qY), repeat=game.qB))
-    if len(fas) * len(fbs) > MAX_VERTICES:
-        raise OracleError("too many deterministic vertices to enumerate")
     return fas, fbs
 
 

@@ -20,6 +20,7 @@ class Mutant:
 _CHAIN = "tests/test_coder_outputs.py::test_chain_links_"
 _ORACLES = "tests/test_oracles.py::test_"
 _VERTEX_MAX = _ORACLES + "best_response_vertex_max_is_the_maximum_over_every_vertex"
+_MODEL_CHECK = ["tests/test_store_model.py::test_the_store_follows_its_model"]
 
 MUTANTS = [
     # estimators._chain_links: the q > 2 walk over the bucket links
@@ -114,5 +115,49 @@ MUTANTS = [
         [_VERTEX_MAX, "tests/test_oracles.py", "tests/test_perfbench_goldens.py"],
         equivalent="a b with no promise pair adds the max over y of an empty sum, 0, "
         "and every b of pr, chained(m) and the magic square has a promise pair",
+    ),
+    # complexity.EstimateStore: its key and its least-recently-used policy
+    Mutant(
+        "store_evicts_at_the_limit",
+        "complexity.py",
+        "while len(self.points) > self.LIMIT",
+        "while len(self.points) >= self.LIMIT",
+        _MODEL_CHECK,
+    ),
+    Mutant(
+        "store_find_does_not_renew",
+        "complexity.py",
+        "                self.points.move_to_end(key)\n",
+        "",
+        _MODEL_CHECK,
+    ),
+    Mutant(
+        "store_replaced_point_still_counted",
+        "complexity.py",
+        "            self._bytes -= old.footprint\n",
+        "            pass\n",
+        _MODEL_CHECK,
+    ),
+    Mutant(
+        "store_find_skips_the_whole_string",
+        "complexity.py",
+        "key[4] <= len(symbols)",
+        "key[4] < len(symbols)",
+        _MODEL_CHECK,
+    ),
+    Mutant(
+        "store_key_without_the_period",
+        "complexity.py",
+        "q, period, len(symbols), _digest(symbols)",
+        "q, 1, len(symbols), _digest(symbols)",
+        _MODEL_CHECK,
+    ),
+    # experiments.run_locality_suite: one store for its three cases
+    Mutant(
+        "locality_suite_case_without_the_store",
+        "experiments.py",
+        "lam, estimator, thresholds, store)",
+        "lam, estimator, thresholds)",
+        ["tests/test_experiments.py::test_a_run_codes_each_string_once"],
     ),
 ]

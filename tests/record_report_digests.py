@@ -25,7 +25,7 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
-from nonlocality.complexity import clear_cache, estimate_k_cond
+from nonlocality.complexity import estimate_k_cond
 from nonlocality.estimators import default_registry
 from nonlocality.experiments import (
     SeedSet,
@@ -116,8 +116,8 @@ def cond_bits() -> dict:
 
 
 def compute() -> dict:
-    """Both tables, from an empty estimate store."""
-    clear_cache()
+    """Both tables; each run and each estimate_k_cond starts from an empty
+    estimate store."""
     return {"reports": report_digests(), "cond_bits": cond_bits()}
 
 

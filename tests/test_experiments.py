@@ -3,7 +3,8 @@ from fractions import Fraction as F
 
 import pytest
 
-from nonlocality.complexity import classify_value, clear_cache
+from nonlocality.complexity import classify_value
+from nonlocality.estimators import LZ78Estimator
 from nonlocality.experiments import (
     SeedSet,
     run_locality_suite,
@@ -100,9 +101,7 @@ def test_reports_byte_identical_across_runs():
 def test_reports_are_values():
     # two runs from an empty store return equal reports, and no line of
     # the report holds a timing
-    clear_cache()
     r1 = run_theorem1(N, "ctx_2", SS, NoSignalingSampler())
-    clear_cache()
     r2 = run_theorem1(N, "ctx_2", SS, NoSignalingSampler())
     assert r1 == r2
     header, *rest = (json.loads(line) for line in r1.jsonl_lines())
@@ -114,6 +113,34 @@ def test_reports_are_values():
         ("class", "experiment", "kind", "n", "quantity", "rate", "schema", "value"),
         ("experiment", "kind", "lhs", "name", "rhs", "schema", "slack"),
     }
+
+
+@pytest.mark.parametrize(
+    "runner",
+    [
+        lambda: run_theorem1(N, "lz78", SS, NoSignalingSampler()),
+        lambda: run_theorem2(N, "lz78", SS, NoSignalingSampler()),
+        lambda: run_theorem3(5, N, None, "lz78", SS),
+        lambda: run_magic_square(N, "lz78", SS),
+        # n = 3000 does not divide the 4096-symbol table witness, so the
+        # second case codes a alone, as the third case's condition
+        lambda: run_locality_suite("lz78", SS, n=3000),
+    ],
+    ids=["theorem1", "theorem2", "theorem3", "magic_square", "locality_suite"],
+)
+def test_a_run_codes_each_string_once(monkeypatch, runner):
+    # each run shares one store among all of its estimates, the locality
+    # suite among its three cases too, so no string is coded twice
+    coded = []
+    encode = LZ78Estimator.encode
+
+    def spy(self, symbols, q, period=1, resume=None):
+        coded.append((bytes(symbols), q, period))
+        return encode(self, symbols, q, period, resume)
+
+    monkeypatch.setattr(LZ78Estimator, "encode", spy)
+    runner()
+    assert coded and len(set(coded)) == len(coded)
 
 
 def test_classes_recomputable_from_rates_and_thresholds():

@@ -16,6 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from reference_search import search as reference_search
+from traced_peak import traced_peak
 
 from nonlocality import cli, oracles, simplex
 
@@ -158,6 +159,16 @@ def test_a_deterministic_signaling_point_is_refused_with_a_certificate():
     )
     assert (res.value_on_dist, res.vertex_max) == (value, vmax)
     assert value > vmax
+
+
+def test_local_vertices_refuses_chained14_before_listing_any():
+    # 2**14 functions a side, 2**28 vertices: the count alone decides
+    def refuse():
+        with pytest.raises(OracleError, match="too many deterministic vertices"):
+            oracles.local_vertices(GameSpec.chained(14))
+
+    _, peak = traced_peak(refuse)
+    assert peak < 500_000
 
 
 @pytest.mark.parametrize("q, n", [(2, 1), (2, 2), (2, 5), (3, 3), (4, 3)])

@@ -1,13 +1,15 @@
 """Resume points: an encode that starts from the coder state that a
 prefix's encode reached equals a fresh encode, bits and blob, and the store
 offers a state only to the encodes it fits."""
+import gc
 import random
+import sys
 
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from nonlocality import complexity
-from nonlocality.complexity import EstimateStore, clear_cache, estimate_k_cond
+from nonlocality.complexity import EstimateStore, estimate_k, estimate_k_cond
 from nonlocality.estimators import ContextEstimator, LZ77Estimator, default_registry
 from nonlocality.games import GameSpec, Quadruple, locality_verdict
 from nonlocality.strings import SymbolString, concat, gen_computable, interleave
@@ -99,31 +101,63 @@ def _skewed(q: int, n: int, seed: int) -> bytes:
     return _draw(random.Random(seed), "skewed", q, n)
 
 
-def test_clear_cache_empties_the_resume_store():
+def _stores_reachable_from(module) -> list:
+    """Every EstimateStore that the module's namespace reaches, through its
+    functions (their defaults and closures), classes and containers,
+    without passing into another module."""
+    modules = {id(m) for m in sys.modules.values()} | {
+        id(vars(m)) for m in sys.modules.values() if hasattr(m, "__dict__")
+    }
+    seen, stack, found = {id(vars(module))}, list(vars(module).values()), []
+    while stack:
+        obj = stack.pop()
+        if id(obj) in seen or id(obj) in modules:
+            continue
+        seen.add(id(obj))
+        if isinstance(obj, EstimateStore):
+            found.append(obj)
+        stack.extend(gc.get_referents(obj))
+    return found
+
+
+def test_a_call_without_a_store_keeps_nothing(monkeypatch):
+    # a library caller who passes no store gets a fresh one per call: no
+    # store outlives the calls, and asking again codes every string again
     c = SymbolString(2, _skewed(2, 4096, 1))
     x = SymbolString(2, _skewed(2, 4096, 2))
-    clear_cache()
-    estimate_k_cond(x, c, "ctx_2")
-    assert len(complexity._STORE.points) and complexity._STORE.hits
-    clear_cache()
-    store = complexity._STORE
-    assert len(store.points) == 0 and not store.bits
-    assert (store.hits, store.misses, store.resumed_symbols) == (0, 0, 0)
+    encoded = []
+    encode = ContextEstimator.encode
+
+    def spy(self, symbols, q, period=1, resume=None):
+        encoded.append((bytes(symbols), period))
+        return encode(self, symbols, q, period, resume)
+
+    monkeypatch.setattr(ContextEstimator, "encode", spy)
+    calls = []
+    for _ in range(2):
+        encoded.clear()
+        bits = [estimate_k(x, "ctx_2").bits, estimate_k(x, "ctx_2").bits]
+        bits.append(estimate_k_cond(x, c, "ctx_2").bits)
+        bits.append(estimate_k_cond(x, [c, x], "ctx_2").bits)
+        calls.append((bits, encoded[:]))
+    assert calls[0] == calls[1]
+    # the second estimate_k codes x again, and so does each estimate_k_cond
+    assert [s for s in calls[0][1] if s == (x.data, 1)] == [(x.data, 1)] * 4
+    assert _stores_reachable_from(complexity) == []
 
 
 def test_store_counts_hits_misses_and_resumed_symbols():
     c = SymbolString(2, _skewed(2, 4096, 3))
     x = SymbolString(2, _skewed(2, 2048, 4))
-    clear_cache()
-    estimate_k_cond(x, c, "ctx_1")
-    store = complexity._STORE
+    store = EstimateStore()
+    estimate_k_cond(x, c, "ctx_1", store)
     # c.x resumes after c's 4096 symbols; x, c and the interleave
     # candidate's two strings (periods 2 and 3) find nothing
     assert store.hits == 1
     assert store.resumed_symbols == c.n
     assert store.misses == 4
-    clear_cache()
-    estimate_k_cond(x, c, "lz77")
+    store = EstimateStore()
+    estimate_k_cond(x, c, "lz77", store)
     # lz77 resumes before its first token that reads the end of c
     assert store.hits == 1 and 0 < store.resumed_symbols < c.n
 
@@ -196,7 +230,7 @@ def test_the_store_stays_within_its_byte_budget(monkeypatch):
     assert len(store.points) == 2 and store._bytes <= EstimateStore.BUDGET
     assert store.find(est, strings[1] + b"\x01", 8, 1) is None
     monkeypatch.setattr(EstimateStore, "BUDGET", size // 2)
-    store.clear()
+    store = EstimateStore()
     est.encode(strings[0], 8, 1, resume=store)
     assert len(store.points) == 0 and store._bytes == 0
 
@@ -220,7 +254,6 @@ def test_concat_estimates_match_fresh_encodes():
     x = SymbolString(2, _skewed(2, 1000, 21) + c.data[:2001])  # 4096 % 3001: no interleave
     for est_id in RESUMING:
         est = default_registry()[est_id]
-        clear_cache()
         got = estimate_k_cond(x, c, est_id).bits
         cat = est.encode(concat(c, x).data, 2)[0] - est.encode(c.data, 2)[0]
         separate = est.encode(x.data, 2)[0]
@@ -237,18 +270,16 @@ def test_locality_verdict_resumes_ab_lambda_from_ab(monkeypatch):
     lam = SymbolString(2, _skewed(2, n, 32))
     ab_lam = concat(interleave(a, b), lam)
     found = []
-    store = complexity._STORE
-    find = store.find
+    find = EstimateStore.find
 
-    def spy(est, symbols, q, period):
-        point = find(est, symbols, q, period)
+    def spy(store, est, symbols, q, period):
+        point = find(store, est, symbols, q, period)
         found.append((len(symbols), point is not None and point.i > 0))
         return point
 
-    monkeypatch.setattr(store, "find", spy)
+    monkeypatch.setattr(EstimateStore, "find", spy)
     for est_id in RESUMING:
         est = default_registry()[est_id]
-        clear_cache()
         found.clear()
         verdict = locality_verdict(Quadruple(game, a, b, x, y), lam, est_id)
         assert found[:2] == [(2 * n, False), (3 * n, True)], est_id

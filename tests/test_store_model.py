@@ -2,8 +2,8 @@
 
 A Hypothesis state machine encodes strings from a small pool, their
 prefixes and their extensions, through estimate_k, estimate_k_cond and
-Estimator.encode with the store, under each built-in estimator, and empties
-the store now and then. A plain OrderedDict model receives the same find
+Estimator.encode with the store, under each built-in estimator, and starts
+a new run with a new store now and then. A plain OrderedDict model receives the same find
 and keep calls and applies the store's rules: least recently used first
 out, at most LIMIT points and BUDGET bytes, a point offered only to a
 string that starts with the one that kept it, under the same estimator, q
@@ -29,8 +29,7 @@ from hypothesis.stateful import (
     run_state_machine_as_test,
 )
 
-from nonlocality import complexity
-from nonlocality.complexity import EstimateStore, clear_cache, estimate_k, estimate_k_cond
+from nonlocality.complexity import EstimateStore, estimate_k, estimate_k_cond
 from nonlocality.estimators import default_registry
 from nonlocality.strings import SymbolString, concat, gen_computable, interleave
 
@@ -81,9 +80,6 @@ class _Model:
 
     def __init__(self, limit: int, budget: int) -> None:
         self.limit, self.budget = limit, budget
-        self.clear()
-
-    def clear(self) -> None:
         self.points: OrderedDict = OrderedDict()
         self.bytes = self.hits = self.misses = self.resumed_symbols = 0
 
@@ -131,7 +127,7 @@ class _CheckedStore(EstimateStore):
 
 
 class _NoStore:
-    """Stands in for the store where an encode must start fresh: it finds
+    """Given as the store where an encode must start fresh: it finds
     nothing, keeps nothing and remembers no bits."""
 
     class _Bits(dict):
@@ -148,15 +144,6 @@ class _NoStore:
         pass
 
 
-def _fresh(call):
-    saved = complexity._STORE
-    complexity._STORE = _NoStore()
-    try:
-        return call()
-    finally:
-        complexity._STORE = saved
-
-
 _strings = st.integers(0, len(POOL) - 1)
 _estimators = st.sampled_from(ESTIMATORS)
 
@@ -166,35 +153,25 @@ class StoreMachine(RuleBasedStateMachine):
     # that code it again or grow it
     coded = Bundle("coded")
 
-    def __init__(self) -> None:
-        super().__init__()
-        self.saved = complexity._STORE
-        self.store = complexity._STORE = _CheckedStore()
-
-    def teardown(self) -> None:
-        complexity._STORE = self.saved
-
     @initialize(small=st.booleans())
     def limits(self, small):
         # the store's own LIMIT and BUDGET, or small ones that a few
-        # encodes reach, set on this store only
-        limit, budget = (3, 2048) if small else (LIMIT, BUDGET)
-        if small:
-            self.store.LIMIT, self.store.BUDGET = limit, budget
-        self.store.model = _Model(limit, budget)
+        # encodes reach, set on this machine's stores only
+        self.small = small
+        self.new_run()
 
     @rule(target=coded, i=_strings, est_id=_estimators)
     def estimate(self, i, est_id):
         s, _ = POOL[i]
-        got = estimate_k(s, est_id).bits
-        assert got == _fresh(lambda: estimate_k(s, est_id).bits)
+        got = estimate_k(s, est_id, self.store).bits
+        assert got == estimate_k(s, est_id, _NoStore()).bits
         return i, est_id
 
     @rule(i=_strings, j=_strings, est_id=_estimators)
     def estimate_cond(self, i, j, est_id):
         (x, _), (cond, _) = POOL[i], POOL[j]
-        got = estimate_k_cond(x, cond, est_id).bits
-        assert got == _fresh(lambda: estimate_k_cond(x, cond, est_id).bits)
+        got = estimate_k_cond(x, cond, est_id, self.store).bits
+        assert got == estimate_k_cond(x, cond, est_id, _NoStore()).bits
 
     @rule(target=coded, i=_strings, est_id=_estimators)
     def encode(self, i, est_id):
@@ -219,9 +196,13 @@ class StoreMachine(RuleBasedStateMachine):
         self.encode(*earlier)
 
     @rule()
-    def clear(self):
-        clear_cache()
-        self.store.model.clear()
+    def new_run(self):
+        # a run starts from an empty store of its own
+        self.store = _CheckedStore()
+        limit, budget = (3, 2048) if self.small else (LIMIT, BUDGET)
+        if self.small:
+            self.store.LIMIT, self.store.BUDGET = limit, budget
+        self.store.model = _Model(limit, budget)
 
     @invariant()
     def agrees_with_the_model(self):
