@@ -19,19 +19,19 @@ conditional complexity. Three candidates are tried and the cheapest counts:
 So the minimum is an estimate, not a proven upper bound.
 
 An EstimateStore holds the bit counts and coder resume points of one run,
-keyed by estimator, q, period and the symbols. Each experiment runner and
-ns_report makes one for all of its estimates; estimate_k, estimate_k_cond
-and locality_verdict make their own when given none, so no store outlives
-its run. The concat candidate's encode resumes from the coder state that
+keyed by estimator, q, period and the symbols; its points are held under a
+byte budget, oldest first out. Each experiment runner and ns_report makes
+one for all of its estimates; estimate_k, estimate_k_cond and
+locality_verdict make their own when given none, so no store outlives its
+run. The concat candidate's encode resumes from the coder state that
 encoding the condition reached, so the condition's symbols are coded once
-per estimator, q and period, not once per candidate. The bits are those
-of a fresh encode.
+per estimator, q and period, not once per candidate. The bits are those of
+a fresh encode.
 """
 from __future__ import annotations
 
 import hashlib
 import math
-from collections import OrderedDict
 from fractions import Fraction
 
 from .estimators import Estimator, get_estimator
@@ -71,22 +71,19 @@ def _key(est: Estimator, symbols: bytes, q: int, period: int) -> tuple:
 
 class EstimateStore:
     """Under one key (_key): each coded string's bits, and the resume points
-    (estimators.ResumePoint) that encodes reached, the LIMIT most recently
-    used and fewer if their footprints would pass BUDGET bytes. A point is
-    kept under the string whose encode reached it and offered to the encode
-    of any string that starts with that string. One estimate_k_cond keeps at
-    most five points (subject, condition, concat and two woven strings), so
-    a condition's point outlives the next two estimates.
+    (estimators.ResumePoint) that encodes reached, oldest first out once
+    their footprints pass BUDGET bytes. A point is kept under the string
+    whose encode reached it, once (the first point kept under a key stays),
+    and offered to the encode of any string that starts with that string.
 
     hits and misses count find() calls; resumed_symbols sums the symbols
     that the found points let encodes skip."""
 
-    LIMIT = 16
     BUDGET = 1 << 24
 
     def __init__(self) -> None:
         self.bits: dict = {}
-        self.points: OrderedDict = OrderedDict()
+        self.points: dict = {}
         self._bytes = 0
         self.hits = self.misses = self.resumed_symbols = 0
 
@@ -95,10 +92,8 @@ class EstimateStore:
         base = _key(est, b"", q, period)[:4]  # the estimator, q and period
         lengths = {key[4] for key in self.points if key[:4] == base and key[4] <= len(symbols)}
         for n in sorted(lengths, reverse=True):
-            key = _key(est, symbols[:n], q, period)
-            point = self.points.get(key)
+            point = self.points.get(_key(est, symbols[:n], q, period))
             if point is not None:
-                self.points.move_to_end(key)
                 self.hits += 1
                 self.resumed_symbols += point.i
                 return point
@@ -106,16 +101,13 @@ class EstimateStore:
         return None
 
     def keep(self, est: Estimator, symbols: bytes, q: int, period: int, point) -> None:
-        if point.footprint > self.BUDGET:
-            return
         key = _key(est, symbols, q, period)
-        old = self.points.pop(key, None)
-        if old is not None:
-            self._bytes -= old.footprint
+        if key in self.points or point.footprint > self.BUDGET:
+            return
         self.points[key] = point
         self._bytes += point.footprint
-        while len(self.points) > self.LIMIT or self._bytes > self.BUDGET:
-            self._bytes -= self.points.popitem(last=False)[1].footprint
+        while self._bytes > self.BUDGET:
+            self._bytes -= self.points.pop(next(iter(self.points))).footprint
 
 
 def clear_cache() -> None:

@@ -1,10 +1,17 @@
-"""Session checks that hold for the whole test run."""
+"""Session checks that hold for the whole test run, and the Hypothesis
+profile that tests/run_mutants.py selects."""
 from fnmatch import fnmatch
 from pathlib import Path
 
 import pytest
+from hypothesis import Phase, settings
 
 ROOT = Path(__file__).resolve().parents[1]
+
+# tests/run_mutants.py runs a mutant's tests under this profile: a kill
+# needs only the first failure, so nothing is shrunk or explained. A
+# test's own @settings inherits its phases (test_hypothesis_settings.py)
+settings.register_profile("mutants", phases=[Phase.explicit, Phase.reuse, Phase.generate])
 
 
 @pytest.fixture(scope="session", autouse=True)

@@ -21,6 +21,9 @@ _CHAIN = "tests/test_coder_outputs.py::test_chain_links_"
 _ORACLES = "tests/test_oracles.py::test_"
 _VERTEX_MAX = _ORACLES + "best_response_vertex_max_is_the_maximum_over_every_vertex"
 _MODEL_CHECK = ["tests/test_store_model.py::test_the_store_follows_its_model"]
+_RESUME = "tests/test_resume.py::test_"
+_OUTPUTS = "tests/test_coder_outputs.py::test_"
+_BOUNDS = "tests/test_decoder_bounds.py::test_"
 
 MUTANTS = [
     # estimators._chain_links: the q > 2 walk over the bucket links
@@ -46,6 +49,92 @@ MUTANTS = [
         "        after = j if j >= 0 else -2\n",
         "        after = j if j >= 0 else after\n",
         [_CHAIN + "forget_the_exact_link_after_a_failed_walk"],
+    ),
+    # estimators._decode_stream: the flag and literal loops, the states and links
+    Mutant(
+        "decoder_new_link_keeps_the_phase",
+        "estimators.py",
+        "key = (t[-1] // mod + 1) % period * mod",
+        "key = (t[-1] // mod) % period * mod",
+        [_OUTPUTS + "fused_loops_match_the_method_call_reference"],
+    ),
+    Mutant(
+        "decoder_flag_bit_unmasked",
+        "estimators.py",
+        "                high = (high << 1) | 1\n"
+        "                v = (v << 1) | (buf[pos] & 1)\n",
+        "                high = (high << 1) | 1\n"
+        "                v = (v << 1) | buf[pos]\n",
+        [_OUTPUTS + "a_value_on_a_split_point_decodes_as_the_symbol_above"],
+    ),
+    Mutant(
+        "decoder_literal_bit_unmasked",
+        "estimators.py",
+        "            high = (high << 1) | 1\n"
+        "            v = (v << 1) | (buf[pos] & 1)\n",
+        "            high = (high << 1) | 1\n"
+        "            v = (v << 1) | buf[pos]\n",
+        ["tests/test_estimators.py::test_roundtrip_on_corpus"],
+    ),
+    Mutant(
+        "decoder_flag_overrun_unchecked",
+        "estimators.py",
+        "            if pos > end:\n"
+        "                raise _overrun(n)\n"
+        "            if sym:\n",
+        "            if sym:\n",
+        [_BOUNDS + "a_flag_and_its_literal_read_past_the_padding_only_with_the_flag_check_gone"],
+    ),
+    Mutant(
+        "decoder_literal_overrun_unchecked",
+        "estimators.py",
+        "        if pos > end:\n"
+        "            raise _overrun(n)\n"
+        "        c += step\n",
+        "        c += step\n",
+        [_OUTPUTS + "cut_ctx_blobs_are_refused_like_the_reference"],
+    ),
+    Mutant(
+        "decoder_match_state_without_the_phase",
+        "estimators.py",
+        "key = (i % period) * mod + out[i - 2] * qq + out[i - 1]",
+        "key = out[i - 2] * qq + out[i - 1]",
+        [_OUTPUTS + "named_cases_run_every_statement_of_the_fused_loops",
+         "tests/test_roundtrip_audit.py"],
+    ),
+    Mutant(
+        # allocates the header's n bytes, then keeps none of them
+        "decoder_output_sized_from_the_header",
+        "estimators.py",
+        "    f0 = f1 = 1\n    out = bytearray()\n",
+        "    f0 = f1 = 1\n    out = bytearray(n)[:0]\n",
+        [_BOUNDS + "an_lz77_header_of_2_34_symbols_over_40_bits_is_refused_as_an_overrun"],
+    ),
+    Mutant(
+        # a list of q successor slots beside each new state's links
+        "decoder_q_successor_slots",
+        "estimators.py",
+        "t[qq][s] = nxt = states.get(key) or states.setdefault(key, new_table(q) + [{}, key])",
+        "t[qq][s] = nxt = states.get(key) or states.setdefault(\n"
+        "                key, new_table(q) + [{}, [None] * q, key]\n"
+        "            )",
+        [_BOUNDS + "linked_states_take_at_most_15_percent_over_the_reference_tables"],
+    ),
+    Mutant(
+        "decoder_links_left_uncleared",
+        "estimators.py",
+        "    for t in states.values():  # links make cycles: unlinked, the states are freed at once\n"
+        "        t[qq].clear()\n",
+        "",
+        [_BOUNDS + "a_decode_leaves_no_cycles_for_the_collector"],
+    ),
+    # LZ77Estimator.encode: the literal certificate needs a string without links
+    Mutant(
+        "lz77_certificate_with_links_present",
+        "estimators.py",
+        "        if all(prev[j : j + 4096] == blank[: n - j] for j in range(0, n, 4096)):\n",
+        "        if True:\n",
+        [_OUTPUTS + "encoders_match_recorded_outputs"],
     ),
     # oracles._search and _parallel_bests: the roots of one call, the caller's share
     Mutant(
@@ -116,27 +205,30 @@ MUTANTS = [
         equivalent="a b with no promise pair adds the max over y of an empty sum, 0, "
         "and every b of pr, chained(m) and the magic square has a promise pair",
     ),
-    # complexity.EstimateStore: its key and its least-recently-used policy
+    # complexity.EstimateStore: its key and its oldest-first byte budget
     Mutant(
-        "store_evicts_at_the_limit",
+        "store_refuses_past_the_budget",
         "complexity.py",
-        "while len(self.points) > self.LIMIT",
-        "while len(self.points) >= self.LIMIT",
-        _MODEL_CHECK,
+        "if key in self.points or point.footprint > self.BUDGET:",
+        "if key in self.points or point.footprint > self.BUDGET - self._bytes:",
+        [*_MODEL_CHECK, _RESUME + "the_store_stays_within_its_byte_budget",
+         _RESUME + "a_run_past_the_budget_resumes_as_an_unbounded_store_would"],
     ),
     Mutant(
-        "store_find_does_not_renew",
+        # the newest point is the one just kept, so this refuses it too
+        "store_evicts_the_newest",
         "complexity.py",
-        "                self.points.move_to_end(key)\n",
-        "",
-        _MODEL_CHECK,
+        "self.points.pop(next(iter(self.points)))",
+        "self.points.pop(next(reversed(self.points)))",
+        [*_MODEL_CHECK, _RESUME + "the_store_stays_within_its_byte_budget",
+         _RESUME + "a_run_past_the_budget_resumes_as_an_unbounded_store_would"],
     ),
     Mutant(
-        "store_replaced_point_still_counted",
+        "store_counts_a_rekept_point_twice",
         "complexity.py",
-        "            self._bytes -= old.footprint\n",
-        "            pass\n",
-        _MODEL_CHECK,
+        "if key in self.points or point.footprint > self.BUDGET:",
+        "if point.footprint > self.BUDGET:",
+        [*_MODEL_CHECK, _RESUME + "a_point_kept_again_is_counted_once"],
     ),
     Mutant(
         "store_find_skips_the_whole_string",

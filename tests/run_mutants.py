@@ -4,9 +4,11 @@
 
 With no NAME it runs every mutant. Each one is applied to a temporary copy
 of src/, tests/, perfbench/, pyproject.toml and .gitignore, never to the
-checkout, and only its listed tests run there. A mutant is killed when
-pytest reports a failed test (exit status 1). The last line counts the
-mutants that behaved as recorded: killed, or surviving if equivalent.
+checkout, and only its listed tests run there, under the conftest's
+"mutants" Hypothesis profile, which does not shrink a failing example. A
+mutant is killed when pytest reports a failed test (exit status 1). The
+last line counts the mutants that behaved as recorded: killed, or
+surviving if equivalent.
 Standard library only, apart from the pytest that runs the tests.
 """
 from __future__ import annotations
@@ -45,7 +47,8 @@ def run(mutant) -> bool:
         path.write_text(text.replace(mutant.old, mutant.new))
         start = time.perf_counter()
         proc = subprocess.run(
-            [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", *mutant.tests],
+            [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+             "--hypothesis-profile=mutants", *mutant.tests],
             cwd=tmp, env={**os.environ, "PYTHONDONTWRITEBYTECODE": "1"},
             capture_output=True, text=True,
         )

@@ -1,4 +1,5 @@
-"""Every Hypothesis property draws the same examples on every run.
+"""Every Hypothesis property draws the same examples on every run, and the
+profile that tests/run_mutants.py selects reaches a test's own settings.
 
 Without `derandomize=True` a property draws new examples each run (a fresh
 checkout has no example database), so whether it kills a given mutant is
@@ -6,7 +7,11 @@ left to chance. This AST scan of tests/ fails on a `@given` test whose
 `@settings` does not pass `derandomize=True`.
 """
 import ast
+import subprocess
+import sys
 from pathlib import Path
+
+from hypothesis import Phase, settings
 
 TESTS = Path(__file__).resolve().parent
 
@@ -65,3 +70,27 @@ def d(x): pass
         for name in unseeded_properties(path.read_text())
     }
     assert not unseeded, sorted(unseeded)
+
+
+# a test's own settings, made when its module is imported, as an
+# @settings(...) decorator's are
+OWN = settings(max_examples=5, derandomize=True)
+
+
+def test_own_settings_take_the_loaded_profiles_phases():
+    print("phases:", ",".join(phase.name for phase in OWN.phases))
+    assert OWN.phases == settings.default.phases
+
+
+def test_the_mutants_profile_reaches_a_tests_own_settings(tmp_path):
+    # run_mutants.py loads the conftest's "mutants" profile by pytest's
+    # option: the test above, run under it, must see no shrink phase
+    proc = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-s", "-p", "no:cacheprovider",
+         "--hypothesis-profile=mutants",
+         f"{__file__}::test_own_settings_take_the_loaded_profiles_phases"],
+        cwd=tmp_path, capture_output=True, text=True,
+    )
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert "phases: explicit,reuse,generate\n" in proc.stdout
+    assert Phase.shrink in OWN.phases  # tier-1 runs the default profile

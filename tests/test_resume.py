@@ -8,11 +8,12 @@ import sys
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from nonlocality import complexity
+from nonlocality import complexity, experiments
 from nonlocality.complexity import EstimateStore, estimate_k, estimate_k_cond
 from nonlocality.estimators import ContextEstimator, LZ77Estimator, default_registry
+from nonlocality.experiments import SeedSet, run_theorem3
 from nonlocality.games import GameSpec, Quadruple, locality_verdict
-from nonlocality.strings import SymbolString, concat, gen_computable, interleave
+from nonlocality.strings import Seed, SymbolString, concat, gen_computable, interleave
 
 RESUMING = ("lz77", "ctx_0", "ctx_1", "ctx_2", "ctx_3")
 
@@ -203,19 +204,6 @@ def test_a_state_is_never_offered_for_another_period_or_q():
         assert store.find(est, c + x, 2, 2) is not None
 
 
-def test_the_store_keeps_the_most_recently_used_points():
-    est = ContextEstimator(0)
-    store = EstimateStore()
-    strings = [_skewed(2, 512, 100 + i) for i in range(EstimateStore.LIMIT + 1)]
-    for s in strings[:-1]:
-        est.encode(s, 2, 1, resume=store)
-    assert store.find(est, strings[0] + b"\x01", 2, 1) is not None  # now the newest
-    est.encode(strings[-1], 2, 1, resume=store)
-    assert len(store.points) == EstimateStore.LIMIT
-    assert store.find(est, strings[1] + b"\x01", 2, 1) is None
-    assert store.find(est, strings[0] + b"\x01", 2, 1) is not None
-
-
 def test_the_store_stays_within_its_byte_budget(monkeypatch):
     est = ContextEstimator(3)
     strings = [_skewed(8, 4096, 200 + i) for i in range(4)]
@@ -237,7 +225,7 @@ def test_the_store_stays_within_its_byte_budget(monkeypatch):
 
 def test_a_point_kept_again_is_counted_once():
     # the second encode resumes from the first one's point at its end and
-    # keeps a point under the same key: the old footprint leaves the count
+    # offers a point under the same key: the store keeps the first one
     est = ContextEstimator(2)
     s = gen_computable("thue_morse", 4096).data
     store = EstimateStore()
@@ -245,6 +233,29 @@ def test_a_point_kept_again_is_counted_once():
         est.encode(s, 2, 1, resume=store)
         assert len(store.points) == 1
         assert store._bytes == sum(p.footprint for p in store.points.values()) == 991
+
+
+def test_a_run_past_the_budget_resumes_as_an_unbounded_store_would(monkeypatch):
+    # theorem3 on chained(64) with ctx_2 at n = 2^13 offers its store more
+    # than BUDGET bytes of points: the oldest go, and both concat candidates
+    # still resume from their conditions, as with no budget (a store that
+    # refused the points past the budget would resume one)
+    stores, offered = [], []
+
+    class Spy(EstimateStore):
+        def __init__(self):
+            super().__init__()
+            stores.append(self)
+
+        def keep(self, est, symbols, q, period, point):
+            offered.append(point.footprint)
+            super().keep(est, symbols, q, period, point)
+
+    monkeypatch.setattr(experiments, "EstimateStore", Spy)
+    run_theorem3(64, 2**13, None, "ctx_2", SeedSet.from_master(Seed.from_int(0)))
+    (store,) = stores
+    assert (store.hits, store.resumed_symbols) == (2, 16384)
+    assert sum(offered) > EstimateStore.BUDGET >= store._bytes
 
 
 def test_concat_estimates_match_fresh_encodes():

@@ -3,20 +3,19 @@
 A Hypothesis state machine encodes strings from a small pool, their
 prefixes and their extensions, through estimate_k, estimate_k_cond and
 Estimator.encode with the store, under each built-in estimator, and starts
-a new run with a new store now and then. A plain OrderedDict model receives the same find
-and keep calls and applies the store's rules: least recently used first
-out, at most LIMIT points and BUDGET bytes, a point offered only to a
-string that starts with the one that kept it, under the same estimator, q
-and period. After every step the store's points, their order, their bytes
-and its counters equal the model's, and every bit count equals that of an
-encode without the store.
+a new run with a new store now and then. A plain dict model receives the
+same find and keep calls and applies the store's rules: the first point
+kept under a key stays, oldest first out past BUDGET bytes, a point offered
+only to a string that starts with the one that kept it, under the same
+estimator, q and period. After every step the store's points, their order,
+their bytes and its counters equal the model's, and every bit count equals
+that of an encode without the store.
 
 estimate_k and estimate_k_cond answer a string they coded before from the
 bit cache, so they never keep a point twice under one key or look up a
 string's own point; the direct encodes do both.
 """
 import random
-from collections import OrderedDict
 
 from hypothesis import settings
 from hypothesis import strategies as st
@@ -34,7 +33,7 @@ from nonlocality.estimators import default_registry
 from nonlocality.strings import SymbolString, concat, gen_computable, interleave
 
 ESTIMATORS = sorted(default_registry())
-LIMIT, BUDGET = 16, 1 << 24  # the store's, restated: the model does not read them
+BUDGET = 1 << 24  # the store's, restated: the model does not read it
 
 
 def _random(q: int, n: int, seed: int, skew: float = 0.0) -> SymbolString:
@@ -78,9 +77,9 @@ class _Model:
     """The store's policy over plain keys (the estimator, q, period and the
     whole symbols), with the store's counters."""
 
-    def __init__(self, limit: int, budget: int) -> None:
-        self.limit, self.budget = limit, budget
-        self.points: OrderedDict = OrderedDict()
+    def __init__(self, budget: int) -> None:
+        self.budget = budget
+        self.points: dict = {}
         self.bytes = self.hits = self.misses = self.resumed_symbols = 0
 
     def find(self, est, symbols: bytes, q: int, period: int):
@@ -92,22 +91,19 @@ class _Model:
             self.misses += 1
             return None
         key = max(found, key=lambda k: len(k[4]))
-        self.points.move_to_end(key)
         self.hits += 1
         self.resumed_symbols += self.points[key].i
         return self.points[key]
 
     def keep(self, est, symbols: bytes, q: int, period: int, point) -> None:
-        if point.footprint > self.budget:
-            return
         key = (type(est), est.estimator_id, q, period, symbols)
-        old = self.points.pop(key, None)
-        if old is not None:
-            self.bytes -= old.footprint
+        if key in self.points or point.footprint > self.budget:
+            return
         self.points[key] = point
         self.bytes += point.footprint
-        while len(self.points) > self.limit or self.bytes > self.budget:
-            self.bytes -= self.points.popitem(last=False)[1].footprint
+        while self.bytes > self.budget:
+            oldest = next(iter(self.points))
+            self.bytes -= self.points.pop(oldest).footprint
 
 
 class _CheckedStore(EstimateStore):
@@ -155,8 +151,8 @@ class StoreMachine(RuleBasedStateMachine):
 
     @initialize(small=st.booleans())
     def limits(self, small):
-        # the store's own LIMIT and BUDGET, or small ones that a few
-        # encodes reach, set on this machine's stores only
+        # the store's own BUDGET, or a small one that a few encodes
+        # reach, set on this machine's stores only
         self.small = small
         self.new_run()
 
@@ -192,31 +188,32 @@ class StoreMachine(RuleBasedStateMachine):
 
     @rule(earlier=coded)
     def encode_again(self, earlier):
-        # the string's own point, if it is still kept, is found and kept anew
+        # the string's own point, if it is still kept, is found, and the
+        # point that this encode reaches is not kept in its place
         self.encode(*earlier)
 
     @rule()
     def new_run(self):
         # a run starts from an empty store of its own
         self.store = _CheckedStore()
-        limit, budget = (3, 2048) if self.small else (LIMIT, BUDGET)
+        budget = 2048 if self.small else BUDGET
         if self.small:
-            self.store.LIMIT, self.store.BUDGET = limit, budget
-        self.store.model = _Model(limit, budget)
+            self.store.BUDGET = budget
+        self.store.model = _Model(budget)
 
     @invariant()
     def agrees_with_the_model(self):
         store, model = self.store, self.store.model
         assert list(map(id, store.points.values())) == list(map(id, model.points.values()))
         assert store._bytes == model.bytes
-        assert len(store.points) <= model.limit and store._bytes <= model.budget
+        assert store._bytes <= model.budget
         assert (store.hits, store.misses, store.resumed_symbols) == (
             model.hits, model.misses, model.resumed_symbols
         )
 
 
 def test_the_store_follows_its_model():
-    assert (EstimateStore.LIMIT, EstimateStore.BUDGET) == (LIMIT, BUDGET)
+    assert EstimateStore.BUDGET == BUDGET
     run_state_machine_as_test(
         StoreMachine,
         settings=settings(max_examples=60, stateful_step_count=25, deadline=None, derandomize=True),
